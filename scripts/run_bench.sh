@@ -60,7 +60,7 @@ run_bench bench_micro_solver "${tmp_dir}/micro.json" \
 
 # Service latency/throughput: steady-query p50/p99 (acceptance: warm-ROM
 # p50 <= 100 us on the 2-layer Niagara liquid stack) and batched vs serial
-# what-if throughput (acceptance: batched >= 2x serial sessions/s).
+# what-if throughput (acceptance: batched >= serial sessions/s).
 run_bench bench_serve "${tmp_dir}/serve.json" 'BM_Serve'
 
 # Observability overhead: the killed-switch histogram record must stay

@@ -258,11 +258,20 @@ void ServeServer::worker_loop() {
       conn->pending.pop_front();
       ++conn->executing;
     }
-    execute(conn, std::move(item));
+    const std::string reply = execute(std::move(item));
+    {
+      // The answer exists: free the admission slot before the write, so a
+      // client that reads this reply and sends its next request at once
+      // never finds its own finished request still counted in flight.
+      std::lock_guard<std::mutex> lock(mu_);
+      --inflight_;
+      ++replying_;
+    }
+    send_payload(conn, reply);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --conn->executing;
-      --inflight_;
+      --replying_;
       if (conn->closed && conn->pending.empty() && conn->executing == 0) {
         // That was the final reply owed to a departed client.
         ::shutdown(conn->fd, SHUT_RDWR);
@@ -272,8 +281,7 @@ void ServeServer::worker_loop() {
   }
 }
 
-void ServeServer::execute(const std::shared_ptr<Connection>& conn,
-                          QueuedRequest item) {
+std::string ServeServer::execute(QueuedRequest item) {
   WireResponse resp;
   resp.id = item.request.id;
   const double deadline_ms = item.request.deadline_ms;
@@ -349,7 +357,7 @@ void ServeServer::execute(const std::shared_ptr<Connection>& conn,
   // `trace` request must find the complete span tree (the daemon-smoke
   // scrape depends on this).  The socket write itself is untraced.
   const std::uint64_t encode_start = trace_id != 0 ? obs::now_ns() : 0;
-  const std::string payload = encode_response(resp);
+  std::string payload = encode_response(resp);
   if (trace_id != 0) {
     const std::uint64_t end = obs::now_ns();
     obs::TraceRing::global().record(obs::TraceSpan{
@@ -358,7 +366,7 @@ void ServeServer::execute(const std::shared_ptr<Connection>& conn,
     obs::TraceRing::global().record(obs::TraceSpan{
         trace_id, item.root_span, 0, "request", item.recv_ns, end});
   }
-  send_payload(conn, payload);
+  return payload;
 }
 
 void ServeServer::send_response(const std::shared_ptr<Connection>& conn,
@@ -395,7 +403,7 @@ void ServeServer::drain() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     draining_ = true;
-    cv_drain_.wait(lock, [this] { return inflight_ == 0; });
+    cv_drain_.wait(lock, [this] { return inflight_ == 0 && replying_ == 0; });
   }
 }
 
@@ -403,6 +411,15 @@ void ServeServer::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   drain();
+  // Wake and join the listener before taking the connection snapshot: a
+  // connection accepted after the snapshot would get a reader thread that
+  // is never joined (and clearing conns_ would then destroy a joinable
+  // std::thread).
+  if (wake_pipe_[1] >= 0) {
+    const char byte = 'x';
+    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+  }
+  if (listener_.joinable()) listener_.join();
   std::vector<std::shared_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -412,12 +429,6 @@ void ServeServer::stop() {
     // Connection objects, after the last worker reply).
     for (const auto& c : conns_) ::shutdown(c->fd, SHUT_RDWR);
   }
-  // Wake and join the listener first so no new connection slips in.
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'x';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
-  if (listener_.joinable()) listener_.join();
   cv_work_.notify_all();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();

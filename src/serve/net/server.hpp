@@ -110,7 +110,8 @@ class ServeServer {
   void listener_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void worker_loop();
-  void execute(const std::shared_ptr<Connection>& conn, QueuedRequest item);
+  /// Runs one admitted request and returns its encoded reply frame.
+  std::string execute(QueuedRequest item);
   void send_response(const std::shared_ptr<Connection>& conn,
                      const WireResponse& response);
   void send_payload(const std::shared_ptr<Connection>& conn,
@@ -128,10 +129,11 @@ class ServeServer {
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;   ///< workers: pending work or shutdown
-  std::condition_variable cv_drain_;  ///< drain(): in-flight hit zero
+  std::condition_variable cv_drain_;  ///< drain(): nothing left to answer
   std::vector<std::shared_ptr<Connection>> conns_;
   std::size_t rr_cursor_ = 0;  ///< round-robin position over conns_
   std::size_t inflight_ = 0;   ///< queued + executing (admission bound)
+  std::size_t replying_ = 0;   ///< answered, reply frame not yet written
   bool draining_ = false;      ///< reject new requests
   bool stop_workers_ = false;  ///< workers exit once queues empty
   bool started_ = false;

@@ -114,11 +114,12 @@ void QueryQueue::worker_loop() {
     ++active_;
     lock.unlock();
 
-    run_batch(batch);
-
+    // Counted before the run: a caller that reads the stats right after its
+    // future resolves must already see the batch that answered it.
     batches_.add();
     batched_sessions_.add(batch.size());
     max_batch_seen_.observe(batch.size());
+    run_batch(batch);
 
     lock.lock();
     --active_;
@@ -146,8 +147,8 @@ void QueryQueue::run_batch(std::vector<SessionJob>& jobs) {
     // One bad configuration must not poison its groupmates: retry each job
     // alone, so only the genuinely failing ones surface an exception.
     for (SessionJob& job : jobs) {
-      run_solo(job);
       solo_fallbacks_.add();
+      run_solo(job);
     }
   }
 }

@@ -22,14 +22,11 @@ std::size_t BatchRunner::add(std::unique_ptr<SimulationSession> session) {
 std::vector<SimulationResult> BatchRunner::run() {
   LIQUID3D_REQUIRE(!sessions_.empty(), "batch runner has no sessions");
 
-  // init() before grouping: the warm start is a per-session steady solve
-  // (identical to the serial path), and grouping only needs the topology
-  // fingerprint, which is fixed at construction.
-  for (auto& s : sessions_) s->init();
-
   // Lockstep compatibility: identical system matrix for every substep size
   // (topology fingerprint) and an identical tick structure (sampling
-  // interval in the exact millisecond domain + substep count).
+  // interval in the exact millisecond domain + substep count).  Grouping
+  // needs nothing init() computes: the fingerprint is fixed at
+  // construction.
   using GroupKey = std::tuple<std::uint64_t, std::int64_t, std::size_t>;
   std::map<GroupKey, std::vector<SimulationSession*>> groups;
   for (auto& s : sessions_) {
@@ -38,6 +35,32 @@ std::vector<SimulationResult> BatchRunner::run() {
         .push_back(s.get());
   }
   group_count_ = groups.size();
+
+  // Link each group's models so that a liquid model at a groupmate's flow
+  // vector solves through that groupmate's eliminated LU factor instead of
+  // refactorizing its own — from the warm start on, where every session of
+  // a group starts at the same flow.  The links live only for this run.
+  std::vector<std::vector<ThermalModel3D*>> peers;
+  peers.reserve(groups.size());
+  for (const auto& [key, members] : groups) {
+    std::vector<ThermalModel3D*>& group = peers.emplace_back();
+    for (SimulationSession* s : members) group.push_back(&s->thermal());
+  }
+  struct Unlink {
+    std::vector<std::vector<ThermalModel3D*>>& peers;
+    ~Unlink() {
+      for (const auto& group : peers) {
+        for (ThermalModel3D* m : group) m->share_factors_with({});
+      }
+    }
+  } unlink{peers};
+  for (const auto& group : peers) {
+    for (ThermalModel3D* m : group) m->share_factors_with(group);
+  }
+
+  // The warm start is a per-session steady solve, identical to the serial
+  // path.
+  for (auto& s : sessions_) s->init();
 
   // Batch observability: how often lockstep grouping fires and how wide
   // the groups are is the whole economics of the shared-factorization

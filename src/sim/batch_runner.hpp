@@ -3,19 +3,24 @@
 //
 // The evaluation grid of Sec. V is dozens of independent (policy x cooling
 // x workload) cells over ONE stack geometry and ONE sampling interval.
-// Their backward-Euler system matrices are identical, so running them in
-// lockstep lets every thermal substep route all cells' RHS vectors through
-// one cached banded Cholesky factor (BandedSpdMatrix::solve(span, nrhs))
-// instead of streaming the same factor once per cell.
+// Air-cooled cells have identical backward-Euler system matrices, so
+// running them in lockstep lets every thermal substep route all cells' RHS
+// vectors through one cached banded Cholesky factor
+// (BandedSpdMatrix::solve(span, nrhs)) instead of streaming the same
+// factor once per cell.  Liquid cells' fluid-eliminated operators also
+// depend on each cell's flow vector: a group's models are linked
+// (ThermalModel3D::share_factors_with) so cells at an equal flow vector
+// factorize once between them.
 //
 // Grouping is automatic: sessions whose conduction topology
 // (ThermalModel3D::topology_fingerprint()), sampling interval, and substep
 // count agree advance together; anything else falls into its own group and
 // simply runs serially.  Scheduling, power, control, and metrics stay
 // entirely per-session — only the inner linear solve is shared — and the
-// multi-RHS kernel replicates single-RHS arithmetic per system, so a
-// BatchRunner's results are BIT-IDENTICAL to serial Simulator::run() calls
-// (locked in by tests/test_session_batch.cpp).
+// multi-RHS kernel replicates single-RHS arithmetic per system (a shared
+// LU factor is the one each cell would have built), so a BatchRunner's
+// results are BIT-IDENTICAL to serial Simulator::run() calls (locked in by
+// tests/test_session_batch.cpp).
 #pragma once
 
 #include <memory>

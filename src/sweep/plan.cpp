@@ -81,7 +81,7 @@ double estimate_cell_cost(const SweepGridSpec& grid,
   const double per_row = backend == SolverBackend::kPcg
                              ? kPcgIterationEstimate * kPcgFlopsPerRow
                              : 2.0 * bw + bw * bw / kDirectFactorAmortization;
-  // Fluid march: one sweep over every cavity cell per fixed-point pass.
+  // Fluid march: one sweep over every cavity cell per substep.
   const double fluid = static_cast<double>(stack.cavity_count()) * rows * cols;
 
   const SuiteConfig sc = to_suite_config(grid);

@@ -1,6 +1,7 @@
 #include "sweep/supervisor.hpp"
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -40,15 +41,26 @@ pid_t spawn(const std::vector<std::string>& argv) {
   cargv.reserve(argv.size() + 1);
   for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
   cargv.push_back(nullptr);
+  const pid_t supervisor = ::getpid();
   const pid_t pid = ::fork();
   LIQUID3D_REQUIRE(pid >= 0,
                    std::string("supervisor: fork failed: ") + std::strerror(errno));
   if (pid == 0) {
+    // Own process group, so the stall watchdog's kill reaches everything
+    // the worker spawned (a shell's children included), not just its pid.
+    // Leaving the terminal's foreground group also means a Ctrl-C no longer
+    // reaches the worker, so it dies with the supervisor instead.
+    ::setpgid(0, 0);
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != supervisor) ::_exit(127);  // the supervisor already died
     ::execvp(cargv[0], cargv.data());
     // exec failed; report distinctly from any worker exit code and avoid
     // running the parent's atexit machinery in the forked child.
     ::_exit(127);
   }
+  // Also from the parent: whichever of the two runs first wins the race
+  // against an early watchdog kill.
+  ::setpgid(pid, pid);
   return pid;
 }
 
@@ -166,7 +178,7 @@ SupervisorResult supervise_sweep(const SupervisorOptions& options) {
         } else if (now - w.last_progress >= options.stall_timeout) {
           // Wedged by the only liveness signal we trust; the kill is safe
           // (fsync-per-record journal) and the next poll reaps + restarts.
-          ::kill(w.pid, SIGKILL);
+          ::kill(-w.pid, SIGKILL);  // the whole worker process group
           ++w.report.stall_kills;
           w.last_progress = now;  // one kill per stall window
         }

@@ -21,7 +21,7 @@ double channel_coverage(const CavitySpec& cavity, double die_height) {
 }
 
 // FNV-1a over 64-bit words; the topology fingerprint hashes the exact bit
-// patterns of every quantity that enters build_matrix, so equal fingerprints
+// patterns of every quantity that enters stamp_system, so equal fingerprints
 // imply bit-identical system matrices.
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -40,6 +40,12 @@ void require_finite(const double* v, std::size_t n, const char* what) {
   for (std::size_t i = 0; i < n; ++i) sum += v[i];
   if (!std::isfinite(sum)) throw SolverError(what);
 }
+
+constexpr const char* kNonFiniteRhs =
+    "assembled backward-Euler RHS contains non-finite values (check power "
+    "inputs and fluid state)";
+constexpr const char* kNonFiniteSolution =
+    "linear solve produced non-finite temperatures";
 
 void fnv_mix(std::uint64_t& h, double v) {
   std::uint64_t bits;
@@ -237,7 +243,7 @@ void ThermalModel3D::build_topology() {
     }
   }
 
-  // Fingerprint everything build_matrix consumes (plus the shape and the
+  // Fingerprint everything stamp_system consumes (plus the shape and the
   // fluid/package coupling constants, which enter the RHS).  The resolved
   // solver backend is mixed in too: equal fingerprints promise that the
   // batch stepper can advance the models identically, which holds only
@@ -261,6 +267,11 @@ void ThermalModel3D::build_topology() {
   fnv_mix(h, g_fluid_dn_);
   fnv_mix(h, g_fluid_up_);
   fnv_mix(h, g_package_);
+  // The fluid elimination also reads the coolant's capacity rate and the
+  // flow directions: equal fingerprints and equal flow vectors then give
+  // bit-identical eliminated operators.
+  fnv_mix(h, params_.coolant.volumetric_heat_capacity());
+  fnv_mix(h, static_cast<std::uint64_t>(params_.alternate_flow_direction));
   topo_fingerprint_ = h;
 }
 
@@ -326,11 +337,6 @@ void ThermalModel3D::stamp_system(MatrixT& m, double inv_dt) const {
   }
 }
 
-void ThermalModel3D::build_matrix(BandedSpdMatrix& m, double inv_dt) const {
-  m.set_zero();
-  stamp_system(m, inv_dt);
-}
-
 const BandedSpdMatrix& ThermalModel3D::matrix_for_dt(double dt_s) {
   if (const BandedSpdMatrix* cached = factor_cache_.find(dt_s)) return *cached;
   static obs::Histogram& assemble_h =
@@ -341,7 +347,7 @@ const BandedSpdMatrix& ThermalModel3D::matrix_for_dt(double dt_s) {
   auto m = std::make_unique<BandedSpdMatrix>(node_count_, bw);
   {
     obs::ScopedTimer t(assemble_h);
-    build_matrix(*m, 1.0 / dt_s);
+    stamp_system(*m, 1.0 / dt_s);
   }
   {
     obs::ScopedTimer t(factorize_h);
@@ -350,17 +356,13 @@ const BandedSpdMatrix& ThermalModel3D::matrix_for_dt(double dt_s) {
   return factor_cache_.insert(dt_s, std::move(m));
 }
 
-void ThermalModel3D::build_sparse_matrix(SparseMatrix& m, double inv_dt) const {
-  stamp_system(m, inv_dt);
-}
-
 PcgSolver& ThermalModel3D::pcg_for_dt(double dt_s) {
   if (PcgSolver* cached = pcg_cache_.find(dt_s)) return *cached;
   static obs::Histogram& assemble_h =
       obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
   obs::ScopedTimer assemble_t(assemble_h);
   SparseMatrix a(node_count_);
-  build_sparse_matrix(a, 1.0 / dt_s);
+  stamp_system(a, 1.0 / dt_s);
   a.finalize();
   assemble_t.stop();
   return pcg_cache_.insert(dt_s,
@@ -460,63 +462,124 @@ void ThermalModel3D::assemble_transient_rhs(double inv_dt, double* out) const {
 double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
                                double fluid_tol) {
   const double inv_dt = 1.0 / dt_s;
-  const BandedSpdMatrix* direct =
-      backend_ == SolverBackend::kDirect ? &matrix_for_dt(dt_s) : nullptr;
-  PcgSolver* pcg = direct ? nullptr : &pcg_for_dt(dt_s);
   temps_prev_.assign(temps_.begin(), temps_.end());
   const bool liquid = stack_.has_cavities();
-  const std::size_t max_iters = liquid ? fluid_iters : 1;
-
-  for (std::size_t iter = 0; iter < max_iters; ++iter) {
-    assemble_transient_rhs(inv_dt, rhs_.data());
-    // A single NaN/Inf in the RHS (a power-model blowup, a diverged fluid
-    // state) would silently poison the entire field through the solve;
-    // catch it at the boundary where the cause is still nameable.
-    require_finite(rhs_.data(), node_count_,
-                   "assembled backward-Euler RHS contains non-finite values "
-                   "(check power inputs and fluid state)");
-    if (direct) {
-      static obs::Histogram& solve_h = obs::Registry::global().histogram(
-          "liquid3d_solver_direct_solve_seconds");
-      {
-        obs::ScopedTimer t(solve_h);
-        direct->solve(rhs_);
-      }
-      temps_.swap(rhs_);
+  if (backend_ == SolverBackend::kDirect) {
+    if (liquid) {
+      solve_eliminated(eliminated_slot(inv_dt), inv_dt);
     } else {
-      // Warm-start from the current field: across fluid iterations (and
-      // across steps) the solution moves by fractions of a kelvin, so the
-      // iterative solve needs a handful of iterations, not a cold start's.
-      pcg_x_.assign(temps_.begin(), temps_.end());
-      last_pcg_ = pcg->solve(rhs_.data(), pcg_x_.data());
-      // An iterate that stalled at the iteration cap is not a solution;
-      // accepting it silently would corrupt every sample and policy
-      // decision built on the field.  SolverError, not ConfigError or
-      // LogicError: the configuration is well-formed and the code is not
-      // buggy — the system is ill-conditioned for the configured budget,
-      // and callers (the sweep worker's quarantine ladder) may retry with
-      // another backend or a relaxed tolerance.
-      if (!last_pcg_.converged) {
-        throw SolverError(
-            "PCG transient step did not converge within max_iterations; "
-            "raise ThermalModelParams::pcg.max_iterations or loosen the "
-            "tolerance",
-            "pcg", last_pcg_.iterations, last_pcg_.relative_residual);
-      }
-      temps_.swap(pcg_x_);
+      assemble_transient_rhs(inv_dt, rhs_.data());
+      solve_direct(matrix_for_dt(dt_s));
     }
-    require_finite(temps_.data(), node_count_,
-                   "linear solve produced non-finite temperatures");
-    if (!liquid) break;
-    const double delta = march_all_fluid();
-    if (delta < fluid_tol) break;
+    return max_change();
   }
+  // PCG: the silicon<->fluid fixed point.  Each iteration solves the
+  // symmetric C/dt + G against the last fluid march.
+  PcgSolver& pcg = pcg_for_dt(dt_s);
+  for (std::size_t iter = 0; iter < (liquid ? fluid_iters : 1); ++iter) {
+    assemble_transient_rhs(inv_dt, rhs_.data());
+    require_finite(rhs_.data(), node_count_, kNonFiniteRhs);
+    // Warm-start from the current field: across fluid iterations (and
+    // across steps) the solution moves by fractions of a kelvin, so the
+    // iterative solve needs a handful of iterations, not a cold start's.
+    pcg_x_.assign(temps_.begin(), temps_.end());
+    last_pcg_ = pcg.solve(rhs_.data(), pcg_x_.data());
+    // An iterate that stalled at the iteration cap is not a solution;
+    // accepting it silently would corrupt every sample and policy
+    // decision built on the field.  SolverError, not ConfigError or
+    // LogicError: the configuration is well-formed and the code is not
+    // buggy — the system is ill-conditioned for the configured budget,
+    // and callers (the sweep worker's quarantine ladder) may retry with
+    // another backend or a relaxed tolerance.
+    if (!last_pcg_.converged) {
+      throw SolverError(
+          "PCG transient step did not converge within max_iterations; "
+          "raise ThermalModelParams::pcg.max_iterations or loosen the "
+          "tolerance",
+          "pcg", last_pcg_.iterations, last_pcg_.relative_residual);
+    }
+    temps_.swap(pcg_x_);
+    require_finite(temps_.data(), node_count_, kNonFiniteSolution);
+    if (!liquid || march_all_fluid() < fluid_tol) break;
+  }
+  return max_change();
+}
 
+template <typename Factor>
+void ThermalModel3D::solve_direct(const Factor& factor) {
+  // A single NaN/Inf in the RHS (a power-model blowup, a diverged fluid
+  // state) would silently poison the entire field through the solve;
+  // catch it at the boundary where the cause is still nameable.
+  require_finite(rhs_.data(), node_count_, kNonFiniteRhs);
+  static obs::Histogram& solve_h =
+      obs::Registry::global().histogram("liquid3d_solver_direct_solve_seconds");
+  {
+    obs::ScopedTimer t(solve_h);
+    factor.solve(rhs_);
+  }
+  temps_.swap(rhs_);
+  require_finite(temps_.data(), node_count_, kNonFiniteSolution);
+}
+
+double ThermalModel3D::max_change() const {
   double change = 0.0;
   for (std::size_t i = 0; i < node_count_; ++i) {
     change = std::max(change, std::abs(temps_[i] - temps_prev_[i]));
   }
   return change;
+}
+
+bool ThermalModel3D::slot_fits(const EliminatedSlot& slot, double inv_dt) const {
+  return slot.lu && slot.inv_dt == inv_dt && slot.flows == cavity_flows_;
+}
+
+void ThermalModel3D::share_factors_with(std::span<ThermalModel3D* const> peers) {
+  for (const ThermalModel3D* peer : peers) {
+    LIQUID3D_REQUIRE(peer->topology_fingerprint() == topo_fingerprint_,
+                     "factor-sharing peers must have equal topology "
+                     "fingerprints");
+  }
+  factor_peers_ = peers;
+}
+
+const ThermalModel3D::EliminatedSlot& ThermalModel3D::eliminated_slot(double inv_dt) {
+  EliminatedSlot& slot = elim_;
+  if (slot_fits(slot, inv_dt)) return slot;
+  static obs::Counter& borrowed_c =
+      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
+  for (const ThermalModel3D* peer : factor_peers_) {
+    if (slot_fits(peer->elim_, inv_dt)) {
+      borrowed_c.add();
+      return peer->elim_;
+    }
+  }
+  static obs::Histogram& assemble_h =
+      obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
+  static obs::Histogram& factorize_h =
+      obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
+  const std::size_t bw = grid_.cols() * layer_count_;
+  if (!slot.lu) slot.lu = std::make_unique<BandedLuMatrix>(node_count_, bw, bw);
+  slot.flows.clear();  // a factorization that throws leaves no valid key
+  {
+    obs::ScopedTimer t(assemble_h);
+    build_eliminated_system(inv_dt, *slot.lu, slot.inlet_coef);
+  }
+  {
+    obs::ScopedTimer t(factorize_h);
+    slot.lu->factorize();
+  }
+  slot.inv_dt = inv_dt;
+  slot.flows = cavity_flows_;
+  return slot;
+}
+
+void ThermalModel3D::solve_eliminated(const EliminatedSlot& slot, double inv_dt) {
+  for (std::size_t i = 0; i < node_count_; ++i) {
+    rhs_[i] = capacitance_[i] * inv_dt * temps_prev_[i] + cell_power_[i] +
+              slot.inlet_coef[i] * inlet_temperature_;
+  }
+  solve_direct(*slot.lu);
+  (void)march_all_fluid();  // fluid, outlet and absorbed-power readbacks
 }
 
 void ThermalModel3D::step(double dt_s) {
@@ -559,12 +622,16 @@ void ThermalModel3D::update_package_steady() {
   sink_temp_ = (a11 * g_sa * params_.ambient_temperature + g_ss * gt_total) / det;
 }
 
-void ThermalModel3D::build_steady_direct_system(BandedLuMatrix& m,
-                                                std::vector<double>& inlet_coef) const {
+void ThermalModel3D::build_eliminated_system(double inv_dt, BandedLuMatrix& m,
+                                             std::vector<double>& inlet_coef) const {
+  LIQUID3D_REQUIRE(stack_.has_cavities(), "fluid elimination needs a liquid stack");
   m.set_zero();
   inlet_coef.assign(node_count_, 0.0);
-  // Conduction network (no capacitance term: this is the true steady state,
-  // not a pseudo-transient step).
+  // Stored heat (none at inv_dt = 0, the true steady state) and the
+  // conduction network.
+  for (std::size_t i = 0; i < node_count_; ++i) {
+    m.add(i, i, capacitance_[i] * inv_dt);
+  }
   for (const Coupling& c : couplings_) {
     m.add(c.a, c.a, c.g);
     m.add(c.b, c.b, c.g);
@@ -580,26 +647,32 @@ void ThermalModel3D::build_steady_direct_system(BandedLuMatrix& m,
   // the inlet and the upstream wall temperatures, and the convective term
   // g_w (T_wall - T_f) becomes ordinary matrix couplings plus an inlet
   // constant — all within the band, since upstream cells of the same row
-  // are at most (cols-1)*layers node indices away.
+  // are at most (cols-1)*layers node indices away.  Stagnant coolant is the
+  // local wall average (s = s2 = d = u = 0): no inlet term, no upstream
+  // coupling.
   std::vector<double> coef_dn(cell_count_, 0.0);
   std::vector<double> coef_up(cell_count_, 0.0);
   for (std::size_t k = 0; k < stack_.cavity_count(); ++k) {
     const double w_cavity =
         params_.coolant.volumetric_heat_capacity() * cavity_flows_[k].m3_per_s();
     const double w_row = w_cavity / static_cast<double>(grid_.rows());
-    LIQUID3D_ASSERT(w_row > 1e-12, "direct steady solve requires nonzero flow");
     const bool has_below = k >= 1;
     const bool has_above = k < layer_count_;
     const double g_dn = has_below ? g_fluid_dn_ : 0.0;
     const double g_up = has_above ? g_fluid_up_ : 0.0;
     const double g_sum = g_dn + g_up;
-    const double denom = 1.0 + g_sum / (2.0 * w_row);
-    const double s = 1.0 - g_sum / (w_row * denom);
-    const double d = g_dn / (w_row * denom);
-    const double u = g_up / (w_row * denom);
-    const double s2 = 1.0 - g_sum / (2.0 * w_row * denom);
-    const double d2 = g_dn / (2.0 * w_row * denom);
-    const double u2 = g_up / (2.0 * w_row * denom);
+    double s = 0.0, d = 0.0, u = 0.0, s2 = 0.0;
+    double d2 = g_dn / g_sum;
+    double u2 = g_up / g_sum;
+    if (w_row > 1e-12) {  // march_fluid's flowing test
+      const double denom = 1.0 + g_sum / (2.0 * w_row);
+      s = 1.0 - g_sum / (w_row * denom);
+      d = g_dn / (w_row * denom);
+      u = g_up / (w_row * denom);
+      s2 = 1.0 - g_sum / (2.0 * w_row * denom);
+      d2 = g_dn / (2.0 * w_row * denom);
+      u2 = g_up / (2.0 * w_row * denom);
+    }
     const bool reverse = params_.alternate_flow_direction && (k % 2 == 1);
     for (std::size_t r = 0; r < grid_.rows(); ++r) {
       double alpha = 1.0;  // T_in coefficient on the inlet temperature
@@ -673,7 +746,7 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
     // pseudo-transient continuation.
     const std::size_t bw = grid_.cols() * layer_count_;
     BandedLuMatrix m(node_count_, bw, bw);
-    build_steady_direct_system(m, out.ref_coef);
+    build_eliminated_system(0.0, m, out.ref_coef);
     out.row_ptr.push_back(0);
     for (std::size_t i = 0; i < node_count_; ++i) {
       const std::size_t j0 = i >= bw ? i - bw : 0;
@@ -745,42 +818,6 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
 }
 
 void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_step) {
-  // Cache key: the full per-cavity flow vector.  Any single cavity moving
-  // outside the key tolerance invalidates the factorization — the eliminated
-  // coefficients of that cavity's rows change.
-  bool key_matches = steady_direct_ != nullptr &&
-                     steady_direct_flows_.size() == cavity_flows_.size();
-  if (key_matches) {
-    for (std::size_t k = 0; k < cavity_flows_.size(); ++k) {
-      if (!FactorizationCache::keys_match(steady_direct_flows_[k],
-                                          cavity_flows_[k].ml_per_min())) {
-        key_matches = false;
-        break;
-      }
-    }
-  }
-  if (!key_matches) {
-    static obs::Histogram& assemble_h =
-        obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
-    static obs::Histogram& factorize_h =
-        obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
-    const std::size_t bw = grid_.cols() * layer_count_;
-    if (!steady_direct_) {
-      steady_direct_ = std::make_unique<BandedLuMatrix>(node_count_, bw, bw);
-    }
-    {
-      obs::ScopedTimer t(assemble_h);
-      build_steady_direct_system(*steady_direct_, steady_inlet_coef_);
-    }
-    {
-      obs::ScopedTimer t(factorize_h);
-      steady_direct_->factorize();
-    }
-    steady_direct_flows_.resize(cavity_flows_.size());
-    for (std::size_t k = 0; k < cavity_flows_.size(); ++k) {
-      steady_direct_flows_[k] = cavity_flows_[k].ml_per_min();
-    }
-  }
   // The solve is exact for a fixed power map; the loop only iterates the
   // temperature-dependent power (leakage) supplied through pre_step.  Near
   // runaway the leakage loop gain approaches 1 and convergence stalls —
@@ -791,24 +828,9 @@ void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_
   constexpr double kPowerTolerance = 0.05;  // K, the seed's leakage criterion
   for (std::size_t iter = 0; iter < kMaxPowerIterations; ++iter) {
     if (pre_step && !pre_step()) return;
-    for (std::size_t i = 0; i < node_count_; ++i) {
-      rhs_[i] = cell_power_[i] + steady_inlet_coef_[i] * inlet_temperature_;
-    }
-    static obs::Histogram& solve_h = obs::Registry::global().histogram(
-        "liquid3d_solver_direct_solve_seconds");
-    {
-      obs::ScopedTimer t(solve_h);
-      steady_direct_->solve(rhs_);
-    }
-    double delta = 0.0;
-    for (std::size_t i = 0; i < node_count_; ++i) {
-      delta = std::max(delta, std::abs(rhs_[i] - temps_[i]));
-    }
-    temps_.swap(rhs_);
-    require_finite(temps_.data(), node_count_,
-                   "direct steady solve produced non-finite temperatures");
-    (void)march_all_fluid();  // refresh fluid state for readbacks
-    if (!pre_step || delta < kPowerTolerance) return;
+    temps_prev_.assign(temps_.begin(), temps_.end());
+    solve_eliminated(eliminated_slot(0.0), 0.0);
+    if (!pre_step || max_change() < kPowerTolerance) return;
   }
 }
 
@@ -826,44 +848,19 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
   // The fluid-eliminated direct steady solve is a banded-LU object — the
   // O(n b^2) cost profile the iterative backend exists to avoid — so the
   // PCG backend always takes the pseudo-transient continuation below, with
-  // each backward-Euler step solved iteratively and warm-started.
+  // each backward-Euler step solved iteratively and warm-started.  The
+  // unpivoted LU is trusted at every flow: where sigma = g_sum / w_row > 2
+  // its rows are not diagonally dominant, and EliminatedStep.* pin its
+  // answers against the LU-free PCG fixed point instead.
   if (params_.direct_steady_solver && stack_.has_cavities() &&
       backend_ == SolverBackend::kDirect) {
-    // The unpivoted LU is provably stable while every fluid-eliminated row
-    // stays diagonally dominant, which holds exactly when the per-cell
-    // convective conductance does not exceed twice the per-row-channel
-    // capacity rate (sigma = g_sum / w_row <= 2).  With per-cavity flows
-    // the weakest cavity (smallest flow) governs.
-    double min_flow = cavity_flows_.front().m3_per_s();
-    for (const VolumetricFlow& f : cavity_flows_) {
-      min_flow = std::min(min_flow, f.m3_per_s());
-    }
-    const double w_row = params_.coolant.volumetric_heat_capacity() * min_flow /
-                         static_cast<double>(grid_.rows());
-    const double g_sum_max = g_fluid_dn_ + g_fluid_up_;
-    if (g_sum_max <= 2.0 * w_row) {
-      solve_steady_state_direct(pre_step);
-      return;
-    }
-    // Deeply advection-limited regime: dominance is not guaranteed, so the
-    // direct solution is demoted to an initializer — the pseudo-transient
-    // loop below owns convergence, and its criterion does not depend on the
-    // LU's accuracy.  A sanity clamp discards the initializer outright if
-    // the factorization ever did go unstable.
-    std::vector<double> backup(temps_);
-    solve_steady_state_direct({});
-    for (double t : temps_) {
-      if (!std::isfinite(t) || t < -200.0 || t > 2000.0) {
-        temps_ = std::move(backup);
-        (void)march_all_fluid();
-        break;
-      }
-    }
+    solve_steady_state_direct(pre_step);
+    return;
   }
-  // Far from the steady state the inner silicon<->fluid alternation need
-  // not be polished: its tolerance tracks the last outer step's movement
-  // (floored at the configured tolerance, so the endgame — and the final
-  // answer — is exactly as tight as before).
+  // Far from the steady state the PCG backend's inner silicon<->fluid
+  // alternation need not be polished: its tolerance tracks the last outer
+  // step's movement (floored at the configured tolerance, so the endgame —
+  // and the final answer — is exactly as tight as before).
   double fluid_tol = params_.fluid_tolerance;
   double delta = 0.0;
   for (std::size_t iter = 0; iter < params_.max_steady_iterations; ++iter) {

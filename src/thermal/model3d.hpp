@@ -24,19 +24,27 @@
 //   * air-cooled stacks: TIM + spreader + sink lumped package (Table III
 //     capacitance), heat sink to ambient.
 //
-// Numerics: backward Euler with a banded Cholesky factorization that is
-// computed once per time step size (the network conductances do not depend
-// on the flow rate — only the fluid temperatures do), plus a fixed-point
-// outer loop coupling the silicon solve with the fluid march.  The runtime
-// flow-rate dependence enters through the advection term, which is the
-// paper's "cell resistivity varies at runtime" mechanism expressed in its
-// physically equivalent form.
+// Numerics: backward Euler.  The quasi-static march is linear in the wall
+// temperatures, so on the direct backend a liquid step eliminates the
+// coolant exactly: it solves (C/dt + G_elim(flow)) T = C/dt T_prev + P +
+// inlet_coef T_in once by banded LU, then marches the fluid once to refresh
+// the fluid, outlet and absorbed-power readbacks.  G_elim couples each cell
+// only to upstream cells of its channel row (within the band), and its
+// coefficients carry the flow — the paper's "cell resistivity varies at
+// runtime" mechanism in its physically equivalent form.  Each liquid model
+// keeps one LU slot, refactorized in place when (dt, flow vector) changes
+// unless a linked peer's slot already holds that key (share_factors_with);
+// the steady direct solve is that slot at 1/dt = 0.  Air stacks have no
+// coolant: their symmetric C/dt + G is Cholesky-factorized once per dt.
+// The PCG backend (symmetric solver) keeps the silicon<->fluid fixed point:
+// each iteration solves C/dt + G against the last fluid march.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -112,7 +120,9 @@ struct ThermalModelParams {
   /// assumes a common inlet side.
   bool alternate_flow_direction = false;
 
-  // Fluid fixed-point iteration (inner loop of each implicit step).
+  // PCG backend only: the silicon<->fluid fixed point inside each implicit
+  // step.  The direct backend eliminates the coolant exactly and ignores
+  // these three fields.
   double fluid_tolerance = 0.005;       ///< K
   std::size_t max_fluid_iterations = 10;
   /// Inner fluid iterations during steady-state pseudo-transient steps; the
@@ -239,10 +249,17 @@ class ThermalModel3D {
   /// configured one); sizes must match.
   void restore_state(const ThermalState& state);
 
-  /// Factorization cache statistics (shared by transient and steady solves).
+  /// Banded Cholesky cache statistics (air stacks on the direct backend).
   [[nodiscard]] const FactorizationCache& factorization_cache() const {
     return factor_cache_;
   }
+  /// Liquid stacks, direct backend: when this model's LU slot does not fit
+  /// its (dt, flow vector), solve through the slot of a peer that already
+  /// fits instead of refactorizing.  Peers must share this model's topology
+  /// fingerprint, so a borrowed factor is bit-identical to the one the
+  /// model would have built, and must outlive the link; an empty span
+  /// unlinks.  BatchRunner links the sessions of each lockstep group.
+  void share_factors_with(std::span<ThermalModel3D* const> peers);
 
   /// The backend this model resolved to (never kAuto).
   [[nodiscard]] SolverBackend solver_backend() const { return backend_; }
@@ -254,9 +271,11 @@ class ThermalModel3D {
   [[nodiscard]] const PcgSummary& last_pcg() const { return last_pcg_; }
 
   /// Hash of the conduction topology (capacitances, couplings, external
-  /// conductances, grid shape).  Two models with equal fingerprints assemble
-  /// bit-identical system matrices for any dt, so one factorization can
-  /// serve both — the compatibility check behind BatchThermalStepper.
+  /// conductances, grid shape, coolant capacity and flow directions).  Two
+  /// models with equal fingerprints assemble bit-identical system matrices
+  /// for any dt — and, for liquid stacks, for any equal flow vector — so
+  /// one factorization can serve both: the compatibility check behind
+  /// BatchThermalStepper.
   [[nodiscard]] std::uint64_t topology_fingerprint() const {
     return topo_fingerprint_;
   }
@@ -272,10 +291,19 @@ class ThermalModel3D {
 
  private:
   friend class BatchThermalStepper;
+  friend struct ThermalModel3DTestAccess;  // white-box tests
   struct Coupling {
     std::size_t a;
     std::size_t b;
     double g;
+  };
+  /// Liquid stacks: a factorized fluid-eliminated operator C inv_dt +
+  /// G_elim(flows) plus each node's coefficient on the inlet temperature.
+  struct EliminatedSlot {
+    std::unique_ptr<BandedLuMatrix> lu;
+    std::vector<double> inlet_coef;
+    double inv_dt = 0.0;
+    std::vector<VolumetricFlow> flows;  ///< empty = not built
   };
 
   [[nodiscard]] std::size_t node(std::size_t layer, std::size_t cell) const {
@@ -283,40 +311,59 @@ class ThermalModel3D {
   }
 
   void build_topology();
-  /// Stamp the backward-Euler operator (C/dt + G) into any matrix exposing
-  /// add_diagonal/add_coupling — the single assembly both backends share.
+  /// Stamp the backward-Euler operator (C/dt + G) into a zeroed matrix
+  /// exposing add_diagonal/add_coupling — the single assembly the banded
+  /// Cholesky and the PCG backend's CSR operator share.
   template <typename MatrixT>
   void stamp_system(MatrixT& m, double inv_dt) const;
-  void build_matrix(BandedSpdMatrix& m, double inv_dt) const;
-  /// CSR twin of build_matrix: the identical operator, assembled by the
-  /// same stamp, for the iterative backend.
-  void build_sparse_matrix(SparseMatrix& m, double inv_dt) const;
   /// Factorized system matrix for the given step size — a cache lookup
   /// after the first use of each dt (assembly + factorization on miss).
-  /// Direct backend only.
+  /// Direct backend, air stacks only.
   const BandedSpdMatrix& matrix_for_dt(double dt_s);
   /// PCG system (CSR operator + preconditioner) for the given step size —
   /// cached per dt exactly like the banded factorizations.
   PcgSolver& pcg_for_dt(double dt_s);
-  /// Assemble the fluid-eliminated steady system (liquid stacks): matrix
-  /// over silicon nodes plus each node's coefficient on the inlet
-  /// temperature (the constant term the elimination produces).
-  void build_steady_direct_system(BandedLuMatrix& m,
-                                  std::vector<double>& inlet_coef) const;
+  /// Assemble the fluid-eliminated operator C inv_dt + G_elim for the
+  /// current flow vector (liquid stacks) into `m`, of size node_count() and
+  /// half-bandwidths cols x layers, plus each node's coefficient on the
+  /// inlet temperature.  inv_dt = 0 gives the steady operator.  A cavity
+  /// with (near-)zero flow contributes its stagnant-coolant wall average,
+  /// exactly as the fluid march does.
+  void build_eliminated_system(double inv_dt, BandedLuMatrix& m,
+                               std::vector<double>& inlet_coef) const;
+  /// Whether `slot` holds the factor for (inv_dt, this model's current flow
+  /// vector).  The key is exact: every bit of 1/dt and of each cavity's
+  /// flow enters the elimination coefficients.
+  [[nodiscard]] bool slot_fits(const EliminatedSlot& slot, double inv_dt) const;
+  /// A slot that fits (inv_dt, current flow vector): the model's own, else
+  /// a linked peer's, else the own slot reassembled and refactorized in
+  /// place.
+  const EliminatedSlot& eliminated_slot(double inv_dt);
+  /// One fluid-eliminated solve through a slot that fits (liquid stacks,
+  /// direct backend): temps_ <- (C inv_dt + G_elim)^-1 (C inv_dt
+  /// temps_prev_ + P + inlet_coef T_in), then one fluid march for the
+  /// readbacks.
+  void solve_eliminated(const EliminatedSlot& slot, double inv_dt);
+  /// rhs_ -> temps_ through a factorized direct system (timed, with the
+  /// finite checks on both sides of the solve).
+  template <typename Factor>
+  void solve_direct(const Factor& factor);
   /// Direct steady solve (liquid stacks); see ThermalModelParams.
   void solve_steady_state_direct(const std::function<bool()>& pre_step);
-  /// One backward-Euler step (including the fluid fixed point); returns the
-  /// largest node temperature change.  `fluid_tol` bounds the inner
-  /// silicon<->fluid alternation error for this step.  Dispatches the
-  /// linear solves to the resolved backend: the direct path back-substitutes
-  /// through the cached factorization, the PCG path iterates warm-started
-  /// from the current temperature field.
+  /// One backward-Euler step; returns the largest node temperature change.
+  /// The direct backend takes one solve (fluid-eliminated LU for liquid
+  /// stacks, Cholesky for air).  The PCG backend alternates warm-started
+  /// silicon solves with the fluid march, up to `fluid_iters` times or
+  /// until the fluid moves less than `fluid_tol`.
   double advance(double dt_s, std::size_t fluid_iters, double fluid_tol);
-  /// Write the backward-Euler right-hand side (stored heat + injected power
-  /// + external coupling terms) into out[i] for node i.  Reads temps_prev_
-  /// — callers snapshot temps_ there first.  Shared by the serial advance
-  /// and the batch stepper (which interleaves the per-model vectors
-  /// afterwards with a tiled transpose).
+  /// Largest |temps_ - temps_prev_| over the silicon nodes.
+  [[nodiscard]] double max_change() const;
+  /// Write the backward-Euler right-hand side of the coolant-explicit form
+  /// (stored heat + injected power + external coupling terms) into out[i]
+  /// for node i.  Reads temps_prev_ — callers snapshot temps_ there first.
+  /// Shared by the serial advance (air stacks, PCG) and the batch stepper's
+  /// air groups (which interleave the per-model vectors afterwards with a
+  /// tiled transpose).
   void assemble_transient_rhs(double inv_dt, double* out) const;
   /// March the coolant downstream through one cavity given silicon temps.
   /// Returns the largest fluid temperature change.
@@ -360,19 +407,18 @@ class ThermalModel3D {
   // batch groups are backend-homogeneous).
   SolverBackend backend_ = SolverBackend::kDirect;
 
-  // Cached factorizations, keyed by dt (transient sub-steps and the steady
-  // pseudo-step share one cache; see FactorizationCache for the tolerant
-  // key comparison that replaced the seed's exact `transient_dt_ == dt_s`).
+  // Air stacks: Cholesky factorizations keyed by dt (transient sub-steps and
+  // the steady pseudo-step share one cache; see FactorizationCache for the
+  // tolerant key comparison).
   FactorizationCache factor_cache_{4};
   // Iterative-backend twin: PCG systems (CSR + preconditioner) per dt.
   DtKeyedLruCache<PcgSolver> pcg_cache_{4};
   PcgSummary last_pcg_{};
-  // Direct steady system, cached per flow *vector* (the elimination
-  // coefficients depend on every cavity's flow; conduction topology does
-  // not).  A change to any single cavity's flow invalidates the cache.
-  std::unique_ptr<BandedLuMatrix> steady_direct_;
-  std::vector<double> steady_inlet_coef_;
-  std::vector<double> steady_direct_flows_;  ///< ml/min key; empty = not built
+  // Liquid stacks: the model's one fluid-eliminated LU slot, rebuilt in
+  // place on any change of its (1/dt, flow vector) key, and the models
+  // whose slots it may borrow (share_factors_with).
+  EliminatedSlot elim_;
+  std::span<ThermalModel3D* const> factor_peers_;
 
   // Persistent scratch — the hot loop (`step`/`advance`) and the per-sample
   // readbacks must not touch the heap after warm-up.

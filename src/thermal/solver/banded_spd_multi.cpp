@@ -40,8 +40,8 @@ void solve_multi(const double* const band, double* const x, std::size_t n,
   const std::size_t nrhs = NR == 0 ? nrhs_runtime : NR;
   constexpr std::size_t kBlk = 8;
   // Lane scratch on the stack for the compile-time widths — this function
-  // runs once per fluid fixed-point iteration of a batched transient, so a
-  // per-call heap allocation would sit in the hot loop; only the unbounded
+  // runs once per substep of a batched air group, so a per-call heap
+  // allocation would sit in the hot loop; only the unbounded
   // runtime-width fallback pays for a vector.
   std::array<double, kBlk * (NR == 0 ? 1 : NR)> scratch_fixed;
   std::vector<double> scratch_dyn(NR == 0 ? kBlk * nrhs : 0);

@@ -2,7 +2,8 @@
 // CSR assembly, preconditioned CG against the dense and banded direct
 // solvers, warm starts, the bandwidth cost-model cutover, and
 // direct-vs-PCG agreement of full ThermalModel3D transient and steady
-// solves across grids, stacks, and flow vectors.
+// solves across grids, stacks, and flow vectors — including the direct
+// backend's fluid-eliminated step against a converged PCG fixed point.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,12 +14,14 @@
 #include "common/linalg.hpp"
 #include "common/rng.hpp"
 #include "coolant/flow.hpp"
+#include "coolant/pump.hpp"
 #include "geom/stack.hpp"
 #include "thermal/batch_stepper.hpp"
 #include "thermal/model3d.hpp"
 #include "thermal/solver/backend.hpp"
 #include "thermal/solver/pcg.hpp"
 #include "thermal/solver/sparse_matrix.hpp"
+#include "thermal_test_access.hpp"
 
 namespace liquid3d {
 namespace {
@@ -363,6 +366,170 @@ TEST(PcgBackend, FingerprintSeparatesBackendsAndStepperFallsBack) {
     for (std::size_t cell = 0; cell < serial.grid().cell_count(); ++cell) {
       ASSERT_EQ(pcg_a.cell_temperature(l, cell), serial.cell_temperature(l, cell));
       ASSERT_EQ(pcg_b.cell_temperature(l, cell), serial.cell_temperature(l, cell));
+    }
+  }
+}
+
+// -- The direct backend's fluid-eliminated step ------------------------------
+
+/// 2-layer liquid model with powered cores, on the given backend.
+ThermalModel3D make_2layer_model(ThermalModelParams p) {
+  p.grid_rows = 10;
+  p.grid_cols = 11;
+  ThermalModel3D m(make_2layer_system(), p);
+  for (std::size_t l = 0; l < m.layer_count(); ++l) {
+    const Floorplan& fp = m.stack().layer(l).floorplan;
+    std::vector<double> watts(fp.block_count(), 0.0);
+    for (std::size_t b = 0; b < fp.block_count(); ++b) {
+      if (fp.block(b).type == BlockType::kCore) watts[b] = 3.0;
+    }
+    m.set_block_power(l, watts);
+  }
+  return m;
+}
+
+/// A very tight PCG backend: the reference for the direct step.
+ThermalModelParams tight_pcg_params() {
+  ThermalModelParams p;
+  p.solver_backend = SolverBackend::kPcg;
+  p.pcg.tolerance = 1e-14;
+  p.pcg.max_iterations = 5000;
+  return p;
+}
+
+TEST(EliminatedStep, IsAFixedPointOfTheSiliconFluidAlternation) {
+  // After one direct step, one more silicon solve against the marched
+  // fluid — the body of the old fixed-point loop, run here by a PCG twin
+  // limited to one fluid iteration — must not move any node.
+  ThermalModel3D direct = make_2layer_model({});
+  direct.set_cavity_flow(VolumetricFlow::from_ml_per_min(12.0));
+  direct.initialize(45.0);
+  for (int i = 0; i < 5; ++i) direct.step(0.05);
+  ThermalState before;
+  direct.save_state(before);
+  direct.step(0.05);
+  ThermalState after;
+  direct.save_state(after);
+
+  ThermalModelParams p = tight_pcg_params();
+  p.max_fluid_iterations = 1;
+  ThermalModel3D twin = make_2layer_model(p);
+  twin.set_cavity_flow(VolumetricFlow::from_ml_per_min(12.0));
+  ThermalState start = after;
+  start.temps = before.temps;  // T_prev, with the fluid marched from T_new
+  twin.restore_state(start);
+  twin.step(0.05);
+  ASSERT_TRUE(twin.last_pcg().converged);
+  for (std::size_t l = 0; l < direct.layer_count(); ++l) {
+    for (std::size_t c = 0; c < direct.grid().cell_count(); ++c) {
+      ASSERT_NEAR(twin.cell_temperature(l, c), direct.cell_temperature(l, c), 1e-9)
+          << "layer " << l << " cell " << c;
+    }
+  }
+}
+
+TEST(EliminatedStep, MatchesAConvergedPcgFixedPointAcrossAPumpChange) {
+  // The PCG backend still alternates silicon solves with the fluid march;
+  // iterated to convergence it must reach the eliminated step's answer.
+  ThermalModelParams p = tight_pcg_params();
+  p.fluid_tolerance = 1e-10;
+  p.max_fluid_iterations = 500;
+  ThermalModel3D direct = make_2layer_model({});
+  ThermalModel3D pcg = make_2layer_model(p);
+  for (ThermalModel3D* m : {&direct, &pcg}) {
+    m->set_cavity_flow(VolumetricFlow::from_ml_per_min(10.0));
+    m->initialize(45.0);
+  }
+  const obs::ScopedEnabled obs_on(true);
+  const std::uint64_t factorizations = factorization_count();
+  for (int i = 0; i < 40; ++i) {
+    if (i == 20) {  // a pump-setting change mid-run
+      for (ThermalModel3D* m : {&direct, &pcg}) {
+        m->set_cavity_flow(VolumetricFlow::from_ml_per_min(25.0));
+      }
+    }
+    direct.step(0.05);
+    pcg.step(0.05);
+  }
+  EXPECT_EQ(factorization_count() - factorizations, 2u);
+  for (std::size_t l = 0; l < direct.layer_count(); ++l) {
+    for (std::size_t c = 0; c < direct.grid().cell_count(); ++c) {
+      ASSERT_NEAR(pcg.cell_temperature(l, c), direct.cell_temperature(l, c), 1e-6)
+          << "layer " << l << " cell " << c;
+    }
+  }
+  for (std::size_t k = 0; k < direct.stack().cavity_count(); ++k) {
+    EXPECT_NEAR(pcg.fluid_outlet_temperature(k),
+                direct.fluid_outlet_temperature(k), 1e-6);
+  }
+}
+
+/// Valve-throttled cavities: 2%, 10% and 30% of the lowest Laing DDC
+/// setting's per-cavity flow.  Here the fluid-eliminated rows are not
+/// diagonally dominant (smallest |a_ii| / sum |a_ij| on the 10 x 11 grid:
+/// 0.82 at dt = 0.05 s, 0.72 at steady state), the regime the unpivoted LU
+/// has no a-priori stability guarantee for.  Both backends agree to ~1e-8 K
+/// there.
+std::vector<VolumetricFlow> throttled_flows() {
+  const MicrochannelModel channels(CavitySpec{}, CoolantProperties::water());
+  const FlowDelivery delivery(PumpModel::laing_ddc(),
+                              FlowDeliveryMode::kPressureLimited, channels,
+                              11.5e-3, 3);
+  const double lowest = delivery.per_cavity(0).ml_per_min();
+  return {VolumetricFlow::from_ml_per_min(0.02 * lowest),
+          VolumetricFlow::from_ml_per_min(0.10 * lowest),
+          VolumetricFlow::from_ml_per_min(0.30 * lowest)};
+}
+
+TEST(EliminatedStep, MatchesAConvergedPcgFixedPointAtThrottledFlows) {
+  // The PCG fixed point never goes through the LU, so agreement here is an
+  // independent check of the direct step where dominance does not hold.
+  ThermalModelParams p = tight_pcg_params();
+  p.fluid_tolerance = 1e-10;
+  p.max_fluid_iterations = 500;
+  ThermalModel3D direct = make_2layer_model({});
+  ThermalModel3D pcg = make_2layer_model(p);
+  ASSERT_EQ(direct.stack().cavity_count(), 3u);
+  for (ThermalModel3D* m : {&direct, &pcg}) {
+    m->set_cavity_flow(throttled_flows());
+    m->initialize(45.0);
+  }
+  for (int i = 0; i < 40; ++i) {
+    direct.step(0.05);
+    pcg.step(0.05);
+  }
+  for (std::size_t l = 0; l < direct.layer_count(); ++l) {
+    for (std::size_t c = 0; c < direct.grid().cell_count(); ++c) {
+      ASSERT_NEAR(pcg.cell_temperature(l, c), direct.cell_temperature(l, c), 1e-6)
+          << "layer " << l << " cell " << c;
+    }
+  }
+  for (std::size_t k = 0; k < direct.stack().cavity_count(); ++k) {
+    EXPECT_NEAR(pcg.fluid_outlet_temperature(k),
+                direct.fluid_outlet_temperature(k), 1e-6);
+  }
+}
+
+TEST(EliminatedStep, SteadySolveMatchesPcgContinuationAtThrottledFlows) {
+  // The direct steady state is one LU solve at 1/dt = 0, the least
+  // dominant form of the operator; the PCG backend reaches the same state
+  // by pseudo-transient continuation.
+  ThermalModelParams p = tight_pcg_params();
+  p.fluid_tolerance = 1e-10;
+  p.steady_fluid_iterations = 500;
+  p.steady_tolerance = 1e-10;
+  ThermalModel3D direct = make_2layer_model({});
+  ThermalModel3D pcg = make_2layer_model(p);
+  for (ThermalModel3D* m : {&direct, &pcg}) {
+    m->set_cavity_flow(throttled_flows());
+    m->initialize(45.0);
+    m->solve_steady_state();
+  }
+  EXPECT_GT(direct.max_temperature(), 60.0);  // a genuinely throttled point
+  for (std::size_t l = 0; l < direct.layer_count(); ++l) {
+    for (std::size_t c = 0; c < direct.grid().cell_count(); ++c) {
+      ASSERT_NEAR(pcg.cell_temperature(l, c), direct.cell_temperature(l, c), 1e-6)
+          << "layer " << l << " cell " << c;
     }
   }
 }

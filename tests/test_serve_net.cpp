@@ -270,6 +270,36 @@ TEST(ServeNet, MidRequestDisconnectLeavesServerServing) {
   fx.service.wait_idle();
 }
 
+TEST(ServeNet, StopRacesIncomingConnectionsCleanly) {
+  // A client connecting in a tight loop while stop() runs: every
+  // connection the listener accepted must have its reader joined before
+  // the connection list is cleared (a missed one would std::terminate).
+  // Each round stops the server at a different point of the client's loop.
+  for (int round = 0; round < 100; ++round) {
+    Fixture fx;
+    const Endpoint endpoint = fx.server.endpoint();
+    std::atomic<bool> stopped{false};
+    std::atomic<int> connects{0};
+    std::thread client([&] {
+      // Fewer connects than the listen backlog (64): the client outpaces
+      // the listener, and a connect into a full backlog would block on SYN
+      // retransmission.
+      while (!stopped.load() && connects.load() < 48) {
+        try {
+          ::close(connect_socket(endpoint));
+        } catch (const WireError&) {
+          // Refused once the listener is gone.
+        }
+        ++connects;
+      }
+    });
+    while (connects.load() < 1 + round % 40) std::this_thread::yield();
+    fx.server.stop();
+    stopped = true;
+    client.join();
+  }
+}
+
 // -- admission, deadlines, drain, fairness ------------------------------------
 
 /// Polls the server's stats until `pred` holds (bounded wait).

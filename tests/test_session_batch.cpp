@@ -1,14 +1,16 @@
 // Steppable session + batch runner (sim/session.hpp, sim/batch_runner.hpp)
 // and the lockstep thermal stepper (thermal/batch_stepper.hpp).  The core
 // guarantee under test: batching never changes results — a BatchRunner of
-// many sessions sharing one factorization is bit-identical to serial
-// Simulator::run() calls.
+// many sessions (air groups sharing one factorization, liquid groups each
+// on its own eliminated LU slot) is bit-identical to serial Simulator::run()
+// calls.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/batch_stepper.hpp"
@@ -43,39 +45,48 @@ std::unique_ptr<ThermalModel3D> make_loaded_model(double core_watts,
 }
 
 TEST(BatchStepper, LockstepIsBitIdenticalToSerialSteps) {
-  // Eight models with different power maps and flows (different fluid
-  // fixed-point trajectories — some converge in fewer iterations than
-  // others, exercising the active-set masking).
+  // Eight models with different power maps, per cooling type.  Liquid
+  // models differ in flow too, so each steps through its own eliminated LU
+  // slot; the air group shares one multi-RHS solve per step.
   constexpr std::size_t kModels = 8;
-  std::vector<std::unique_ptr<ThermalModel3D>> batched;
-  std::vector<std::unique_ptr<ThermalModel3D>> serial;
-  std::vector<ThermalModel3D*> ptrs;
-  for (std::size_t i = 0; i < kModels; ++i) {
-    const double watts = 1.0 + 0.4 * static_cast<double>(i);
-    const double flow = 8.0 + 5.0 * static_cast<double>(i);
-    batched.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
-    serial.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
-    ptrs.push_back(batched.back().get());
-  }
+  constexpr std::uint64_t kTicks = 25;
+  for (const CoolingType cooling : {CoolingType::kLiquid, CoolingType::kAir}) {
+    const bool liquid = cooling == CoolingType::kLiquid;
+    SCOPED_TRACE(liquid ? "liquid" : "air");
+    std::vector<std::unique_ptr<ThermalModel3D>> batched;
+    std::vector<std::unique_ptr<ThermalModel3D>> serial;
+    std::vector<ThermalModel3D*> ptrs;
+    for (std::size_t i = 0; i < kModels; ++i) {
+      const double watts = 1.0 + 0.4 * static_cast<double>(i);
+      const double flow = 8.0 + 5.0 * static_cast<double>(i);
+      batched.push_back(make_loaded_model(watts, flow, cooling));
+      serial.push_back(make_loaded_model(watts, flow, cooling));
+      ptrs.push_back(batched.back().get());
+    }
 
-  BatchThermalStepper stepper;
-  for (int tick = 0; tick < 25; ++tick) {
-    stepper.step(ptrs, 0.05);
-    for (auto& m : serial) m->step(0.05);
-  }
-  EXPECT_GT(stepper.shared_solves(), 25u);  // fluid fixed point iterates
-  EXPECT_GT(stepper.solved_columns(), stepper.shared_solves());
+    BatchThermalStepper stepper;
+    for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
+      stepper.step(ptrs, 0.05);
+      for (auto& m : serial) m->step(0.05);
+    }
+    EXPECT_EQ(stepper.shared_solves(), liquid ? 0u : kTicks);
+    EXPECT_EQ(stepper.solved_columns(), liquid ? 0u : kTicks * kModels);
 
-  for (std::size_t i = 0; i < kModels; ++i) {
-    for (std::size_t l = 0; l < batched[i]->layer_count(); ++l) {
-      for (std::size_t c = 0; c < batched[i]->grid().cell_count(); ++c) {
-        ASSERT_EQ(batched[i]->cell_temperature(l, c),
-                  serial[i]->cell_temperature(l, c))
-            << "model " << i << " layer " << l << " cell " << c;
+    for (std::size_t i = 0; i < kModels; ++i) {
+      for (std::size_t l = 0; l < batched[i]->layer_count(); ++l) {
+        for (std::size_t c = 0; c < batched[i]->grid().cell_count(); ++c) {
+          ASSERT_EQ(batched[i]->cell_temperature(l, c),
+                    serial[i]->cell_temperature(l, c))
+              << "model " << i << " layer " << l << " cell " << c;
+        }
+      }
+      if (liquid) {
+        EXPECT_EQ(batched[i]->fluid_outlet_temperature(1),
+                  serial[i]->fluid_outlet_temperature(1));
+      } else {
+        EXPECT_EQ(batched[i]->sink_temperature(), serial[i]->sink_temperature());
       }
     }
-    EXPECT_EQ(batched[i]->fluid_outlet_temperature(1),
-              serial[i]->fluid_outlet_temperature(1));
   }
 }
 
@@ -240,13 +251,38 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
     serial.push_back(Simulator(cfg).run());
     batch.add(cfg);
   }
+  obs::Counter& borrowed =
+      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
+  const std::uint64_t borrowed_before = borrowed.value();
   const std::vector<SimulationResult> batched = batch.run();
   ASSERT_EQ(batched.size(), 8u);
-  EXPECT_EQ(batch.group_count(), 1u);  // one shared factorization group
-  EXPECT_GT(batch.stepper().solved_columns(), batch.stepper().shared_solves());
+  EXPECT_EQ(batch.group_count(), 1u);  // one lockstep group
+  // Liquid sessions solve one at a time, through their own eliminated LU
+  // slots or a groupmate's at an equal flow vector.
+  EXPECT_EQ(batch.stepper().shared_solves(), 0u);
+  EXPECT_GT(borrowed.value(), borrowed_before);
   for (std::size_t i = 0; i < 8; ++i) {
     SCOPED_TRACE(workloads[i]);
     expect_bit_identical(batched[i], serial[i]);
+  }
+
+  // An air group shares one multi-RHS solve per substep across its cells.
+  std::vector<SimulationResult> air_serial;
+  BatchRunner air_batch;
+  for (std::size_t i = 0; i < 3; ++i) {
+    SimulationConfig cfg = session_config(200 + i, workloads[i], CoolingMode::kAir);
+    air_serial.push_back(Simulator(cfg).run());
+    air_batch.add(cfg);
+  }
+  const std::vector<SimulationResult> air_batched = air_batch.run();
+  ASSERT_EQ(air_batched.size(), 3u);
+  EXPECT_EQ(air_batch.group_count(), 1u);
+  EXPECT_GT(air_batch.stepper().shared_solves(), 0u);
+  EXPECT_EQ(air_batch.stepper().solved_columns(),
+            3u * air_batch.stepper().shared_solves());
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(workloads[i]);
+    expect_bit_identical(air_batched[i], air_serial[i]);
   }
 }
 

@@ -22,6 +22,7 @@
 #include "thermal/solver/banded_lu.hpp"
 #include "thermal/solver/banded_spd.hpp"
 #include "thermal/solver/factorization_cache.hpp"
+#include "thermal_test_access.hpp"
 
 // -- Global allocation counter ----------------------------------------------
 //
@@ -136,9 +137,9 @@ TEST(SolverEngine, MultiRhsIsBitIdenticalToSingleRhs) {
 }
 
 TEST(SolverEngine, MultiRhsBitIdenticalAcrossBatchWidths) {
-  // A batch's width must not affect any member system: the lockstep
-  // stepper's active set shrinks as models converge, so one model's solves
-  // run at many widths within a single simulation.
+  // A batch's width must not affect any member system: a lockstep group
+  // shrinks as its sessions finish, so one model's solves run at many
+  // widths within a single simulation.
   constexpr std::size_t n = 120;
   constexpr std::size_t bw = 17;
   Rng rng(29);
@@ -418,20 +419,92 @@ TEST(FactorizationCache, CapacityOneReplacesOnEveryNewKey) {
   EXPECT_EQ(cache.find(0.2), replaced);
 }
 
-TEST(FactorizationCache, ModelReusesFactorizationsAcrossDts) {
+TEST(FactorizationCache, ModelReusesEliminatedSlotPerDtAndFlow) {
+  // A liquid model keeps one fluid-eliminated LU slot: equal (dt, flow)
+  // reuses it, and a new flow, dt or the steady solve (1/dt = 0)
+  // refactorizes the same storage in place.
+  const obs::ScopedEnabled obs_on(true);
   ThermalModelParams p;
   p.grid_rows = 6;
   p.grid_cols = 7;
   ThermalModel3D model(make_niagara_stack(1, CoolingType::kLiquid), p);
   model.set_cavity_flow(VolumetricFlow::from_ml_per_min(20.0));
   model.initialize(45.0);
+  EXPECT_EQ(ThermalModel3DTestAccess::eliminated_slot(model), nullptr);
+  const std::uint64_t base = factorization_count();
   model.step(0.05);
+  const BandedLuMatrix* slot = ThermalModel3DTestAccess::eliminated_slot(model);
+  ASSERT_NE(slot, nullptr);
+  model.step(0.05);
+  model.step(0.05);
+  EXPECT_EQ(factorization_count() - base, 1u);
+
+  model.set_cavity_flow(VolumetricFlow::from_ml_per_min(30.0));
+  model.step(0.05);
+  model.step(0.05);
+  EXPECT_EQ(factorization_count() - base, 2u);
   model.step(0.1);
-  model.step(0.05);  // alternating dts must both stay cached
-  model.step(0.1);
-  const auto& cache = model.factorization_cache();
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_GE(cache.hits(), 2u);
+  EXPECT_EQ(factorization_count() - base, 3u);
+  model.solve_steady_state();
+  model.solve_steady_state();
+  EXPECT_EQ(factorization_count() - base, 4u);
+  EXPECT_EQ(ThermalModel3DTestAccess::eliminated_slot(model), slot);
+  // The Cholesky cache is the air path's; a liquid model never fills it.
+  EXPECT_EQ(model.factorization_cache().size(), 0u);
+}
+
+TEST(FactorizationCache, LinkedPeersBorrowAnEqualFlowFactor) {
+  // share_factors_with: a model whose own slot does not fit borrows a
+  // peer's slot at the same (dt, flow vector) instead of refactorizing,
+  // and answers exactly as it would alone.
+  const obs::ScopedEnabled obs_on(true);
+  ThermalModelParams p;
+  p.grid_rows = 6;
+  p.grid_cols = 7;
+  const auto make = [&p] {
+    ThermalModel3D m(make_niagara_stack(1, CoolingType::kLiquid), p);
+    m.set_cavity_flow(VolumetricFlow::from_ml_per_min(20.0));
+    m.initialize(45.0);
+    return m;
+  };
+  ThermalModel3D solo = make();  // b's unlinked twin
+  ThermalModel3D a = make();
+  ThermalModel3D b = make();
+  ThermalModel3D* const peers[] = {&a, &b};
+  a.share_factors_with(peers);
+  b.share_factors_with(peers);
+  obs::Counter& borrowed =
+      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
+  const std::uint64_t base = factorization_count();
+  const std::uint64_t borrowed_base = borrowed.value();
+  for (ThermalModel3D* m : {&solo, &a, &b}) m->step(0.05);
+  EXPECT_EQ(factorization_count() - base, 2u);  // solo's and a's
+  EXPECT_EQ(borrowed.value() - borrowed_base, 1u);
+  EXPECT_EQ(ThermalModel3DTestAccess::eliminated_slot(b), nullptr);
+
+  // Diverging flows: b refactorizes its own slot; back at a's flow it
+  // borrows again.
+  for (ThermalModel3D* m : {&solo, &b}) {
+    m->set_cavity_flow(VolumetricFlow::from_ml_per_min(30.0));
+    m->step(0.05);
+  }
+  EXPECT_EQ(factorization_count() - base, 4u);
+  for (ThermalModel3D* m : {&solo, &b}) {
+    m->set_cavity_flow(VolumetricFlow::from_ml_per_min(20.0));
+  }
+  for (ThermalModel3D* m : {&solo, &a, &b}) m->step(0.05);
+  EXPECT_EQ(factorization_count() - base, 5u);  // solo's; b borrows a's
+  EXPECT_EQ(borrowed.value() - borrowed_base, 2u);
+  for (std::size_t l = 0; l < solo.layer_count(); ++l) {
+    for (std::size_t c = 0; c < solo.grid().cell_count(); ++c) {
+      EXPECT_EQ(b.cell_temperature(l, c), solo.cell_temperature(l, c));
+    }
+  }
+  ThermalModelParams other = p;
+  other.alternate_flow_direction = true;
+  ThermalModel3D mismatched(make_niagara_stack(1, CoolingType::kLiquid), other);
+  ThermalModel3D* const mixed[] = {&a, &mismatched};
+  EXPECT_THROW(a.share_factors_with(mixed), ConfigError);
 }
 
 // -- Warm-started characterization -------------------------------------------

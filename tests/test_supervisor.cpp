@@ -5,9 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <thread>
 
 #include "common/error.hpp"
 
@@ -108,18 +115,89 @@ TEST(Supervisor, MixedFleetReportsPerWorker) {
   EXPECT_EQ(result.workers[1].spawns, 2u);
 }
 
+/// True once `pid` no longer runs: it does not exist, or it is a zombie
+/// waiting for its reaper.
+bool process_gone(pid_t pid) {
+  if (::kill(pid, 0) != 0) return errno == ESRCH;
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  std::getline(stat, line);
+  const std::size_t name_end = line.rfind(')');
+  return name_end != std::string::npos && name_end + 2 < line.size() &&
+         line[name_end + 2] == 'Z';
+}
+
+/// Waits up to 5 s for `pid` to stop running; SIGKILLs it on timeout so a
+/// failing test leaves nothing behind.  Returns whether it stopped alone.
+bool stops_within_5s(pid_t pid) {
+  for (int i = 0; i < 500; ++i) {
+    if (process_gone(pid)) return true;
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+  ::kill(pid, SIGKILL);
+  return false;
+}
+
+/// The pid a stub wrote to `path` (0 until it has written one).
+pid_t read_pid(const std::string& path) {
+  pid_t pid = 0;
+  std::ifstream(path) >> pid;
+  return pid;
+}
+
 TEST(Supervisor, StallWatchdogKillsWedgedWorker) {
   // The stub never touches its journal, so the watchdog must SIGKILL it;
-  // with restarts exhausted the supervisor then gives up.
+  // with restarts exhausted the supervisor then gives up.  The kill must
+  // take the worker's whole process group: the shell's `sleep` child would
+  // otherwise outlive it (and hold the test runner's output pipe open).
   SupervisorOptions o = stub_options(1);
-  o.command_override[0] = {"/bin/sh", "-c", "sleep 60"};
+  const std::string pid_path =
+      ::testing::TempDir() + "/liquid3d_supervisor_grandchild.pid";
+  std::remove(pid_path.c_str());
+  o.command_override[0] = {"/bin/sh", "-c",
+                           "sleep 60 & echo $! > '" + pid_path + "'; wait"};
   o.max_restarts = 0;
-  o.stall_timeout = milliseconds(50);
+  o.stall_timeout = milliseconds(200);
   const SupervisorResult result = supervise_sweep(o);
   EXPECT_FALSE(result.all_succeeded);
   EXPECT_EQ(result.workers[0].spawns, 1u);
   EXPECT_GE(result.workers[0].stall_kills, 1u);
   EXPECT_EQ(result.workers[0].last_signal, SIGKILL);
+
+  const pid_t grandchild = read_pid(pid_path);
+  std::remove(pid_path.c_str());
+  ASSERT_GT(grandchild, 0) << "the stub never reported its child's pid";
+  EXPECT_TRUE(stops_within_5s(grandchild))
+      << "the worker's child " << grandchild << " survived the stall kill";
+}
+
+TEST(Supervisor, WorkerDiesWithTheSupervisor) {
+  // Workers run in their own process group, out of reach of a terminal's
+  // Ctrl-C, so a supervisor killed mid-sweep must take them down itself.
+  const std::string pid_path =
+      ::testing::TempDir() + "/liquid3d_supervisor_worker.pid";
+  std::remove(pid_path.c_str());
+  const pid_t supervisor = ::fork();
+  ASSERT_GE(supervisor, 0);
+  if (supervisor == 0) {
+    SupervisorOptions o = stub_options(1);
+    o.command_override[0] = {"/bin/sh", "-c",
+                             "echo $$ > '" + pid_path + "'; exec sleep 60"};
+    o.max_restarts = 0;
+    (void)supervise_sweep(o);
+    ::_exit(0);
+  }
+  pid_t worker = 0;
+  for (int i = 0; i < 500 && worker <= 0; ++i) {
+    std::this_thread::sleep_for(milliseconds(10));
+    worker = read_pid(pid_path);
+  }
+  ::kill(supervisor, SIGKILL);
+  ::waitpid(supervisor, nullptr, 0);
+  std::remove(pid_path.c_str());
+  ASSERT_GT(worker, 0) << "the stub worker never reported its pid";
+  EXPECT_TRUE(stops_within_5s(worker))
+      << "worker " << worker << " outlived its supervisor";
 }
 
 TEST(Supervisor, JournalGrowthDefersTheWatchdog) {
