@@ -59,7 +59,7 @@ run_bench bench_micro_solver "${tmp_dir}/micro.json" \
   'BM_Banded|BM_TransientStep|BM_BatchedTransient|BM_SteadyState|BM_FlowLut|BM_Cg|BM_FineGrid'
 
 # Service latency/throughput: steady-query p50/p99 (acceptance: warm-ROM
-# p50 <= 100 us on the 2-layer Niagara liquid stack) and batched vs serial
+# p50 <= 25 us on the 2-layer Niagara liquid stack) and batched vs serial
 # what-if throughput (acceptance: batched >= serial sessions/s).
 run_bench bench_serve "${tmp_dir}/serve.json" 'BM_Serve'
 

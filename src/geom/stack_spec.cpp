@@ -318,9 +318,15 @@ StackSpec parse_stack_file(std::istream& in, const std::string& source) {
   std::size_t line_no = 0;
   std::string line;
 
-  auto fail = [&](const std::string& msg) -> void {
-    throw ConfigError(source + ":" + std::to_string(line_no) + ": " + msg);
+  // A [[noreturn]] callable, so value-returning helpers may end in fail().
+  struct Fail {
+    const std::string& source;
+    const std::size_t& line_no;
+    [[noreturn]] void operator()(const std::string& msg) const {
+      throw ConfigError(source + ":" + std::to_string(line_no) + ": " + msg);
+    }
   };
+  const Fail fail{source, line_no};
   auto parse_num = [&](const std::string& value,
                        const std::string& key) -> double {
     try {

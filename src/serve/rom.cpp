@@ -2,121 +2,73 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/error.hpp"
+#include "thermal/steady_operator.hpp"
 
 namespace liquid3d {
 
-namespace {
-
-/// In-place dense LU with partial pivoting (Doolittle, row-major m×m).
-/// Pivot indices are LAPACK-style: row k was swapped with row pivot[k].
-void factorize_dense(std::vector<double>& a, std::vector<int>& pivot,
-                     std::size_t m) {
-  pivot.assign(m, 0);
-  for (std::size_t k = 0; k < m; ++k) {
-    std::size_t p = k;
-    double best = std::abs(a[k * m + k]);
-    for (std::size_t i = k + 1; i < m; ++i) {
-      const double mag = std::abs(a[i * m + k]);
-      if (mag > best) {
-        best = mag;
-        p = i;
-      }
-    }
-    pivot[k] = static_cast<int>(p);
-    if (p != k) {
-      for (std::size_t j = 0; j < m; ++j) std::swap(a[k * m + j], a[p * m + j]);
-    }
-    // A singular projected operator means the basis collapsed (it is
-    // orthonormal and A is nonsingular, so this indicates a bug upstream).
-    LIQUID3D_ASSERT(best > 1e-300, "projected steady operator is singular");
-    const double inv_piv = 1.0 / a[k * m + k];
-    for (std::size_t i = k + 1; i < m; ++i) {
-      const double l = a[i * m + k] * inv_piv;
-      a[i * m + k] = l;
-      for (std::size_t j = k + 1; j < m; ++j) {
-        a[i * m + j] -= l * a[k * m + j];
-      }
+BlockLayout block_layout(const Stack3D& stack) {
+  BlockLayout layout(stack.layer_count());
+  for (std::size_t l = 0; l < stack.layer_count(); ++l) {
+    for (const Block& block : stack.layer(l).floorplan.blocks()) {
+      layout[l].push_back(block.type);
     }
   }
-}
-
-}  // namespace
-
-void ReducedSteadyModel::solve_reduced(const double* b, double* y) const {
-  const std::size_t m = m_;
-  std::memcpy(y, b, m * sizeof(double));
-  for (std::size_t k = 0; k < m; ++k) {
-    const auto p = static_cast<std::size_t>(pivot_[k]);
-    if (p != k) std::swap(y[k], y[p]);
-  }
-  for (std::size_t i = 1; i < m; ++i) {
-    double acc = y[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= h_lu_[i * m + j] * y[j];
-    y[i] = acc;
-  }
-  for (std::size_t ii = m; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t j = ii + 1; j < m; ++j) acc -= h_lu_[ii * m + j] * y[j];
-    y[ii] = acc / h_lu_[ii * m + ii];
-  }
+  return layout;
 }
 
 ReducedSteadyModel ReducedSteadyModel::build(ThermalModel3D& model,
                                              const RomParams& params) {
-  LIQUID3D_REQUIRE(params.max_basis >= 1, "ROM basis cap must be >= 1");
-  LIQUID3D_REQUIRE(params.drop_tolerance > 0.0 && params.drop_tolerance < 1.0,
-                   "ROM drop tolerance must be in (0, 1)");
   LIQUID3D_REQUIRE(params.gain_safety >= 1.0, "ROM gain safety must be >= 1");
 
   ReducedSteadyModel rom;
   rom.params_ = params;
-  model.export_steady_operator(rom.op_);
-  const SteadyOperator& op = rom.op_;
+  SteadyOperator op;
+  model.export_steady_operator(op);
   const std::size_t n = op.nodes;
+  const std::size_t layers = op.layer_count;
+  const std::size_t cells = op.silicon_nodes / layers;
   const double t_ref = op.t_ref;
 
-  const Stack3D& stack = model.stack();
-  std::vector<std::vector<double>> zero_watts(stack.layer_count());
-  std::size_t inputs = 0;
-  for (std::size_t l = 0; l < stack.layer_count(); ++l) {
-    zero_watts[l].assign(stack.layer(l).floorplan.block_count(), 0.0);
-    inputs += zero_watts[l].size();
+  rom.layout_ = block_layout(model.stack());
+  std::vector<std::vector<double>> zero_watts(layers);
+  for (std::size_t l = 0; l < layers; ++l) {
+    rom.first_input_.push_back(rom.inputs_);
+    rom.inputs_ += rom.layout_[l].size();
+    zero_watts[l].assign(rom.layout_[l].size(), 0.0);
   }
-  rom.inputs_ = inputs;
+  const std::size_t inputs = rom.inputs_;
+  rom.cells_ = cells;
+  rom.influence_.assign(layers * inputs * cells, 0.0);
+  rom.residual_l1_.assign(inputs, 0.0);
 
-  // Influence snapshots: the steady response to 1 W in each block, solved
-  // through the model's own steady path (direct elimination or
-  // pseudo-transient — whatever this operating point resolves to), so the
-  // subspace is built from the answers the full solver would give.
   ThermalState state;
-  const auto solve_snapshot = [&](double* out_field) {
+  const auto solve_snapshot = [&](std::vector<double>& out_field) {
     model.solve_steady_state();
     model.save_state(state);
-    std::copy(state.temps.begin(), state.temps.end(), out_field);
+    std::copy(state.temps.begin(), state.temps.end(), out_field.begin());
     if (!op.liquid) {
       out_field[op.silicon_nodes] = state.spreader_temp;
       out_field[op.silicon_nodes + 1] = state.sink_temp;
     }
   };
 
-  // Candidate 0 is the exact affine direction: with zero power the steady
-  // field is uniformly t_ref (every boundary reference is t_ref), so the
-  // constant vector handles inlet/ambient overrides exactly.
-  std::vector<double> basis;
-  basis.reserve((inputs + 1) * n);
-  basis.assign(n, 1.0 / std::sqrt(static_cast<double>(n)));
-  std::size_t m = 1;
-  std::size_t dropped = 0;
+  // The constant vector: with zero power every boundary reference is t_ref
+  // and the field is uniformly t_ref, so A·1 = c up to rounding.
+  std::vector<double> field(n, 1.0);
+  std::vector<double> product(n);
+  op.multiply(field.data(), product.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    rom.constant_residual_l1_ += std::abs(product[i] - op.ref_coef[i]);
+  }
 
-  std::vector<double> snapshot(n);
-  std::vector<double> candidate(n);
-  double gain = 0.0;
-  for (std::size_t l = 0; l < stack.layer_count(); ++l) {
+  // Influence solutions g_b = A⁻¹ m_b: the deviation field of 1 W in block
+  // (l, b), solved through the model's own steady path (direct elimination
+  // or pseudo-transient — whatever this operating point resolves to).
+  for (std::size_t l = 0; l < layers; ++l) {
     for (std::size_t b = 0; b < zero_watts[l].size(); ++b) {
-      for (std::size_t l2 = 0; l2 < stack.layer_count(); ++l2) {
+      for (std::size_t l2 = 0; l2 < layers; ++l2) {
         if (l2 == l) {
           zero_watts[l][b] = 1.0;
           model.set_block_power(l, zero_watts[l]);
@@ -125,86 +77,25 @@ ReducedSteadyModel ReducedSteadyModel::build(ThermalModel3D& model,
           model.set_block_power(l2, zero_watts[l2]);
         }
       }
-      solve_snapshot(snapshot.data());
-      // u_b = A^{-1} m_b: the deviation field of 1 W in block (l, b).  Its
-      // peak samples the residual→temperature amplification of A^{-1}.
-      double peak = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        candidate[i] = snapshot[i] - t_ref;
-        peak = std::max(peak, std::abs(candidate[i]));
+      solve_snapshot(field);
+      const std::size_t input = rom.first_input_[l] + b;
+      // Its peak samples the residual→temperature amplification of A⁻¹.
+      for (double& t : field) {
+        t -= t_ref;
+        rom.gain_c_per_w_ = std::max(rom.gain_c_per_w_, std::abs(t));
       }
-      gain = std::max(gain, peak);
-
-      double norm0 = 0.0;
-      for (double v : candidate) norm0 += v * v;
-      norm0 = std::sqrt(norm0);
-      if (norm0 <= 0.0 || m >= params.max_basis) {
-        ++dropped;
-        continue;
-      }
-      // Modified Gram-Schmidt, one re-orthogonalization pass ("twice is
-      // enough") so the basis stays orthonormal to machine precision.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t j = 0; j < m; ++j) {
-          const double* v = basis.data() + j * n;
-          double dot = 0.0;
-          for (std::size_t i = 0; i < n; ++i) dot += v[i] * candidate[i];
-          for (std::size_t i = 0; i < n; ++i) candidate[i] -= dot * v[i];
-        }
-      }
-      double norm = 0.0;
-      for (double v : candidate) norm += v * v;
-      norm = std::sqrt(norm);
-      if (norm < params.drop_tolerance * norm0) {
-        ++dropped;  // direction already (numerically) in the span
-        continue;
-      }
-      const double inv_norm = 1.0 / norm;
-      basis.resize((m + 1) * n);
-      double* dst = basis.data() + m * n;
-      for (std::size_t i = 0; i < n; ++i) dst[i] = candidate[i] * inv_norm;
-      ++m;
-    }
-  }
-  rom.basis_ = std::move(basis);
-  rom.m_ = m;
-  rom.dropped_ = dropped;
-  rom.gain_c_per_w_ = gain;
-
-  // Galerkin projection H = Vᵀ A V, factored once.
-  std::vector<double> av(n);
-  rom.h_lu_.assign(m * m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    op.multiply(rom.basis_.data() + j * n, av.data());
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* vi = rom.basis_.data() + i * n;
-      double dot = 0.0;
-      for (std::size_t k = 0; k < n; ++k) dot += vi[k] * av[k];
-      rom.h_lu_[i * m + j] = dot;
-    }
-  }
-  factorize_dense(rom.h_lu_, rom.pivot_, m);
-
-  // Projected inputs: Vᵀ m_b from the sparse shares, Vᵀ c for the boundary.
-  rom.input_proj_.assign(op.block_inputs.size(), {});
-  for (std::size_t l = 0; l < op.block_inputs.size(); ++l) {
-    rom.input_proj_[l].resize(op.block_inputs[l].size());
-    for (std::size_t b = 0; b < op.block_inputs[l].size(); ++b) {
-      auto& proj = rom.input_proj_[l][b];
-      proj.assign(m, 0.0);
+      op.multiply(field.data(), product.data());
       for (const SteadyOperator::InputShare& share : op.block_inputs[l][b]) {
-        for (std::size_t j = 0; j < m; ++j) {
-          proj[j] += share.weight * rom.basis_[j * n + share.node];
+        product[share.node] -= share.weight;
+      }
+      for (double r : product) rom.residual_l1_[input] += std::abs(r);
+      for (std::size_t cell = 0; cell < cells; ++cell) {
+        for (std::size_t layer = 0; layer < layers; ++layer) {
+          rom.influence_[(layer * inputs + input) * cells + cell] =
+              field[cell * layers + layer];
         }
       }
     }
-  }
-  rom.ref_proj_.assign(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const double* v = rom.basis_.data() + j * n;
-    double dot = 0.0;
-    for (std::size_t i = 0; i < n; ++i) dot += v[i] * op.ref_coef[i];
-    rom.ref_proj_[j] = dot;
   }
 
   // Certification: deterministic probe power mixtures, reduced vs full.
@@ -213,7 +104,7 @@ ReducedSteadyModel ReducedSteadyModel::build(ThermalModel3D& model,
   std::vector<std::vector<double>> probe_watts = zero_watts;
   for (std::size_t probe = 0; probe < params.certification_probes; ++probe) {
     std::size_t cursor = 0;
-    for (std::size_t l = 0; l < probe_watts.size(); ++l) {
+    for (std::size_t l = 0; l < layers; ++l) {
       for (std::size_t b = 0; b < probe_watts[l].size(); ++b, ++cursor) {
         // Probe 0: uniform 1 W; later probes: deterministic skewed ramps.
         probe_watts[l][b] =
@@ -224,11 +115,9 @@ ReducedSteadyModel ReducedSteadyModel::build(ThermalModel3D& model,
       }
       model.set_block_power(l, probe_watts[l]);
     }
-    solve_snapshot(snapshot.data());
-    double full_tmax = snapshot[0];
-    for (std::size_t i = 1; i < op.silicon_nodes; ++i) {
-      full_tmax = std::max(full_tmax, snapshot[i]);
-    }
+    solve_snapshot(field);
+    const double full_tmax =
+        *std::max_element(field.begin(), field.begin() + op.silicon_nodes);
     rom.evaluate(probe_watts, t_ref, /*max_error_c=*/0.0, scratch, eval);
     rom.certified_error_c_ =
         std::max(rom.certified_error_c_, std::abs(eval.t_max_c - full_tmax));
@@ -239,79 +128,63 @@ ReducedSteadyModel ReducedSteadyModel::build(ThermalModel3D& model,
 void ReducedSteadyModel::evaluate(
     const std::vector<std::vector<double>>& block_watts, double t_ref_c,
     double max_error_c, Scratch& s, RomEvaluation& out) const {
-  LIQUID3D_REQUIRE(block_watts.size() <= input_proj_.size(),
+  LIQUID3D_REQUIRE(block_watts.size() <= layout_.size(),
                    "ROM query has more layers than the stack");
   LIQUID3D_REQUIRE(std::isfinite(t_ref_c), "ROM reference temperature must be finite");
   const double bound = max_error_c > 0.0 ? max_error_c : params_.max_error_c;
-  const std::size_t n = op_.nodes;
-  const std::size_t m = m_;
 
-  // Projected right-hand side: Vᵀ(p + c T_ref) from the precomputed pieces.
-  s.reduced_rhs.assign(m, 0.0);
+  // Nonzero powers, and the residual bound they carry.
+  s.inputs.clear();
+  s.watts.clear();
+  double residual = std::abs(t_ref_c) * constant_residual_l1_;
   for (std::size_t l = 0; l < block_watts.size(); ++l) {
-    LIQUID3D_REQUIRE(block_watts[l].size() <= input_proj_[l].size(),
+    LIQUID3D_REQUIRE(block_watts[l].size() <= layout_[l].size(),
                      "ROM query has more blocks than the layer's floorplan");
     for (std::size_t b = 0; b < block_watts[l].size(); ++b) {
       const double w = block_watts[l][b];
       if (w == 0.0) continue;
       if (!std::isfinite(w)) throw SolverError("ROM query power is non-finite");
       LIQUID3D_REQUIRE(w >= 0.0, "ROM query power must be non-negative");
-      const std::vector<double>& proj = input_proj_[l][b];
-      for (std::size_t j = 0; j < m; ++j) s.reduced_rhs[j] += w * proj[j];
+      s.inputs.push_back(first_input_[l] + b);
+      s.watts.push_back(w);
+      residual += w * residual_l1_[first_input_[l] + b];
     }
   }
-  for (std::size_t j = 0; j < m; ++j) {
-    s.reduced_rhs[j] += t_ref_c * ref_proj_[j];
-  }
 
-  s.y.resize(m);
-  solve_reduced(s.reduced_rhs.data(), s.y.data());
-
-  // Reconstruct T = V y, tracking the silicon maxima on the fly.
-  s.field.assign(n, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const double yj = s.y[j];
-    const double* v = basis_.data() + j * n;
-    for (std::size_t i = 0; i < n; ++i) s.field[i] += yj * v[i];
-  }
-  out.layer_max_c.assign(op_.layer_count, -1e300);
-  double t_max = -1e300;
-  for (std::size_t i = 0; i < op_.silicon_nodes; ++i) {
-    const double t = s.field[i];
-    const std::size_t layer = i % op_.layer_count;
-    if (t > out.layer_max_c[layer]) out.layer_max_c[layer] = t;
-    if (t > t_max) t_max = t;
-  }
-  out.t_max_c = t_max;
-
-  // Residual through the true operator: r = A (V y) − (p + c T_ref).
-  s.full_rhs.assign(n, 0.0);
-  for (std::size_t l = 0; l < block_watts.size(); ++l) {
-    for (std::size_t b = 0; b < block_watts[l].size(); ++b) {
-      const double w = block_watts[l][b];
-      if (w == 0.0) continue;
-      for (const SteadyOperator::InputShare& share : op_.block_inputs[l][b]) {
-        s.full_rhs[share.node] += w * share.weight;
+  // T = T_ref + Σ w_b g_b, one layer at a time, tracking the maxima.
+  const std::size_t layers = layout_.size();
+  out.layer_max_c.resize(layers);
+  out.t_max_c = -1e300;
+  s.field.resize(cells_);
+  for (std::size_t layer = 0; layer < layers; ++layer) {
+    std::fill(s.field.begin(), s.field.end(), t_ref_c);
+    const double* rows = influence_.data() + layer * inputs_ * cells_;
+    double* field = s.field.data();
+    std::size_t k = 0;
+    // Four columns per pass: a quarter of the field loads and stores.
+    for (; k + 4 <= s.inputs.size(); k += 4) {
+      const double* g0 = rows + s.inputs[k] * cells_;
+      const double* g1 = rows + s.inputs[k + 1] * cells_;
+      const double* g2 = rows + s.inputs[k + 2] * cells_;
+      const double* g3 = rows + s.inputs[k + 3] * cells_;
+      const double w0 = s.watts[k], w1 = s.watts[k + 1];
+      const double w2 = s.watts[k + 2], w3 = s.watts[k + 3];
+      for (std::size_t cell = 0; cell < cells_; ++cell) {
+        field[cell] += w0 * g0[cell] + w1 * g1[cell] + w2 * g2[cell] + w3 * g3[cell];
       }
     }
+    for (; k < s.inputs.size(); ++k) {
+      const double w = s.watts[k];
+      const double* g = rows + s.inputs[k] * cells_;
+      for (std::size_t cell = 0; cell < cells_; ++cell) field[cell] += w * g[cell];
+    }
+    const double layer_max = *std::max_element(s.field.begin(), s.field.end());
+    out.layer_max_c[layer] = layer_max;
+    out.t_max_c = std::max(out.t_max_c, layer_max);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    s.full_rhs[i] += t_ref_c * op_.ref_coef[i];
-  }
-  s.residual.resize(n);
-  op_.multiply(s.field.data(), s.residual.data());
-  double r1 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    r1 += std::abs(s.residual[i] - s.full_rhs[i]);
-  }
-  out.estimated_error_c = params_.gain_safety * gain_c_per_w_ * r1;
-  out.within_bound = out.estimated_error_c <= bound;
-}
 
-std::size_t ReducedSteadyModel::memory_bytes() const {
-  return sizeof(double) * (basis_.size() + h_lu_.size() + ref_proj_.size() +
-                           op_.val.size() + op_.ref_coef.size()) +
-         sizeof(std::size_t) * (op_.col.size() + op_.row_ptr.size());
+  out.estimated_error_c = params_.gain_safety * gain_c_per_w_ * residual;
+  out.within_bound = out.estimated_error_c <= bound;
 }
 
 }  // namespace liquid3d

@@ -1,47 +1,48 @@
-// rom.hpp — reduced-order steady thermal model: Galerkin projection of the
-// exported steady operator onto a block-Krylov subspace of steady responses.
+// rom.hpp — reduced-order steady thermal model by exact superposition.
 //
 // The steady state is exactly linear in the block powers and the boundary
 // reference temperature (thermal/steady_operator.hpp):  A T = p + c T_ref.
-// Offline, per (topology, flow vector), the builder solves one full steady
-// state per floorplan block (a unit-power influence solution — the first
-// block-Krylov direction of A^{-1} for each input column) plus the constant
-// vector, orthonormalizes them by modified Gram-Schmidt with a drop
-// tolerance, and projects:  H = Vᵀ A V  (dense, m ≈ blocks+1 « n), factored
-// once by a small partially-pivoted LU.
+// With zero power the field is uniformly T_ref (A·1 = c), so the answer to
+// any power map w is
 //
-// Online, a steady query is:  assemble the projected right-hand side from
-// the precomputed per-block input projections (O(blocks·m)), solve the m×m
-// dense system, reconstruct T = V y while tracking the maxima (O(n·m)), and
-// bound the error through the true operator's residual r = A V y − b (one
-// CSR SpMV).  Microseconds, no factorization, no fluid march.
+//   T = T_ref·1 + Σ_b w_b·g_b,     g_b = A⁻¹ m_b,
 //
-// Error semantics: `estimated_error_c` maps the residual through an
-// amplification gain sampled offline from the influence solutions
-// (max ‖A⁻¹ m_b‖_∞ over the input columns, times a safety factor).  It is a
-// calibrated estimator, not an a-priori bound — the builder certifies it
-// against full solves on probe power vectors, and the service falls back to
-// the full solver whenever the estimate exceeds the query's bound.
+// where m_b spreads 1 W over block b's nodes.  Offline, per (topology, flow
+// vector), the builder solves one full steady state per floorplan block
+// through the model's own steady path (so reduced answers are the full
+// solver's answers, recombined) and keeps only the silicon rows of each
+// g_b, layer-major ([layer][block][cell]; silicon node = cell·layers +
+// layer).  Nothing is truncated: the "basis" is the constant vector plus
+// every block's influence solution, and no projection or reduced solve is
+// needed.
+//
+// Online, a steady query is one small GEMV per layer (cells × blocks, zero
+// powers skipped) plus a running maximum.  Microseconds, no factorization,
+// no fluid march, no operator product.
+//
+// Error semantics: the residuals are certified once, at build.  Each
+// column's ‖A g_b − m_b‖₁ and the constant vector's ‖A·1 − c‖₁ bound the
+// answer's true residual by the triangle inequality:
+//
+//   ‖A T − (p + c T_ref)‖₁ ≤ Σ_b w_b‖A g_b − m_b‖₁ + |T_ref|·‖A·1 − c‖₁,
+//
+// and `estimated_error_c` maps that bound through an amplification gain
+// sampled offline (max ‖g_b‖_∞ over the inputs, times `gain_safety`).  It
+// is a calibrated estimator, not a proven a-priori bound — the builder also
+// certifies answers against full solves on probe power vectors, and the
+// service falls back to the full solver whenever the estimate exceeds the
+// query's bound.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
+#include "geom/floorplan.hpp"
 #include "thermal/model3d.hpp"
-#include "thermal/steady_operator.hpp"
 
 namespace liquid3d {
 
 struct RomParams {
-  /// Basis size cap.  The natural basis is one direction per floorplan
-  /// block plus the constant vector; a smaller cap truncates the subspace
-  /// (queries outside the span then fail the residual check and fall back).
-  std::size_t max_basis = 128;
-  /// Modified Gram-Schmidt drop tolerance (relative to the candidate's
-  /// norm): directions this close to the current span are redundant —
-  /// symmetric blocks of a floorplan produce near-identical responses.
-  double drop_tolerance = 1e-8;
   /// Default per-query error bound [K]; queries may override.
   double max_error_c = 0.05;
   /// Safety factor on the sampled residual→temperature gain.
@@ -50,6 +51,10 @@ struct RomParams {
   /// against full steady solves); 0 disables certification.
   std::size_t certification_probes = 3;
 };
+
+/// A stack's block types per [layer][block] (floorplan order).
+using BlockLayout = std::vector<std::vector<BlockType>>;
+[[nodiscard]] BlockLayout block_layout(const Stack3D& stack);
 
 /// One reduced steady query answer.
 struct RomEvaluation {
@@ -64,19 +69,18 @@ class ReducedSteadyModel {
   /// Reusable per-thread work vectors: `evaluate` is const and allocation
   /// free after the first call with a given scratch.
   struct Scratch {
-    std::vector<double> reduced_rhs;
-    std::vector<double> y;
-    std::vector<double> field;
-    std::vector<double> full_rhs;
-    std::vector<double> residual;
+    std::vector<std::size_t> inputs;  ///< flat indices of nonzero powers
+    std::vector<double> watts;        ///< their powers
+    std::vector<double> field;        ///< one layer's silicon temperatures
   };
 
   /// Build offline from the full model under its *current* flow vector.
   /// Runs one full steady solve per floorplan block (through the model's
   /// own steady path, so reduced answers are consistent with full ones),
-  /// projects the exported operator, and certifies against probe solves.
-  /// The model's power map and temperature field are left at the last
-  /// snapshot state — callers own re-setting them.
+  /// certifies each influence solution's residual against the exported
+  /// operator, and checks probe answers against full solves.  The model's
+  /// power map and temperature field are left at the last snapshot state —
+  /// callers own re-setting them.
   [[nodiscard]] static ReducedSteadyModel build(ThermalModel3D& model,
                                                 const RomParams& params);
 
@@ -87,37 +91,30 @@ class ReducedSteadyModel {
                 double t_ref_c, double max_error_c, Scratch& scratch,
                 RomEvaluation& out) const;
 
-  [[nodiscard]] std::size_t dimension() const { return m_; }
-  [[nodiscard]] std::size_t node_count() const { return op_.nodes; }
-  [[nodiscard]] std::size_t input_count() const { return inputs_; }
-  /// Candidate directions dropped by the Gram-Schmidt tolerance or the
-  /// basis cap (a truncated basis is what makes fallback reachable).
-  [[nodiscard]] std::size_t dropped_directions() const { return dropped_; }
+  /// Superposition dimension: the constant vector plus one influence
+  /// solution per floorplan block.
+  [[nodiscard]] std::size_t dimension() const { return inputs_ + 1; }
+  /// The block layout the model was built on (validates and expands
+  /// queries without rebuilding the stack).
+  [[nodiscard]] const BlockLayout& layout() const { return layout_; }
   /// Max |reduced − full| T_max over the certification probes [K].
   [[nodiscard]] double certified_error_c() const { return certified_error_c_; }
   /// Sampled residual→temperature amplification [K/W] (before safety).
   [[nodiscard]] double gain_c_per_w() const { return gain_c_per_w_; }
   [[nodiscard]] const RomParams& params() const { return params_; }
-  /// Approximate resident size (basis + operator), for cache accounting.
-  [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
   ReducedSteadyModel() = default;
 
-  /// Solve H y = b through the stored LU (partial pivoting).
-  void solve_reduced(const double* b, double* y) const;
-
   RomParams params_;
-  SteadyOperator op_;
-  std::size_t m_ = 0;        ///< basis dimension
-  std::size_t inputs_ = 0;   ///< total floorplan blocks
-  std::size_t dropped_ = 0;
-  std::vector<double> basis_;  ///< column-major nodes × m
-  std::vector<double> h_lu_;   ///< m × m row-major LU factors of Vᵀ A V
-  std::vector<int> pivot_;     ///< LU row permutation
-  /// Vᵀ m_b per [layer][block], m entries each.
-  std::vector<std::vector<std::vector<double>>> input_proj_;
-  std::vector<double> ref_proj_;  ///< Vᵀ ref_coef
+  BlockLayout layout_;
+  std::vector<std::size_t> first_input_;  ///< flat index of each layer's block 0
+  std::size_t inputs_ = 0;                ///< total floorplan blocks
+  std::size_t cells_ = 0;                 ///< silicon cells per layer
+  /// Silicon rows of the influence solutions, [layer][input][cell].
+  std::vector<double> influence_;
+  std::vector<double> residual_l1_;   ///< ‖A g_b − m_b‖₁ per input [W]
+  double constant_residual_l1_ = 0.0; ///< ‖A·1 − c‖₁ [W/K]
   double gain_c_per_w_ = 0.0;
   double certified_error_c_ = 0.0;
 };

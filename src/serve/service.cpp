@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
 #include "coolant/flow.hpp"
 #include "coolant/pump.hpp"
 #include "coolant/valve_network.hpp"
-#include "geom/sites.hpp"
 #include "geom/stack_spec.hpp"
 #include "sim/scenario.hpp"
 #include "workload/benchmarks.hpp"
@@ -26,92 +26,136 @@ double elapsed_us(Clock::time_point start) {
       .count();
 }
 
-void append(std::string& key, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g,", v);
-  key += buf;
+/// Raw-bits identity writers: equal keys iff every written value is
+/// bit-identical, with lengths prefixed so adjacent fields cannot alias.
+template <typename T>
+void put(std::string& key, T v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  key.append(bytes, sizeof(T));
 }
 
-void append(std::string& key, std::size_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%zu,", v);
-  key += buf;
+void put(std::string& key, const std::string& s) {
+  put(key, s.size());
+  key += s;
 }
 
-/// Everything that shapes the constructed thermal model (and therefore the
-/// steady operator): geometry, cooling regime, and the thermal parameters.
-/// The stack enters as its canonical spec encoding, so layer_pairs presets,
-/// explicit specs, and stack files that build the same stack share entries.
-std::string model_key(const SimulationConfig& cfg) {
-  std::string key = encode_stack_spec(resolved_stack_spec(cfg));
-  key += '|';
-  key += cfg.cooling == CoolingMode::kAir ? "air," : "liquid,";
-  key += to_string(cfg.delivery_mode);
-  key += ',';
+/// Everything that shapes a pooled model's steady operator except the
+/// boundary references: the resolved stack spec (whose cooling type agrees
+/// with the config's — resolved_stack_spec checks it, and the liquid modes
+/// build one model), the delivery mode, and every ThermalModelParams field
+/// but the two references.  Stack presets enter as their spec, so a preset
+/// and its equal explicit spec share entries.
+std::string system_identity(const StackSpec& spec, const SimulationConfig& cfg) {
+  std::string key;
+  key.reserve(512);
+  put(key, spec.name);
+  put(key, spec.cooling);
+  put(key, spec.die_width);
+  put(key, spec.die_height);
+  put(key, spec.layers.size());
+  for (const StackLayerEntry& layer : spec.layers) {
+    put(key, layer.floorplan);
+    put(key, layer.blocks.size());
+    for (const BlockEntry& b : layer.blocks) {
+      put(key, b.name);
+      put(key, b.type);
+      put(key, b.rect.x);
+      put(key, b.rect.y);
+      put(key, b.rect.w);
+      put(key, b.rect.h);
+    }
+    put(key, layer.die_thickness);
+    put(key, layer.beol_thickness);
+  }
+  put(key, spec.cavities.size());
+  for (const CavitySpec& c : spec.cavities) {
+    put(key, c.channel_count);
+    put(key, c.channel_width);
+    put(key, c.channel_height);
+    put(key, c.wall_thickness);
+    put(key, c.pitch);
+    put(key, c.cavity_thickness);
+  }
+  put(key, spec.tsvs.count);
+  put(key, spec.tsvs.side);
+  put(key, spec.tsvs.cu_conductivity);
+  put(key, cfg.delivery_mode);
+
   const ThermalModelParams& t = cfg.thermal;
-  append(key, t.grid_rows);
-  append(key, t.grid_cols);
-  append(key, t.silicon_conductivity);
-  append(key, t.silicon_volumetric_heat_capacity);
-  append(key, t.bond_conductivity);
-  append(key, t.cavity_wall_conductivity);
-  append(key, t.inlet_temperature);
-  append(key, t.ambient_temperature);
-  append(key, t.channel_params.beol_thickness);
-  append(key, t.channel_params.beol_conductivity);
-  append(key, t.channel_params.heat_transfer_coeff);
-  append(key, t.coolant.heat_capacity);
-  append(key, t.coolant.density);
-  append(key, t.coolant.conductivity);
-  append(key, t.coolant.dynamic_viscosity);
-  append(key, t.tim_thickness);
-  append(key, t.tim_conductivity);
-  append(key, t.spreader_capacitance);
-  append(key, t.sink_capacitance);
-  append(key, t.spreader_to_sink_resistance);
-  append(key, t.sink_to_ambient_resistance);
-  key += t.alternate_flow_direction ? "alt," : "noalt,";
-  append(key, t.fluid_tolerance);
-  append(key, t.max_fluid_iterations);
-  append(key, t.steady_fluid_iterations);
-  append(key, t.steady_pseudo_dt);
-  append(key, t.steady_tolerance);
-  append(key, t.max_steady_iterations);
-  key += t.direct_steady_solver ? "direct," : "pseudo,";
+  put(key, t.grid_rows);
+  put(key, t.grid_cols);
+  put(key, t.silicon_conductivity);
+  put(key, t.silicon_volumetric_heat_capacity);
+  put(key, t.bond_conductivity);
+  put(key, t.cavity_wall_conductivity);
+  put(key, t.channel_params.beol_thickness);
+  put(key, t.channel_params.beol_conductivity);
+  put(key, t.channel_params.heat_transfer_coeff);
+  put(key, t.coolant.heat_capacity);
+  put(key, t.coolant.density);
+  put(key, t.coolant.conductivity);
+  put(key, t.coolant.dynamic_viscosity);
+  put(key, t.tim_thickness);
+  put(key, t.tim_conductivity);
+  put(key, t.spreader_capacitance);
+  put(key, t.sink_capacitance);
+  put(key, t.spreader_to_sink_resistance);
+  put(key, t.sink_to_ambient_resistance);
+  put(key, t.alternate_flow_direction);
+  put(key, t.fluid_tolerance);
+  put(key, t.max_fluid_iterations);
+  put(key, t.steady_fluid_iterations);
+  put(key, t.steady_pseudo_dt);
+  put(key, t.steady_tolerance);
+  put(key, t.max_steady_iterations);
+  put(key, t.direct_steady_solver);
+  put(key, t.solver_backend);
+  put(key, t.pcg.tolerance);
+  put(key, t.pcg.max_iterations);
+  put(key, t.pcg.preconditioner);
+  put(key, t.pcg.ssor_omega);
   return key;
 }
 
-/// ROM identity: the model key with the boundary references normalized out
-/// (the reduced model answers any inlet/ambient exactly — the steady map is
-/// affine in the reference, and the constant vector is in the basis), plus
-/// the per-cavity flow vector the operator was exported under.
-std::string rom_key(const SimulationConfig& cfg,
+/// Pool identity: the system plus the boundary references the full model
+/// bakes into its parameters.
+std::string model_key(const std::string& identity, const ThermalModelParams& t) {
+  std::string key = identity;
+  put(key, t.inlet_temperature);
+  put(key, t.ambient_temperature);
+  return key;
+}
+
+/// ROM identity: the system plus the per-cavity flow vector the operator is
+/// exported under.  The references stay out — the reduced model answers
+/// any inlet/ambient exactly (the steady map is affine in the reference).
+std::string rom_key(const std::string& identity,
                     const std::vector<VolumetricFlow>& flows) {
-  SimulationConfig normalized = cfg;
-  normalized.thermal.inlet_temperature = 0.0;
-  normalized.thermal.ambient_temperature = 0.0;
-  std::string key = model_key(normalized);
-  key += "|f:";
-  for (VolumetricFlow f : flows) append(key, f.ml_per_min());
+  std::string key = identity;
+  for (VolumetricFlow f : flows) put(key, f.m3_per_s());
   return key;
 }
 
 /// Expand a query's power specification to full [layer][block] shape.
 std::vector<std::vector<double>> resolve_watts(const SteadyQuery& q,
-                                               const Stack3D& stack) {
-  std::vector<std::vector<double>> watts(stack.layer_count());
-  for (std::size_t l = 0; l < stack.layer_count(); ++l) {
-    watts[l].assign(stack.layer(l).floorplan.block_count(), 0.0);
+                                               const BlockLayout& layout) {
+  std::vector<std::vector<double>> watts(layout.size());
+  for (std::size_t l = 0; l < layout.size(); ++l) {
+    watts[l].assign(layout[l].size(), 0.0);
   }
   if (q.block_watts.empty()) {
     LIQUID3D_REQUIRE(std::isfinite(q.core_watts) && q.core_watts >= 0.0,
                      "steady query core_watts must be finite and >= 0");
-    for (const BlockSite& site : enumerate_sites(stack, BlockType::kCore)) {
-      watts[site.layer][site.block] = q.core_watts;
+    for (std::size_t l = 0; l < layout.size(); ++l) {
+      for (std::size_t b = 0; b < layout[l].size(); ++b) {
+        if (layout[l][b] == BlockType::kCore) watts[l][b] = q.core_watts;
+      }
     }
     return watts;
   }
-  LIQUID3D_REQUIRE(q.block_watts.size() <= stack.layer_count(),
+  LIQUID3D_REQUIRE(q.block_watts.size() <= layout.size(),
                    "steady query has more power layers than the stack");
   for (std::size_t l = 0; l < q.block_watts.size(); ++l) {
     LIQUID3D_REQUIRE(q.block_watts[l].size() <= watts[l].size(),
@@ -128,15 +172,17 @@ std::vector<std::vector<double>> resolve_watts(const SteadyQuery& q,
 
 /// Resolve the query's flow specification to a per-cavity vector (empty for
 /// air).  Precedence: explicit flows > valve openings > uniform delivery.
+/// The spec is validated, so a liquid one has a uniform cavity entry and the
+/// die width is the channel length.
 std::vector<VolumetricFlow> resolve_flows(const SimulationConfig& cfg,
                                           const SteadyQuery& q,
-                                          const Stack3D& stack) {
-  if (cfg.cooling == CoolingMode::kAir) {
+                                          const StackSpec& spec) {
+  if (spec.cooling == CoolingType::kAir) {
     LIQUID3D_REQUIRE(q.flows_ml_per_min.empty() && q.valve_openings.empty(),
                      "air configurations take no flow specification");
     return {};
   }
-  const std::size_t cavities = stack.cavity_count();
+  const std::size_t cavities = spec.layers.size() + 1;
   if (!q.flows_ml_per_min.empty()) {
     LIQUID3D_REQUIRE(q.flows_ml_per_min.size() == cavities,
                      "explicit flow arity must equal the cavity count");
@@ -149,10 +195,10 @@ std::vector<VolumetricFlow> resolve_flows(const SimulationConfig& cfg,
     }
     return flows;
   }
-  const MicrochannelModel channels(stack.cavity(), cfg.thermal.coolant,
+  const MicrochannelModel channels(spec.cavities.front(), cfg.thermal.coolant,
                                    cfg.thermal.channel_params);
   const FlowDelivery delivery(PumpModel::laing_ddc(), cfg.delivery_mode,
-                              channels, stack.width(), cavities);
+                              channels, spec.die_width, cavities);
   const std::size_t setting = q.pump_setting == SteadyQuery::kTopSetting
                                   ? delivery.setting_count() - 1
                                   : q.pump_setting;
@@ -179,8 +225,32 @@ ThermalService::ThermalService(ServeParams params)
 
 ThermalService::~ThermalService() { queue_.stop(); }
 
+/// A steady query resolved once: its spec, flows and reference, and the
+/// system identity both caches key on.
+struct ThermalService::ResolvedQuery {
+  StackSpec spec;
+  std::vector<VolumetricFlow> flows;
+  std::string identity;
+  /// The config's thermal parameters with the query's reference applied.
+  ThermalModelParams thermal;
+  double t_ref = 0.0;
+
+  explicit ResolvedQuery(const SteadyQuery& q)
+      : spec(resolved_stack_spec(q.config)),
+        flows(resolve_flows(q.config, q, spec)),
+        identity(system_identity(spec, q.config)),
+        thermal(q.config.thermal) {
+    double& reference = spec.cooling == CoolingType::kAir
+                            ? thermal.ambient_temperature
+                            : thermal.inlet_temperature;
+    if (q.reference_c) reference = *q.reference_c;
+    t_ref = reference;
+  }
+};
+
 std::shared_ptr<ThermalService::ModelEntry> ThermalService::model_for(
-    const SimulationConfig& cfg, const std::string& key) {
+    const std::string& key, const StackSpec& spec,
+    const ThermalModelParams& thermal) {
   std::shared_ptr<ModelEntry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -204,16 +274,14 @@ std::shared_ptr<ThermalService::ModelEntry> ThermalService::model_for(
   }
   std::lock_guard<std::mutex> entry_lock(entry->mu);
   if (!entry->model) {
-    entry->model =
-        std::make_unique<ThermalModel3D>(make_simulation_stack(cfg), cfg.thermal);
+    entry->model = std::make_unique<ThermalModel3D>(make_stack(spec), thermal);
   }
   return entry;
 }
 
 std::shared_ptr<const ReducedSteadyModel> ThermalService::rom_for(
-    const SimulationConfig& cfg, const std::string& mkey,
-    const std::vector<VolumetricFlow>& flows) {
-  const std::string key = rom_key(cfg, flows);
+    const SteadyQuery& query, const ResolvedQuery& resolved) {
+  const std::string key = rom_key(resolved.identity, resolved.flows);
   std::promise<std::shared_ptr<const ReducedSteadyModel>> promise;
   std::shared_future<std::shared_ptr<const ReducedSteadyModel>> future;
   bool builder = false;
@@ -250,13 +318,13 @@ std::shared_ptr<const ReducedSteadyModel> ThermalService::rom_for(
   }
   if (builder) {
     try {
-      std::shared_ptr<ModelEntry> entry = model_for(cfg, mkey);
+      const ThermalModelParams& thermal = query.config.thermal;
+      std::shared_ptr<ModelEntry> entry = model_for(
+          model_key(resolved.identity, thermal), resolved.spec, thermal);
       std::shared_ptr<const ReducedSteadyModel> rom;
       {
         std::lock_guard<std::mutex> entry_lock(entry->mu);
-        if (cfg.cooling != CoolingMode::kAir) {
-          entry->model->set_cavity_flow(flows);
-        }
+        if (!resolved.flows.empty()) entry->model->set_cavity_flow(resolved.flows);
         rom = std::make_shared<const ReducedSteadyModel>(
             ReducedSteadyModel::build(*entry->model, params_.rom));
       }
@@ -274,24 +342,20 @@ std::shared_ptr<const ReducedSteadyModel> ThermalService::rom_for(
   return future.get();
 }
 
-SteadyAnswer ThermalService::full_steady(
-    const SteadyQuery& query, const std::vector<std::vector<double>>& block_watts,
-    const std::vector<VolumetricFlow>& flows) {
-  SimulationConfig cfg = query.config;
-  const bool liquid = cfg.cooling != CoolingMode::kAir;
-  if (query.reference_c) {
-    // The full model bakes the boundary reference into its parameters, so a
-    // reference override is a distinct pool entry (the ROM does not care).
-    (liquid ? cfg.thermal.inlet_temperature : cfg.thermal.ambient_temperature) =
-        *query.reference_c;
-  }
-  const std::shared_ptr<ModelEntry> entry = model_for(cfg, model_key(cfg));
+SteadyAnswer ThermalService::full_steady(const SteadyQuery& query,
+                                         const ResolvedQuery& resolved) {
+  // The full model bakes the boundary reference into its parameters, so a
+  // reference override is a distinct pool entry (the ROM does not care).
+  const std::shared_ptr<ModelEntry> entry = model_for(
+      model_key(resolved.identity, resolved.thermal), resolved.spec, resolved.thermal);
   SteadyAnswer answer;
   std::lock_guard<std::mutex> lock(entry->mu);
   ThermalModel3D& model = *entry->model;
-  if (liquid) model.set_cavity_flow(flows);
-  for (std::size_t l = 0; l < block_watts.size(); ++l) {
-    model.set_block_power(l, block_watts[l]);
+  if (!resolved.flows.empty()) model.set_cavity_flow(resolved.flows);
+  const std::vector<std::vector<double>> watts =
+      resolve_watts(query, block_layout(model.stack()));
+  for (std::size_t l = 0; l < watts.size(); ++l) {
+    model.set_block_power(l, watts[l]);
   }
   model.solve_steady_state();
   full_solves_.add();
@@ -317,22 +381,14 @@ SteadyAnswer ThermalService::steady(const SteadyQuery& query) {
       obs::Registry::global().histogram("liquid3d_serve_steady_full_seconds");
   const auto start = Clock::now();
   steady_queries_.add();
-  const SimulationConfig& cfg = query.config;
-  const Stack3D stack = make_simulation_stack(cfg);
-  const std::vector<std::vector<double>> watts = resolve_watts(query, stack);
-  const std::vector<VolumetricFlow> flows = resolve_flows(cfg, query, stack);
-  const bool liquid = cfg.cooling != CoolingMode::kAir;
-  const double t_ref = query.reference_c
-                           ? *query.reference_c
-                           : (liquid ? cfg.thermal.inlet_temperature
-                                     : cfg.thermal.ambient_temperature);
+  const ResolvedQuery resolved(query);
 
   if (!query.force_full) {
-    const std::shared_ptr<const ReducedSteadyModel> rom =
-        rom_for(cfg, model_key(cfg), flows);
+    const std::shared_ptr<const ReducedSteadyModel> rom = rom_for(query, resolved);
     thread_local ReducedSteadyModel::Scratch scratch;
     RomEvaluation eval;
-    rom->evaluate(watts, t_ref, query.max_error_c, scratch, eval);
+    rom->evaluate(resolve_watts(query, rom->layout()), resolved.t_ref,
+                  query.max_error_c, scratch, eval);
     if (eval.within_bound) {
       rom_hits_.add();
       SteadyAnswer answer;
@@ -348,17 +404,20 @@ SteadyAnswer ThermalService::steady(const SteadyQuery& query) {
     }
     rom_fallbacks_.add();
   }
-  SteadyAnswer answer = full_steady(query, watts, flows);
+  SteadyAnswer answer = full_steady(query, resolved);
   answer.elapsed_us = elapsed_us(start);
   full_seconds.record(answer.elapsed_us * 1e-6);
   return answer;
 }
 
 void ThermalService::warm(const SteadyQuery& query) {
-  const Stack3D stack = make_simulation_stack(query.config);
-  const std::vector<VolumetricFlow> flows =
-      resolve_flows(query.config, query, stack);
-  (void)rom_for(query.config, model_key(query.config), flows);
+  (void)rom_for(query, ResolvedQuery(query));
+}
+
+ThermalService::SteadyKeys ThermalService::steady_keys(const SteadyQuery& query) {
+  const ResolvedQuery resolved(query);
+  return {model_key(resolved.identity, resolved.thermal),
+          rom_key(resolved.identity, resolved.flows)};
 }
 
 SimulationConfig ThermalService::session_config(const WhatIfQuery& query) {

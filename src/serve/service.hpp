@@ -11,7 +11,7 @@
 //     sim/characterization_cache.hpp) feeding every session it spawns;
 //   * a cache of reduced-order steady models (serve/rom.hpp) keyed on
 //     (system, flow vector), so repeat steady queries skip the solver
-//     entirely — a projected dense solve plus one residual SpMV,
+//     entirely — a superposition of stored influence solutions,
 //     microseconds instead of a factorization;
 //   * an asynchronous queue (serve/queue.hpp) that groups full-fidelity
 //     what-if/replay queries by topology and runs them through BatchRunner
@@ -22,7 +22,8 @@
 // otherwise the service transparently falls back to the full steady solver
 // and the answer is exact (to solver tolerance).  Both caches are bounded
 // LRU; eviction is by least-recent use, and an evicted ROM simply rebuilds
-// on the next miss.
+// on the next miss.  Both are keyed by one raw-bits identity built once per
+// query (steady_keys), so a warm ROM answer never builds a stack.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +85,16 @@ class ThermalService {
   /// scenario or benchmark names.
   [[nodiscard]] static SimulationConfig session_config(const WhatIfQuery& query);
 
+  /// The pooled-model and ROM cache keys a steady query resolves to: raw
+  /// bits of the resolved stack spec, delivery mode and every thermal
+  /// parameter, plus the boundary references (model) or the per-cavity
+  /// flow vector (ROM).  Exposed so tests can check identity coverage.
+  struct SteadyKeys {
+    std::string model;
+    std::string rom;
+  };
+  [[nodiscard]] static SteadyKeys steady_keys(const SteadyQuery& query);
+
   /// Batch-grouping key: stacks/grids that can share a lockstep group map to
   /// equal keys (conservative mirror of BatchRunner's compatibility check).
   [[nodiscard]] static std::uint64_t topology_key(const SimulationConfig& cfg);
@@ -103,15 +114,15 @@ class ThermalService {
     std::uint64_t last_used = 0;
   };
 
+  struct ResolvedQuery;
+
   [[nodiscard]] std::shared_ptr<ModelEntry> model_for(
-      const SimulationConfig& cfg, const std::string& key);
+      const std::string& key, const StackSpec& spec,
+      const ThermalModelParams& thermal);
   [[nodiscard]] std::shared_ptr<const ReducedSteadyModel> rom_for(
-      const SimulationConfig& cfg, const std::string& model_key,
-      const std::vector<VolumetricFlow>& flows);
-  [[nodiscard]] SteadyAnswer full_steady(
-      const SteadyQuery& query,
-      const std::vector<std::vector<double>>& block_watts,
-      const std::vector<VolumetricFlow>& flows);
+      const SteadyQuery& query, const ResolvedQuery& resolved);
+  [[nodiscard]] SteadyAnswer full_steady(const SteadyQuery& query,
+                                         const ResolvedQuery& resolved);
   [[nodiscard]] std::future<SessionOutcome> submit_session(
       const WhatIfQuery& query, const std::vector<PhaseChange>& phases,
       double trace_period_s);

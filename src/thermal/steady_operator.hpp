@@ -17,9 +17,9 @@
 //    ref_coef has a single entry on the sink row (1/R_sa).
 //
 // The export is a snapshot: it captures the operator for the flow vector
-// set on the model at export time.  serve/rom.hpp projects this operator
-// onto a Krylov subspace of steady responses; the CSR `multiply` is the
-// residual check that guards every reduced answer.
+// set on the model at export time.  serve/rom.hpp superposes steady
+// influence solutions of this operator; the CSR `multiply` certifies their
+// residuals when the reduced model is built.
 #pragma once
 
 #include <cstddef>

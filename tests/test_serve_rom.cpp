@@ -2,10 +2,11 @@
 // operator (thermal/steady_operator.hpp).  The contract under test: reduced
 // answers agree with the full steady solver within the error bound across
 // cooling modes, stack specs, flow vectors, and boundary references — and
-// when the basis cannot represent a query, the estimator says so and the
+// when a query's bound is tighter than the ROM's error estimate, the
 // service falls back to the full path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -80,6 +81,45 @@ TEST(ServeRom, LiquidMatchesFullAcrossPowerPatterns) {
     EXPECT_TRUE(eval.within_bound);
     EXPECT_NEAR(eval.t_max_c, reference, 1e-6);
     EXPECT_EQ(eval.layer_max_c.size(), model.stack().layer_count());
+  }
+}
+
+TEST(ServeRom, SuperpositionMatchesFullToSolverPrecision) {
+  // The liquid steady path is one direct solve, so the superposed influence
+  // solutions reproduce the full answer to solver precision — per layer,
+  // not just at the peak.
+  ThermalModel3D model(make_niagara_stack(1, CoolingType::kLiquid),
+                       small_params());
+  model.set_cavity_flow(VolumetricFlow::from_ml_per_min(30.0));
+  const ReducedSteadyModel rom = ReducedSteadyModel::build(model, RomParams{});
+  EXPECT_EQ(rom.dimension(), 1 + model.stack().layer(0).floorplan.block_count() +
+                                 model.stack().layer(1).floorplan.block_count());
+
+  auto uniform = zero_watts(model.stack());
+  for (auto& layer : uniform) {
+    for (double& w : layer) w = 1.5;
+  }
+  auto hot = zero_watts(model.stack());
+  hot[0][2] = 7.0;
+
+  ReducedSteadyModel::Scratch scratch;
+  RomEvaluation eval;
+  const std::size_t layers = model.stack().layer_count();
+  for (const auto& watts : {uniform, hot, ramp_watts(model.stack())}) {
+    const double reference = full_tmax(model, watts);
+    ThermalState state;
+    model.save_state(state);
+    std::vector<double> layer_max(layers, -1e300);
+    for (std::size_t i = 0; i < state.temps.size(); ++i) {
+      layer_max[i % layers] = std::max(layer_max[i % layers], state.temps[i]);
+    }
+    rom.evaluate(watts, model.params().inlet_temperature, 0.0, scratch, eval);
+    EXPECT_TRUE(eval.within_bound);
+    EXPECT_NEAR(eval.t_max_c, reference, 1e-9);
+    ASSERT_EQ(eval.layer_max_c.size(), layers);
+    for (std::size_t l = 0; l < layers; ++l) {
+      EXPECT_NEAR(eval.layer_max_c[l], layer_max[l], 1e-9);
+    }
   }
 }
 
@@ -206,21 +246,20 @@ TEST(ServeRom, AirThroughService) {
 }
 
 TEST(ServeRom, FallbackOnBoundViolation) {
-  // A basis truncated to 2 directions cannot represent a localized hot
-  // block; the residual estimator must flag it and the service must answer
-  // through the full solver instead.
-  ServeParams params;
-  params.rom.max_basis = 2;
-  ThermalService service(params);
+  // A query whose bound sits below the ROM's own error estimate must be
+  // answered through the full solver instead.
+  ThermalService service;
 
   SteadyQuery q;
   q.config = small_config(CoolingMode::kLiquidMax);
   const Stack3D stack = make_simulation_stack(q.config);
-  q.block_watts.assign(stack.layer_count(), {});
-  for (std::size_t l = 0; l < stack.layer_count(); ++l) {
-    q.block_watts[l].assign(stack.layer(l).floorplan.block_count(), 0.0);
-  }
+  q.block_watts = zero_watts(stack);
   q.block_watts[0][1] = 6.0;
+
+  const SteadyAnswer reduced = service.steady(q);
+  ASSERT_TRUE(reduced.used_rom);
+  ASSERT_GT(reduced.estimated_error_c, 0.0);
+  q.max_error_c = 0.5 * reduced.estimated_error_c;
 
   const SteadyAnswer answer = service.steady(q);
   EXPECT_FALSE(answer.used_rom);  // fell back
@@ -231,7 +270,7 @@ TEST(ServeRom, FallbackOnBoundViolation) {
   // The fallback answer is the full solver's.
   SteadyQuery forced = q;
   forced.force_full = true;
-  EXPECT_DOUBLE_EQ(answer.t_max_c, service.steady(forced).t_max_c);
+  EXPECT_EQ(answer.t_max_c, service.steady(forced).t_max_c);
 }
 
 TEST(ServeRom, CacheEvictionUnderLoad) {

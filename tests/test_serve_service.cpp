@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "geom/stack_spec.hpp"
 #include "serve/service.hpp"
 #include "sim/session.hpp"
 
@@ -150,6 +152,240 @@ TEST(ServeService, SteadyQueryValidation) {
   air_with_flows.config.cooling = CoolingMode::kAir;
   air_with_flows.flows_ml_per_min = {10.0, 10.0, 10.0};
   EXPECT_THROW((void)service.steady(air_with_flows), ConfigError);
+}
+
+TEST(ServeService, PcgQueryIsNotServedByAPooledDirectModel) {
+  // The solver backend is part of the model identity: a PCG query issued
+  // after a direct one must not reuse the pooled direct model.
+  SteadyQuery direct;
+  direct.config.cooling = CoolingMode::kLiquidMax;
+  direct.config.thermal.grid_rows = 8;
+  direct.config.thermal.grid_cols = 9;
+  direct.config.thermal.solver_backend = SolverBackend::kDirect;
+  direct.force_full = true;
+  SteadyQuery pcg = direct;
+  pcg.config.thermal.solver_backend = SolverBackend::kPcg;
+
+  ThermalService shared;
+  (void)shared.steady(direct);
+  const SteadyAnswer after_direct = shared.steady(pcg);
+  ThermalService fresh;
+  const SteadyAnswer alone = fresh.steady(pcg);
+  EXPECT_EQ(after_direct.t_max_c, alone.t_max_c);
+  EXPECT_EQ(after_direct.layer_max_c, alone.layer_max_c);
+}
+
+/// A liquid stack with inline blocks, so every spec field can be perturbed
+/// without leaving the valid set.
+StackSpec inline_spec() {
+  StackSpec spec;
+  spec.name = "inline-2die";
+  spec.cooling = CoolingType::kLiquid;
+  spec.die_width = 10e-3;
+  spec.die_height = 8e-3;
+  for (std::size_t l = 0; l < 2; ++l) {
+    StackLayerEntry layer;
+    layer.blocks.push_back({"core0", BlockType::kCore, Rect{0.0, 0.0, 4e-3, 4e-3}});
+    layer.blocks.push_back({"misc0", BlockType::kMisc, Rect{5e-3, 0.0, 4e-3, 4e-3}});
+    spec.layers.push_back(layer);
+  }
+  spec.cavities = {CavitySpec{}};
+  return spec;
+}
+
+TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
+  SteadyQuery base;
+  base.config.cooling = CoolingMode::kLiquidMax;
+  base.config.stack = inline_spec();
+  const ThermalService::SteadyKeys keys = ThermalService::steady_keys(base);
+  EXPECT_EQ(ThermalService::steady_keys(base).model, keys.model);
+  EXPECT_EQ(ThermalService::steady_keys(base).rom, keys.rom);
+
+  using Perturb = void (*)(SteadyQuery&);
+  const auto both_change = [&](const char* field, Perturb perturb) {
+    SteadyQuery q = base;
+    perturb(q);
+    const ThermalService::SteadyKeys k = ThermalService::steady_keys(q);
+    EXPECT_NE(k.model, keys.model) << field;
+    EXPECT_NE(k.rom, keys.rom) << field;
+  };
+  // Every ThermalModelParams field but the two references.
+  both_change("grid_rows", [](SteadyQuery& q) { q.config.thermal.grid_rows += 1; });
+  both_change("grid_cols", [](SteadyQuery& q) { q.config.thermal.grid_cols += 1; });
+  both_change("silicon_conductivity",
+              [](SteadyQuery& q) { q.config.thermal.silicon_conductivity *= 1.01; });
+  both_change("silicon_volumetric_heat_capacity", [](SteadyQuery& q) {
+    q.config.thermal.silicon_volumetric_heat_capacity *= 1.01;
+  });
+  both_change("bond_conductivity",
+              [](SteadyQuery& q) { q.config.thermal.bond_conductivity *= 1.01; });
+  both_change("cavity_wall_conductivity",
+              [](SteadyQuery& q) { q.config.thermal.cavity_wall_conductivity *= 1.01; });
+  both_change("channel_params.beol_thickness", [](SteadyQuery& q) {
+    q.config.thermal.channel_params.beol_thickness *= 1.01;
+  });
+  both_change("channel_params.beol_conductivity", [](SteadyQuery& q) {
+    q.config.thermal.channel_params.beol_conductivity *= 1.01;
+  });
+  both_change("channel_params.heat_transfer_coeff", [](SteadyQuery& q) {
+    q.config.thermal.channel_params.heat_transfer_coeff *= 1.01;
+  });
+  both_change("coolant.heat_capacity",
+              [](SteadyQuery& q) { q.config.thermal.coolant.heat_capacity *= 1.01; });
+  both_change("coolant.density",
+              [](SteadyQuery& q) { q.config.thermal.coolant.density *= 1.01; });
+  both_change("coolant.conductivity",
+              [](SteadyQuery& q) { q.config.thermal.coolant.conductivity *= 1.01; });
+  both_change("coolant.dynamic_viscosity", [](SteadyQuery& q) {
+    q.config.thermal.coolant.dynamic_viscosity *= 1.01;
+  });
+  both_change("tim_thickness",
+              [](SteadyQuery& q) { q.config.thermal.tim_thickness *= 1.01; });
+  both_change("tim_conductivity",
+              [](SteadyQuery& q) { q.config.thermal.tim_conductivity *= 1.01; });
+  both_change("spreader_capacitance",
+              [](SteadyQuery& q) { q.config.thermal.spreader_capacitance *= 1.01; });
+  both_change("sink_capacitance",
+              [](SteadyQuery& q) { q.config.thermal.sink_capacitance *= 1.01; });
+  both_change("spreader_to_sink_resistance", [](SteadyQuery& q) {
+    q.config.thermal.spreader_to_sink_resistance *= 1.01;
+  });
+  both_change("sink_to_ambient_resistance", [](SteadyQuery& q) {
+    q.config.thermal.sink_to_ambient_resistance *= 1.01;
+  });
+  both_change("alternate_flow_direction", [](SteadyQuery& q) {
+    q.config.thermal.alternate_flow_direction = !q.config.thermal.alternate_flow_direction;
+  });
+  both_change("fluid_tolerance",
+              [](SteadyQuery& q) { q.config.thermal.fluid_tolerance *= 1.01; });
+  both_change("max_fluid_iterations",
+              [](SteadyQuery& q) { q.config.thermal.max_fluid_iterations += 1; });
+  both_change("steady_fluid_iterations",
+              [](SteadyQuery& q) { q.config.thermal.steady_fluid_iterations += 1; });
+  both_change("steady_pseudo_dt",
+              [](SteadyQuery& q) { q.config.thermal.steady_pseudo_dt *= 1.01; });
+  both_change("steady_tolerance",
+              [](SteadyQuery& q) { q.config.thermal.steady_tolerance *= 1.01; });
+  both_change("max_steady_iterations",
+              [](SteadyQuery& q) { q.config.thermal.max_steady_iterations += 1; });
+  both_change("direct_steady_solver", [](SteadyQuery& q) {
+    q.config.thermal.direct_steady_solver = !q.config.thermal.direct_steady_solver;
+  });
+  both_change("solver_backend", [](SteadyQuery& q) {
+    q.config.thermal.solver_backend = SolverBackend::kPcg;
+  });
+  both_change("pcg.tolerance",
+              [](SteadyQuery& q) { q.config.thermal.pcg.tolerance *= 1.01; });
+  both_change("pcg.max_iterations",
+              [](SteadyQuery& q) { q.config.thermal.pcg.max_iterations += 1; });
+  both_change("pcg.preconditioner", [](SteadyQuery& q) {
+    q.config.thermal.pcg.preconditioner = PcgPreconditioner::kJacobi;
+  });
+  both_change("pcg.ssor_omega",
+              [](SteadyQuery& q) { q.config.thermal.pcg.ssor_omega = 1.2; });
+
+  // Every StackSpec field.
+  both_change("name", [](SteadyQuery& q) { q.config.stack->name += "-b"; });
+  both_change("die_width", [](SteadyQuery& q) { q.config.stack->die_width *= 1.01; });
+  both_change("die_height", [](SteadyQuery& q) { q.config.stack->die_height *= 1.01; });
+  both_change("layers", [](SteadyQuery& q) {
+    q.config.stack->layers.push_back(q.config.stack->layers.back());
+  });
+  both_change("layers[].blocks", [](SteadyQuery& q) {
+    q.config.stack->layers[1].blocks.pop_back();
+  });
+  both_change("layers[].blocks[].name",
+              [](SteadyQuery& q) { q.config.stack->layers[1].blocks[0].name = "core9"; });
+  both_change("layers[].blocks[].type", [](SteadyQuery& q) {
+    q.config.stack->layers[1].blocks[0].type = BlockType::kL2Cache;
+  });
+  both_change("layers[].blocks[].rect.x",
+              [](SteadyQuery& q) { q.config.stack->layers[1].blocks[1].rect.x += 1e-4; });
+  both_change("layers[].blocks[].rect.y",
+              [](SteadyQuery& q) { q.config.stack->layers[1].blocks[1].rect.y += 1e-4; });
+  both_change("layers[].blocks[].rect.w",
+              [](SteadyQuery& q) { q.config.stack->layers[1].blocks[1].rect.w -= 1e-4; });
+  both_change("layers[].blocks[].rect.h",
+              [](SteadyQuery& q) { q.config.stack->layers[1].blocks[1].rect.h -= 1e-4; });
+  both_change("layers[].die_thickness",
+              [](SteadyQuery& q) { q.config.stack->layers[0].die_thickness *= 1.01; });
+  both_change("layers[].beol_thickness",
+              [](SteadyQuery& q) { q.config.stack->layers[0].beol_thickness *= 1.01; });
+  both_change("cavities", [](SteadyQuery& q) {
+    q.config.stack->cavities.assign(q.config.stack->layers.size() + 1, CavitySpec{});
+  });
+  both_change("cavities[].channel_count",
+              [](SteadyQuery& q) { q.config.stack->cavities[0].channel_count += 1; });
+  both_change("cavities[].channel_width",
+              [](SteadyQuery& q) { q.config.stack->cavities[0].channel_width *= 0.99; });
+  both_change("cavities[].channel_height",
+              [](SteadyQuery& q) { q.config.stack->cavities[0].channel_height *= 1.01; });
+  both_change("cavities[].wall_thickness",
+              [](SteadyQuery& q) { q.config.stack->cavities[0].wall_thickness *= 1.01; });
+  both_change("cavities[].pitch",
+              [](SteadyQuery& q) { q.config.stack->cavities[0].pitch *= 1.01; });
+  both_change("cavities[].cavity_thickness",
+              [](SteadyQuery& q) { q.config.stack->cavities[0].cavity_thickness *= 1.01; });
+  both_change("tsvs.count", [](SteadyQuery& q) { q.config.stack->tsvs.count += 1; });
+  both_change("tsvs.side", [](SteadyQuery& q) { q.config.stack->tsvs.side *= 1.01; });
+  both_change("tsvs.cu_conductivity",
+              [](SteadyQuery& q) { q.config.stack->tsvs.cu_conductivity *= 1.01; });
+
+  // Cooling (mode and spec agree) and the delivery mode.
+  both_change("cooling", [](SteadyQuery& q) {
+    q.config.cooling = CoolingMode::kAir;
+    q.config.stack->cooling = CoolingType::kAir;
+    q.config.stack->cavities.clear();
+  });
+  both_change("delivery_mode", [](SteadyQuery& q) {
+    q.config.delivery_mode = FlowDeliveryMode::kPaperNominal;
+  });
+
+  // A floorplan preset name (on the preset spec, whose layers name presets).
+  SteadyQuery preset = base;
+  preset.config.stack = niagara_stack_spec(1, CoolingType::kLiquid);
+  SteadyQuery swapped = preset;
+  std::swap(swapped.config.stack->layers[0].floorplan,
+            swapped.config.stack->layers[1].floorplan);
+  EXPECT_NE(ThermalService::steady_keys(swapped).model,
+            ThermalService::steady_keys(preset).model);
+  EXPECT_NE(ThermalService::steady_keys(swapped).rom,
+            ThermalService::steady_keys(preset).rom);
+
+  // The boundary references shape the full model, not the ROM.
+  for (Perturb perturb : {
+           +[](SteadyQuery& q) { q.config.thermal.inlet_temperature += 1.0; },
+           +[](SteadyQuery& q) { q.config.thermal.ambient_temperature += 1.0; },
+           +[](SteadyQuery& q) { q.reference_c = 30.0; },
+       }) {
+    SteadyQuery q = base;
+    perturb(q);
+    const ThermalService::SteadyKeys k = ThermalService::steady_keys(q);
+    EXPECT_NE(k.model, keys.model);
+    EXPECT_EQ(k.rom, keys.rom);
+  }
+  // Both liquid modes build the same steady model.
+  SteadyQuery var = base;
+  var.config.cooling = CoolingMode::kLiquidVar;
+  EXPECT_EQ(ThermalService::steady_keys(var).model, keys.model);
+  EXPECT_EQ(ThermalService::steady_keys(var).rom, keys.rom);
+
+  // The flow setting shapes the ROM, not the pooled model.
+  SteadyQuery lower = base;
+  lower.pump_setting = 1;
+  EXPECT_EQ(ThermalService::steady_keys(lower).model, keys.model);
+  EXPECT_NE(ThermalService::steady_keys(lower).rom, keys.rom);
+
+  // A Niagara preset and its equal explicit spec are one system.
+  SteadyQuery by_pairs;
+  by_pairs.config.cooling = CoolingMode::kLiquidMax;
+  by_pairs.config.layer_pairs = 2;
+  SteadyQuery by_spec = by_pairs;
+  by_spec.config.stack = niagara_stack_spec(2, CoolingType::kLiquid);
+  EXPECT_EQ(ThermalService::steady_keys(by_pairs).model,
+            ThermalService::steady_keys(by_spec).model);
+  EXPECT_EQ(ThermalService::steady_keys(by_pairs).rom,
+            ThermalService::steady_keys(by_spec).rom);
 }
 
 // -- Session const-inspection surface (service-facing accessors) --------------
