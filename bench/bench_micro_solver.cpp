@@ -1,7 +1,9 @@
 // bench_micro_solver — engineering micro-benchmarks (google-benchmark) for
 // the thermal substrate: banded Cholesky factorization/solve (new engine vs
-// the seed row-major baseline), multi-RHS batching, full transient/steady
-// model operations, and warm- vs cold-started flow-LUT characterization.
+// the seed row-major baseline), the liquid path's banded LU and eliminated
+// assembly (blocked/direct-write vs the unblocked kernels and add()-based
+// assembly they replaced), multi-RHS batching, full transient/steady model
+// operations, and warm- vs cold-started flow-LUT characterization.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,7 +16,10 @@
 #include "reference_row_major_banded.hpp"
 #include "thermal/batch_stepper.hpp"
 #include "thermal/model3d.hpp"
+#include "thermal/solver/banded_lu.hpp"
 #include "thermal/solver/banded_spd.hpp"
+#include "../tests/reference_banded_lu.hpp"
+#include "../tests/thermal_test_access.hpp"
 
 namespace {
 
@@ -115,6 +120,126 @@ BENCHMARK(BM_BandedSolveMultiRhs)
     ->Args({1196, 52, 16})
     ->Args({4784, 208, 4})
     ->Args({4784, 208, 16});
+
+// -- Banded LU (the liquid direct path) ---------------------------------------
+//
+// The operator is the real fluid-eliminated steady operator of the
+// paper-grid Niagara stack at the middle pump setting: Args({1196, 52}) is
+// the 2-layer stack, Args({2392, 104}) the 4-layer one.  The SeedBaseline
+// twins run the unblocked kernels the blocked ones replaced
+// (tests/reference_banded_lu.hpp) on the same matrix, bit-identical output.
+
+ThermalModel3D make_liquid_model(std::size_t pairs, std::size_t rows, std::size_t cols) {
+  ThermalModelParams p;
+  p.grid_rows = rows;
+  p.grid_cols = cols;
+  ThermalModel3D m(make_niagara_stack(pairs, CoolingType::kLiquid), p);
+  const MicrochannelModel ch(CavitySpec{}, CoolantProperties::water());
+  const FlowDelivery d(PumpModel::laing_ddc(), FlowDeliveryMode::kPressureLimited, ch,
+                       11.5e-3, 2 * pairs + 1);
+  m.set_cavity_flow(d.per_cavity(2));
+  return m;
+}
+
+BandedLuMatrix make_eliminated_operator(const benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto bw = static_cast<std::size_t>(state.range(1));
+  const ThermalModel3D model = make_liquid_model(n / 1196, 23, 26);
+  BandedLuMatrix a(n, bw, bw);
+  std::vector<double> inlet;
+  ThermalModel3DTestAccess::build_eliminated_system(model, 0.0, a, inlet);
+  return a;
+}
+
+void BM_BandedLuFactorize(benchmark::State& state) {
+  const BandedLuMatrix a = make_eliminated_operator(state);
+  BandedLuMatrix m = a;
+  for (auto _ : state) {
+    state.PauseTiming();
+    m = a;
+    state.ResumeTiming();
+    m.factorize();
+    benchmark::DoNotOptimize(m.band().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BandedLuFactorize)->Args({1196, 52})->Args({2392, 104});
+
+void BM_BandedLuFactorizeSeedBaseline(benchmark::State& state) {
+  const BandedLuMatrix a = make_eliminated_operator(state);
+  const std::vector<double> band(a.band().begin(), a.band().end());
+  std::vector<double> m = band;
+  for (auto _ : state) {
+    state.PauseTiming();
+    m = band;
+    state.ResumeTiming();
+    reference::banded_lu_factorize(m, a.size(), a.lower_bandwidth(), a.upper_bandwidth());
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BandedLuFactorizeSeedBaseline)->Args({1196, 52})->Args({2392, 104});
+
+void BM_BandedLuSolve(benchmark::State& state) {
+  BandedLuMatrix m = make_eliminated_operator(state);
+  m.factorize();
+  const std::vector<double> rhs(m.size(), 1.0);
+  std::vector<double> x(m.size());
+  for (auto _ : state) {
+    x = rhs;
+    m.solve(x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BandedLuSolve)->Args({1196, 52})->Args({2392, 104});
+
+void BM_BandedLuSolveSeedBaseline(benchmark::State& state) {
+  const BandedLuMatrix a = make_eliminated_operator(state);
+  std::vector<double> band(a.band().begin(), a.band().end());
+  reference::banded_lu_factorize(band, a.size(), a.lower_bandwidth(), a.upper_bandwidth());
+  const std::vector<double> rhs(a.size(), 1.0);
+  std::vector<double> x(a.size());
+  for (auto _ : state) {
+    x = rhs;
+    reference::banded_lu_solve(band, a.size(), a.lower_bandwidth(), a.upper_bandwidth(), x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BandedLuSolveSeedBaseline)->Args({1196, 52})->Args({2392, 104});
+
+// Fluid-eliminated assembly (C/dt + G_elim at the 50 ms step) of the
+// 2-layer stack on a rows x cols grid: the direct band writes against the
+// per-entry add() assembly they replaced.
+void BM_EliminatedAssemble(benchmark::State& state) {
+  const ThermalModel3D model = make_liquid_model(
+      1, static_cast<std::size_t>(state.range(0)), static_cast<std::size_t>(state.range(1)));
+  const std::size_t bw = model.grid().cols() * model.layer_count();
+  BandedLuMatrix a(model.node_count(), bw, bw);
+  std::vector<double> inlet;
+  std::vector<double> scratch;
+  for (auto _ : state) {
+    ThermalModel3DTestAccess::build_eliminated_system(model, 20.0, a, inlet, scratch);
+    benchmark::DoNotOptimize(a.band().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EliminatedAssemble)->Args({23, 26});
+
+void BM_EliminatedAssembleSeedBaseline(benchmark::State& state) {
+  const ThermalModel3D model = make_liquid_model(
+      1, static_cast<std::size_t>(state.range(0)), static_cast<std::size_t>(state.range(1)));
+  const std::size_t bw = model.grid().cols() * model.layer_count();
+  BandedLuMatrix a(model.node_count(), bw, bw);
+  std::vector<double> inlet;
+  for (auto _ : state) {
+    ThermalModel3DTestAccess::reference_build_eliminated_system(model, 20.0, a, inlet);
+    benchmark::DoNotOptimize(a.band().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EliminatedAssembleSeedBaseline)->Args({23, 26});
 
 ThermalModel3D make_backend_model(std::size_t rows, std::size_t cols,
                                   std::size_t pairs, SolverBackend backend) {

@@ -562,7 +562,7 @@ const ThermalModel3D::EliminatedSlot& ThermalModel3D::eliminated_slot(double inv
   slot.flows.clear();  // a factorization that throws leaves no valid key
   {
     obs::ScopedTimer t(assemble_h);
-    build_eliminated_system(inv_dt, *slot.lu, slot.inlet_coef);
+    build_eliminated_system(inv_dt, *slot.lu, slot.inlet_coef, slot.scratch);
   }
   {
     obs::ScopedTimer t(factorize_h);
@@ -622,105 +622,6 @@ void ThermalModel3D::update_package_steady() {
   sink_temp_ = (a11 * g_sa * params_.ambient_temperature + g_ss * gt_total) / det;
 }
 
-void ThermalModel3D::build_eliminated_system(double inv_dt, BandedLuMatrix& m,
-                                             std::vector<double>& inlet_coef) const {
-  LIQUID3D_REQUIRE(stack_.has_cavities(), "fluid elimination needs a liquid stack");
-  m.set_zero();
-  inlet_coef.assign(node_count_, 0.0);
-  // Stored heat (none at inv_dt = 0, the true steady state) and the
-  // conduction network.
-  for (std::size_t i = 0; i < node_count_; ++i) {
-    m.add(i, i, capacitance_[i] * inv_dt);
-  }
-  for (const Coupling& c : couplings_) {
-    m.add(c.a, c.a, c.g);
-    m.add(c.b, c.b, c.g);
-    m.add(c.a, c.b, -c.g);
-    m.add(c.b, c.a, -c.g);
-  }
-  // Fluid elimination.  Per channel row the march is an affine recursion in
-  // the wall temperatures (see march_fluid):
-  //   q_c    = (g_dn T_dn,c + g_up T_up,c - g_sum T_in,c) / denom
-  //   T_f,c  = s2 T_in,c + d2 T_dn,c + u2 T_up,c
-  //   T_in,c+1 = s T_in,c + d T_dn,c + u T_up,c
-  // so each cell's fluid temperature is a closed-form linear combination of
-  // the inlet and the upstream wall temperatures, and the convective term
-  // g_w (T_wall - T_f) becomes ordinary matrix couplings plus an inlet
-  // constant — all within the band, since upstream cells of the same row
-  // are at most (cols-1)*layers node indices away.  Stagnant coolant is the
-  // local wall average (s = s2 = d = u = 0): no inlet term, no upstream
-  // coupling.
-  std::vector<double> coef_dn(cell_count_, 0.0);
-  std::vector<double> coef_up(cell_count_, 0.0);
-  for (std::size_t k = 0; k < stack_.cavity_count(); ++k) {
-    const double w_cavity =
-        params_.coolant.volumetric_heat_capacity() * cavity_flows_[k].m3_per_s();
-    const double w_row = w_cavity / static_cast<double>(grid_.rows());
-    const bool has_below = k >= 1;
-    const bool has_above = k < layer_count_;
-    const double g_dn = has_below ? g_fluid_dn_ : 0.0;
-    const double g_up = has_above ? g_fluid_up_ : 0.0;
-    const double g_sum = g_dn + g_up;
-    double s = 0.0, d = 0.0, u = 0.0, s2 = 0.0;
-    double d2 = g_dn / g_sum;
-    double u2 = g_up / g_sum;
-    if (w_row > 1e-12) {  // march_fluid's flowing test
-      const double denom = 1.0 + g_sum / (2.0 * w_row);
-      s = 1.0 - g_sum / (w_row * denom);
-      d = g_dn / (w_row * denom);
-      u = g_up / (w_row * denom);
-      s2 = 1.0 - g_sum / (2.0 * w_row * denom);
-      d2 = g_dn / (2.0 * w_row * denom);
-      u2 = g_up / (2.0 * w_row * denom);
-    }
-    const bool reverse = params_.alternate_flow_direction && (k % 2 == 1);
-    for (std::size_t r = 0; r < grid_.rows(); ++r) {
-      double alpha = 1.0;  // T_in coefficient on the inlet temperature
-      std::vector<std::size_t> upstream;  // visited cells, march order
-      upstream.reserve(grid_.cols());
-      for (std::size_t ci = 0; ci < grid_.cols(); ++ci) {
-        const std::size_t c = reverse ? grid_.cols() - 1 - ci : ci;
-        const std::size_t cell = grid_.index(r, c);
-        // Couple both walls of this cell to T_f,c's expansion.
-        for (int face = 0; face < 2; ++face) {
-          const bool is_dn = face == 0;
-          if (is_dn ? !has_below : !has_above) continue;
-          const double g_w = is_dn ? g_dn : g_up;
-          const std::size_t wall = is_dn ? node(k - 1, cell) : node(k, cell);
-          m.add(wall, wall, g_w);  // the g_w T_wall term
-          // -g_w T_f,c: current cell's walls...
-          if (has_below) m.add(wall, node(k - 1, cell), -g_w * d2);
-          if (has_above) m.add(wall, node(k, cell), -g_w * u2);
-          // ...the upstream walls through T_in,c...
-          for (const std::size_t cu : upstream) {
-            if (has_below && coef_dn[cu] != 0.0) {
-              m.add(wall, node(k - 1, cu), -g_w * s2 * coef_dn[cu]);
-            }
-            if (has_above && coef_up[cu] != 0.0) {
-              m.add(wall, node(k, cu), -g_w * s2 * coef_up[cu]);
-            }
-          }
-          // ...and the inlet constant.
-          inlet_coef[wall] += g_w * s2 * alpha;
-        }
-        // Advance the T_in recursion past this cell.
-        alpha *= s;
-        for (const std::size_t cu : upstream) {
-          coef_dn[cu] *= s;
-          coef_up[cu] *= s;
-        }
-        coef_dn[cell] = d;
-        coef_up[cell] = u;
-        upstream.push_back(cell);
-      }
-      for (const std::size_t cu : upstream) {
-        coef_dn[cu] = 0.0;
-        coef_up[cu] = 0.0;
-      }
-    }
-  }
-}
-
 void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
   const bool liquid = stack_.has_cavities();
   out.nodes = liquid ? node_count_ : node_count_ + 2;
@@ -746,7 +647,8 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
     // pseudo-transient continuation.
     const std::size_t bw = grid_.cols() * layer_count_;
     BandedLuMatrix m(node_count_, bw, bw);
-    build_eliminated_system(0.0, m, out.ref_coef);
+    std::vector<double> scratch;
+    build_eliminated_system(0.0, m, out.ref_coef, scratch);
     out.row_ptr.push_back(0);
     for (std::size_t i = 0; i < node_count_; ++i) {
       const std::size_t j0 = i >= bw ? i - bw : 0;

@@ -302,6 +302,7 @@ class ThermalModel3D {
   struct EliminatedSlot {
     std::unique_ptr<BandedLuMatrix> lu;
     std::vector<double> inlet_coef;
+    std::vector<double> scratch;  ///< build_eliminated_system's tables
     double inv_dt = 0.0;
     std::vector<VolumetricFlow> flows;  ///< empty = not built
   };
@@ -328,9 +329,12 @@ class ThermalModel3D {
   /// half-bandwidths cols x layers, plus each node's coefficient on the
   /// inlet temperature.  inv_dt = 0 gives the steady operator.  A cavity
   /// with (near-)zero flow contributes its stagnant-coolant wall average,
-  /// exactly as the fluid march does.
+  /// exactly as the fluid march does.  `scratch` holds per-cavity tables
+  /// (4 x cols values, resized on first use).  Defined in
+  /// eliminated_system.cpp.
   void build_eliminated_system(double inv_dt, BandedLuMatrix& m,
-                               std::vector<double>& inlet_coef) const;
+                               std::vector<double>& inlet_coef,
+                               std::vector<double>& scratch) const;
   /// Whether `slot` holds the factor for (inv_dt, this model's current flow
   /// vector).  The key is exact: every bit of 1/dt and of each cavity's
   /// flow enters the elimination coefficients.

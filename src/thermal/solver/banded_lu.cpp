@@ -4,8 +4,265 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/madd.hpp"
 
 namespace liquid3d {
+
+namespace {
+
+// Every kernel below addresses the band through row-indexed column bases:
+// col(j)[r] = A(r, j) for the rows r that column j stores.  Each blocked
+// loop applies, to every element, exactly the updates the unblocked
+// right-looking sweep applied and in the same order (ascending pivot in the
+// factorization and forward solve, descending column in the backward
+// solve), each as the same single `x - a * b`; only the loop nesting
+// changes, so the factor and every solution are bit-identical to the
+// unblocked kernels' (tests/reference_banded_lu.hpp).
+
+/// Pivots per factorization panel, and unknowns per block of the
+/// triangular solves.
+constexpr std::size_t kBlock = 4;
+/// Trailing columns a factorization panel updates together, sharing each
+/// load of the panel's L columns.
+constexpr std::size_t kColumnGroup = 4;
+
+/// t - a * b, fused exactly where the compiler contracted the unblocked
+/// kernels' `x -= a * b` (see common/madd.hpp).
+inline double sub_product(double t, double a, double b) { return madd(-a, b, t); }
+
+/// The band's geometry, with row-indexed column access.
+struct Band {
+  const double* data;
+  std::size_t n;
+  std::size_t bl;
+  std::size_t bu;
+
+  /// col(j)[r] = A(r, j); consecutive columns are stride() apart.
+  [[nodiscard]] const double* col(std::size_t j) const {
+    return data + j * stride() + bu;
+  }
+  [[nodiscard]] std::size_t stride() const { return bl + bu; }
+};
+
+/// f.template operator()<len>() for a run-time 0 < len <= K: the kernels
+/// below are instantiated per block length so their loops fully unroll.
+template <std::size_t K, typename F>
+bool with_length(std::size_t len, F&& f) {
+  if constexpr (K > 1) {
+    if (len < K) return with_length<K - 1>(len, f);
+  }
+  return f.template operator()<K>();
+}
+
+/// For each of the NC row-indexed vectors x + v * stride,
+///   x[r] -= sum_q cols[q][r] * coef[v * K + q]   over rows [r0, r1),
+/// the K terms applied in list order.  Each element is read and written
+/// once per K terms instead of once per term, and each load from cols
+/// serves all NC vectors.
+template <std::size_t K, std::size_t NC>
+void fused_update(double* __restrict x, std::size_t stride,
+                  const double* const* cols, const double* coef,
+                  std::size_t r0, std::size_t r1) {
+  const double* c[K];
+  double a[NC][K];
+  for (std::size_t q = 0; q < K; ++q) c[q] = cols[q];
+  for (std::size_t v = 0; v < NC; ++v) {
+    for (std::size_t q = 0; q < K; ++q) a[v][q] = coef[v * K + q];
+  }
+  for (std::size_t r = r0; r < r1; ++r) {
+    double t[NC];
+    for (std::size_t v = 0; v < NC; ++v) t[v] = x[r + v * stride];
+    for (std::size_t q = 0; q < K; ++q) {
+      const double l = c[q][r];
+      for (std::size_t v = 0; v < NC; ++v) t[v] = sub_product(t[v], l, a[v][q]);
+    }
+    for (std::size_t v = 0; v < NC; ++v) x[r + v * stride] = t[v];
+  }
+}
+
+/// fused_update on one vector for a run-time term count m <= kBlock.
+void fused_update(double* x, const double* const* cols, const double* coef,
+                  std::size_t m, std::size_t r0, std::size_t r1) {
+  if (m == 0) return;
+  with_length<kBlock>(m, [&]<std::size_t K>() {
+    fused_update<K, 1>(x, 0, cols, coef, r0, r1);
+    return true;
+  });
+}
+
+/// Unit-lower elimination of a full block of M pivots [p0, p0 + M) from
+/// NC row-indexed vectors x + v * stride (NC adjacent band columns, or one
+/// right-hand side): the block's own rows are finalized pivot by pivot (a
+/// small triangle, fully unrolled), the rows every pivot reaches take one
+/// fused pass, and the ragged rows below take the later pivots.  Requires
+/// M <= bl and p0 + M + bl <= n, so the shapes are fixed.  Returns false,
+/// having written nothing, if some vector has a zero coefficient: the
+/// unblocked sweep skipped such pivots, so the general path must.
+template <std::size_t M, std::size_t NC>
+bool eliminate_fixed(const Band& b, double* x, std::size_t stride,
+                     std::size_t p0) {
+  const double* cols[M];
+  double coef[NC * M];  // coef[v * M + q]: vector v's coefficient of pivot q
+  for (std::size_t q = 0; q < M; ++q) {
+    cols[q] = b.col(p0 + q);
+    for (std::size_t v = 0; v < NC; ++v) {
+      double t = x[p0 + q + v * stride];
+      for (std::size_t s = 0; s < q; ++s) {
+        t = sub_product(t, cols[s][p0 + q], coef[v * M + s]);
+      }
+      coef[v * M + q] = t;
+    }
+  }
+  for (const double c : coef) {
+    if (c == 0.0) return false;
+  }
+  for (std::size_t v = 0; v < NC; ++v) {
+    for (std::size_t q = 1; q < M; ++q) x[p0 + q + v * stride] = coef[v * M + q];
+  }
+  const std::size_t full_end = p0 + b.bl + 1;
+  fused_update<M, NC>(x, stride, cols, coef, p0 + M, full_end);
+  for (std::size_t v = 0; v < NC; ++v) {
+    for (std::size_t i = 0; i + 1 < M; ++i) {
+      const std::size_t r = full_end + i + v * stride;
+      double t = x[r];
+      for (std::size_t q = i + 1; q < M; ++q) {
+        t = sub_product(t, cols[q][full_end + i], coef[v * M + q]);
+      }
+      x[r] = t;
+    }
+  }
+  return true;
+}
+
+/// Unit-lower elimination of the pivots [p0, p1) (at most kBlock) from the
+/// row-indexed vector x: x[r] -= L(r, p) * x[p] for every p in the block
+/// and every row r in (p, p + bl], with x[p] read once final.  Pivots whose
+/// x[p] is zero contribute nothing and are skipped, as the unblocked sweep
+/// skipped them.
+void eliminate(const Band& b, double* x, std::size_t p0, std::size_t p1) {
+  const std::size_t len = p1 - p0;
+  if (len <= b.bl && p1 + b.bl <= b.n &&
+      with_length<kBlock>(len, [&]<std::size_t M>() {
+        return eliminate_fixed<M, 1>(b, x, 0, p0);
+      })) {
+    return;
+  }
+  // General path: zero coefficients, and blocks the band edge cuts short.
+  const double* cols[kBlock];
+  double coef[kBlock];
+  std::size_t reach[kBlock];  // one past the last row pivot q reaches
+  std::size_t m = 0;
+  // The first listed pivot whose rows reach row r (reach[] ascends).
+  const auto first_reaching = [&](std::size_t r) {
+    std::size_t q = 0;
+    while (q < m && reach[q] <= r) ++q;
+    return q;
+  };
+  // The block's own rows, in order: row p takes the listed pivots that
+  // reach it and is then final — pivot p's coefficient.
+  for (std::size_t p = p0; p < p1; ++p) {
+    double t = x[p];
+    for (std::size_t q = first_reaching(p); q < m; ++q) {
+      t = sub_product(t, cols[q][p], coef[q]);
+    }
+    x[p] = t;
+    if (t == 0.0) continue;
+    cols[m] = b.col(p);
+    coef[m] = t;
+    reach[m] = std::min(p + b.bl + 1, b.n);
+    ++m;
+  }
+  if (m == 0) return;
+  // Rows every listed pivot reaches: one fused pass.
+  fused_update(x, cols, coef, m, p1, reach[0]);
+  // The ragged rows below, reached by the later pivots only.
+  for (std::size_t r = std::max(p1, reach[0]); r < reach[m - 1]; ++r) {
+    double t = x[r];
+    for (std::size_t q = first_reaching(r); q < m; ++q) {
+      t = sub_product(t, cols[q][r], coef[q]);
+    }
+    x[r] = t;
+  }
+}
+
+/// back_substitute() for a block of exactly M columns [j0, j0 + M) with
+/// M <= bu and j0 >= bu: every column reaches the whole block and the rows
+/// above it stay inside the matrix, so the shapes are fixed.
+template <std::size_t M>
+void back_substitute_fixed(const Band& b, double* x, std::size_t j0) {
+  const double* cols[M];  // cols[q] = column j0 + M - 1 - q
+  double coef[M];
+  for (std::size_t q = 0; q < M; ++q) {
+    const std::size_t jj = j0 + M - 1 - q;
+    cols[q] = b.col(jj);
+    double t = x[jj];
+    for (std::size_t s = 0; s < q; ++s) t = sub_product(t, cols[s][jj], coef[s]);
+    coef[q] = t / cols[q][jj];
+    x[jj] = coef[q];
+  }
+  const std::size_t full_begin = j0 + M - 1 - b.bu;
+  fused_update<M, 1>(x, 0, cols, coef, full_begin, j0);
+  for (std::size_t i = 0; i + 1 < M; ++i) {
+    const std::size_t r = full_begin - 1 - i;
+    double t = x[r];
+    for (std::size_t q = i + 1; q < M; ++q) t = sub_product(t, cols[q][r], coef[q]);
+    x[r] = t;
+  }
+}
+
+/// Backward substitution of the columns [j0, j1) (at most kBlock) through
+/// U: from the bottom, each x[jj] takes the updates of the block's columns
+/// below it and is divided by the diagonal; then every row above the block
+/// takes the updates of the block's columns that reach it — each row in
+/// descending column order, as in the unblocked sweep.  No column is
+/// skipped: the unblocked backward sweep skipped none.
+void back_substitute(const Band& b, double* x, std::size_t j0, std::size_t j1) {
+  const std::size_t len = j1 - j0;
+  if (len <= b.bu && j0 >= b.bu &&
+      with_length<kBlock>(len, [&]<std::size_t M>() {
+        back_substitute_fixed<M>(b, x, j0);
+        return true;
+      })) {
+    return;
+  }
+  const double* cols[kBlock];
+  double coef[kBlock];
+  std::size_t lo[kBlock];  // the first row column q reaches
+  std::size_t m = 0;
+  // The first listed column that reaches row i (lo[] descends).
+  const auto first_reached = [&](std::size_t i) {
+    std::size_t q = 0;
+    while (q < m && lo[q] > i) ++q;
+    return q;
+  };
+  for (std::size_t jj = j1; jj-- > j0;) {
+    double t = x[jj];
+    for (std::size_t q = first_reached(jj); q < m; ++q) {
+      t = sub_product(t, cols[q][jj], coef[q]);
+    }
+    const double* const uj = b.col(jj);
+    const double xj = t / uj[jj];
+    x[jj] = xj;
+    cols[m] = uj;
+    coef[m] = xj;
+    lo[m] = jj >= b.bu ? jj - b.bu : 0;
+    ++m;
+  }
+  // Rows every column of the block reaches (those of its top column
+  // j1 - 1 above the block), then the rows only the lower columns reach.
+  const std::size_t top_lo = j1 - 1 >= b.bu ? j1 - 1 - b.bu : 0;
+  const std::size_t bottom_lo = j0 >= b.bu ? j0 - b.bu : 0;
+  fused_update(x, cols, coef, m, top_lo, j0);
+  for (std::size_t i = bottom_lo; i < std::min(top_lo, j0); ++i) {
+    double t = x[i];
+    for (std::size_t q = first_reached(i); q < m; ++q) {
+      t = sub_product(t, cols[q][i], coef[q]);
+    }
+    x[i] = t;
+  }
+}
+
+}  // namespace
 
 BandedLuMatrix::BandedLuMatrix(std::size_t n, std::size_t lower_bandwidth,
                                std::size_t upper_bandwidth)
@@ -36,22 +293,44 @@ void BandedLuMatrix::set_zero() {
 
 void BandedLuMatrix::factorize() {
   LIQUID3D_ASSERT(!factorized_, "matrix already factorized");
-  double* const band = band_.data();
-  for (std::size_t k = 0; k < n_; ++k) {
-    double* const colk = band + k * w_;
-    const double pivot = colk[bu_];
-    LIQUID3D_ASSERT(std::abs(pivot) > 1e-300, "banded LU: vanishing pivot");
-    const double inv = 1.0 / pivot;
-    const std::size_t ml = std::min(bl_, n_ - 1 - k);
-    for (std::size_t i = 1; i <= ml; ++i) colk[bu_ + i] *= inv;
-    const std::size_t mu = std::min(bu_, n_ - 1 - k);
-    for (std::size_t j = 1; j <= mu; ++j) {
-      double* const colj = band + (k + j) * w_;
-      const double ukj = colj[bu_ - j];
-      if (ukj == 0.0) continue;
-      double* const dst = colj + (bu_ - j);
-      const double* const src = colk + bu_;
-      for (std::size_t i = 1; i <= ml; ++i) dst[i] -= src[i] * ukj;
+  // Panel-blocked right-looking LU.  Per panel of kBlock pivots, each
+  // column the panel reaches is visited once: its rows inside the panel
+  // are finalized pivot by pivot, and everything below takes all the
+  // panel's updates in one fused pass — so a trailing column is streamed
+  // once per panel instead of once per pivot, and kColumnGroup trailing
+  // columns share each load of the panel's L.  A panel column is pivoted
+  // as soon as its own updates are in, before the next one reads its L.
+  const Band b{band_.data(), n_, bl_, bu_};
+  const std::size_t stride = b.stride();
+  for (std::size_t k0 = 0; k0 < n_; k0 += kBlock) {
+    const std::size_t panel_end = std::min(n_, k0 + kBlock);
+    const std::size_t c_end = std::min(n_, panel_end + bu_);
+    // Trailing columns up to k0 + bu see the whole panel; grouped updates
+    // need the fixed shapes of eliminate_fixed.
+    const std::size_t group_end =
+        (panel_end - k0 == kBlock && kBlock <= bl_ && panel_end + bl_ <= n_)
+            ? std::min(c_end, k0 + bu_ + 1)
+            : 0;
+    for (std::size_t c = k0; c < c_end; ++c) {
+      double* const x = band_.data() + c * stride + bu_;  // x[r] = A(r, c)
+      if (c >= panel_end && c + kColumnGroup <= group_end &&
+          eliminate_fixed<kBlock, kColumnGroup>(b, x, stride, k0)) {
+        c += kColumnGroup - 1;
+        continue;
+      }
+      const std::size_t p_lo = std::max(k0, c >= bu_ ? c - bu_ : 0);
+      const std::size_t p_hi = std::min(c, panel_end);
+      if (p_lo < p_hi) eliminate(b, x, p_lo, p_hi);
+      if (c >= panel_end) continue;
+      // Pivot c: every update it takes is in.
+      const double pivot = x[c];
+      if (!(std::abs(pivot) > 1e-300) || !std::isfinite(pivot)) {
+        throw SolverError("banded LU: vanishing or non-finite pivot", "direct", c,
+                          std::abs(pivot));
+      }
+      const double inv = 1.0 / pivot;
+      const std::size_t r_end = std::min(c + bl_ + 1, n_);
+      for (std::size_t r = c + 1; r < r_end; ++r) x[r] *= inv;
     }
   }
   factorized_ = true;
@@ -60,24 +339,20 @@ void BandedLuMatrix::factorize() {
 void BandedLuMatrix::solve(std::vector<double>& rhs) const {
   LIQUID3D_ASSERT(factorized_, "solve requires a factorized matrix");
   LIQUID3D_REQUIRE(rhs.size() == n_, "rhs size mismatch");
-  const double* const band = band_.data();
+  const Band b{band_.data(), n_, bl_, bu_};
   double* const x = rhs.data();
-  // Forward, unit-diagonal L: once y[k] is final, push it down the column.
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double yk = x[k];
-    if (yk == 0.0) continue;
-    const double* const colk = band + k * w_ + bu_;
-    const std::size_t ml = std::min(bl_, n_ - 1 - k);
-    for (std::size_t i = 1; i <= ml; ++i) x[k + i] -= colk[i] * yk;
+  // Forward, unit-diagonal L, kBlock unknowns at a time.  A leading run
+  // of zeros (a sparse right-hand side) takes no elimination work at all.
+  std::size_t k0 = 0;
+  while (k0 < n_ && x[k0] == 0.0) ++k0;
+  for (; k0 < n_; k0 += kBlock) {
+    eliminate(b, x, k0, std::min(n_, k0 + kBlock));
   }
-  // Backward, U: finalize x[j], then push it up the column.
-  for (std::size_t jj = n_; jj-- > 0;) {
-    const double* const colj = band + jj * w_ + bu_;
-    const double xj = x[jj] / colj[0];
-    x[jj] = xj;
-    const std::size_t mu = std::min(bu_, jj);
-    const double* const up = colj - jj;  // up[i] = U(i, jj)
-    for (std::size_t i = jj - mu; i < jj; ++i) x[i] -= up[i] * xj;
+  // Backward, U, kBlock unknowns at a time from the bottom.
+  for (std::size_t j1 = n_; j1 > 0;) {
+    const std::size_t j0 = j1 > kBlock ? j1 - kBlock : 0;
+    back_substitute(b, x, j0, j1);
+    j1 = j0;
   }
 }
 

@@ -6,13 +6,32 @@
 // — a distance of at most (cols-1)*layers + 1 node indices, i.e. within
 // the thermal matrix's existing half-bandwidth.  The eliminated system is
 // non-symmetric (advection is directional: upstream heats downstream, not
-// vice versa), so it needs LU rather than Cholesky.  Factorization is
-// unpivoted — thermal conduction networks with advection eliminated remain
-// strictly diagonally dominant — with a pivot-magnitude check that fails
-// loudly if an ill-formed network ever violates that.
+// vice versa), so it needs LU rather than Cholesky.
+//
+// Factorization is unpivoted.  Unpivoted LU is guaranteed stable only on
+// diagonally dominant rows, and the eliminated operator does not always
+// have them: the steady rows lose dominance once g_sum / w_row > 2 (the
+// lowest pump setting), and valve-throttled cavities lose it even with the
+// C/dt term of a transient step.  There the factor is backed by
+// measurement only (tests pin those answers against the PCG fixed point).
+// A pivot that vanishes or is non-finite is a numerical outcome of the
+// operating point, not a bug: factorize() throws SolverError, which the
+// sweep's quarantine ladder records as data.
+//
+// Kernels.  The factorization is panel-blocked right-looking LU: per panel
+// of pivots, each column the panel reaches is visited once — its rows
+// inside the panel finalized pivot by pivot, everything below updated by
+// the whole panel in one fused pass, several trailing columns at a time
+// sharing each load of the panel's L.  The triangular solves are blocked
+// the same way: a few unknowns are finalized, then one fused sweep covers
+// the rows all of them reach; a leading run of zeros in the right-hand side
+// costs no elimination work.  Each matrix and vector element receives the
+// same updates in the same order as in the unblocked kernels, so the
+// factor and every solution are bit-identical to theirs.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace liquid3d {
@@ -35,10 +54,17 @@ class BandedLuMatrix {
   /// Accumulate v into A(i, j).
   void add(std::size_t i, std::size_t j, double v) { at(i, j) += v; }
 
+  /// The band itself, n * (bl + bu + 1) values in the layout above: for
+  /// assembly loops that write entries directly (unchecked) and for
+  /// bitwise comparisons of factors.
+  [[nodiscard]] std::span<double> band() { return band_; }
+  [[nodiscard]] std::span<const double> band() const { return band_; }
+
   void set_zero();
 
-  /// In-place unpivoted LU (Doolittle: unit lower L).  Throws LogicError on
-  /// a vanishing pivot.
+  /// In-place unpivoted LU (Doolittle: unit lower L).  Throws SolverError
+  /// (backend "direct", iterations = the failing pivot's index, residual =
+  /// its magnitude) on a vanishing or non-finite pivot.
   void factorize();
   [[nodiscard]] bool factorized() const { return factorized_; }
 

@@ -1,12 +1,15 @@
 // Solver engine (thermal/solver/): multi-RHS batching, refactorization
-// after set_zero, the dt-keyed factorization cache, warm-started
-// characterization equivalence, and the no-allocation guarantee of the
-// transient hot loop.
+// after set_zero, the blocked banded LU and direct-write eliminated
+// assembly against their unblocked references (bit for bit), the
+// dt-keyed factorization cache, warm-started characterization
+// equivalence, and the no-allocation guarantee of the transient hot loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
 #include <span>
 #include <vector>
@@ -16,12 +19,14 @@
 #include "common/rng.hpp"
 #include "control/characterize.hpp"
 #include "coolant/flow.hpp"
+#include "coolant/microchannel.hpp"
 #include "coolant/pump.hpp"
 #include "geom/stack.hpp"
 #include "thermal/model3d.hpp"
 #include "thermal/solver/banded_lu.hpp"
 #include "thermal/solver/banded_spd.hpp"
 #include "thermal/solver/factorization_cache.hpp"
+#include "reference_banded_lu.hpp"
 #include "thermal_test_access.hpp"
 
 // -- Global allocation counter ----------------------------------------------
@@ -282,10 +287,163 @@ TEST(BandedLu, MatchesDenseSolverOnRandomDiagDominant) {
 }
 
 TEST(BandedLu, VanishingPivotDetected) {
+  // Breakdown is a numerical outcome of the operating point (the eliminated
+  // rows lose diagonal dominance at throttled flows), not a bug: a
+  // SolverError the sweep's quarantine ladder can record.
   BandedLuMatrix m(2, 1, 1);
   m.add(0, 1, 1.0);
   m.add(1, 0, 1.0);  // zero diagonal -> zero pivot
-  EXPECT_THROW(m.factorize(), LogicError);
+  EXPECT_THROW(m.factorize(), SolverError);
+  BandedLuMatrix late(3, 1, 1);
+  late.add(0, 0, 1.0);
+  late.add(1, 1, 1.0);
+  late.add(1, 2, 1.0);
+  late.add(2, 1, 1.0);
+  late.add(2, 2, 1.0);  // A(2,2) - L(2,1) U(1,2) = 0
+  try {
+    late.factorize();
+    ADD_FAILURE() << "factorize() accepted a zero pivot";
+  } catch (const SolverError& e) {
+    EXPECT_EQ(e.backend(), "direct");
+    EXPECT_EQ(e.iterations(), 2u);  // the failing pivot's index
+    EXPECT_EQ(e.residual(), 0.0);
+  }
+}
+
+TEST(BandedLu, NonFinitePivotDetected) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    BandedLuMatrix m(3, 1, 1);
+    m.add(0, 0, 2.0);
+    m.add(1, 1, bad);
+    m.add(2, 2, 2.0);
+    EXPECT_THROW(m.factorize(), SolverError);
+  }
+}
+
+// -- Blocked banded LU == the unblocked kernels, bit for bit ----------------
+
+/// The factor and solution bytes of `a` (unfactorized) under the blocked
+/// kernels must equal those of tests/reference_banded_lu.hpp.
+void expect_lu_matches_reference(BandedLuMatrix a, std::vector<double> rhs) {
+  const std::size_t n = a.size();
+  std::vector<double> ref(a.band().begin(), a.band().end());
+  a.factorize();
+  reference::banded_lu_factorize(ref, n, a.lower_bandwidth(), a.upper_bandwidth());
+  ASSERT_EQ(ref.size(), a.band().size());
+  EXPECT_EQ(std::memcmp(a.band().data(), ref.data(), ref.size() * sizeof(double)), 0)
+      << "factor differs from the unblocked kernel's";
+  std::vector<double> x = rhs;
+  a.solve(x);
+  reference::banded_lu_solve(ref, n, a.lower_bandwidth(), a.upper_bandwidth(), rhs);
+  EXPECT_EQ(std::memcmp(x.data(), rhs.data(), n * sizeof(double)), 0)
+      << "solution differs from the unblocked kernel's";
+}
+
+/// Random strictly diagonally dominant band; `density` of the off-diagonal
+/// band entries are nonzero, so sparse draws exercise the kernels' skipping
+/// of zero coefficients.
+BandedLuMatrix random_dominant_band(std::size_t n, std::size_t bl, std::size_t bu,
+                                    double density, Rng& rng) {
+  BandedLuMatrix m(n, bl, bu);
+  for (std::size_t i = 0; i < n; ++i) {
+    double off = 0.0;
+    const std::size_t j0 = i >= bl ? i - bl : 0;
+    const std::size_t j1 = std::min(n - 1, i + bu);
+    for (std::size_t j = j0; j <= j1; ++j) {
+      if (j == i || !rng.bernoulli(density)) continue;
+      const double v = rng.uniform(-1.0, 1.0);
+      m.add(i, j, v);
+      off += std::abs(v);
+    }
+    m.add(i, i, (1.0 + off) * rng.uniform(1.0, 2.0));
+  }
+  return m;
+}
+
+TEST(BandedLu, BlockedKernelsMatchUnblockedAtEdgeShapes) {
+  // n = 1, n below the block length, n not a multiple of it, bl != bu,
+  // bandwidths of 0 and 1, and bands wider than the matrix.
+  struct Shape {
+    std::size_t n, bl, bu;
+  };
+  const Shape shapes[] = {{1, 0, 0},   {1, 2, 3},   {2, 1, 1},   {3, 2, 0},
+                          {3, 0, 2},   {5, 1, 0},   {5, 0, 1},   {6, 1, 1},
+                          {7, 3, 1},   {9, 4, 4},   {13, 5, 2},  {13, 2, 5},
+                          {17, 6, 6},  {64, 0, 9},  {64, 9, 0},  {70, 8, 5},
+                          {70, 5, 8},  {101, 12, 12}, {130, 30, 17}, {41, 60, 60}};
+  Rng rng(14);
+  for (const Shape& sh : shapes) {
+    for (const double density : {0.25, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << sh.n << " bl=" << sh.bl
+                                        << " bu=" << sh.bu << " density=" << density);
+      std::vector<double> rhs(sh.n);
+      for (double& v : rhs) v = rng.bernoulli(0.2) ? 0.0 : rng.uniform(-3.0, 3.0);
+      expect_lu_matches_reference(random_dominant_band(sh.n, sh.bl, sh.bu, density, rng),
+                                  rhs);
+    }
+  }
+}
+
+TEST(BandedLu, LeadingZeroRightHandSideMatchesUnblocked) {
+  // Sparse right-hand sides (the ROM build's influence columns start with
+  // a long run of zeros) take the leading-zero start.
+  Rng rng(15);
+  const BandedLuMatrix a = random_dominant_band(301, 26, 26, 0.7, rng);
+  for (const std::size_t first : {0u, 1u, 150u, 271u, 300u, 301u}) {
+    SCOPED_TRACE(first);
+    std::vector<double> rhs(a.size(), 0.0);
+    for (std::size_t i = first; i < a.size(); ++i) rhs[i] = rng.uniform(-1.0, 1.0);
+    expect_lu_matches_reference(a, rhs);
+  }
+}
+
+TEST(BandedLu, EliminatedOperatorsMatchUnblockedAndReferenceAssembly) {
+  // The real fluid-eliminated operators of the 2- and 4-layer Niagara
+  // stacks (paper grid) at all five pump settings and at a 2% throttled
+  // flow — where the rows are not diagonally dominant — for a transient
+  // step (1/dt = 20) and the steady state (1/dt = 0): the direct-write
+  // assembly equals the reference assembly bit for bit, and the blocked
+  // factor and solve equal the unblocked ones bit for bit.
+  const MicrochannelModel channels(CavitySpec{}, CoolantProperties::water());
+  for (const std::size_t pairs : {1u, 2u}) {
+    for (const bool alternate : {false, true}) {
+      if (pairs == 2 && alternate) continue;
+      ThermalModelParams p;
+      p.alternate_flow_direction = alternate;
+      ThermalModel3D model(make_niagara_stack(pairs, CoolingType::kLiquid), p);
+      const FlowDelivery delivery(PumpModel::laing_ddc(),
+                                  FlowDeliveryMode::kPressureLimited, channels, 11.5e-3,
+                                  model.stack().cavity_count());
+      ASSERT_EQ(delivery.setting_count(), 5u);
+      const std::size_t bw = model.grid().cols() * model.layer_count();
+      Rng rng(16);
+      std::vector<double> rhs(model.node_count());
+      for (double& v : rhs) v = rng.uniform(0.0, 3.0);
+      for (std::size_t s = 0; s <= 5; ++s) {
+        model.set_cavity_flow(s < 5 ? delivery.per_cavity(s) : delivery.per_cavity(0) * 0.02);
+        for (const double inv_dt : {20.0, 0.0}) {
+          SCOPED_TRACE(::testing::Message() << "pairs=" << pairs << " alternate=" << alternate
+                                            << " setting=" << s << " inv_dt=" << inv_dt);
+          BandedLuMatrix a(model.node_count(), bw, bw);
+          BandedLuMatrix ref(model.node_count(), bw, bw);
+          std::vector<double> inlet, ref_inlet;
+          ThermalModel3DTestAccess::build_eliminated_system(model, inv_dt, a, inlet);
+          ThermalModel3DTestAccess::reference_build_eliminated_system(model, inv_dt, ref,
+                                                                      ref_inlet);
+          EXPECT_EQ(std::memcmp(a.band().data(), ref.band().data(),
+                                a.band().size() * sizeof(double)),
+                    0)
+              << "assembled operator differs from the reference assembly";
+          ASSERT_EQ(inlet.size(), ref_inlet.size());
+          EXPECT_EQ(std::memcmp(inlet.data(), ref_inlet.data(), inlet.size() * sizeof(double)),
+                    0)
+              << "inlet coefficients differ from the reference assembly";
+          expect_lu_matches_reference(a, rhs);
+        }
+      }
+    }
+  }
 }
 
 // -- Direct steady solver (fluid elimination) ---------------------------------
@@ -591,6 +749,43 @@ TEST(HotLoop, StepDoesNotAllocateAfterWarmup) {
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "hot loop performed " << (after - before)
                            << " heap allocations over 1000 steps";
+}
+
+TEST(HotLoop, FlowSwitchingStepDoesNotAllocateAfterWarmup) {
+  // A pump-setting change on every step forces the liquid model's full
+  // refresh each time — fluid-eliminated reassembly, refactorization and
+  // a solve — all on storage sized by the first build.
+  ThermalModelParams p;
+  p.grid_rows = 10;
+  p.grid_cols = 11;
+  ThermalModel3D model(make_niagara_stack(1, CoolingType::kLiquid), p);
+  const Floorplan& fp = model.stack().layer(0).floorplan;
+  std::vector<double> watts(fp.block_count(), 0.0);
+  for (std::size_t b = 0; b < fp.block_count(); ++b) {
+    if (fp.block(b).type == BlockType::kCore) watts[b] = 3.0;
+  }
+  model.set_block_power(0, watts);
+  const VolumetricFlow flows[] = {VolumetricFlow::from_ml_per_min(12.0),
+                                  VolumetricFlow::from_ml_per_min(30.0)};
+  model.set_cavity_flow(flows[0]);
+  model.initialize(45.0);
+  const obs::ScopedEnabled obs_on(true);
+  for (int i = 0; i < 4; ++i) {
+    model.set_cavity_flow(flows[i % 2]);
+    model.step(0.05);
+  }
+
+  const std::uint64_t factorizations = factorization_count();
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 200; ++i) {
+    model.set_cavity_flow(flows[i % 2]);
+    model.step(0.05);
+    (void)model.max_temperature();
+  }
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(factorization_count() - factorizations, 200u);
+  EXPECT_EQ(after, before) << "flow-switching loop performed " << (after - before)
+                           << " heap allocations over 200 refreshes";
 }
 
 TEST(HotLoop, PcgStepDoesNotAllocateAfterWarmup) {

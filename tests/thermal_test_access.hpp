@@ -1,6 +1,7 @@
 // thermal_test_access.hpp — white-box access to ThermalModel3D's fluid
-// elimination for tests: the assembled operator and the LU slot, which are
-// private to the model.
+// elimination for tests and benchmarks: the assembled operator and the LU
+// slot, which are private to the model, and the reference assembly the
+// direct-write one must reproduce bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,99 @@ struct ThermalModel3DTestAccess {
   /// C inv_dt + G_elim at the model's current flow vector.
   static void build_eliminated_system(const ThermalModel3D& m, double inv_dt,
                                       BandedLuMatrix& a,
+                                      std::vector<double>& inlet_coef,
+                                      std::vector<double>& scratch) {
+    m.build_eliminated_system(inv_dt, a, inlet_coef, scratch);
+  }
+  static void build_eliminated_system(const ThermalModel3D& m, double inv_dt,
+                                      BandedLuMatrix& a,
                                       std::vector<double>& inlet_coef) {
-    m.build_eliminated_system(inv_dt, a, inlet_coef);
+    std::vector<double> scratch;
+    build_eliminated_system(m, inv_dt, a, inlet_coef, scratch);
+  }
+  /// The fluid-eliminated assembly as it was before it wrote the band
+  /// directly: every entry through BandedLuMatrix::add, the upstream
+  /// coefficients kept per cell and rescaled cell by cell.  Kept verbatim
+  /// (modulo member access) as the oracle for build_eliminated_system and
+  /// as the micro-benchmark baseline; not part of the library.
+  static void reference_build_eliminated_system(const ThermalModel3D& md,
+                                                double inv_dt, BandedLuMatrix& m,
+                                                std::vector<double>& inlet_coef) {
+    m.set_zero();
+    inlet_coef.assign(md.node_count_, 0.0);
+    for (std::size_t i = 0; i < md.node_count_; ++i) {
+      m.add(i, i, md.capacitance_[i] * inv_dt);
+    }
+    for (const ThermalModel3D::Coupling& c : md.couplings_) {
+      m.add(c.a, c.a, c.g);
+      m.add(c.b, c.b, c.g);
+      m.add(c.a, c.b, -c.g);
+      m.add(c.b, c.a, -c.g);
+    }
+    std::vector<double> coef_dn(md.cell_count_, 0.0);
+    std::vector<double> coef_up(md.cell_count_, 0.0);
+    for (std::size_t k = 0; k < md.stack_.cavity_count(); ++k) {
+      const double w_cavity = md.params_.coolant.volumetric_heat_capacity() *
+                              md.cavity_flows_[k].m3_per_s();
+      const double w_row = w_cavity / static_cast<double>(md.grid_.rows());
+      const bool has_below = k >= 1;
+      const bool has_above = k < md.layer_count_;
+      const double g_dn = has_below ? md.g_fluid_dn_ : 0.0;
+      const double g_up = has_above ? md.g_fluid_up_ : 0.0;
+      const double g_sum = g_dn + g_up;
+      double s = 0.0, d = 0.0, u = 0.0, s2 = 0.0;
+      double d2 = g_dn / g_sum;
+      double u2 = g_up / g_sum;
+      if (w_row > 1e-12) {
+        const double denom = 1.0 + g_sum / (2.0 * w_row);
+        s = 1.0 - g_sum / (w_row * denom);
+        d = g_dn / (w_row * denom);
+        u = g_up / (w_row * denom);
+        s2 = 1.0 - g_sum / (2.0 * w_row * denom);
+        d2 = g_dn / (2.0 * w_row * denom);
+        u2 = g_up / (2.0 * w_row * denom);
+      }
+      const bool reverse = md.params_.alternate_flow_direction && (k % 2 == 1);
+      for (std::size_t r = 0; r < md.grid_.rows(); ++r) {
+        double alpha = 1.0;
+        std::vector<std::size_t> upstream;
+        upstream.reserve(md.grid_.cols());
+        for (std::size_t ci = 0; ci < md.grid_.cols(); ++ci) {
+          const std::size_t c = reverse ? md.grid_.cols() - 1 - ci : ci;
+          const std::size_t cell = md.grid_.index(r, c);
+          for (int face = 0; face < 2; ++face) {
+            const bool is_dn = face == 0;
+            if (is_dn ? !has_below : !has_above) continue;
+            const double g_w = is_dn ? g_dn : g_up;
+            const std::size_t wall = is_dn ? md.node(k - 1, cell) : md.node(k, cell);
+            m.add(wall, wall, g_w);
+            if (has_below) m.add(wall, md.node(k - 1, cell), -g_w * d2);
+            if (has_above) m.add(wall, md.node(k, cell), -g_w * u2);
+            for (const std::size_t cu : upstream) {
+              if (has_below && coef_dn[cu] != 0.0) {
+                m.add(wall, md.node(k - 1, cu), -g_w * s2 * coef_dn[cu]);
+              }
+              if (has_above && coef_up[cu] != 0.0) {
+                m.add(wall, md.node(k, cu), -g_w * s2 * coef_up[cu]);
+              }
+            }
+            inlet_coef[wall] += g_w * s2 * alpha;
+          }
+          alpha *= s;
+          for (const std::size_t cu : upstream) {
+            coef_dn[cu] *= s;
+            coef_up[cu] *= s;
+          }
+          coef_dn[cell] = d;
+          coef_up[cell] = u;
+          upstream.push_back(cell);
+        }
+        for (const std::size_t cu : upstream) {
+          coef_dn[cu] = 0.0;
+          coef_up[cu] = 0.0;
+        }
+      }
+    }
   }
   /// The model's own LU slot: nullptr until its first factorization.
   static const BandedLuMatrix* eliminated_slot(const ThermalModel3D& m) {
