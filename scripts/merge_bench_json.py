@@ -8,8 +8,17 @@ google-benchmark JSON outputs, keeping the `context` block of the first
 file, and fails loudly on duplicate benchmark names — a duplicate means two
 binaries define the same benchmark and the baseline would be ambiguous.
 
+With --replace, a later file's row instead replaces the earlier row of the
+same name (in place), and new names are appended.  That re-records only
+the rows a change moves:
+
+  build/bench_serve --benchmark_filter='BM_Envelope' \
+      --benchmark_out=rows.json --benchmark_out_format=json
+  scripts/merge_bench_json.py --replace BENCH_solver.json \
+      BENCH_solver.json rows.json
+
 Usage:
-  scripts/merge_bench_json.py OUT.json IN1.json IN2.json [...]
+  scripts/merge_bench_json.py [--replace] OUT.json IN1.json IN2.json [...]
 """
 
 import json
@@ -28,20 +37,28 @@ def load(path):
 
 
 def main(argv):
+    replace = "--replace" in argv[1:2]
+    if replace:
+        argv = argv[:1] + argv[2:]
     if len(argv) < 3:
-        sys.exit("usage: merge_bench_json.py OUT.json IN1.json [IN2.json ...]")
+        sys.exit("usage: merge_bench_json.py [--replace] OUT.json IN1.json "
+                 "[IN2.json ...]")
     out_path, in_paths = argv[1], argv[2:]
 
     merged = load(in_paths[0])
-    seen = {b.get("name") for b in merged["benchmarks"]}
+    rows = merged["benchmarks"]
+    seen = {b.get("name"): i for i, b in enumerate(rows)}
     for path in in_paths[1:]:
         for bench in load(path)["benchmarks"]:
             name = bench.get("name")
+            if name in seen and replace:
+                rows[seen[name]] = bench
+                continue
             if name in seen:
                 sys.exit(f"merge_bench_json: duplicate benchmark '{name}' "
                          f"from '{path}'")
-            seen.add(name)
-            merged["benchmarks"].append(bench)
+            seen[name] = len(rows)
+            rows.append(bench)
 
     with open(out_path, "w") as f:
         json.dump(merged, f, indent=2)

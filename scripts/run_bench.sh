@@ -61,9 +61,10 @@ run_bench bench_micro_solver "${tmp_dir}/micro.json" \
   'BM_Banded|BM_EliminatedAssemble|BM_TransientStep|BM_BatchedTransient|BM_SteadyState|BM_FlowLut|BM_Cg|BM_FineGrid'
 
 # Service latency/throughput: steady-query p50/p99 (acceptance: warm-ROM
-# p50 <= 25 us on the 2-layer Niagara liquid stack) and batched vs serial
-# what-if throughput (acceptance: batched >= serial sessions/s).
-run_bench bench_serve "${tmp_dir}/serve.json" 'BM_Serve'
+# p50 <= 25 us on the 2-layer Niagara liquid stack), batched vs serial
+# what-if throughput (acceptance: batched >= serial sessions/s), and the
+# envelope codec alone on the wire workload's steady request.
+run_bench bench_serve "${tmp_dir}/serve.json" 'BM_Serve|BM_Envelope'
 
 # Observability overhead: the killed-switch histogram record must stay
 # single-digit nanoseconds and the enabled record in the tens.

@@ -16,10 +16,10 @@ ServeClient::~ServeClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-WireResponse ServeClient::roundtrip(WireRequest request) {
-  request.id = next_id_++;
-  request.deadline_ms = deadline_ms_;
-  send_frame(fd_, encode_request(request));
+template <class Answer, class Query>
+Answer ServeClient::call(const Query& query, const char* name) {
+  const std::uint64_t id = next_id_++;
+  send_frame(fd_, encode_request(id, deadline_ms_, query));
   const std::optional<std::string> payload = recv_frame(fd_);
   if (!payload) {
     throw WireError(WireErrorCode::kDisconnected,
@@ -32,11 +32,10 @@ WireResponse ServeClient::roundtrip(WireRequest request) {
     throw WireError(WireErrorCode::kProtocol,
                     std::string("malformed response: ") + e.what());
   }
-  if (response.id != request.id) {
+  if (response.id != id) {
     throw WireError(WireErrorCode::kProtocol,
                     "response id " + std::to_string(response.id) +
-                        " does not match request id " +
-                        std::to_string(request.id));
+                        " does not match request id " + std::to_string(id));
   }
   if (const auto* error = std::get_if<ErrorReply>(&response.payload)) {
     // Restore the in-process exception contract for service-side failures;
@@ -50,79 +49,37 @@ WireResponse ServeClient::roundtrip(WireRequest request) {
         throw WireError(error->code, error->message);
     }
   }
-  return response;
-}
-
-SteadyAnswer ServeClient::steady(const SteadyQuery& query) {
-  WireRequest request;
-  request.payload = query;
-  WireResponse response = roundtrip(std::move(request));
-  auto* answer = std::get_if<SteadyAnswer>(&response.payload);
+  auto* answer = std::get_if<Answer>(&response.payload);
   if (answer == nullptr) {
     throw WireError(WireErrorCode::kProtocol,
-                    "steady query answered with the wrong payload type");
+                    std::string(name) +
+                        " query answered with the wrong payload type");
   }
   return std::move(*answer);
 }
 
+SteadyAnswer ServeClient::steady(const SteadyQuery& query) {
+  return call<SteadyAnswer>(query, "steady");
+}
+
 SessionOutcome ServeClient::what_if(const WhatIfQuery& query) {
-  WireRequest request;
-  request.payload = query;
-  WireResponse response = roundtrip(std::move(request));
-  auto* outcome = std::get_if<SessionOutcome>(&response.payload);
-  if (outcome == nullptr) {
-    throw WireError(WireErrorCode::kProtocol,
-                    "what-if query answered with the wrong payload type");
-  }
-  return std::move(*outcome);
+  return call<SessionOutcome>(query, "what-if");
 }
 
 SessionOutcome ServeClient::replay(const ReplayQuery& query) {
-  WireRequest request;
-  request.payload = query;
-  WireResponse response = roundtrip(std::move(request));
-  auto* outcome = std::get_if<SessionOutcome>(&response.payload);
-  if (outcome == nullptr) {
-    throw WireError(WireErrorCode::kProtocol,
-                    "replay query answered with the wrong payload type");
-  }
-  return std::move(*outcome);
+  return call<SessionOutcome>(query, "replay");
 }
 
 ServeStats ServeClient::stats(bool reset_hwm) {
-  WireRequest request;
-  request.payload = StatsQuery{reset_hwm};
-  WireResponse response = roundtrip(std::move(request));
-  auto* stats = std::get_if<ServeStats>(&response.payload);
-  if (stats == nullptr) {
-    throw WireError(WireErrorCode::kProtocol,
-                    "stats query answered with the wrong payload type");
-  }
-  return *stats;
+  return call<ServeStats>(StatsQuery{reset_hwm}, "stats");
 }
 
 std::string ServeClient::metrics() {
-  WireRequest request;
-  request.payload = MetricsQuery{};
-  WireResponse response = roundtrip(std::move(request));
-  auto* answer = std::get_if<MetricsAnswer>(&response.payload);
-  if (answer == nullptr) {
-    throw WireError(WireErrorCode::kProtocol,
-                    "metrics query answered with the wrong payload type");
-  }
-  return std::move(answer->text);
+  return call<MetricsAnswer>(MetricsQuery{}, "metrics").text;
 }
 
 std::vector<obs::TraceSpan> ServeClient::trace(std::uint64_t limit) {
-  WireRequest request;
-  request.payload = TraceQuery{limit};
-  WireResponse response = roundtrip(std::move(request));
-  auto* answer = std::get_if<TraceAnswer>(&response.payload);
-  if (answer == nullptr) {
-    throw WireError(WireErrorCode::kProtocol,
-                    "trace query answered with the wrong payload type");
-  }
-  return std::move(answer->spans);
+  return call<TraceAnswer>(TraceQuery{limit}, "trace").spans;
 }
 
 }  // namespace liquid3d

@@ -9,9 +9,9 @@
 //   service.replay(q).get()   client.replay(q)
 //   service.stats()           client.stats()
 //
-// Answers are bit-identical to the in-process calls (the envelope round-
-// trips every double through %.17g), so a caller can switch between the
-// two backends without re-validating anything.
+// Answers are bit-identical to the in-process calls (the envelope prints
+// every double shortest round-trip, `std::to_chars`), so a caller can
+// switch between the two backends without re-validating anything.
 //
 // Error mapping restores the in-process contract: a server-side
 // ConfigError/SolverError re-throws here as that same type, so `catch
@@ -54,7 +54,10 @@ class ServeClient {
   [[nodiscard]] std::vector<obs::TraceSpan> trace(std::uint64_t limit = 0);
 
  private:
-  [[nodiscard]] WireResponse roundtrip(WireRequest request);
+  /// One request/response exchange; returns the `Answer` alternative of
+  /// the reply (`name` labels a wrong-type reply in the WireError).
+  template <class Answer, class Query>
+  [[nodiscard]] Answer call(const Query& query, const char* name);
 
   int fd_ = -1;
   std::uint64_t next_id_ = 1;

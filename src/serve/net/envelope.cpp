@@ -1,10 +1,12 @@
 #include "serve/net/envelope.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
-#include <cstdio>
+#include <cmath>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,40 +22,76 @@ namespace {
 
 constexpr std::string_view kMagic = "liquid3d-serve";
 
-// -- scalar formatting --------------------------------------------------------
+// Decoding works on views into the frame payload and builds diagnostic text
+// only on a throw path: `what` is the static "serve request"/"serve
+// response" prefix, `key` names the field.
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+std::string field_name(const char* what, std::string_view key) {
+  std::string s(what);
+  s += ": ";
+  s += key;
+  return s;
 }
 
-std::string fmt_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  return buf;
+[[noreturn]] void reject(const char* what, std::string_view message) {
+  throw ConfigError(std::string(what) + ": " + std::string(message));
 }
 
-/// Same escape set as encode_stack_spec: '%', whitespace, control bytes —
-/// the encoded token survives any line/space tokenizer unsplit.
-std::string percent_encode(std::string_view raw) {
-  static const char* hex = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(raw.size());
-  for (const char ch : raw) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    if (c == '%' || c <= 0x20 || c == 0x7f) {
-      out += '%';
-      out += hex[c >> 4];
-      out += hex[c & 0xf];
-    } else {
-      out += ch;
-    }
+// -- scalar parsing -----------------------------------------------------------
+// std::from_chars first.  Anything it does not take whole (sign, leading
+// space, hex, out of range, a trailing byte) and every NaN (its payload and
+// sign are strtod's business) retries through the strict parse_double /
+// parse_u64, so the accepted spellings and the decoded bits are exactly
+// theirs — both round correctly, so a from_chars success is the same bits.
+
+double read_f64(std::string_view v, const char* what, std::string_view key) {
+  double out = 0.0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec == std::errc() && ptr == end && !std::isnan(out)) return out;
+  return parse_double(std::string(v), field_name(what, key));
+}
+
+std::uint64_t read_u64(std::string_view v, const char* what, std::string_view key) {
+  std::uint64_t out = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out, 10);
+  if (ec == std::errc() && ptr == end) return out;
+  return parse_u64(std::string(v), field_name(what, key));
+}
+
+bool read_flag(std::string_view v, const char* what, std::string_view key) {
+  if (v == "1") return true;
+  if (v == "0") return false;
+  throw ConfigError(field_name(what, key) + " must be 0 or 1, got '" +
+                    std::string(v) + "'");
+}
+
+void read_f64_list(std::string_view s, const char* what, std::string_view key,
+                   std::vector<double>& out) {
+  out.clear();
+  for (std::size_t pos = 0; pos <= s.size();) {
+    const std::size_t comma = std::min(s.find(',', pos), s.size());
+    out.push_back(read_f64(s.substr(pos, comma - pos), what, key));
+    pos = comma + 1;
   }
-  return out;
 }
 
-std::string percent_decode(const std::string& token, const std::string& what) {
+/// Splits `s` at `sep` into `out`; returns the field count, which exceeds
+/// N when `s` has too many fields (the caller rejects any count but N).
+template <std::size_t N>
+std::size_t split(std::string_view s, char sep, std::array<std::string_view, N>& out) {
+  std::size_t n = 0;
+  for (std::size_t pos = 0; pos <= s.size(); ++n) {
+    const std::size_t end = std::min(s.find(sep, pos), s.size());
+    if (n < N) out[n] = s.substr(pos, end - pos);
+    pos = end + 1;
+  }
+  return n;
+}
+
+std::string percent_decode(std::string_view token, const char* what,
+                           std::string_view key) {
   auto hex_digit = [](char c) -> int {
     if (c >= '0' && c <= '9') return c - '0';
     if (c >= 'A' && c <= 'F') return c - 'A' + 10;
@@ -67,12 +105,12 @@ std::string percent_decode(const std::string& token, const std::string& what) {
       raw += token[i];
       continue;
     }
-    LIQUID3D_REQUIRE(i + 2 < token.size(),
-                     what + ": truncated %XX escape in '" + token + "'");
-    const int hi = hex_digit(token[i + 1]);
-    const int lo = hex_digit(token[i + 2]);
-    LIQUID3D_REQUIRE(hi >= 0 && lo >= 0,
-                     what + ": malformed %XX escape in '" + token + "'");
+    const int hi = i + 2 < token.size() ? hex_digit(token[i + 1]) : -1;
+    const int lo = i + 2 < token.size() ? hex_digit(token[i + 2]) : -1;
+    if (hi < 0 || lo < 0) {
+      throw ConfigError(field_name(what, key) + ": malformed %XX escape in '" +
+                        std::string(token) + "'");
+    }
     raw += static_cast<char>(hi * 16 + lo);
     i += 2;
   }
@@ -90,88 +128,110 @@ const char* cooling_name(CoolingMode m) {
   return "?";
 }
 
-CoolingMode cooling_from_name(const std::string& s, const std::string& what) {
+CoolingMode cooling_from_name(std::string_view s, const char* what) {
   if (s == "air") return CoolingMode::kAir;
   if (s == "liquid-max") return CoolingMode::kLiquidMax;
   if (s == "liquid-var") return CoolingMode::kLiquidVar;
-  throw ConfigError(what + ": unknown cooling mode '" + s + "'");
+  reject(what, "unknown cooling mode '" + std::string(s) + "'");
 }
 
-FlowDeliveryMode delivery_from_name(const std::string& s,
-                                    const std::string& what) {
+FlowDeliveryMode delivery_from_name(std::string_view s, const char* what) {
   if (s == "paper-nominal") return FlowDeliveryMode::kPaperNominal;
   if (s == "pressure-limited") return FlowDeliveryMode::kPressureLimited;
-  throw ConfigError(what + ": unknown delivery mode '" + s + "'");
+  reject(what, "unknown delivery mode '" + std::string(s) + "'");
 }
 
-const char* error_code_name(WireErrorCode code) { return to_string(code); }
-
-WireErrorCode error_code_from_name(const std::string& s,
-                                   const std::string& what) {
+WireErrorCode error_code_from_name(std::string_view s, const char* what) {
   if (s == "bad-request") return WireErrorCode::kBadRequest;
   if (s == "overloaded") return WireErrorCode::kOverloaded;
   if (s == "deadline-exceeded") return WireErrorCode::kDeadlineExceeded;
   if (s == "shutting-down") return WireErrorCode::kShuttingDown;
   if (s == "solver") return WireErrorCode::kSolver;
   if (s == "internal") return WireErrorCode::kInternal;
-  throw ConfigError(what + ": unknown error code '" + s + "'");
+  reject(what, "unknown error code '" + std::string(s) + "'");
 }
 
 // -- key/value writer ---------------------------------------------------------
+// Appends straight into one reserved buffer.  Numbers go through
+// std::to_chars: integers in decimal, doubles as the shortest string that
+// round-trips to the same bits.
 
 struct Writer {
   std::string out;
 
+  Writer() { out.reserve(2048); }  // a steady request is ~1.5 KB
+
+  template <class T>
+  void chars(T v) {
+    char buf[32];
+    const char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    out.append(buf, static_cast<std::size_t>(end - buf));
+  }
+  void key(const char* k) {
+    out += k;
+    out += ' ';
+  }
   void header(const char* tag) {
     out += kMagic;
     out += ' ';
-    out += fmt_u64(kServeWireVersion);
+    chars(kServeWireVersion);
     out += ' ';
     out += tag;
     out += '\n';
   }
-  void kv(const char* key, const std::string& value) {
-    out += key;
-    out += ' ';
+  void kv(const char* k, std::string_view value) {
+    key(k);
     out += value;
     out += '\n';
   }
-  void num(const char* key, double v) { kv(key, fmt_double(v)); }
-  template <class T, std::enable_if_t<std::is_unsigned_v<T>, int> = 0>
-  void num(const char* key, T v) {
-    kv(key, fmt_u64(static_cast<std::uint64_t>(v)));
+  template <class T>
+  void num(const char* k, T v) {
+    key(k);
+    chars(v);
+    out += '\n';
   }
-  void flag(const char* key, bool v) { kv(key, v ? "1" : "0"); }
-  void text(const char* key, const std::string& v) { kv(key, percent_encode(v)); }
-  void list(const char* key, const std::vector<double>& v) {
-    if (v.empty()) return;
-    std::string joined;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) joined += ',';
-      joined += fmt_double(v[i]);
+  void flag(const char* k, bool v) { kv(k, v ? "1" : "0"); }
+  /// Same escape set as encode_stack_spec: '%', whitespace, control bytes —
+  /// the encoded token survives any line/space tokenizer unsplit.
+  void percent_encode(std::string_view raw) {
+    static const char* hex = "0123456789ABCDEF";
+    for (const char ch : raw) {
+      const unsigned char c = static_cast<unsigned char>(ch);
+      if (c == '%' || c <= 0x20 || c == 0x7f) {
+        out += '%';
+        out += hex[c >> 4];
+        out += hex[c & 0xf];
+      } else {
+        out += ch;
+      }
     }
-    kv(key, joined);
+  }
+  void text(const char* k, std::string_view v) {
+    key(k);
+    percent_encode(v);
+    out += '\n';
+  }
+  void csv(const std::vector<double>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) out += ',';
+      chars(v[i]);
+    }
+  }
+  void list(const char* k, const std::vector<double>& v) {
+    if (v.empty()) return;
+    key(k);
+    csv(v);
+    out += '\n';
   }
 };
 
-std::vector<double> parse_double_list(const std::string& s,
-                                      const std::string& what) {
-  std::vector<double> out;
-  for (std::size_t pos = 0; pos <= s.size();) {
-    const std::size_t comma = std::min(s.find(',', pos), s.size());
-    out.push_back(parse_double(s.substr(pos, comma - pos), what));
-    pos = comma + 1;
-  }
-  return out;
-}
+// -- field tables -------------------------------------------------------------
+// One enumeration per struct drives both encode and decode, so the two
+// cannot drift.  Each visitor takes the struct const (encode) or mutable
+// (decode).  Every field of ThermalModelParams is on the wire: the model key
+// (and so bit-identity with an in-process call) depends on all of them.
 
-// -- the thermal-parameter field table ----------------------------------------
-// One enumeration drives both encode and decode, so the two cannot drift.
-// Every field of ThermalModelParams is on the wire: the model key (and so
-// bit-identity with an in-process call) depends on all of them.
-
-template <class F>
-void visit_thermal(ThermalModelParams& t, F&& f) {
+constexpr auto visit_thermal = [](auto& t, auto&& f) {
   f("t.grid_rows", t.grid_rows);
   f("t.grid_cols", t.grid_cols);
   f("t.silicon_conductivity", t.silicon_conductivity);
@@ -204,54 +264,9 @@ void visit_thermal(ThermalModelParams& t, F&& f) {
   f("t.pcg_tolerance", t.pcg.tolerance);
   f("t.pcg_max_iterations", t.pcg.max_iterations);
   f("t.pcg_ssor_omega", t.pcg.ssor_omega);
-}
+};
 
-void write_thermal(Writer& w, const ThermalModelParams& params) {
-  ThermalModelParams t = params;  // visitor takes mutable refs
-  visit_thermal(t, [&w](const char* key, auto& field) {
-    using T = std::remove_reference_t<decltype(field)>;
-    if constexpr (std::is_same_v<T, bool>) {
-      w.flag(key, field);
-    } else {
-      w.num(key, field);
-    }
-  });
-  w.kv("t.solver_backend", to_string(t.solver_backend));
-  w.kv("t.pcg_preconditioner", to_string(t.pcg.preconditioner));
-}
-
-bool apply_thermal_field(ThermalModelParams& t, const std::string& key,
-                         const std::string& value, const std::string& what) {
-  if (key == "t.solver_backend") {
-    t.solver_backend = solver_backend_from_name(value);
-    return true;
-  }
-  if (key == "t.pcg_preconditioner") {
-    t.pcg.preconditioner = pcg_preconditioner_from_name(value);
-    return true;
-  }
-  bool hit = false;
-  visit_thermal(t, [&](const char* name, auto& field) {
-    if (hit || key != name) return;
-    hit = true;
-    using T = std::remove_reference_t<decltype(field)>;
-    if constexpr (std::is_same_v<T, bool>) {
-      LIQUID3D_REQUIRE(value == "0" || value == "1",
-                       what + ": " + key + " must be 0 or 1, got '" + value + "'");
-      field = value == "1";
-    } else if constexpr (std::is_same_v<T, std::size_t>) {
-      field = static_cast<std::size_t>(parse_u64(value, what + ": " + key));
-    } else {
-      field = parse_double(value, what + ": " + key);
-    }
-  });
-  return hit;
-}
-
-// -- the SimulationResult field table -----------------------------------------
-
-template <class F>
-void visit_result(SimulationResult& r, F&& f) {
+constexpr auto visit_result = [](auto& r, auto&& f) {
   f("r.hotspot_percent", r.hotspot_percent);
   f("r.hotspot_max_sample", r.hotspot_max_sample);
   f("r.above_target_percent", r.above_target_percent);
@@ -271,12 +286,9 @@ void visit_result(SimulationResult& r, F&& f) {
   f("r.forecast_rmse", r.forecast_rmse);
   f("r.avg_pump_setting", r.avg_pump_setting);
   f("r.elapsed_s", r.elapsed_s);
-}
+};
 
-// -- the ServeStats field table -----------------------------------------------
-
-template <class F>
-void visit_stats(ServeStats& s, F&& f) {
+constexpr auto visit_stats = [](auto& s, auto&& f) {
   f("steady_queries", s.steady_queries);
   f("rom_hits", s.rom_hits);
   f("rom_builds", s.rom_builds);
@@ -295,6 +307,49 @@ void visit_stats(ServeStats& s, F&& f) {
   f("wire_connections", s.wire_connections);
   f("wire_queue_hwm", s.wire_queue_hwm);
   f("wire_queue_hwm_window", s.wire_queue_hwm_window);
+};
+
+template <class T, class Visit>
+void write_table(Writer& w, const T& obj, Visit visit) {
+  visit(obj, [&w](const char* key, const auto& field) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(field)>, bool>) {
+      w.flag(key, field);
+    } else {
+      w.num(key, field);
+    }
+  });
+}
+
+/// Decodes the table field named `key` into `obj`; false when the table has
+/// no such key.  The name → ordinal index is built once per table from its
+/// visitor, so a key costs one hash lookup, not a compare against every name.
+template <class T, class Visit>
+bool read_table(Visit visit, T& obj, std::string_view key, std::string_view value,
+                const char* what) {
+  static const auto index = [visit] {
+    std::unordered_map<std::string_view, std::size_t> names;
+    T scratch{};
+    visit(scratch, [&names](const char* name, auto&) {
+      names.emplace(name, names.size());
+    });
+    return names;
+  }();
+  const auto hit = index.find(key);
+  if (hit == index.end()) return false;
+  std::size_t ordinal = 0;
+  visit(obj, [&](const char*, auto& field) {
+    if (ordinal++ != hit->second) return;
+    using F = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<F, bool>) {
+      field = read_flag(value, what, key);
+    } else if constexpr (std::is_same_v<F, double>) {
+      field = read_f64(value, what, key);
+    } else {
+      static_assert(std::is_unsigned_v<F>);
+      field = static_cast<F>(read_u64(value, what, key));
+    }
+  });
+  return true;
 }
 
 // -- payload encoders ---------------------------------------------------------
@@ -306,26 +361,32 @@ void write_envelope_prefix(Writer& w, const char* tag, std::uint64_t id,
   w.num("deadline_ms", deadline_ms);
 }
 
-void write_steady(Writer& w, const SteadyQuery& q) {
+const char* request_tag(const SteadyQuery&) { return "steady"; }
+const char* request_tag(const WhatIfQuery&) { return "whatif"; }
+const char* request_tag(const ReplayQuery&) { return "replay"; }
+const char* request_tag(const StatsQuery&) { return "stats"; }
+const char* request_tag(const MetricsQuery&) { return "metrics"; }
+const char* request_tag(const TraceQuery&) { return "trace"; }
+
+void write_payload(Writer& w, const SteadyQuery& q) {
   const SimulationConfig& cfg = q.config;
   w.kv("cooling", cooling_name(cfg.cooling));
   w.num("layer_pairs", cfg.layer_pairs);
   if (cfg.stack) w.kv("stack", encode_stack_spec(*cfg.stack));
   w.kv("delivery_mode", to_string(cfg.delivery_mode));
-  write_thermal(w, cfg.thermal);
+  write_table(w, cfg.thermal, visit_thermal);
+  w.kv("t.solver_backend", to_string(cfg.thermal.solver_backend));
+  w.kv("t.pcg_preconditioner", to_string(cfg.thermal.pcg.preconditioner));
   w.num("core_watts", q.core_watts);
   if (!q.block_watts.empty()) {
-    std::string packed;
+    w.key("block_watts");
     for (std::size_t l = 0; l < q.block_watts.size(); ++l) {
-      if (l > 0) packed += ';';
-      packed += fmt_u64(l);
-      packed += ':';
-      for (std::size_t b = 0; b < q.block_watts[l].size(); ++b) {
-        if (b > 0) packed += ',';
-        packed += fmt_double(q.block_watts[l][b]);
-      }
+      if (l > 0) w.out += ';';
+      w.chars(l);
+      w.out += ':';
+      w.csv(q.block_watts[l]);
     }
-    w.kv("block_watts", packed);
+    w.out += '\n';
   }
   w.list("flows_ml_per_min", q.flows_ml_per_min);
   w.list("valve_openings", q.valve_openings);
@@ -335,7 +396,7 @@ void write_steady(Writer& w, const SteadyQuery& q) {
   w.flag("force_full", q.force_full);
 }
 
-void write_whatif(Writer& w, const WhatIfQuery& q) {
+void write_payload(Writer& w, const WhatIfQuery& q) {
   w.text("scenario", q.scenario);
   w.text("benchmark", q.benchmark);
   w.num("duration_s", q.duration_s);
@@ -346,371 +407,323 @@ void write_whatif(Writer& w, const WhatIfQuery& q) {
   w.num("grid_cols", q.grid_cols);
 }
 
-void write_replay(Writer& w, const ReplayQuery& q) {
-  write_whatif(w, q.base);
+void write_payload(Writer& w, const ReplayQuery& q) {
+  write_payload(w, q.base);
   for (const PhaseChange& p : q.phases) {
-    w.kv("phase", fmt_u64(static_cast<std::uint64_t>(p.at.as_ms())) + ":" +
-                      fmt_double(p.utilization_scale));
+    w.key("phase");
+    w.chars(static_cast<std::uint64_t>(p.at.as_ms()));
+    w.out += ':';
+    w.chars(p.utilization_scale);
+    w.out += '\n';
   }
   w.num("trace_period_s", q.trace_period_s);
 }
 
-void write_steady_answer(Writer& w, const SteadyAnswer& a) {
-  w.num("t_max_c", a.t_max_c);
-  w.list("layer_max_c", a.layer_max_c);
-  w.flag("used_rom", a.used_rom);
-  w.num("estimated_error_c", a.estimated_error_c);
-  w.num("certified_error_c", a.certified_error_c);
-  w.num("rom_dimension", a.rom_dimension);
-  w.num("elapsed_us", a.elapsed_us);
+void write_payload(Writer& w, const StatsQuery& q) {
+  // Emitted only when set, so plain stats requests stay byte-identical to
+  // what pre-reset peers produced.
+  if (q.reset_hwm) w.flag("reset_hwm", true);
+}
+
+void write_payload(Writer&, const MetricsQuery&) {}
+
+void write_payload(Writer& w, const TraceQuery& q) {
+  if (q.limit != 0) w.num("limit", q.limit);
 }
 
 void write_outcome(Writer& w, const SessionOutcome& o) {
-  SimulationResult r = o.result;  // visitor takes mutable refs
-  w.text("r.label", r.label);
-  w.text("r.benchmark", r.benchmark);
-  visit_result(r, [&w](const char* key, auto& field) { w.num(key, field); });
+  w.text("r.label", o.result.label);
+  w.text("r.benchmark", o.result.benchmark);
+  write_table(w, o.result, visit_result);
   for (const SampleTrace& s : o.trace) {
-    std::string line = fmt_u64(static_cast<std::uint64_t>(s.now.as_ms()));
+    // 9 space-separated fields: ms tmax forecast pump flow chip pump_w busy
+    // queued (see decode_outcome).
+    w.key("trace");
+    w.chars(static_cast<std::uint64_t>(s.now.as_ms()));
     for (const double v : {s.tmax, s.forecast}) {
-      line += ' ';
-      line += fmt_double(v);
+      w.out += ' ';
+      w.chars(v);
     }
-    line += ' ';
-    line += fmt_u64(s.pump_setting);
-    for (const double v : {s.flow_ml_per_min, s.chip_watts, s.pump_watts,
-                           s.mean_busy}) {
-      line += ' ';
-      line += fmt_double(v);
+    w.out += ' ';
+    w.chars(s.pump_setting);
+    for (const double v : {s.flow_ml_per_min, s.chip_watts, s.pump_watts, s.mean_busy}) {
+      w.out += ' ';
+      w.chars(v);
     }
-    line += ' ';
-    line += fmt_u64(s.queued_threads);
-    w.kv("trace", line);
+    w.out += ' ';
+    w.chars(s.queued_threads);
+    w.out += '\n';
   }
-}
-
-void write_stats(Writer& w, const ServeStats& stats) {
-  ServeStats s = stats;  // visitor takes mutable refs
-  visit_stats(s, [&w](const char* key, auto& field) { w.num(key, field); });
 }
 
 // -- line reader --------------------------------------------------------------
 
 struct Line {
-  std::string key;
-  std::string value;
+  std::string_view key;
+  std::string_view value;
 };
 
-/// Splits the body into `<key> <value>` lines (value may be empty).
-std::vector<Line> read_lines(std::string_view body, const std::string& what) {
-  std::vector<Line> lines;
-  std::size_t pos = 0;
-  while (pos < body.size()) {
-    std::size_t eol = body.find('\n', pos);
-    if (eol == std::string_view::npos) eol = body.size();
-    const std::string_view line = body.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t space = line.find(' ');
-    LIQUID3D_REQUIRE(space != std::string_view::npos && space > 0,
-                     what + ": malformed line '" + std::string(line) + "'");
-    lines.push_back(Line{std::string(line.substr(0, space)),
-                         std::string(line.substr(space + 1))});
+/// Walks the body's `<key> <value>` lines (value may be empty) as views into
+/// the payload; blank lines are skipped.
+struct LineReader {
+  std::string_view rest;
+  const char* what;
+
+  bool next(Line& line) {
+    while (!rest.empty()) {
+      const std::size_t eol = std::min(rest.find('\n'), rest.size());
+      const std::string_view text = rest.substr(0, eol);
+      rest.remove_prefix(std::min(eol + 1, rest.size()));
+      if (text.empty()) continue;
+      const std::size_t space = text.find(' ');
+      if (space == std::string_view::npos || space == 0) {
+        reject(what, "malformed line '" + std::string(text) + "'");
+      }
+      line = Line{text.substr(0, space), text.substr(space + 1)};
+      return true;
+    }
+    return false;
   }
-  return lines;
-}
+};
 
 /// Header: `liquid3d-serve <version> <tag>`.  Returns the tag and the body
-/// offset; rejects a foreign magic or an unsupported version.
-std::string read_header(const std::string& text, std::size_t& body_pos,
-                        const std::string& what) {
-  std::size_t eol = text.find('\n');
-  if (eol == std::string::npos) eol = text.size();
-  const std::string_view header(text.data(), eol);
-  body_pos = eol < text.size() ? eol + 1 : text.size();
+/// after it; rejects a foreign magic or an unsupported version.
+std::string_view read_header(std::string_view text, std::string_view& body,
+                             const char* what) {
+  const std::size_t eol = std::min(text.find('\n'), text.size());
+  const std::string_view header = text.substr(0, eol);
+  body = text.substr(std::min(eol + 1, text.size()));
 
   const std::size_t magic_end = header.find(' ');
-  LIQUID3D_REQUIRE(magic_end != std::string_view::npos &&
-                       header.substr(0, magic_end) == kMagic,
-                   what + ": not a liquid3d-serve envelope");
+  if (magic_end == std::string_view::npos || header.substr(0, magic_end) != kMagic) {
+    reject(what, "not a liquid3d-serve envelope");
+  }
   const std::size_t ver_end = header.find(' ', magic_end + 1);
-  LIQUID3D_REQUIRE(ver_end != std::string_view::npos,
-                   what + ": missing version/tag in header");
-  const std::string version(header.substr(magic_end + 1, ver_end - magic_end - 1));
-  const std::uint64_t v = parse_u64(version, what + ": envelope version");
-  LIQUID3D_REQUIRE(v == kServeWireVersion,
-                   what + ": unsupported envelope version " + version +
-                       " (this peer speaks " + std::to_string(kServeWireVersion) +
-                       ")");
-  return std::string(header.substr(ver_end + 1));
+  if (ver_end == std::string_view::npos) reject(what, "missing version/tag in header");
+  const std::string_view version = header.substr(magic_end + 1, ver_end - magic_end - 1);
+  if (read_u64(version, what, "envelope version") != kServeWireVersion) {
+    reject(what, "unsupported envelope version " + std::string(version) +
+                     " (this peer speaks " + std::to_string(kServeWireVersion) + ")");
+  }
+  return header.substr(ver_end + 1);
 }
 
 // -- payload decoders ---------------------------------------------------------
 
-bool apply_envelope_field(std::uint64_t& id, double& deadline_ms,
-                          const Line& line, const std::string& what) {
+bool read_envelope_field(std::uint64_t& id, double& deadline_ms, const Line& line,
+                         const char* what) {
   if (line.key == "id") {
-    id = parse_u64(line.value, what + ": id");
+    id = read_u64(line.value, what, line.key);
     return true;
   }
   if (line.key == "deadline_ms") {
-    deadline_ms = parse_double(line.value, what + ": deadline_ms");
+    deadline_ms = read_f64(line.value, what, line.key);
     return true;
   }
   return false;
 }
 
-SteadyQuery decode_steady(const std::vector<Line>& lines, std::uint64_t& id,
-                          double& deadline_ms, const std::string& what) {
-  SteadyQuery q;
-  for (const Line& line : lines) {
-    const std::string& key = line.key;
-    const std::string& value = line.value;
-    if (apply_envelope_field(id, deadline_ms, line, what)) {
+void decode_steady(LineReader& lines, WireRequest& request, SteadyQuery& q) {
+  const char* what = lines.what;
+  for (Line line; lines.next(line);) {
+    const std::string_view key = line.key;
+    const std::string_view value = line.value;
+    if (read_envelope_field(request.id, request.deadline_ms, line, what)) {
     } else if (key == "cooling") {
       q.config.cooling = cooling_from_name(value, what);
     } else if (key == "layer_pairs") {
-      q.config.layer_pairs = static_cast<std::size_t>(parse_u64(value, what + ": " + key));
+      q.config.layer_pairs = static_cast<std::size_t>(read_u64(value, what, key));
     } else if (key == "stack") {
-      q.config.stack = decode_stack_spec(value, what);
+      q.config.stack = decode_stack_spec(std::string(value), what);
     } else if (key == "delivery_mode") {
       q.config.delivery_mode = delivery_from_name(value, what);
-    } else if (apply_thermal_field(q.config.thermal, key, value, what)) {
+    } else if (read_table(visit_thermal, q.config.thermal, key, value, what)) {
+    } else if (key == "t.solver_backend") {
+      q.config.thermal.solver_backend = solver_backend_from_name(value);
+    } else if (key == "t.pcg_preconditioner") {
+      q.config.thermal.pcg.preconditioner = pcg_preconditioner_from_name(value);
     } else if (key == "core_watts") {
-      q.core_watts = parse_double(value, what + ": " + key);
+      q.core_watts = read_f64(value, what, key);
     } else if (key == "block_watts") {
       for (std::size_t pos = 0; pos <= value.size();) {
         const std::size_t semi = std::min(value.find(';', pos), value.size());
-        const std::string entry = value.substr(pos, semi - pos);
+        const std::string_view entry = value.substr(pos, semi - pos);
         pos = semi + 1;
         const std::size_t colon = entry.find(':');
-        LIQUID3D_REQUIRE(colon != std::string::npos,
-                         what + ": block_watts entry '" + entry +
-                             "' is not LAYER:W,W,..");
-        const auto layer = static_cast<std::size_t>(
-            parse_u64(entry.substr(0, colon), what + ": block_watts layer"));
-        if (layer >= q.block_watts.size()) q.block_watts.resize(layer + 1);
-        const std::string csv = entry.substr(colon + 1);
-        if (!csv.empty()) {
-          q.block_watts[layer] = parse_double_list(csv, what + ": block_watts");
+        if (colon == std::string_view::npos) {
+          reject(what, "block_watts entry '" + std::string(entry) +
+                           "' is not LAYER:W,W,..");
         }
+        const std::uint64_t layer = read_u64(entry.substr(0, colon), what, "block_watts layer");
+        // The index sizes an allocation: bound it before trusting it.
+        if (layer >= kMaxWireLayers) {
+          reject(what, "block_watts layer " + std::to_string(layer) +
+                           " is past the cap of " + std::to_string(kMaxWireLayers) +
+                           " layers");
+        }
+        if (layer >= q.block_watts.size()) q.block_watts.resize(layer + 1);
+        const std::string_view csv = entry.substr(colon + 1);
+        if (!csv.empty()) read_f64_list(csv, what, "block_watts", q.block_watts[layer]);
       }
     } else if (key == "flows_ml_per_min") {
-      q.flows_ml_per_min = parse_double_list(value, what + ": " + key);
+      read_f64_list(value, what, key, q.flows_ml_per_min);
     } else if (key == "valve_openings") {
-      q.valve_openings = parse_double_list(value, what + ": " + key);
+      read_f64_list(value, what, key, q.valve_openings);
     } else if (key == "pump_setting") {
-      q.pump_setting = static_cast<std::size_t>(parse_u64(value, what + ": " + key));
+      q.pump_setting = static_cast<std::size_t>(read_u64(value, what, key));
     } else if (key == "reference_c") {
-      q.reference_c = parse_double(value, what + ": " + key);
+      q.reference_c = read_f64(value, what, key);
     } else if (key == "max_error_c") {
-      q.max_error_c = parse_double(value, what + ": " + key);
+      q.max_error_c = read_f64(value, what, key);
     } else if (key == "force_full") {
-      q.force_full = value == "1";
+      q.force_full = read_flag(value, what, key);
     } else {
-      throw ConfigError(what + ": unknown steady key '" + key + "'");
+      reject(what, "unknown steady key '" + std::string(key) + "'");
     }
   }
-  return q;
 }
 
 /// Shared by whatif and replay ( `phases`/`trace_period_s` only legal for
 /// replay — `replay` toggles them).
-ReplayQuery decode_session_query(const std::vector<Line>& lines, bool replay,
-                                 std::uint64_t& id, double& deadline_ms,
-                                 const std::string& what) {
+ReplayQuery decode_session_query(LineReader& lines, bool replay,
+                                 WireRequest& request) {
+  const char* what = lines.what;
   ReplayQuery q;
-  for (const Line& line : lines) {
-    const std::string& key = line.key;
-    const std::string& value = line.value;
-    if (apply_envelope_field(id, deadline_ms, line, what)) {
+  for (Line line; lines.next(line);) {
+    const std::string_view key = line.key;
+    const std::string_view value = line.value;
+    if (read_envelope_field(request.id, request.deadline_ms, line, what)) {
     } else if (key == "scenario") {
-      q.base.scenario = percent_decode(value, what + ": " + key);
+      q.base.scenario = percent_decode(value, what, key);
     } else if (key == "benchmark") {
-      q.base.benchmark = percent_decode(value, what + ": " + key);
+      q.base.benchmark = percent_decode(value, what, key);
     } else if (key == "duration_s") {
-      q.base.duration_s = parse_double(value, what + ": " + key);
+      q.base.duration_s = read_f64(value, what, key);
     } else if (key == "seed") {
-      q.base.seed = parse_u64(value, what + ": " + key);
+      q.base.seed = read_u64(value, what, key);
     } else if (key == "layer_pairs") {
-      q.base.layer_pairs = static_cast<std::size_t>(parse_u64(value, what + ": " + key));
+      q.base.layer_pairs = static_cast<std::size_t>(read_u64(value, what, key));
     } else if (key == "stack") {
-      q.base.stack = decode_stack_spec(value, what);
+      q.base.stack = decode_stack_spec(std::string(value), what);
     } else if (key == "grid_rows") {
-      q.base.grid_rows = static_cast<std::size_t>(parse_u64(value, what + ": " + key));
+      q.base.grid_rows = static_cast<std::size_t>(read_u64(value, what, key));
     } else if (key == "grid_cols") {
-      q.base.grid_cols = static_cast<std::size_t>(parse_u64(value, what + ": " + key));
+      q.base.grid_cols = static_cast<std::size_t>(read_u64(value, what, key));
     } else if (replay && key == "phase") {
       const std::size_t colon = value.find(':');
-      LIQUID3D_REQUIRE(colon != std::string::npos,
-                       what + ": phase '" + value + "' is not MS:SCALE");
+      if (colon == std::string_view::npos) {
+        reject(what, "phase '" + std::string(value) + "' is not MS:SCALE");
+      }
       PhaseChange p;
-      p.at = SimTime::from_ms(static_cast<std::int64_t>(
-          parse_u64(value.substr(0, colon), what + ": phase time")));
-      p.utilization_scale =
-          parse_double(value.substr(colon + 1), what + ": phase scale");
+      p.at = SimTime::from_ms(
+          static_cast<std::int64_t>(read_u64(value.substr(0, colon), what, "phase time")));
+      p.utilization_scale = read_f64(value.substr(colon + 1), what, "phase scale");
       q.phases.push_back(p);
     } else if (replay && key == "trace_period_s") {
-      q.trace_period_s = parse_double(value, what + ": " + key);
+      q.trace_period_s = read_f64(value, what, key);
     } else {
-      throw ConfigError(what + ": unknown " +
-                        (replay ? std::string("replay") : std::string("whatif")) +
-                        " key '" + key + "'");
+      reject(what, std::string("unknown ") + (replay ? "replay" : "whatif") +
+                       " key '" + std::string(key) + "'");
     }
   }
   return q;
 }
 
-SteadyAnswer decode_steady_answer(const std::vector<Line>& lines,
-                                  std::uint64_t& id, const std::string& what) {
+SteadyAnswer decode_steady_answer(LineReader& lines, std::uint64_t& id) {
+  const char* what = lines.what;
   SteadyAnswer a;
   double ignored_deadline = 0.0;
-  for (const Line& line : lines) {
-    const std::string& key = line.key;
-    const std::string& value = line.value;
-    if (apply_envelope_field(id, ignored_deadline, line, what)) {
+  for (Line line; lines.next(line);) {
+    const std::string_view key = line.key;
+    const std::string_view value = line.value;
+    if (read_envelope_field(id, ignored_deadline, line, what)) {
     } else if (key == "t_max_c") {
-      a.t_max_c = parse_double(value, what + ": " + key);
+      a.t_max_c = read_f64(value, what, key);
     } else if (key == "layer_max_c") {
-      a.layer_max_c = parse_double_list(value, what + ": " + key);
+      read_f64_list(value, what, key, a.layer_max_c);
     } else if (key == "used_rom") {
-      a.used_rom = value == "1";
+      a.used_rom = read_flag(value, what, key);
     } else if (key == "estimated_error_c") {
-      a.estimated_error_c = parse_double(value, what + ": " + key);
+      a.estimated_error_c = read_f64(value, what, key);
     } else if (key == "certified_error_c") {
-      a.certified_error_c = parse_double(value, what + ": " + key);
+      a.certified_error_c = read_f64(value, what, key);
     } else if (key == "rom_dimension") {
-      a.rom_dimension = static_cast<std::size_t>(parse_u64(value, what + ": " + key));
+      a.rom_dimension = static_cast<std::size_t>(read_u64(value, what, key));
     } else if (key == "elapsed_us") {
-      a.elapsed_us = parse_double(value, what + ": " + key);
+      a.elapsed_us = read_f64(value, what, key);
     } else {
-      throw ConfigError(what + ": unknown steady-answer key '" + key + "'");
+      reject(what, "unknown steady-answer key '" + std::string(key) + "'");
     }
   }
   return a;
 }
 
-SessionOutcome decode_outcome(const std::vector<Line>& lines, std::uint64_t& id,
-                              const std::string& what) {
+SessionOutcome decode_outcome(LineReader& lines, std::uint64_t& id) {
+  const char* what = lines.what;
   SessionOutcome o;
   double ignored_deadline = 0.0;
-  for (const Line& line : lines) {
-    const std::string& key = line.key;
-    const std::string& value = line.value;
-    if (apply_envelope_field(id, ignored_deadline, line, what)) continue;
-    if (key == "r.label") {
-      o.result.label = percent_decode(value, what + ": " + key);
-      continue;
-    }
-    if (key == "r.benchmark") {
-      o.result.benchmark = percent_decode(value, what + ": " + key);
-      continue;
-    }
-    if (key == "trace") {
-      // 10 space-separated fields: ms tmax forecast pump flow chip pump_w
-      // busy queued (see write_outcome).
-      std::vector<std::string> parts;
-      for (std::size_t pos = 0; pos <= value.size();) {
-        const std::size_t space = std::min(value.find(' ', pos), value.size());
-        parts.push_back(value.substr(pos, space - pos));
-        pos = space + 1;
+  for (Line line; lines.next(line);) {
+    const std::string_view key = line.key;
+    const std::string_view value = line.value;
+    if (read_envelope_field(id, ignored_deadline, line, what)) {
+    } else if (key == "r.label") {
+      o.result.label = percent_decode(value, what, key);
+    } else if (key == "r.benchmark") {
+      o.result.benchmark = percent_decode(value, what, key);
+    } else if (key == "trace") {
+      std::array<std::string_view, 9> f;  // see write_outcome
+      const std::size_t n = split(value, ' ', f);
+      if (n != f.size()) {
+        reject(what, "trace record has " + std::to_string(n) + " fields, expected 9");
       }
-      LIQUID3D_REQUIRE(parts.size() == 9,
-                       what + ": trace record has " +
-                           std::to_string(parts.size()) + " fields, expected 9");
       SampleTrace s;
-      s.now = SimTime::from_ms(
-          static_cast<std::int64_t>(parse_u64(parts[0], what + ": trace time")));
-      s.tmax = parse_double(parts[1], what + ": trace tmax");
-      s.forecast = parse_double(parts[2], what + ": trace forecast");
-      s.pump_setting =
-          static_cast<std::size_t>(parse_u64(parts[3], what + ": trace pump"));
-      s.flow_ml_per_min = parse_double(parts[4], what + ": trace flow");
-      s.chip_watts = parse_double(parts[5], what + ": trace chip watts");
-      s.pump_watts = parse_double(parts[6], what + ": trace pump watts");
-      s.mean_busy = parse_double(parts[7], what + ": trace busy");
-      s.queued_threads =
-          static_cast<std::size_t>(parse_u64(parts[8], what + ": trace queued"));
+      s.now = SimTime::from_ms(static_cast<std::int64_t>(read_u64(f[0], what, "trace time")));
+      s.tmax = read_f64(f[1], what, "trace tmax");
+      s.forecast = read_f64(f[2], what, "trace forecast");
+      s.pump_setting = static_cast<std::size_t>(read_u64(f[3], what, "trace pump"));
+      s.flow_ml_per_min = read_f64(f[4], what, "trace flow");
+      s.chip_watts = read_f64(f[5], what, "trace chip watts");
+      s.pump_watts = read_f64(f[6], what, "trace pump watts");
+      s.mean_busy = read_f64(f[7], what, "trace busy");
+      s.queued_threads = static_cast<std::size_t>(read_u64(f[8], what, "trace queued"));
       o.trace.push_back(s);
-      continue;
+    } else if (!read_table(visit_result, o.result, key, value, what)) {
+      reject(what, "unknown outcome key '" + std::string(key) + "'");
     }
-    bool hit = false;
-    visit_result(o.result, [&](const char* name, auto& field) {
-      if (hit || key != name) return;
-      hit = true;
-      using T = std::remove_reference_t<decltype(field)>;
-      if constexpr (std::is_same_v<T, std::size_t>) {
-        field = static_cast<std::size_t>(parse_u64(value, what + ": " + key));
-      } else {
-        field = parse_double(value, what + ": " + key);
-      }
-    });
-    if (!hit) throw ConfigError(what + ": unknown outcome key '" + key + "'");
   }
   return o;
-}
-
-ServeStats decode_stats(const std::vector<Line>& lines, std::uint64_t& id,
-                        const std::string& what) {
-  ServeStats s;
-  double ignored_deadline = 0.0;
-  for (const Line& line : lines) {
-    if (apply_envelope_field(id, ignored_deadline, line, what)) continue;
-    bool hit = false;
-    visit_stats(s, [&](const char* name, auto& field) {
-      if (hit || line.key != name) return;
-      hit = true;
-      field = static_cast<std::size_t>(
-          parse_u64(line.value, what + ": " + line.key));
-    });
-    if (!hit) {
-      throw ConfigError(what + ": unknown stats key '" + line.key + "'");
-    }
-  }
-  return s;
 }
 
 /// One trace-answer span line:
 ///   <trace_id> <span_id> <parent_id> <stage> <start_ns> <end_ns>
 /// (stage percent-encoded).
-obs::TraceSpan decode_span(const std::string& value, const std::string& what) {
-  std::vector<std::string> tokens;
-  std::size_t pos = 0;
-  while (pos <= value.size()) {
-    std::size_t space = value.find(' ', pos);
-    if (space == std::string::npos) space = value.size();
-    tokens.push_back(value.substr(pos, space - pos));
-    pos = space + 1;
+obs::TraceSpan decode_span(std::string_view value, const char* what) {
+  std::array<std::string_view, 6> f;
+  if (split(value, ' ', f) != f.size()) {
+    reject(what, "malformed span line '" + std::string(value) + "'");
   }
-  LIQUID3D_REQUIRE(tokens.size() == 6,
-                   what + ": malformed span line '" + value + "'");
   obs::TraceSpan s;
-  s.trace_id = parse_u64(tokens[0], what + ": span trace_id");
-  s.span_id =
-      static_cast<std::uint32_t>(parse_u64(tokens[1], what + ": span id"));
-  s.parent_id =
-      static_cast<std::uint32_t>(parse_u64(tokens[2], what + ": span parent"));
-  s.stage = percent_decode(tokens[3], what + ": span stage");
-  s.start_ns = parse_u64(tokens[4], what + ": span start");
-  s.end_ns = parse_u64(tokens[5], what + ": span end");
+  s.trace_id = read_u64(f[0], what, "span trace_id");
+  s.span_id = static_cast<std::uint32_t>(read_u64(f[1], what, "span id"));
+  s.parent_id = static_cast<std::uint32_t>(read_u64(f[2], what, "span parent"));
+  s.stage = percent_decode(f[3], what, "span stage");
+  s.start_ns = read_u64(f[4], what, "span start");
+  s.end_ns = read_u64(f[5], what, "span end");
   return s;
 }
 
-ErrorReply decode_error(const std::vector<Line>& lines, std::uint64_t& id,
-                        const std::string& what) {
-  ErrorReply e;
-  double ignored_deadline = 0.0;
-  for (const Line& line : lines) {
-    if (apply_envelope_field(id, ignored_deadline, line, what)) {
-    } else if (line.key == "code") {
-      e.code = error_code_from_name(line.value, what);
-    } else if (line.key == "message") {
-      e.message = percent_decode(line.value, what + ": message");
-    } else {
-      throw ConfigError(what + ": unknown error key '" + line.key + "'");
+/// Decodes a body whose only keys besides id/deadline_ms are handled by
+/// `field` (returns false for a key it does not know, which is rejected).
+template <class Field>
+void decode_simple(LineReader& lines, std::uint64_t& id, double& deadline_ms,
+                   const char* tag, Field&& field) {
+  for (Line line; lines.next(line);) {
+    if (read_envelope_field(id, deadline_ms, line, lines.what)) continue;
+    if (!field(line)) {
+      reject(lines.what, "unknown " + std::string(tag) + " key '" +
+                             std::string(line.key) + "'");
     }
   }
-  return e;
 }
 
 }  // namespace
@@ -729,43 +742,46 @@ const char* to_string(WireErrorCode code) {
   return "?";
 }
 
-std::string encode_request(const WireRequest& request) {
+template <class Query>
+std::string encode_request(std::uint64_t id, double deadline_ms, const Query& query) {
   Writer w;
-  if (const auto* steady = std::get_if<SteadyQuery>(&request.payload)) {
-    write_envelope_prefix(w, "steady", request.id, request.deadline_ms);
-    write_steady(w, *steady);
-  } else if (const auto* whatif = std::get_if<WhatIfQuery>(&request.payload)) {
-    write_envelope_prefix(w, "whatif", request.id, request.deadline_ms);
-    write_whatif(w, *whatif);
-  } else if (const auto* replay = std::get_if<ReplayQuery>(&request.payload)) {
-    write_envelope_prefix(w, "replay", request.id, request.deadline_ms);
-    write_replay(w, *replay);
-  } else if (const auto* trace = std::get_if<TraceQuery>(&request.payload)) {
-    write_envelope_prefix(w, "trace", request.id, request.deadline_ms);
-    if (trace->limit != 0) w.num("limit", trace->limit);
-  } else if (std::get_if<MetricsQuery>(&request.payload) != nullptr) {
-    write_envelope_prefix(w, "metrics", request.id, request.deadline_ms);
-  } else {
-    const auto& stats = std::get<StatsQuery>(request.payload);
-    write_envelope_prefix(w, "stats", request.id, request.deadline_ms);
-    // Emitted only when set, so plain stats requests stay byte-identical
-    // to what pre-reset peers produced.
-    if (stats.reset_hwm) w.flag("reset_hwm", true);
-  }
+  write_envelope_prefix(w, request_tag(query), id, deadline_ms);
+  write_payload(w, query);
   return std::move(w.out);
+}
+
+template std::string encode_request(std::uint64_t, double, const SteadyQuery&);
+template std::string encode_request(std::uint64_t, double, const WhatIfQuery&);
+template std::string encode_request(std::uint64_t, double, const ReplayQuery&);
+template std::string encode_request(std::uint64_t, double, const StatsQuery&);
+template std::string encode_request(std::uint64_t, double, const MetricsQuery&);
+template std::string encode_request(std::uint64_t, double, const TraceQuery&);
+
+std::string encode_request(const WireRequest& request) {
+  return std::visit(
+      [&request](const auto& query) {
+        return encode_request(request.id, request.deadline_ms, query);
+      },
+      request.payload);
 }
 
 std::string encode_response(const WireResponse& response) {
   Writer w;
   if (const auto* answer = std::get_if<SteadyAnswer>(&response.payload)) {
     write_envelope_prefix(w, "steady-answer", response.id, 0.0);
-    write_steady_answer(w, *answer);
+    w.num("t_max_c", answer->t_max_c);
+    w.list("layer_max_c", answer->layer_max_c);
+    w.flag("used_rom", answer->used_rom);
+    w.num("estimated_error_c", answer->estimated_error_c);
+    w.num("certified_error_c", answer->certified_error_c);
+    w.num("rom_dimension", answer->rom_dimension);
+    w.num("elapsed_us", answer->elapsed_us);
   } else if (const auto* outcome = std::get_if<SessionOutcome>(&response.payload)) {
     write_envelope_prefix(w, "outcome", response.id, 0.0);
     write_outcome(w, *outcome);
   } else if (const auto* stats = std::get_if<ServeStats>(&response.payload)) {
     write_envelope_prefix(w, "stats-answer", response.id, 0.0);
-    write_stats(w, *stats);
+    write_table(w, *stats, visit_stats);
   } else if (const auto* metrics = std::get_if<MetricsAnswer>(&response.payload)) {
     write_envelope_prefix(w, "metrics-answer", response.id, 0.0);
     w.text("body", metrics->text);
@@ -773,131 +789,112 @@ std::string encode_response(const WireResponse& response) {
     write_envelope_prefix(w, "trace-answer", response.id, 0.0);
     for (const obs::TraceSpan& s : trace->spans) {
       // One span per line: ids, percent-encoded stage, start/end ns.
-      std::string line = fmt_u64(s.trace_id);
-      line += ' ';
-      line += fmt_u64(s.span_id);
-      line += ' ';
-      line += fmt_u64(s.parent_id);
-      line += ' ';
-      line += percent_encode(s.stage);
-      line += ' ';
-      line += fmt_u64(s.start_ns);
-      line += ' ';
-      line += fmt_u64(s.end_ns);
-      w.kv("span", line);
+      w.key("span");
+      for (const std::uint64_t v : {s.trace_id, std::uint64_t{s.span_id},
+                                    std::uint64_t{s.parent_id}}) {
+        w.chars(v);
+        w.out += ' ';
+      }
+      w.percent_encode(s.stage);
+      for (const std::uint64_t v : {s.start_ns, s.end_ns}) {
+        w.out += ' ';
+        w.chars(v);
+      }
+      w.out += '\n';
     }
   } else {
     const auto& error = std::get<ErrorReply>(response.payload);
     write_envelope_prefix(w, "error", response.id, 0.0);
-    w.kv("code", error_code_name(error.code));
+    w.kv("code", to_string(error.code));
     w.text("message", error.message);
   }
   return std::move(w.out);
 }
 
 WireRequest decode_request(const std::string& text) {
-  const std::string what = "serve request";
-  std::size_t body_pos = 0;
-  const std::string tag = read_header(text, body_pos, what);
-  const std::vector<Line> lines =
-      read_lines(std::string_view(text).substr(body_pos), what);
+  const char* what = "serve request";
+  std::string_view body;
+  const std::string_view tag = read_header(text, body, what);
+  LineReader lines{body, what};
 
   WireRequest request;
   if (tag == "steady") {
-    request.payload =
-        decode_steady(lines, request.id, request.deadline_ms, what);
+    decode_steady(lines, request, request.payload.emplace<SteadyQuery>());
   } else if (tag == "whatif") {
-    request.payload =
-        decode_session_query(lines, false, request.id, request.deadline_ms, what)
-            .base;
+    request.payload = decode_session_query(lines, false, request).base;
   } else if (tag == "replay") {
-    request.payload =
-        decode_session_query(lines, true, request.id, request.deadline_ms, what);
+    request.payload = decode_session_query(lines, true, request);
   } else if (tag == "stats") {
-    StatsQuery q;
-    double ignored = 0.0;
-    for (const Line& line : lines) {
-      if (apply_envelope_field(request.id, ignored, line, what)) continue;
-      if (line.key == "reset_hwm") {
-        q.reset_hwm = line.value == "1";
-        continue;
-      }
-      throw ConfigError(what + ": unknown stats key '" + line.key + "'");
-    }
-    request.deadline_ms = ignored;
-    request.payload = q;
+    auto& q = request.payload.emplace<StatsQuery>();
+    decode_simple(lines, request.id, request.deadline_ms, "stats", [&](const Line& line) {
+      if (line.key != "reset_hwm") return false;
+      q.reset_hwm = read_flag(line.value, what, line.key);
+      return true;
+    });
   } else if (tag == "metrics") {
-    MetricsQuery q;
-    double ignored = 0.0;
-    for (const Line& line : lines) {
-      LIQUID3D_REQUIRE(apply_envelope_field(request.id, ignored, line, what),
-                       what + ": unknown metrics key '" + line.key + "'");
-    }
-    request.deadline_ms = ignored;
-    request.payload = q;
+    request.payload.emplace<MetricsQuery>();
+    decode_simple(lines, request.id, request.deadline_ms, "metrics",
+                  [](const Line&) { return false; });
   } else if (tag == "trace") {
-    TraceQuery q;
-    double ignored = 0.0;
-    for (const Line& line : lines) {
-      if (apply_envelope_field(request.id, ignored, line, what)) continue;
-      if (line.key == "limit") {
-        q.limit = parse_u64(line.value, what + ": limit");
-        continue;
-      }
-      throw ConfigError(what + ": unknown trace key '" + line.key + "'");
-    }
-    request.deadline_ms = ignored;
-    request.payload = q;
+    auto& q = request.payload.emplace<TraceQuery>();
+    decode_simple(lines, request.id, request.deadline_ms, "trace", [&](const Line& line) {
+      if (line.key != "limit") return false;
+      q.limit = read_u64(line.value, what, line.key);
+      return true;
+    });
   } else {
-    throw ConfigError(what + ": unknown request tag '" + tag + "'");
+    reject(what, "unknown request tag '" + std::string(tag) + "'");
   }
   return request;
 }
 
 WireResponse decode_response(const std::string& text) {
-  const std::string what = "serve response";
-  std::size_t body_pos = 0;
-  const std::string tag = read_header(text, body_pos, what);
-  const std::vector<Line> lines =
-      read_lines(std::string_view(text).substr(body_pos), what);
+  const char* what = "serve response";
+  std::string_view body;
+  const std::string_view tag = read_header(text, body, what);
+  LineReader lines{body, what};
 
   WireResponse response;
+  double ignored_deadline = 0.0;
   if (tag == "steady-answer") {
-    response.payload = decode_steady_answer(lines, response.id, what);
+    response.payload = decode_steady_answer(lines, response.id);
   } else if (tag == "outcome") {
-    response.payload = decode_outcome(lines, response.id, what);
+    response.payload = decode_outcome(lines, response.id);
   } else if (tag == "stats-answer") {
-    response.payload = decode_stats(lines, response.id, what);
+    auto& s = response.payload.emplace<ServeStats>();
+    decode_simple(lines, response.id, ignored_deadline, "stats", [&](const Line& line) {
+      return read_table(visit_stats, s, line.key, line.value, what);
+    });
   } else if (tag == "metrics-answer") {
-    MetricsAnswer a;
-    double ignored = 0.0;
-    for (const Line& line : lines) {
-      if (apply_envelope_field(response.id, ignored, line, what)) continue;
-      if (line.key == "body") {
-        a.text = percent_decode(line.value, what + ": body");
-        continue;
-      }
-      throw ConfigError(what + ": unknown metrics-answer key '" + line.key +
-                        "'");
-    }
-    response.payload = std::move(a);
+    auto& a = response.payload.emplace<MetricsAnswer>();
+    decode_simple(lines, response.id, ignored_deadline, "metrics-answer",
+                  [&](const Line& line) {
+                    if (line.key != "body") return false;
+                    a.text = percent_decode(line.value, what, line.key);
+                    return true;
+                  });
   } else if (tag == "trace-answer") {
-    TraceAnswer a;
-    double ignored = 0.0;
-    for (const Line& line : lines) {
-      if (apply_envelope_field(response.id, ignored, line, what)) continue;
-      if (line.key == "span") {
-        a.spans.push_back(decode_span(line.value, what));
-        continue;
-      }
-      throw ConfigError(what + ": unknown trace-answer key '" + line.key +
-                        "'");
-    }
-    response.payload = std::move(a);
+    auto& a = response.payload.emplace<TraceAnswer>();
+    decode_simple(lines, response.id, ignored_deadline, "trace-answer",
+                  [&](const Line& line) {
+                    if (line.key != "span") return false;
+                    a.spans.push_back(decode_span(line.value, what));
+                    return true;
+                  });
   } else if (tag == "error") {
-    response.payload = decode_error(lines, response.id, what);
+    auto& e = response.payload.emplace<ErrorReply>();
+    decode_simple(lines, response.id, ignored_deadline, "error", [&](const Line& line) {
+      if (line.key == "code") {
+        e.code = error_code_from_name(line.value, what);
+      } else if (line.key == "message") {
+        e.message = percent_decode(line.value, what, line.key);
+      } else {
+        return false;
+      }
+      return true;
+    });
   } else {
-    throw ConfigError(what + ": unknown response tag '" + tag + "'");
+    reject(what, "unknown response tag '" + std::string(tag) + "'");
   }
   return response;
 }

@@ -19,12 +19,14 @@
 //
 // Serialization is line-oriented text: a `liquid3d-serve <version> <tag>`
 // header, then one `<key> <value>` line per field.  Doubles are printed
-// %.17g (bit-exact round-trip — the same convention as geom/stack_spec and
-// sim/report), free-form strings and embedded stack specs are
-// percent-encoded into single whitespace-free tokens (the stack spec by
-// encode_stack_spec, everything else by the same %XX escape).  Decoding is
-// strict: an unknown version, tag, or key and any malformed value throw
-// ConfigError naming the offender — version 1 never silently ignores input.
+// shortest round-trip (`std::to_chars`): the fewest digits that parse back
+// to the same bits, so a peer printing %.17g (geom/stack_spec, sim/report,
+// and this codec before) decodes identically.  Free-form strings and
+// embedded stack specs are percent-encoded into single whitespace-free
+// tokens (the stack spec by encode_stack_spec, everything else by the same
+// %XX escape).  Decoding is strict: an unknown version, tag, or key, a flag
+// other than 0 or 1, and any malformed value throw ConfigError naming the
+// offender — version 1 never silently ignores input.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +52,11 @@ inline constexpr std::uint32_t kServeWireVersion = 1;
 /// Payload cap for one frame (guards both peers against a hostile or
 /// corrupt length prefix; see net/frame.hpp).
 inline constexpr std::size_t kMaxFramePayload = 16u << 20;
+
+/// Cap on a steady request's `block_watts` layer index, far past any stack
+/// a thermal model is built for (the Niagara presets stop at 8 layers).
+/// The index sizes the decoded power map, so it is bounded before use.
+inline constexpr std::size_t kMaxWireLayers = 1024;
 
 /// Request for the service's counter snapshot.  With `reset_hwm` set the
 /// server reports the current windowed queue high-water mark, then resets
@@ -134,6 +141,11 @@ struct WireResponse {
 };
 
 [[nodiscard]] std::string encode_request(const WireRequest& request);
+/// The same encoding straight from a payload (any WireRequest alternative),
+/// without copying it into a WireRequest first.
+template <class Query>
+[[nodiscard]] std::string encode_request(std::uint64_t id, double deadline_ms,
+                                         const Query& query);
 [[nodiscard]] std::string encode_response(const WireResponse& response);
 
 /// Strict decoders; throw ConfigError naming the offending line/key.

@@ -1,16 +1,24 @@
 // The versioned serve wire envelope (serve/net/envelope.hpp).  Contracts
 // under test: every request/response payload round-trips bit-exactly
-// (doubles through %.17g, strings through percent-encoding, optionals and
-// repeated fields preserved); decoding is strict — a foreign magic, an
-// unsupported version, an unknown tag, an unknown key, and malformed
-// values all throw ConfigError naming the offender; and peek_request_id
-// salvages the correlation id from envelopes too broken to decode.
+// (doubles printed shortest round-trip by std::to_chars, strings through
+// percent-encoding, optionals and repeated fields preserved); a %.17g
+// envelope from an older peer decodes to the same bits; number parsing
+// accepts exactly the spellings parse_double/parse_u64 accept; decoding is
+// strict — a foreign magic, an unsupported version, an unknown tag, an
+// unknown key, a flag other than 0/1, an out-of-range layer index and
+// malformed values all throw ConfigError naming the offender; and
+// peek_request_id salvages the correlation id from envelopes too broken
+// to decode.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "geom/stack_spec.hpp"
 #include "serve/net/envelope.hpp"
 
@@ -292,6 +300,167 @@ TEST(ServeEnvelope, RejectsUnknownKeysAndMalformedValues) {
   EXPECT_THROW(
       (void)decode_request("liquid3d-serve 1 stats\nid 1\ncore_watts 3\n"),
       ConfigError);
+}
+
+TEST(ServeEnvelope, BlockWattsLayerIndexIsCapped) {
+  // The layer index sizes the decoded power map: one line asking for layer
+  // 4e9 must be a ConfigError, not a ~96 GB allocation.
+  const std::string head = "liquid3d-serve 1 steady\nid 1\nblock_watts ";
+  EXPECT_THROW((void)decode_request(head + "4000000000:1\n"), ConfigError);
+  EXPECT_THROW((void)decode_request(head + "18446744073709551615:1\n"),
+               ConfigError);
+  EXPECT_THROW(
+      (void)decode_request(head + std::to_string(kMaxWireLayers) + ":1\n"),
+      ConfigError);
+  const WireRequest last =
+      decode_request(head + std::to_string(kMaxWireLayers - 1) + ":2.5\n");
+  const auto& q = std::get<SteadyQuery>(last.payload);
+  ASSERT_EQ(q.block_watts.size(), kMaxWireLayers);
+  EXPECT_EQ(q.block_watts.back(), std::vector<double>{2.5});
+}
+
+TEST(ServeEnvelope, FlagsDecodeOnlyZeroOrOne) {
+  const std::string steady = "liquid3d-serve 1 steady\nid 1\nforce_full ";
+  EXPECT_TRUE(std::get<SteadyQuery>(decode_request(steady + "1\n").payload)
+                  .force_full);
+  EXPECT_FALSE(std::get<SteadyQuery>(decode_request(steady + "0\n").payload)
+                   .force_full);
+  const std::string answer =
+      "liquid3d-serve 1 steady-answer\nid 1\nused_rom ";
+  EXPECT_TRUE(std::get<SteadyAnswer>(decode_response(answer + "1\n").payload)
+                  .used_rom);
+  const std::string stats = "liquid3d-serve 1 stats\nid 1\nreset_hwm ";
+  EXPECT_FALSE(std::get<StatsQuery>(decode_request(stats + "0\n").payload)
+                   .reset_hwm);
+  for (const std::string bad : {"yes", "true", "2", "01", "", " 1", "1 "}) {
+    EXPECT_THROW((void)decode_request(steady + bad + "\n"), ConfigError) << bad;
+    EXPECT_THROW((void)decode_response(answer + bad + "\n"), ConfigError) << bad;
+    EXPECT_THROW((void)decode_request(stats + bad + "\n"), ConfigError) << bad;
+    EXPECT_THROW((void)decode_request("liquid3d-serve 1 steady\nid 1\n"
+                                      "t.alternate_flow_direction " +
+                                      bad + "\n"),
+                 ConfigError)
+        << bad;
+  }
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+template <class T, class F>
+std::optional<T> accepted(F&& parse) {
+  try {
+    return parse();
+  } catch (const ConfigError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(ServeEnvelope, NumberParsingMatchesTheStrictParsersSpellingBySpelling) {
+  // The codec's fast path (std::from_chars) retries everything it does not
+  // take whole through parse_double/parse_u64: the set of accepted
+  // spellings and every decoded bit must be theirs.
+  const char* spellings[] = {
+      "1",        "+1",     " 1",      "\t1",     "1 ",       "-0",
+      "0x1p3",    "0X10",   "4.9e-324", "2.4e-324", "1e-400", "-1e-400",
+      "1e309",    "-1e309", "inf",     "-inf",    "Infinity", "nan",
+      "-nan",     "NaN",    "nan(123)", "60x",    "",         "1,",
+      "1.5e",     ".5",     "5.",      "1e+2",    "1E2",      "0.1",
+      "0.59999999999999998", "007",    "-1",      "--1",      "1e",
+      "18446744073709551615", "18446744073709551616", "4000000000", "."};
+  for (const std::string s : spellings) {
+    const auto strict_f64 =
+        accepted<double>([&] { return parse_double(s, "strict"); });
+    const auto wire_f64 = accepted<double>([&] {
+      return std::get<SteadyQuery>(
+                 decode_request("liquid3d-serve 1 steady\ncore_watts " + s +
+                                "\n")
+                     .payload)
+          .core_watts;
+    });
+    ASSERT_EQ(strict_f64.has_value(), wire_f64.has_value()) << "'" << s << "'";
+    if (strict_f64) {
+      EXPECT_EQ(bits_of(*strict_f64), bits_of(*wire_f64)) << "'" << s << "'";
+    }
+
+    const auto strict_u64 =
+        accepted<std::uint64_t>([&] { return parse_u64(s, "strict"); });
+    const auto wire_u64 = accepted<std::uint64_t>([&] {
+      return decode_request("liquid3d-serve 1 stats\nid " + s + "\n").id;
+    });
+    EXPECT_EQ(strict_u64, wire_u64) << "'" << s << "'";
+  }
+}
+
+TEST(ServeEnvelope, PercentSeventeenGRequestDecodesToTheSameBits) {
+  // sample_steady() as the %.17g encoder printed it: a peer still on that
+  // format interoperates without a version bump.
+  const std::string old_format =
+      "liquid3d-serve 1 steady\n"
+      "id 42\n"
+      "deadline_ms 1.5\n"
+      "cooling liquid-var\n"
+      "layer_pairs 2\n"
+      "delivery_mode paper-nominal\n"
+      "t.grid_rows 8\n"
+      "t.grid_cols 9\n"
+      "t.silicon_conductivity 120\n"
+      "t.silicon_volumetric_heat_capacity 1630000\n"
+      "t.bond_conductivity 4\n"
+      "t.cavity_wall_conductivity 100\n"
+      "t.inlet_temperature 32.25\n"
+      "t.ambient_temperature 45\n"
+      "t.beol_thickness 1.2e-05\n"
+      "t.beol_conductivity 2.25\n"
+      "t.heat_transfer_coeff 37132\n"
+      "t.coolant_heat_capacity 4183\n"
+      "t.coolant_density 998\n"
+      "t.coolant_conductivity 0.59999999999999998\n"
+      "t.coolant_dynamic_viscosity 0.001\n"
+      "t.tim_thickness 0.00013999999999999999\n"
+      "t.tim_conductivity 2\n"
+      "t.spreader_capacitance 40\n"
+      "t.sink_capacitance 140\n"
+      "t.spreader_to_sink_resistance 0.10000000000000001\n"
+      "t.sink_to_ambient_resistance 0.050000000000000003\n"
+      "t.alternate_flow_direction 1\n"
+      "t.fluid_tolerance 0.0050000000000000001\n"
+      "t.max_fluid_iterations 10\n"
+      "t.steady_fluid_iterations 40\n"
+      "t.steady_pseudo_dt 5\n"
+      "t.steady_tolerance 0.0001\n"
+      "t.max_steady_iterations 1500\n"
+      "t.direct_steady_solver 1\n"
+      "t.pcg_tolerance 0.33333333333333331\n"
+      "t.pcg_max_iterations 1000\n"
+      "t.pcg_ssor_omega 1\n"
+      "t.solver_backend pcg\n"
+      "t.pcg_preconditioner ssor\n"
+      "core_watts 3.125\n"
+      "block_watts 0:0.5,0.14285714285714285;1:;2:2.25\n"
+      "flows_ml_per_min 11,13.5\n"
+      "valve_openings 0.25,0.75\n"
+      "pump_setting 3\n"
+      "reference_c 41.5\n"
+      "max_error_c 0.01\n"
+      "force_full 1\n";
+  WireRequest request;
+  request.id = 42;
+  request.deadline_ms = 1.5;
+  request.payload = sample_steady();
+  const std::string current = encode_request(request);
+  EXPECT_NE(current, old_format);  // the spelling changed...
+  // ...the bits did not: shortest round-trip text is a function of the
+  // bits, so equal re-encodings mean every field decoded identically.
+  const WireRequest old_decoded = decode_request(old_format);
+  EXPECT_EQ(encode_request(old_decoded), current);
+  const auto& q = std::get<SteadyQuery>(old_decoded.payload);
+  EXPECT_EQ(bits_of(q.config.thermal.pcg.tolerance), bits_of(1.0 / 3.0));
+  EXPECT_EQ(bits_of(q.config.thermal.tim_thickness),
+            bits_of(ThermalModelParams{}.tim_thickness));
 }
 
 TEST(ServeEnvelope, PeekRequestIdSalvagesBrokenEnvelopes) {
