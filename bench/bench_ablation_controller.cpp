@@ -1,5 +1,5 @@
 // bench_ablation_controller — ablations of the controller design choices
-// DESIGN.md calls out:
+// docs/reproduction.md lists:
 //   1. proactive (ARMA forecast) vs reactive (act on the measurement) flow
 //      control, given the ~275 ms pump transition latency;
 //   2. hysteresis width (the paper uses 2 C);

@@ -1,7 +1,8 @@
 // bench_fig3_pump — reproduces Fig. 3: pump power consumption and per-cavity
 // flow rates across the five settings, for the 2- and 4-layer systems (the
 // paper's 50 % delivery accounting), alongside the pressure-limited delivery
-// model the thermal simulation uses (see coolant/flow.hpp and DESIGN.md).
+// model the thermal simulation uses (see coolant/flow.hpp and
+// docs/reproduction.md).
 #include <iostream>
 
 #include "common/table.hpp"

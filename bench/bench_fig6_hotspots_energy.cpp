@@ -64,6 +64,6 @@ int main() {
                "savings grow as utilization falls (gzip/MPlayer best, the "
                "high-utilization web workloads least).  Magnitudes exceed "
                "the paper's because the pressure-limited flow regime widens "
-               "the controllable range — see EXPERIMENTS.md.\n";
+               "the controllable range — see docs/reproduction.md.\n";
   return 0;
 }

@@ -43,7 +43,7 @@ int main() {
                "most DPM-driven cycling; migration reduces gradients and "
                "cycles relative to plain LB; the worst-case-flow liquid "
                "configurations suppress both almost entirely.  One departure "
-               "is documented in EXPERIMENTS.md: at the pressure-limited "
+               "is documented in docs/reproduction.md: at the pressure-limited "
                "flows the variable-flow controller runs with a warmer, "
                "axially stratified coolant, so TALB (Var) shows *more* "
                "spatial gradients than the paper's (its coolant heated <1 C "

@@ -1,9 +1,9 @@
 // bench_micro_solver — engineering micro-benchmarks (google-benchmark) for
-// the thermal substrate: banded Cholesky factorization/solve (new engine vs
-// the seed row-major baseline), the liquid path's banded LU and eliminated
-// assembly (blocked/direct-write vs the unblocked kernels and add()-based
-// assembly they replaced), multi-RHS batching, full transient/steady model
-// operations, and warm- vs cold-started flow-LUT characterization.
+// the thermal substrate: the banded LU and eliminated assembly of the
+// direct path (blocked/direct-write vs the unblocked kernels and add()-based
+// assembly they replaced), full transient/steady model operations, a
+// batched run of air sessions, the PCG backend, and warm- vs cold-started
+// flow-LUT characterization.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -13,11 +13,10 @@
 #include "coolant/flow.hpp"
 #include "coolant/pump.hpp"
 #include "geom/stack.hpp"
-#include "reference_row_major_banded.hpp"
-#include "thermal/batch_stepper.hpp"
+#include "sim/batch_runner.hpp"
 #include "thermal/model3d.hpp"
 #include "thermal/solver/banded_lu.hpp"
-#include "thermal/solver/banded_spd.hpp"
+#include "workload/benchmarks.hpp"
 #include "../tests/reference_banded_lu.hpp"
 #include "../tests/thermal_test_access.hpp"
 
@@ -25,103 +24,7 @@ namespace {
 
 using namespace liquid3d;
 
-BandedSpdMatrix make_grid_matrix(std::size_t n, std::size_t bw) {
-  BandedSpdMatrix m(n, bw);
-  for (std::size_t i = 0; i < n; ++i) m.add_diagonal(i, 4.0);
-  for (std::size_t i = 0; i + 1 < n; ++i) m.add_coupling(i, i + 1, 1.0);
-  for (std::size_t i = 0; i + bw < n; ++i) m.add_coupling(i, i + bw, 1.0);
-  return m;
-}
-
-liquid3d_bench::SeedRowMajorBanded make_seed_matrix(std::size_t n, std::size_t bw) {
-  liquid3d_bench::SeedRowMajorBanded m(n, bw);
-  for (std::size_t i = 0; i < n; ++i) m.add_diagonal(i, 4.0);
-  for (std::size_t i = 0; i + 1 < n; ++i) m.add_coupling(i, i + 1, 1.0);
-  for (std::size_t i = 0; i + bw < n; ++i) m.add_coupling(i, i + bw, 1.0);
-  return m;
-}
-
-void BM_BandedFactorize(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto bw = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    BandedSpdMatrix m = make_grid_matrix(n, bw);
-    m.factorize();
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_BandedFactorize)->Args({1196, 52})->Args({2392, 104})->Args({4784, 208});
-
-void BM_BandedFactorizeSeedBaseline(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto bw = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    liquid3d_bench::SeedRowMajorBanded m = make_seed_matrix(n, bw);
-    m.factorize();
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_BandedFactorizeSeedBaseline)
-    ->Args({1196, 52})
-    ->Args({2392, 104})
-    ->Args({4784, 208});
-
-void BM_BandedSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto bw = static_cast<std::size_t>(state.range(1));
-  BandedSpdMatrix m = make_grid_matrix(n, bw);
-  m.factorize();
-  std::vector<double> rhs(n, 1.0);
-  for (auto _ : state) {
-    std::vector<double> x = rhs;
-    m.solve(x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_BandedSolve)->Args({1196, 52})->Args({2392, 104})->Args({4784, 208});
-
-void BM_BandedSolveSeedBaseline(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto bw = static_cast<std::size_t>(state.range(1));
-  liquid3d_bench::SeedRowMajorBanded m = make_seed_matrix(n, bw);
-  m.factorize();
-  std::vector<double> rhs(n, 1.0);
-  for (auto _ : state) {
-    std::vector<double> x = rhs;
-    m.solve(x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_BandedSolveSeedBaseline)
-    ->Args({1196, 52})
-    ->Args({2392, 104})
-    ->Args({4784, 208});
-
-void BM_BandedSolveMultiRhs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto bw = static_cast<std::size_t>(state.range(1));
-  const auto nrhs = static_cast<std::size_t>(state.range(2));
-  BandedSpdMatrix m = make_grid_matrix(n, bw);
-  m.factorize();
-  std::vector<double> rhs(n * nrhs, 1.0);
-  std::vector<double> x(n * nrhs);
-  for (auto _ : state) {
-    x = rhs;
-    m.solve(std::span<double>(x), nrhs);
-    benchmark::DoNotOptimize(x);
-  }
-  // Per-RHS throughput: compare against BM_BandedSolve to read the batching
-  // win directly.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(nrhs));
-}
-BENCHMARK(BM_BandedSolveMultiRhs)
-    ->Args({1196, 52, 4})
-    ->Args({1196, 52, 16})
-    ->Args({4784, 208, 4})
-    ->Args({4784, 208, 16});
-
-// -- Banded LU (the liquid direct path) ---------------------------------------
+// -- Banded LU (the direct path) ----------------------------------------------
 //
 // The operator is the real fluid-eliminated steady operator of the
 // paper-grid Niagara stack at the middle pump setting: Args({1196, 52}) is
@@ -281,59 +184,42 @@ BENCHMARK(BM_TransientStep)
     ->Args({23, 26, 2})
     ->Args({46, 52, 1});
 
-// Batched transient stepping: N independent air-cooled models sharing one
-// stack and dt advance in lockstep through one factorization
-// (BatchThermalStepper), so the per-substep factor stream is read once for
-// the whole batch instead of once per scenario.  Air stacks are the case
-// that shares a factor: a liquid model's fluid-eliminated operator carries
-// its own flow vector and steps through its own LU slot.  items =
-// model-steps; compare items/s across the 1/4/16 rows to read the per-solve
-// batching win (the session/batch-runner layers add only per-tick
-// scheduling on top of this hot path).
+// Batched air sessions: a BatchRunner run of N air-cooled sessions (1 s
+// simulated on the paper-default grid, distinct workloads and seeds).  The
+// group's models borrow one LU slot per dt, so the run factorizes twice
+// (steady warm start, transient substep) whatever N is.  items = sessions;
+// compare items/s across the 1/4/16 rows to read the factor-sharing win.
 void BM_BatchedTransient(benchmark::State& state) {
   const auto nsessions = static_cast<std::size_t>(state.range(0));
-  ThermalModelParams p;
-  p.grid_rows = 23;
-  p.grid_cols = 26;
-  std::vector<std::unique_ptr<ThermalModel3D>> models;
-  std::vector<ThermalModel3D*> ptrs;
+  const char* workloads[] = {"gzip", "Web-high", "MPlayer", "Database"};
+  BatchRunner batch;
   for (std::size_t i = 0; i < nsessions; ++i) {
-    models.push_back(std::make_unique<ThermalModel3D>(
-        make_niagara_stack(1, CoolingType::kAir), p));
-    ThermalModel3D& m = *models.back();
-    // Distinct power maps, as across real scenarios.
-    const Floorplan& fp = m.stack().layer(0).floorplan;
-    std::vector<double> w(fp.block_count(), 0.0);
-    for (std::size_t b = 0; b < fp.block_count(); ++b) {
-      if (fp.block(b).type == BlockType::kCore) {
-        w[b] = 2.0 + 0.15 * static_cast<double>(i);
-      }
-    }
-    m.set_block_power(0, w);
-    ptrs.push_back(&m);
+    SimulationConfig cfg;
+    cfg.benchmark = *find_benchmark(workloads[i % 4]);
+    cfg.cooling = CoolingMode::kAir;
+    cfg.policy = Policy::kLoadBalancing;
+    cfg.duration = SimTime::from_s(1);
+    cfg.seed = 1 + i;
+    batch.add(cfg);
   }
-  BatchThermalStepper stepper;
-  stepper.step(ptrs, 0.05);  // prime the shared factorization
   for (auto _ : state) {
-    stepper.step(ptrs, 0.05);
-    benchmark::DoNotOptimize(ptrs.front()->max_temperature());
+    benchmark::DoNotOptimize(batch.run().size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(nsessions));
-  state.SetLabel("2-layer air stack, lockstep 50ms steps, one shared factorization");
+  state.SetLabel("BatchRunner, 2-layer air stack, 1 s simulated per session");
 }
-BENCHMARK(BM_BatchedTransient)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_BatchedTransient)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // -- Iterative (PCG) backend --------------------------------------------------
 //
-// The direct solvers pay O(n b^2) to factorize; at the paper's native
+// The direct solver pays O(n b^2) to factorize; at the paper's native
 // 100 µm resolution the half-bandwidth b = cols x layers reaches the
 // thousands and that cost hits the wall.  The fine-grid rows below
 // (200x500 grid, 2 layers: 100k cells per layer, n = 200k nodes, b = 1000)
-// are the demonstration case: compare BM_CgTransientStep/200/500 and
-// BM_CgSteadyState/200/500 against BM_FineGridDirectFactorize +
-// BM_FineGridDirectSolve at the same n and b.  The small rows (46x52, the
-// existing largest test grid) feed the CI bench-guard smoke subset.
+// are the demonstration case, where a banded-LU factor alone would take
+// n (2b + 1) doubles = 3.2 GB.  The small rows (46x52, the existing largest
+// test grid) feed the CI bench-guard smoke subset.
 
 void BM_CgTransientStep(benchmark::State& state) {
   ThermalModel3D m = make_backend_model(static_cast<std::size_t>(state.range(0)),
@@ -381,43 +267,6 @@ void BM_CgSteadyState(benchmark::State& state) {
 BENCHMARK(BM_CgSteadyState)
     ->Args({46, 52})
     ->Args({200, 500})
-    ->Unit(benchmark::kMillisecond);
-
-// The direct-solver cost at the same fine-grid shape (n = 200k, b = 1000) —
-// what the banded backend would pay for one factorization and one
-// back-substitution there.  Kept out of the CI smoke subset (a single
-// factorization runs tens of seconds); run_bench.sh records it so the JSON
-// carries the direct-vs-iterative crossover evidence.
-void BM_FineGridDirectFactorize(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto bw = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    BandedSpdMatrix m = make_grid_matrix(n, bw);
-    m.factorize();
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_FineGridDirectFactorize)
-    ->Args({200000, 1000})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FineGridDirectSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto bw = static_cast<std::size_t>(state.range(1));
-  BandedSpdMatrix m = make_grid_matrix(n, bw);
-  m.factorize();
-  std::vector<double> rhs(n, 1.0);
-  std::vector<double> x(n);
-  for (auto _ : state) {
-    x = rhs;
-    m.solve(x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_FineGridDirectSolve)
-    ->Args({200000, 1000})
-    ->Iterations(3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SteadyState(benchmark::State& state) {

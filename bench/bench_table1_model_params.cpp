@@ -78,7 +78,7 @@ int main() {
   td.print(std::cout);
 
   std::cout << "\nNote: the air package convection resistance is calibrated (see "
-               "DESIGN.md) so the air-cooled 3D stack reproduces the hot-spot "
+               "docs/reproduction.md) so the air-cooled 3D stack reproduces the hot-spot "
                "regime of Fig. 6; Table III's 0.1 K/W is the bare convection "
                "term of the paper's package.\n";
   return 0;

@@ -50,15 +50,14 @@ run_bench() {
 }
 
 # BM_SteadyState also matches BM_SteadyStatePerCavity (the vector-flow
-# assembly benchmark) by prefix; keep both in the JSON.  BM_Banded also
-# matches the liquid path's banded-LU rows (BM_BandedLu*), which
-# BM_EliminatedAssemble* (its operator assembly) joins.  BM_Cg* is the
-# iterative (PCG) backend, BM_FineGrid* the direct-solver cost at the same
-# fine-grid shape — the pair documents the bandwidth crossover.  NOTE: the
-# fine-grid direct factorization runs tens of seconds and allocates ~1.6 GB;
-# a full refresh takes a few minutes.
+# assembly benchmark) by prefix; keep both in the JSON.  BM_BandedLu* are
+# the direct path's kernels, which BM_EliminatedAssemble* (the liquid
+# operator's assembly) joins.  BM_Cg* is the iterative (PCG) backend,
+# including the fine-grid rows (n = 200k, b = 1000) where a direct factor
+# would not fit in memory.  NOTE: the fine-grid PCG steady solve runs tens
+# of seconds; a full refresh takes a few minutes.
 run_bench bench_micro_solver "${tmp_dir}/micro.json" \
-  'BM_Banded|BM_EliminatedAssemble|BM_TransientStep|BM_BatchedTransient|BM_SteadyState|BM_FlowLut|BM_Cg|BM_FineGrid'
+  'BM_BandedLu|BM_EliminatedAssemble|BM_TransientStep|BM_BatchedTransient|BM_SteadyState|BM_FlowLut|BM_Cg'
 
 # Service latency/throughput: steady-query p50/p99 (acceptance: warm-ROM
 # p50 <= 25 us on the 2-layer Niagara liquid stack), batched vs serial

@@ -17,7 +17,7 @@
 //    ml/min equal division would suggest.  Using the pressure-limited flow
 //    puts the coolant sensible-heat rise (the only flow-dependent term in
 //    Eq. 1) in the regime where Fig. 5's 70-90 °C control range exists.
-//    DESIGN.md discusses this substitution.
+//    docs/reproduction.md discusses this substitution.
 #pragma once
 
 #include <cstddef>

@@ -36,10 +36,10 @@ std::vector<SimulationResult> BatchRunner::run() {
   }
   group_count_ = groups.size();
 
-  // Link each group's models so that a liquid model at a groupmate's flow
-  // vector solves through that groupmate's eliminated LU factor instead of
-  // refactorizing its own — from the warm start on, where every session of
-  // a group starts at the same flow.  The links live only for this run.
+  // Link each group's models so that a model whose LU slot does not fit
+  // solves through a groupmate's slot that does instead of refactorizing
+  // its own — from the warm start on, where every session of a group starts
+  // at the same key.  The links live only for this run.
   std::vector<std::vector<ThermalModel3D*>> peers;
   peers.reserve(groups.size());
   for (const auto& [key, members] : groups) {
@@ -88,13 +88,11 @@ std::vector<SimulationResult> BatchRunner::run() {
       }
       if (active_.empty()) break;
       for (SimulationSession* s : active_) s->begin_tick();
-      models_.clear();
-      for (SimulationSession* s : active_) models_.push_back(&s->thermal());
       const double sub_dt = active_.front()->substep_dt();
       const std::size_t substeps = active_.front()->substep_count();
       for (std::size_t sub = 0; sub < substeps; ++sub) {
         obs::ScopedTimer t(step_h);
-        stepper_.step(models_, sub_dt);
+        for (SimulationSession* s : active_) s->thermal().step(sub_dt);
       }
       for (SimulationSession* s : active_) s->finish_tick();
     }

@@ -3,31 +3,31 @@
 //
 // The evaluation grid of Sec. V is dozens of independent (policy x cooling
 // x workload) cells over ONE stack geometry and ONE sampling interval.
-// Air-cooled cells have identical backward-Euler system matrices, so
-// running them in lockstep lets every thermal substep route all cells' RHS
-// vectors through one cached banded Cholesky factor
-// (BandedSpdMatrix::solve(span, nrhs)) instead of streaming the same
-// factor once per cell.  Liquid cells' fluid-eliminated operators also
-// depend on each cell's flow vector: a group's models are linked
-// (ThermalModel3D::share_factors_with) so cells at an equal flow vector
-// factorize once between them.
+// Each cell's model steps itself through its own banded-LU slot, and a
+// group's models are linked (ThermalModel3D::share_factors_with), so a
+// model whose slot does not fit the current key solves through a
+// groupmate's that does instead of refactorizing.  Air cells' operator
+// C/dt + G depends only on the topology and dt, so an air group
+// factorizes once per dt between all its cells; liquid cells' eliminated
+// operators also carry each cell's flow vector, so cells at an equal flow
+// vector factorize once between them.  There are no multi-RHS solves: every
+// solve is one cell's single right-hand side.
 //
 // Grouping is automatic: sessions whose conduction topology
 // (ThermalModel3D::topology_fingerprint()), sampling interval, and substep
 // count agree advance together; anything else falls into its own group and
 // simply runs serially.  Scheduling, power, control, and metrics stay
-// entirely per-session — only the inner linear solve is shared — and the
-// multi-RHS kernel replicates single-RHS arithmetic per system (a shared
-// LU factor is the one each cell would have built), so a BatchRunner's
-// results are BIT-IDENTICAL to serial Simulator::run() calls (locked in by
-// tests/test_session_batch.cpp).
+// entirely per-session — only the factorization is shared — and a borrowed
+// factor is bit-identical to the one each cell would have built, so a
+// BatchRunner's results are BIT-IDENTICAL to serial Simulator::run() calls
+// (locked in by tests/test_session_batch.cpp).
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "sim/session.hpp"
-#include "thermal/batch_stepper.hpp"
+#include "thermal/model3d.hpp"
 
 namespace liquid3d {
 
@@ -54,16 +54,12 @@ class BatchRunner {
 
   /// Lockstep groups formed by the last run().
   [[nodiscard]] std::size_t group_count() const { return group_count_; }
-  /// Shared-solve statistics of the underlying stepper.
-  [[nodiscard]] const BatchThermalStepper& stepper() const { return stepper_; }
 
  private:
   std::vector<std::unique_ptr<SimulationSession>> sessions_;
-  BatchThermalStepper stepper_;
   std::size_t group_count_ = 0;
   // Per-run scratch.
   std::vector<SimulationSession*> active_;
-  std::vector<ThermalModel3D*> models_;
 };
 
 }  // namespace liquid3d

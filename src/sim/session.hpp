@@ -81,7 +81,7 @@ struct SimulationConfig {
   std::size_t characterization_threads = 4;
 
   /// Thermal model knobs, including the solver backend axis
-  /// (`thermal.solver_backend`: direct banded Cholesky vs preconditioned
+  /// (`thermal.solver_backend`: direct banded LU vs preconditioned
   /// CG, kAuto = bandwidth cost model) — set by ScenarioSpec binding.
   ThermalModelParams thermal{};
   PowerModelParams power{};
@@ -215,8 +215,9 @@ class SimulationSession {
 
   // -- Lockstep decomposition (BatchRunner) ----------------------------------
   // step() == begin_tick(); substep_count() x thermal().step(substep_dt());
-  // finish_tick().  A batch runner substitutes the middle part with a shared
-  // multi-RHS advance; everything else stays per-session.
+  // finish_tick().  A batch runner runs the middle part in lockstep across
+  // a group whose models share LU factors; everything else stays
+  // per-session.
   /// Workload arrivals, scheduling, execution, DPM, power injection, and the
   /// flow decision for one tick — everything that feeds the thermal solve.
   void begin_tick();

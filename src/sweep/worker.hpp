@@ -7,8 +7,8 @@
 // already present in the journal, and runs the rest in chunks:
 //
 //   * kBatched (default): each chunk goes through a BatchRunner, so
-//     compatible cells within the chunk share one thermal factorization in
-//     lockstep — the PR 3 multi-RHS win, now per shard;
+//     compatible cells within the chunk share thermal factorizations in
+//     lockstep, per shard;
 //   * kThreadPool: one session per worker thread, for wide shards of
 //     incompatible cells.
 //

@@ -337,25 +337,6 @@ void ThermalModel3D::stamp_system(MatrixT& m, double inv_dt) const {
   }
 }
 
-const BandedSpdMatrix& ThermalModel3D::matrix_for_dt(double dt_s) {
-  if (const BandedSpdMatrix* cached = factor_cache_.find(dt_s)) return *cached;
-  static obs::Histogram& assemble_h =
-      obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
-  static obs::Histogram& factorize_h =
-      obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
-  const std::size_t bw = grid_.cols() * layer_count_;
-  auto m = std::make_unique<BandedSpdMatrix>(node_count_, bw);
-  {
-    obs::ScopedTimer t(assemble_h);
-    stamp_system(*m, 1.0 / dt_s);
-  }
-  {
-    obs::ScopedTimer t(factorize_h);
-    m->factorize();
-  }
-  return factor_cache_.insert(dt_s, std::move(m));
-}
-
 PcgSolver& ThermalModel3D::pcg_for_dt(double dt_s) {
   if (PcgSolver* cached = pcg_cache_.find(dt_s)) return *cached;
   static obs::Histogram& assemble_h =
@@ -465,11 +446,12 @@ double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
   temps_prev_.assign(temps_.begin(), temps_.end());
   const bool liquid = stack_.has_cavities();
   if (backend_ == SolverBackend::kDirect) {
+    const LuSlot& slot = lu_slot(inv_dt);
     if (liquid) {
-      solve_eliminated(eliminated_slot(inv_dt), inv_dt);
+      solve_eliminated(slot, inv_dt);
     } else {
       assemble_transient_rhs(inv_dt, rhs_.data());
-      solve_direct(matrix_for_dt(dt_s));
+      solve_direct(*slot.lu);
     }
     return max_change();
   }
@@ -505,8 +487,7 @@ double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
   return max_change();
 }
 
-template <typename Factor>
-void ThermalModel3D::solve_direct(const Factor& factor) {
+void ThermalModel3D::solve_direct(const BandedLuMatrix& factor) {
   // A single NaN/Inf in the RHS (a power-model blowup, a diverged fluid
   // state) would silently poison the entire field through the solve;
   // catch it at the boundary where the cause is still nameable.
@@ -529,8 +510,11 @@ double ThermalModel3D::max_change() const {
   return change;
 }
 
-bool ThermalModel3D::slot_fits(const EliminatedSlot& slot, double inv_dt) const {
-  return slot.lu && slot.inv_dt == inv_dt && slot.flows == cavity_flows_;
+bool ThermalModel3D::slot_fits(const LuSlot& slot, double inv_dt) const {
+  // A factorization that threw leaves the matrix unfactorized, so a stale
+  // key never outlives the factor it named.
+  return slot.lu && slot.lu->factorized() && slot.inv_dt == inv_dt &&
+         slot.flows == cavity_flows_;
 }
 
 void ThermalModel3D::share_factors_with(std::span<ThermalModel3D* const> peers) {
@@ -542,15 +526,15 @@ void ThermalModel3D::share_factors_with(std::span<ThermalModel3D* const> peers) 
   factor_peers_ = peers;
 }
 
-const ThermalModel3D::EliminatedSlot& ThermalModel3D::eliminated_slot(double inv_dt) {
-  EliminatedSlot& slot = elim_;
+const ThermalModel3D::LuSlot& ThermalModel3D::lu_slot(double inv_dt) {
+  LuSlot& slot = lu_slot_;
   if (slot_fits(slot, inv_dt)) return slot;
   static obs::Counter& borrowed_c =
       obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
   for (const ThermalModel3D* peer : factor_peers_) {
-    if (slot_fits(peer->elim_, inv_dt)) {
+    if (slot_fits(peer->lu_slot_, inv_dt)) {
       borrowed_c.add();
-      return peer->elim_;
+      return peer->lu_slot_;
     }
   }
   static obs::Histogram& assemble_h =
@@ -559,10 +543,14 @@ const ThermalModel3D::EliminatedSlot& ThermalModel3D::eliminated_slot(double inv
       obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
   const std::size_t bw = grid_.cols() * layer_count_;
   if (!slot.lu) slot.lu = std::make_unique<BandedLuMatrix>(node_count_, bw, bw);
-  slot.flows.clear();  // a factorization that throws leaves no valid key
   {
     obs::ScopedTimer t(assemble_h);
-    build_eliminated_system(inv_dt, *slot.lu, slot.inlet_coef, slot.scratch);
+    if (stack_.has_cavities()) {
+      build_eliminated_system(inv_dt, *slot.lu, slot.inlet_coef, slot.scratch);
+    } else {
+      slot.lu->set_zero();
+      stamp_system(*slot.lu, inv_dt);
+    }
   }
   {
     obs::ScopedTimer t(factorize_h);
@@ -573,7 +561,7 @@ const ThermalModel3D::EliminatedSlot& ThermalModel3D::eliminated_slot(double inv
   return slot;
 }
 
-void ThermalModel3D::solve_eliminated(const EliminatedSlot& slot, double inv_dt) {
+void ThermalModel3D::solve_eliminated(const LuSlot& slot, double inv_dt) {
   for (std::size_t i = 0; i < node_count_; ++i) {
     rhs_[i] = capacitance_[i] * inv_dt * temps_prev_[i] + cell_power_[i] +
               slot.inlet_coef[i] * inlet_temperature_;
@@ -731,7 +719,7 @@ void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_
   for (std::size_t iter = 0; iter < kMaxPowerIterations; ++iter) {
     if (pre_step && !pre_step()) return;
     temps_prev_.assign(temps_.begin(), temps_.end());
-    solve_eliminated(eliminated_slot(0.0), 0.0);
+    solve_eliminated(lu_slot(0.0), 0.0);
     if (!pre_step || max_change() < kPowerTolerance) return;
   }
 }

@@ -31,11 +31,13 @@
 // the fluid, outlet and absorbed-power readbacks.  G_elim couples each cell
 // only to upstream cells of its channel row (within the band), and its
 // coefficients carry the flow — the paper's "cell resistivity varies at
-// runtime" mechanism in its physically equivalent form.  Each liquid model
-// keeps one LU slot, refactorized in place when (dt, flow vector) changes
-// unless a linked peer's slot already holds that key (share_factors_with);
-// the steady direct solve is that slot at 1/dt = 0.  Air stacks have no
-// coolant: their symmetric C/dt + G is Cholesky-factorized once per dt.
+// runtime" mechanism in its physically equivalent form.  Air stacks have no
+// coolant: a step solves their conduction operator C/dt + G against the
+// package temperature.  Either way each model keeps one banded-LU slot,
+// refactorized in place when its key — 1/dt and, for liquid stacks, the
+// flow vector — changes, unless a linked peer's slot already holds that key
+// (share_factors_with).  The liquid steady direct solve is that slot at
+// 1/dt = 0; the air steady state is pseudo-transient steps through it.
 // The PCG backend (symmetric solver) keeps the silicon<->fluid fixed point:
 // each iteration solves C/dt + G against the last fluid march.
 #pragma once
@@ -54,7 +56,6 @@
 #include "geom/stack.hpp"
 #include "thermal/solver/backend.hpp"
 #include "thermal/solver/banded_lu.hpp"
-#include "thermal/solver/banded_spd.hpp"
 #include "thermal/solver/factorization_cache.hpp"
 #include "thermal/solver/pcg.hpp"
 #include "thermal/steady_operator.hpp"
@@ -93,7 +94,8 @@ struct ThermalModelParams {
   double cavity_wall_conductivity = 100.0;  ///< W/(m K)
 
   // Boundary temperatures [°C].  45 °C reflects warm-water cooling and a
-  // within-enclosure ambient; see DESIGN.md calibration notes.
+  // within-enclosure ambient; see docs/reproduction.md, "Calibration
+  // choices".
   double inlet_temperature = 45.0;
   double ambient_temperature = 45.0;
 
@@ -249,16 +251,13 @@ class ThermalModel3D {
   /// configured one); sizes must match.
   void restore_state(const ThermalState& state);
 
-  /// Banded Cholesky cache statistics (air stacks on the direct backend).
-  [[nodiscard]] const FactorizationCache& factorization_cache() const {
-    return factor_cache_;
-  }
-  /// Liquid stacks, direct backend: when this model's LU slot does not fit
-  /// its (dt, flow vector), solve through the slot of a peer that already
-  /// fits instead of refactorizing.  Peers must share this model's topology
-  /// fingerprint, so a borrowed factor is bit-identical to the one the
-  /// model would have built, and must outlive the link; an empty span
-  /// unlinks.  BatchRunner links the sessions of each lockstep group.
+  /// Direct backend: when this model's LU slot does not fit its key (dt,
+  /// and the flow vector of a liquid stack), solve through the slot of a
+  /// peer that already fits instead of refactorizing.  Peers must share
+  /// this model's topology fingerprint, so a borrowed factor is
+  /// bit-identical to the one the model would have built, and must outlive
+  /// the link; an empty span unlinks.  BatchRunner links the sessions of
+  /// each lockstep group.
   void share_factors_with(std::span<ThermalModel3D* const> peers);
 
   /// The backend this model resolved to (never kAuto).
@@ -275,7 +274,7 @@ class ThermalModel3D {
   /// models with equal fingerprints assemble bit-identical system matrices
   /// for any dt — and, for liquid stacks, for any equal flow vector — so
   /// one factorization can serve both: the compatibility check behind
-  /// BatchThermalStepper.
+  /// share_factors_with and BatchRunner's lockstep groups.
   [[nodiscard]] std::uint64_t topology_fingerprint() const {
     return topo_fingerprint_;
   }
@@ -290,21 +289,23 @@ class ThermalModel3D {
   void export_steady_operator(SteadyOperator& out) const;
 
  private:
-  friend class BatchThermalStepper;
   friend struct ThermalModel3DTestAccess;  // white-box tests
   struct Coupling {
     std::size_t a;
     std::size_t b;
     double g;
   };
-  /// Liquid stacks: a factorized fluid-eliminated operator C inv_dt +
-  /// G_elim(flows) plus each node's coefficient on the inlet temperature.
-  struct EliminatedSlot {
+  /// A factorized direct operator: the fluid-eliminated C inv_dt +
+  /// G_elim(flows) plus each node's coefficient on the inlet temperature
+  /// for liquid stacks, the conduction operator C inv_dt + G for air
+  /// stacks.  Its key is (inv_dt, flows) — flows is empty for air — and is
+  /// valid while lu is factorized.
+  struct LuSlot {
     std::unique_ptr<BandedLuMatrix> lu;
-    std::vector<double> inlet_coef;
-    std::vector<double> scratch;  ///< build_eliminated_system's tables
+    std::vector<double> inlet_coef;  ///< liquid only
+    std::vector<double> scratch;     ///< build_eliminated_system's tables
     double inv_dt = 0.0;
-    std::vector<VolumetricFlow> flows;  ///< empty = not built
+    std::vector<VolumetricFlow> flows;
   };
 
   [[nodiscard]] std::size_t node(std::size_t layer, std::size_t cell) const {
@@ -313,16 +314,12 @@ class ThermalModel3D {
 
   void build_topology();
   /// Stamp the backward-Euler operator (C/dt + G) into a zeroed matrix
-  /// exposing add_diagonal/add_coupling — the single assembly the banded
-  /// Cholesky and the PCG backend's CSR operator share.
+  /// exposing add_diagonal/add_coupling — the single assembly the air LU
+  /// slot and the PCG backend's CSR operator share.
   template <typename MatrixT>
   void stamp_system(MatrixT& m, double inv_dt) const;
-  /// Factorized system matrix for the given step size — a cache lookup
-  /// after the first use of each dt (assembly + factorization on miss).
-  /// Direct backend, air stacks only.
-  const BandedSpdMatrix& matrix_for_dt(double dt_s);
-  /// PCG system (CSR operator + preconditioner) for the given step size —
-  /// cached per dt exactly like the banded factorizations.
+  /// PCG system (CSR operator + preconditioner) for the given step size,
+  /// cached per dt in pcg_cache_.
   PcgSolver& pcg_for_dt(double dt_s);
   /// Assemble the fluid-eliminated operator C inv_dt + G_elim for the
   /// current flow vector (liquid stacks) into `m`, of size node_count() and
@@ -337,26 +334,25 @@ class ThermalModel3D {
                                std::vector<double>& scratch) const;
   /// Whether `slot` holds the factor for (inv_dt, this model's current flow
   /// vector).  The key is exact: every bit of 1/dt and of each cavity's
-  /// flow enters the elimination coefficients.
-  [[nodiscard]] bool slot_fits(const EliminatedSlot& slot, double inv_dt) const;
+  /// flow enters the operator's coefficients.
+  [[nodiscard]] bool slot_fits(const LuSlot& slot, double inv_dt) const;
   /// A slot that fits (inv_dt, current flow vector): the model's own, else
   /// a linked peer's, else the own slot reassembled and refactorized in
-  /// place.
-  const EliminatedSlot& eliminated_slot(double inv_dt);
+  /// place.  Direct backend.
+  const LuSlot& lu_slot(double inv_dt);
   /// One fluid-eliminated solve through a slot that fits (liquid stacks,
   /// direct backend): temps_ <- (C inv_dt + G_elim)^-1 (C inv_dt
   /// temps_prev_ + P + inlet_coef T_in), then one fluid march for the
   /// readbacks.
-  void solve_eliminated(const EliminatedSlot& slot, double inv_dt);
+  void solve_eliminated(const LuSlot& slot, double inv_dt);
   /// rhs_ -> temps_ through a factorized direct system (timed, with the
   /// finite checks on both sides of the solve).
-  template <typename Factor>
-  void solve_direct(const Factor& factor);
+  void solve_direct(const BandedLuMatrix& factor);
   /// Direct steady solve (liquid stacks); see ThermalModelParams.
   void solve_steady_state_direct(const std::function<bool()>& pre_step);
   /// One backward-Euler step; returns the largest node temperature change.
-  /// The direct backend takes one solve (fluid-eliminated LU for liquid
-  /// stacks, Cholesky for air).  The PCG backend alternates warm-started
+  /// The direct backend takes one LU solve (of the fluid-eliminated
+  /// operator for liquid stacks, of C/dt + G for air).  The PCG backend alternates warm-started
   /// silicon solves with the fluid march, up to `fluid_iters` times or
   /// until the fluid moves less than `fluid_tol`.
   double advance(double dt_s, std::size_t fluid_iters, double fluid_tol);
@@ -365,9 +361,7 @@ class ThermalModel3D {
   /// Write the backward-Euler right-hand side of the coolant-explicit form
   /// (stored heat + injected power + external coupling terms) into out[i]
   /// for node i.  Reads temps_prev_ — callers snapshot temps_ there first.
-  /// Shared by the serial advance (air stacks, PCG) and the batch stepper's
-  /// air groups (which interleave the per-model vectors afterwards with a
-  /// tiled transpose).
+  /// Serves the air direct step and every PCG step.
   void assemble_transient_rhs(double inv_dt, double* out) const;
   /// March the coolant downstream through one cavity given silicon temps.
   /// Returns the largest fluid temperature change.
@@ -411,17 +405,14 @@ class ThermalModel3D {
   // batch groups are backend-homogeneous).
   SolverBackend backend_ = SolverBackend::kDirect;
 
-  // Air stacks: Cholesky factorizations keyed by dt (transient sub-steps and
-  // the steady pseudo-step share one cache; see FactorizationCache for the
-  // tolerant key comparison).
-  FactorizationCache factor_cache_{4};
-  // Iterative-backend twin: PCG systems (CSR + preconditioner) per dt.
+  // Iterative backend: PCG systems (CSR + preconditioner) per dt; see
+  // DtKeyedLruCache for the tolerant key comparison.
   DtKeyedLruCache<PcgSolver> pcg_cache_{4};
   PcgSummary last_pcg_{};
-  // Liquid stacks: the model's one fluid-eliminated LU slot, rebuilt in
-  // place on any change of its (1/dt, flow vector) key, and the models
-  // whose slots it may borrow (share_factors_with).
-  EliminatedSlot elim_;
+  // Direct backend: the model's one LU slot, rebuilt in place on any change
+  // of its key, and the models whose slots it may borrow
+  // (share_factors_with).
+  LuSlot lu_slot_;
   std::span<ThermalModel3D* const> factor_peers_;
 
   // Persistent scratch — the hot loop (`step`/`advance`) and the per-sample

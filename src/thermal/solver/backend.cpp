@@ -26,9 +26,9 @@ SolverBackend solver_backend_from_name(std::string_view s) {
 SolverBackend resolve_solver_backend(SolverBackend requested, std::size_t n,
                                      std::size_t half_bandwidth) {
   if (requested != SolverBackend::kAuto) return requested;
-  // Solves served by one cached factorization before its dt is evicted —
-  // transient runs reuse a factor for thousands of substeps, so this is a
-  // deliberately conservative (direct-favoring) amortization.
+  // Solves served by one factorization before its key changes — transient
+  // runs reuse a factor for thousands of substeps at a fixed flow, so this
+  // is a deliberately conservative (direct-favoring) amortization.
   constexpr double kDirectFactorAmortization = 200.0;
   // Conservative iteration estimate for warm-started IC(0)-PCG on the
   // stencil, and the per-row flop count of one iteration (SpMV + IC(0)
@@ -37,7 +37,7 @@ SolverBackend resolve_solver_backend(SolverBackend requested, std::size_t n,
   constexpr double kPcgFlopsPerRow = 22.0;
 
   const double b = static_cast<double>(std::min(half_bandwidth, n - 1));
-  const double direct_per_row = 2.0 * b + b * b / kDirectFactorAmortization;
+  const double direct_per_row = 4.0 * b + 2.0 * b * b / kDirectFactorAmortization;
   const double pcg_per_row = kPcgIterationEstimate * kPcgFlopsPerRow;
   return direct_per_row > pcg_per_row ? SolverBackend::kPcg
                                       : SolverBackend::kDirect;

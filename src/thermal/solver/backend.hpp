@@ -2,11 +2,11 @@
 //
 // The backward-Euler systems can be solved two ways:
 //
-//   kDirect — banded Cholesky (solver/banded_spd.hpp): factorize once per
-//             dt at O(n b^2), back-substitute per solve at O(n b).  Exact,
-//             cache-friendly, and unbeatable while the half-bandwidth
-//             b = cols x layers stays modest (every grid the tests and the
-//             paper evaluation use today).
+//   kDirect — banded LU (solver/banded_lu.hpp): factorize once per key at
+//             O(n b^2), forward- and back-substitute per solve at O(n b).
+//             Exact, cache-friendly, and unbeatable while the
+//             half-bandwidth b = cols x layers stays modest (every grid the
+//             tests and the paper evaluation use today).
 //   kPcg    — preconditioned conjugate gradient over CSR (solver/pcg.hpp):
 //             no factorization, O(nnz) ≈ O(7n) per iteration, warm-started
 //             from the previous temperature field.  Wins when the band gets
@@ -29,13 +29,14 @@ enum class SolverBackend { kAuto, kDirect, kPcg };
 /// Resolve kAuto to a concrete backend for an n-node system of the given
 /// half-bandwidth; explicit requests pass through untouched.
 ///
-/// Cost model (per solve, per row): the direct path costs ~2b flops of
-/// back-substitution plus b^2 / kDirectFactorAmortization of factorization
-/// (one factorization serves the ~hundreds of solves a cached dt sees);
-/// PCG costs ~kPcgIterationEstimate iterations of ~kPcgFlopsPerRow each,
-/// sized for the IC(0)-preconditioned stencil.  With the constants below
-/// the cutover lands near b ≈ 340 — far above every current grid (b ≤ 208),
-/// safely below the paper-native regime (b ≥ 1000).
+/// Cost model (per solve, per row): the direct path costs ~4b flops of
+/// forward and back substitution (one multiply-add per band entry of L and
+/// of U) plus 2b^2 / kDirectFactorAmortization of factorization (a b x b
+/// rank-1 update per pivot; one factorization serves the ~hundreds of
+/// solves a slot's key sees); PCG costs ~kPcgIterationEstimate iterations
+/// of ~kPcgFlopsPerRow each, sized for the IC(0)-preconditioned stencil.
+/// With the constants below the cutover lands near b ≈ 215 — above every
+/// current grid (b ≤ 208), well below the paper-native regime (b ≥ 1000).
 [[nodiscard]] SolverBackend resolve_solver_backend(SolverBackend requested,
                                                    std::size_t n,
                                                    std::size_t half_bandwidth);

@@ -286,6 +286,14 @@ double BandedLuMatrix::at(std::size_t i, std::size_t j) const {
   return band_[j * w_ + (i - j + bu_)];
 }
 
+void BandedLuMatrix::add_coupling(std::size_t i, std::size_t j, double g) {
+  LIQUID3D_ASSERT(i != j, "coupling requires distinct nodes");
+  at(i, i) += g;
+  at(j, j) += g;
+  at(i, j) -= g;
+  at(j, i) -= g;
+}
+
 void BandedLuMatrix::set_zero() {
   std::fill(band_.begin(), band_.end(), 0.0);
   factorized_ = false;

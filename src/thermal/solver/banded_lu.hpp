@@ -1,21 +1,29 @@
-// banded_lu.hpp — general (non-symmetric) banded LU direct solver.
+// banded_lu.hpp — general (non-symmetric) banded LU direct solver: the
+// one direct kernel behind every ThermalModel3D solve on the direct backend.
 //
-// The liquid steady state admits an exact linear reduction: the coolant
-// march is linear in the wall temperatures, and eliminating the fluid
-// couples each silicon cell only to cells upstream in the same channel row
-// — a distance of at most (cols-1)*layers + 1 node indices, i.e. within
-// the thermal matrix's existing half-bandwidth.  The eliminated system is
-// non-symmetric (advection is directional: upstream heats downstream, not
-// vice versa), so it needs LU rather than Cholesky.
+// Liquid stacks.  The coolant march is linear in the wall temperatures, and
+// eliminating the fluid couples each silicon cell only to cells upstream in
+// the same channel row — a distance of at most (cols-1)*layers + 1 node
+// indices, i.e. within the thermal matrix's existing half-bandwidth.  The
+// eliminated system is non-symmetric (advection is directional: upstream
+// heats downstream, not vice versa), so it needs LU rather than Cholesky.
 //
-// Factorization is unpivoted.  Unpivoted LU is guaranteed stable only on
-// diagonally dominant rows, and the eliminated operator does not always
-// have them: the steady rows lose dominance once g_sum / w_row > 2 (the
-// lowest pump setting), and valve-throttled cavities lose it even with the
-// C/dt term of a transient step.  There the factor is backed by
-// measurement only (tests pin those answers against the PCG fixed point).
-// A pivot that vanishes or is non-finite is a numerical outcome of the
-// operating point, not a bug: factorize() throws SolverError, which the
+// Air stacks.  Their backward-Euler operator C/dt + G is the symmetric
+// conduction network, stamped through add_diagonal/add_coupling into a band
+// with bl = bu.  Storing both triangles costs twice the memory of a
+// symmetric factor; in exchange one kernel family serves both coolings.
+//
+// Factorization is unpivoted.  Unpivoted LU is guaranteed stable on
+// strictly diagonally dominant rows (the growth factor is at most 2).
+// The air operator always has them: every coupling adds g to both
+// diagonals and -g off the diagonal, so each row of C/dt + G sums to
+// C_i/dt + ext_i > 0 for every finite dt.  The eliminated liquid operator
+// does not always have them: its steady rows lose dominance once
+// g_sum / w_row > 2 (the lowest pump setting), and valve-throttled cavities
+// lose it even with the C/dt term of a transient step.  There the factor is
+// backed by measurement only (tests pin those answers against the PCG fixed
+// point).  A pivot that vanishes or is non-finite is a numerical outcome of
+// the operating point, not a bug: factorize() throws SolverError, which the
 // sweep's quarantine ladder records as data.
 //
 // Kernels.  The factorization is panel-blocked right-looking LU: per panel
@@ -53,6 +61,12 @@ class BandedLuMatrix {
   [[nodiscard]] double at(std::size_t i, std::size_t j) const;
   /// Accumulate v into A(i, j).
   void add(std::size_t i, std::size_t j, double v) { at(i, j) += v; }
+  /// The conduction stamps SparseMatrix shares, so ThermalModel3D's one
+  /// stamp_system assembles the air operator for either backend.
+  void add_diagonal(std::size_t i, double g) { at(i, i) += g; }
+  /// Conductance g between distinct nodes i and j: +g on both diagonals,
+  /// -g on both off-diagonals.
+  void add_coupling(std::size_t i, std::size_t j, double g);
 
   /// The band itself, n * (bl + bu + 1) values in the layout above: for
   /// assembly loops that write entries directly (unchecked) and for

@@ -14,12 +14,13 @@
 // exact `transient_dt_ == dt_s` comparison silently re-factorized on
 // last-ulp differences.
 //
-// The cache is generic over the cached system type: the direct backend
-// stores factorized BandedSpdMatrix instances (FactorizationCache), the
-// iterative backend stores PcgSolver instances (CSR operator +
-// preconditioner) through the same template.
+// The cache is generic over the cached system type; the iterative backend
+// stores PcgSolver instances (CSR operator + preconditioner) in it.  The
+// direct backend keeps one exactly keyed LU slot per model instead (see
+// ThermalModel3D::share_factors_with).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "thermal/solver/banded_spd.hpp"
 
 namespace liquid3d {
 
@@ -102,8 +102,5 @@ class DtKeyedLruCache {
   std::uint64_t misses_ = 0;
   std::vector<Entry> entries_;
 };
-
-/// The direct backend's cache of banded Cholesky factorizations.
-using FactorizationCache = DtKeyedLruCache<BandedSpdMatrix>;
 
 }  // namespace liquid3d

@@ -1,6 +1,6 @@
 // pcg.hpp — preconditioned conjugate gradient solver over SparseMatrix.
 //
-// The iterative counterpart of BandedSpdMatrix for the backward-Euler
+// The iterative counterpart of BandedLuMatrix for the backward-Euler
 // thermal systems: the operator is SPD (capacitance/dt plus a conduction
 // M-matrix), so CG converges unconditionally, and each iteration costs
 // O(nnz) ≈ O(7n) instead of the banded back-substitution's O(n b).  At the
@@ -58,9 +58,8 @@ struct PcgSummary {
 };
 
 /// One assembled system: the CSR operator plus its preconditioner, ready to
-/// solve any number of right-hand sides.  Owns the matrix — the model's
-/// dt-keyed cache stores PcgSolver instances exactly where the direct path
-/// stores factorized BandedSpdMatrix instances.
+/// solve any number of right-hand sides.  Owns the matrix; the model's
+/// dt-keyed cache (DtKeyedLruCache) stores PcgSolver instances.
 class PcgSolver {
  public:
   /// Takes the finalized matrix and builds the configured preconditioner.

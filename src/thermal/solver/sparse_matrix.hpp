@@ -10,9 +10,9 @@
 // and gives the preconditioners (solver/pcg.hpp) ordered row access to the
 // lower/upper triangles.
 //
-// Assembly mirrors BandedSpdMatrix: the same add_diagonal/add_coupling
-// calls, fed by the same ThermalModel3D::build_* topology walk, so the two
-// backends assemble the identical operator.  Entries accumulate into a
+// Assembly mirrors BandedLuMatrix: the same add_diagonal/add_coupling
+// calls, fed by the same ThermalModel3D::stamp_system walk, so the two
+// backends assemble the identical air operator.  Entries accumulate into a
 // coordinate buffer; finalize() compresses to CSR (rows contiguous, columns
 // sorted ascending, duplicates merged) after which the structure is
 // immutable.
@@ -36,7 +36,7 @@ class SparseMatrix {
   /// Adds g to A(i,i).
   void add_diagonal(std::size_t i, double g);
   /// Symmetric accumulate: adds g to A(i,i) and A(j,j), -g to A(i,j) and
-  /// A(j,i) — the same conductance stamp BandedSpdMatrix::add_coupling makes.
+  /// A(j,i) — the same conductance stamp BandedLuMatrix::add_coupling makes.
   void add_coupling(std::size_t i, std::size_t j, double g);
 
   /// Compress the accumulated entries to CSR.  Every diagonal must have

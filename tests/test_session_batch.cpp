@@ -1,9 +1,10 @@
 // Steppable session + batch runner (sim/session.hpp, sim/batch_runner.hpp)
-// and the lockstep thermal stepper (thermal/batch_stepper.hpp).  The core
-// guarantee under test: batching never changes results — a BatchRunner of
-// many sessions (air groups sharing one factorization, liquid groups each
-// on its own eliminated LU slot) is bit-identical to serial Simulator::run()
-// calls.
+// and the factor sharing between linked models it relies on
+// (ThermalModel3D::share_factors_with).  The core guarantee under test:
+// batching never changes results — a BatchRunner of many sessions (air
+// groups factorizing once per dt between them, liquid models borrowing a
+// groupmate's LU slot at an equal flow vector) is bit-identical to serial
+// Simulator::run() calls.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,8 +14,8 @@
 #include "obs/metrics.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/simulator.hpp"
-#include "thermal/batch_stepper.hpp"
 #include "thermal/model3d.hpp"
+#include "thermal_test_access.hpp"
 
 namespace liquid3d {
 namespace {
@@ -44,12 +45,16 @@ std::unique_ptr<ThermalModel3D> make_loaded_model(double core_watts,
   return m;
 }
 
-TEST(BatchStepper, LockstepIsBitIdenticalToSerialSteps) {
-  // Eight models with different power maps, per cooling type.  Liquid
-  // models differ in flow too, so each steps through its own eliminated LU
-  // slot; the air group shares one multi-RHS solve per step.
+TEST(FactorSharing, LockstepIsBitIdenticalToSerialSteps) {
+  // Eight linked models with different power maps, per cooling type, each
+  // stepping itself in lockstep.  Liquid models differ in flow too, so each
+  // factorizes its own slot; the air group factorizes once and the other
+  // seven borrow that slot.  Every answer equals an unlinked serial run.
   constexpr std::size_t kModels = 8;
   constexpr std::uint64_t kTicks = 25;
+  const obs::ScopedEnabled obs_on(true);
+  obs::Counter& borrowed =
+      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
   for (const CoolingType cooling : {CoolingType::kLiquid, CoolingType::kAir}) {
     const bool liquid = cooling == CoolingType::kLiquid;
     SCOPED_TRACE(liquid ? "liquid" : "air");
@@ -63,14 +68,19 @@ TEST(BatchStepper, LockstepIsBitIdenticalToSerialSteps) {
       serial.push_back(make_loaded_model(watts, flow, cooling));
       ptrs.push_back(batched.back().get());
     }
+    for (ThermalModel3D* m : ptrs) m->share_factors_with(ptrs);
 
-    BatchThermalStepper stepper;
+    const std::uint64_t factorizations = factorization_count();
+    const std::uint64_t borrowed_before = borrowed.value();
     for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
-      stepper.step(ptrs, 0.05);
-      for (auto& m : serial) m->step(0.05);
+      for (ThermalModel3D* m : ptrs) m->step(0.05);
     }
-    EXPECT_EQ(stepper.shared_solves(), liquid ? 0u : kTicks);
-    EXPECT_EQ(stepper.solved_columns(), liquid ? 0u : kTicks * kModels);
+    EXPECT_EQ(factorization_count() - factorizations, liquid ? kModels : 1u);
+    EXPECT_EQ(borrowed.value() - borrowed_before,
+              liquid ? 0u : kTicks * (kModels - 1));
+    for (auto& m : serial) {
+      for (std::uint64_t tick = 0; tick < kTicks; ++tick) m->step(0.05);
+    }
 
     for (std::size_t i = 0; i < kModels; ++i) {
       for (std::size_t l = 0; l < batched[i]->layer_count(); ++l) {
@@ -90,45 +100,13 @@ TEST(BatchStepper, LockstepIsBitIdenticalToSerialSteps) {
   }
 }
 
-TEST(BatchStepper, AirPackageMatchesSerial) {
-  std::vector<std::unique_ptr<ThermalModel3D>> batched;
-  std::vector<std::unique_ptr<ThermalModel3D>> serial;
-  std::vector<ThermalModel3D*> ptrs;
-  for (double watts : {1.5, 2.5, 3.5}) {
-    batched.push_back(make_loaded_model(watts, 0.0, CoolingType::kAir));
-    serial.push_back(make_loaded_model(watts, 0.0, CoolingType::kAir));
-    ptrs.push_back(batched.back().get());
-  }
-  BatchThermalStepper stepper;
-  for (int tick = 0; tick < 40; ++tick) {
-    stepper.step(ptrs, 0.05);
-    for (auto& m : serial) m->step(0.05);
-  }
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i]->max_temperature(), serial[i]->max_temperature());
-    EXPECT_EQ(batched[i]->sink_temperature(), serial[i]->sink_temperature());
-  }
-}
-
-TEST(BatchStepper, RejectsMismatchedTopologies) {
+TEST(FactorSharing, RejectsMismatchedTopologies) {
   auto liquid = make_loaded_model(2.0, 20.0, CoolingType::kLiquid);
   auto air = make_loaded_model(2.0, 0.0, CoolingType::kAir);
   EXPECT_NE(liquid->topology_fingerprint(), air->topology_fingerprint());
   std::vector<ThermalModel3D*> mixed = {liquid.get(), air.get()};
-  BatchThermalStepper stepper;
-  EXPECT_THROW(stepper.step(mixed, 0.05), ConfigError);
-}
-
-TEST(BatchStepper, SingleModelDegeneratesToSerialStep) {
-  auto batched = make_loaded_model(2.2, 18.0, CoolingType::kLiquid);
-  auto serial = make_loaded_model(2.2, 18.0, CoolingType::kLiquid);
-  BatchThermalStepper stepper;
-  std::vector<ThermalModel3D*> one = {batched.get()};
-  for (int tick = 0; tick < 10; ++tick) {
-    stepper.step(one, 0.1);
-    serial->step(0.1);
-  }
-  EXPECT_EQ(batched->max_temperature(), serial->max_temperature());
+  EXPECT_THROW(air->share_factors_with(mixed), ConfigError);
+  EXPECT_THROW(liquid->share_factors_with(mixed), ConfigError);
 }
 
 // -- Session / batch-runner parity -------------------------------------------
@@ -259,14 +237,15 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
   EXPECT_EQ(batch.group_count(), 1u);  // one lockstep group
   // Liquid sessions solve one at a time, through their own eliminated LU
   // slots or a groupmate's at an equal flow vector.
-  EXPECT_EQ(batch.stepper().shared_solves(), 0u);
   EXPECT_GT(borrowed.value(), borrowed_before);
   for (std::size_t i = 0; i < 8; ++i) {
     SCOPED_TRACE(workloads[i]);
     expect_bit_identical(batched[i], serial[i]);
   }
 
-  // An air group shares one multi-RHS solve per substep across its cells.
+  // An air group's operator depends on dt alone: its groupmates borrow the
+  // lead's LU slot, so the group factorizes once per dt — the steady warm
+  // start's pseudo-step and the transient substep — not once per cell.
   std::vector<SimulationResult> air_serial;
   BatchRunner air_batch;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -274,15 +253,48 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
     air_serial.push_back(Simulator(cfg).run());
     air_batch.add(cfg);
   }
+  const obs::ScopedEnabled obs_on(true);
+  const std::uint64_t air_factorizations = factorization_count();
+  const std::uint64_t air_borrowed = borrowed.value();
   const std::vector<SimulationResult> air_batched = air_batch.run();
   ASSERT_EQ(air_batched.size(), 3u);
   EXPECT_EQ(air_batch.group_count(), 1u);
-  EXPECT_GT(air_batch.stepper().shared_solves(), 0u);
-  EXPECT_EQ(air_batch.stepper().solved_columns(),
-            3u * air_batch.stepper().shared_solves());
+  EXPECT_EQ(factorization_count() - air_factorizations, 2u);
+  EXPECT_GT(borrowed.value(), air_borrowed);
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE(workloads[i]);
     expect_bit_identical(air_batched[i], air_serial[i]);
+  }
+}
+
+TEST(BatchRunner, AirPackageMatchesSerial) {
+  // The package state (spreader and sink, updated explicitly after each
+  // step) of every batched air session equals its serial twin's.
+  BatchRunner batch;
+  std::vector<std::unique_ptr<SimulationSession>> serial;
+  const char* workloads[] = {"gzip", "Web-high", "MPlayer"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const SimulationConfig cfg =
+        session_config(300 + i, workloads[i], CoolingMode::kAir);
+    batch.add(cfg);
+    serial.push_back(std::make_unique<SimulationSession>(cfg));
+  }
+  const auto results = batch.run();
+  ASSERT_EQ(results.size(), 3u);
+  ThermalState batched_state;
+  ThermalState serial_state;
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(workloads[i]);
+    SimulationSession& s = *serial[i];
+    s.init();
+    while (s.step()) {
+    }
+    expect_bit_identical(results[i], s.result());
+    batch.session(i).thermal().save_state(batched_state);
+    s.thermal().save_state(serial_state);
+    EXPECT_EQ(batched_state.spreader_temp, serial_state.spreader_temp);
+    EXPECT_EQ(batched_state.sink_temp, serial_state.sink_temp);
+    EXPECT_EQ(batched_state.temps, serial_state.temps);
   }
 }
 

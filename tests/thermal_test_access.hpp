@@ -1,5 +1,5 @@
-// thermal_test_access.hpp — white-box access to ThermalModel3D's fluid
-// elimination for tests and benchmarks: the assembled operator and the LU
+// thermal_test_access.hpp — white-box access to ThermalModel3D's direct
+// path for tests and benchmarks: the fluid-eliminated operator and the LU
 // slot, which are private to the model, and the reference assembly the
 // direct-write one must reproduce bit for bit.
 #pragma once
@@ -110,9 +110,13 @@ struct ThermalModel3DTestAccess {
       }
     }
   }
+  /// Per-node heat capacity [J/K]: the C of C/dt + G.
+  static const std::vector<double>& capacitance(const ThermalModel3D& m) {
+    return m.capacitance_;
+  }
   /// The model's own LU slot: nullptr until its first factorization.
-  static const BandedLuMatrix* eliminated_slot(const ThermalModel3D& m) {
-    return m.elim_.lu.get();
+  static const BandedLuMatrix* lu_slot(const ThermalModel3D& m) {
+    return m.lu_slot_.lu.get();
   }
 };
 
