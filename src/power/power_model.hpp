@@ -9,6 +9,9 @@
 // cores of that generation.
 #pragma once
 
+#include <concepts>
+#include <type_traits>
+
 #include "power/leakage.hpp"
 
 namespace liquid3d {
@@ -43,6 +46,33 @@ struct PowerModelParams {
 
   LeakageParams leakage{};
 };
+
+/// The one list of PowerModelParams' leaf fields (nested leakage included):
+/// calls f(name, field) for each, with `p` const or mutable.  Cache
+/// identities are derived from this walk.
+template <class Params, class F>
+  requires std::same_as<std::remove_const_t<Params>, PowerModelParams>
+constexpr void visit_fields(Params& p, F&& f) {
+  f("core_active_w", p.core_active_w);
+  f("core_idle_w", p.core_idle_w);
+  f("core_sleep_w", p.core_sleep_w);
+  f("l2_w", p.l2_w);
+  f("crossbar_max_w", p.crossbar_max_w);
+  f("crossbar_floor_frac", p.crossbar_floor_frac);
+  f("misc_w_per_m2", p.misc_w_per_m2);
+  f("core_leak_ref_w", p.core_leak_ref_w);
+  f("l2_leak_ref_w", p.l2_leak_ref_w);
+  f("crossbar_leak_ref_w", p.crossbar_leak_ref_w);
+  f("misc_leak_ref_w_per_m2", p.misc_leak_ref_w_per_m2);
+  f("leakage_reference_temperature", p.leakage.reference_temperature);
+  f("leakage_linear_coeff", p.leakage.linear_coeff);
+  f("leakage_quadratic_coeff", p.leakage.quadratic_coeff);
+}
+
+// Drift tripwire: a new field changes the size and stops the build here,
+// until it is in visit_fields and this size is updated.
+static_assert(sizeof(void*) != 8 || sizeof(PowerModelParams) == 112,
+              "PowerModelParams changed: update visit_fields and this size");
 
 class PowerModel {
  public:

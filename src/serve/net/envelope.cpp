@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/parse.hpp"
 #include "geom/stack_spec.hpp"
+#include "thermal/model3d.hpp"
 #include "thermal/solver/backend.hpp"
 #include "thermal/solver/pcg.hpp"
 
@@ -228,43 +229,11 @@ struct Writer {
 // -- field tables -------------------------------------------------------------
 // One enumeration per struct drives both encode and decode, so the two
 // cannot drift.  Each visitor takes the struct const (encode) or mutable
-// (decode).  Every field of ThermalModelParams is on the wire: the model key
-// (and so bit-identity with an in-process call) depends on all of them.
+// (decode).  Every field of ThermalModelParams is on the wire, as
+// `t.<name>` from its visit_fields table: the model key (and so bit-identity
+// with an in-process call) depends on all of them.
 
-constexpr auto visit_thermal = [](auto& t, auto&& f) {
-  f("t.grid_rows", t.grid_rows);
-  f("t.grid_cols", t.grid_cols);
-  f("t.silicon_conductivity", t.silicon_conductivity);
-  f("t.silicon_volumetric_heat_capacity", t.silicon_volumetric_heat_capacity);
-  f("t.bond_conductivity", t.bond_conductivity);
-  f("t.cavity_wall_conductivity", t.cavity_wall_conductivity);
-  f("t.inlet_temperature", t.inlet_temperature);
-  f("t.ambient_temperature", t.ambient_temperature);
-  f("t.beol_thickness", t.channel_params.beol_thickness);
-  f("t.beol_conductivity", t.channel_params.beol_conductivity);
-  f("t.heat_transfer_coeff", t.channel_params.heat_transfer_coeff);
-  f("t.coolant_heat_capacity", t.coolant.heat_capacity);
-  f("t.coolant_density", t.coolant.density);
-  f("t.coolant_conductivity", t.coolant.conductivity);
-  f("t.coolant_dynamic_viscosity", t.coolant.dynamic_viscosity);
-  f("t.tim_thickness", t.tim_thickness);
-  f("t.tim_conductivity", t.tim_conductivity);
-  f("t.spreader_capacitance", t.spreader_capacitance);
-  f("t.sink_capacitance", t.sink_capacitance);
-  f("t.spreader_to_sink_resistance", t.spreader_to_sink_resistance);
-  f("t.sink_to_ambient_resistance", t.sink_to_ambient_resistance);
-  f("t.alternate_flow_direction", t.alternate_flow_direction);
-  f("t.fluid_tolerance", t.fluid_tolerance);
-  f("t.max_fluid_iterations", t.max_fluid_iterations);
-  f("t.steady_fluid_iterations", t.steady_fluid_iterations);
-  f("t.steady_pseudo_dt", t.steady_pseudo_dt);
-  f("t.steady_tolerance", t.steady_tolerance);
-  f("t.max_steady_iterations", t.max_steady_iterations);
-  f("t.direct_steady_solver", t.direct_steady_solver);
-  f("t.pcg_tolerance", t.pcg.tolerance);
-  f("t.pcg_max_iterations", t.pcg.max_iterations);
-  f("t.pcg_ssor_omega", t.pcg.ssor_omega);
-};
+constexpr auto visit_thermal = [](auto& t, auto&& f) { visit_fields(t, f); };
 
 constexpr auto visit_result = [](auto& r, auto&& f) {
   f("r.hotspot_percent", r.hotspot_percent);
@@ -309,23 +278,38 @@ constexpr auto visit_stats = [](auto& s, auto&& f) {
   f("wire_queue_hwm_window", s.wire_queue_hwm_window);
 };
 
+void read_enum(std::string_view v, SolverBackend& out) {
+  out = solver_backend_from_name(v);
+}
+
+void read_enum(std::string_view v, PcgPreconditioner& out) {
+  out = pcg_preconditioner_from_name(v);
+}
+
+/// Writes every field as `<prefix><name> <value>`; enums by their to_string
+/// spelling.
 template <class T, class Visit>
-void write_table(Writer& w, const T& obj, Visit visit) {
-  visit(obj, [&w](const char* key, const auto& field) {
-    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(field)>, bool>) {
-      w.flag(key, field);
+void write_table(Writer& w, const T& obj, Visit visit, std::string_view prefix = {}) {
+  visit(obj, [&w, prefix](const char* name, const auto& field) {
+    using F = std::remove_cvref_t<decltype(field)>;
+    w.out += prefix;
+    if constexpr (std::is_same_v<F, bool>) {
+      w.flag(name, field);
+    } else if constexpr (std::is_enum_v<F>) {
+      w.kv(name, to_string(field));
     } else {
-      w.num(key, field);
+      w.num(name, field);
     }
   });
 }
 
-/// Decodes the table field named `key` into `obj`; false when the table has
-/// no such key.  The name → ordinal index is built once per table from its
-/// visitor, so a key costs one hash lookup, not a compare against every name.
+/// Decodes the table field `key` names (`<prefix><name>`) into `obj`; false
+/// when the table has no such key.  The name → ordinal index is built once
+/// per table from its visitor, so a key costs one hash lookup, not a compare
+/// against every name.
 template <class T, class Visit>
 bool read_table(Visit visit, T& obj, std::string_view key, std::string_view value,
-                const char* what) {
+                const char* what, std::string_view prefix = {}) {
   static const auto index = [visit] {
     std::unordered_map<std::string_view, std::size_t> names;
     T scratch{};
@@ -334,7 +318,8 @@ bool read_table(Visit visit, T& obj, std::string_view key, std::string_view valu
     });
     return names;
   }();
-  const auto hit = index.find(key);
+  if (!key.starts_with(prefix)) return false;
+  const auto hit = index.find(key.substr(prefix.size()));
   if (hit == index.end()) return false;
   std::size_t ordinal = 0;
   visit(obj, [&](const char*, auto& field) {
@@ -344,6 +329,8 @@ bool read_table(Visit visit, T& obj, std::string_view key, std::string_view valu
       field = read_flag(value, what, key);
     } else if constexpr (std::is_same_v<F, double>) {
       field = read_f64(value, what, key);
+    } else if constexpr (std::is_enum_v<F>) {
+      read_enum(value, field);
     } else {
       static_assert(std::is_unsigned_v<F>);
       field = static_cast<F>(read_u64(value, what, key));
@@ -374,9 +361,7 @@ void write_payload(Writer& w, const SteadyQuery& q) {
   w.num("layer_pairs", cfg.layer_pairs);
   if (cfg.stack) w.kv("stack", encode_stack_spec(*cfg.stack));
   w.kv("delivery_mode", to_string(cfg.delivery_mode));
-  write_table(w, cfg.thermal, visit_thermal);
-  w.kv("t.solver_backend", to_string(cfg.thermal.solver_backend));
-  w.kv("t.pcg_preconditioner", to_string(cfg.thermal.pcg.preconditioner));
+  write_table(w, cfg.thermal, visit_thermal, "t.");
   w.num("core_watts", q.core_watts);
   if (!q.block_watts.empty()) {
     w.key("block_watts");
@@ -537,11 +522,7 @@ void decode_steady(LineReader& lines, WireRequest& request, SteadyQuery& q) {
       q.config.stack = decode_stack_spec(std::string(value), what);
     } else if (key == "delivery_mode") {
       q.config.delivery_mode = delivery_from_name(value, what);
-    } else if (read_table(visit_thermal, q.config.thermal, key, value, what)) {
-    } else if (key == "t.solver_backend") {
-      q.config.thermal.solver_backend = solver_backend_from_name(value);
-    } else if (key == "t.pcg_preconditioner") {
-      q.config.thermal.pcg.preconditioner = pcg_preconditioner_from_name(value);
+    } else if (read_table(visit_thermal, q.config.thermal, key, value, what, "t.")) {
     } else if (key == "core_watts") {
       q.core_watts = read_f64(value, what, key);
     } else if (key == "block_watts") {

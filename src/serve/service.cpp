@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/identity_key.hpp"
 #include "coolant/flow.hpp"
 #include "coolant/pump.hpp"
 #include "coolant/valve_network.hpp"
@@ -26,96 +25,55 @@ double elapsed_us(Clock::time_point start) {
       .count();
 }
 
-/// Raw-bits identity writers: equal keys iff every written value is
-/// bit-identical, with lengths prefixed so adjacent fields cannot alias.
-template <typename T>
-void put(std::string& key, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &v, sizeof(T));
-  key.append(bytes, sizeof(T));
-}
-
-void put(std::string& key, const std::string& s) {
-  put(key, s.size());
-  key += s;
-}
-
 /// Everything that shapes a pooled model's steady operator except the
 /// boundary references: the resolved stack spec (whose cooling type agrees
 /// with the config's — resolved_stack_spec checks it, and the liquid modes
 /// build one model), the delivery mode, and every ThermalModelParams field
-/// but the two references.  Stack presets enter as their spec, so a preset
-/// and its equal explicit spec share entries.
+/// with the references zeroed and the backend resolved (a kAuto and an
+/// explicit query that resolve alike build the same model).  Stack presets
+/// enter as their spec, so a preset and its equal explicit spec share
+/// entries.
 std::string system_identity(const StackSpec& spec, const SimulationConfig& cfg) {
   std::string key;
   key.reserve(512);
-  put(key, spec.name);
-  put(key, spec.cooling);
-  put(key, spec.die_width);
-  put(key, spec.die_height);
-  put(key, spec.layers.size());
+  append_bits(key, spec.name);
+  append_bits(key, spec.cooling);
+  append_bits(key, spec.die_width);
+  append_bits(key, spec.die_height);
+  append_bits(key, spec.layers.size());
   for (const StackLayerEntry& layer : spec.layers) {
-    put(key, layer.floorplan);
-    put(key, layer.blocks.size());
+    append_bits(key, layer.floorplan);
+    append_bits(key, layer.blocks.size());
     for (const BlockEntry& b : layer.blocks) {
-      put(key, b.name);
-      put(key, b.type);
-      put(key, b.rect.x);
-      put(key, b.rect.y);
-      put(key, b.rect.w);
-      put(key, b.rect.h);
+      append_bits(key, b.name);
+      append_bits(key, b.type);
+      append_bits(key, b.rect.x);
+      append_bits(key, b.rect.y);
+      append_bits(key, b.rect.w);
+      append_bits(key, b.rect.h);
     }
-    put(key, layer.die_thickness);
-    put(key, layer.beol_thickness);
+    append_bits(key, layer.die_thickness);
+    append_bits(key, layer.beol_thickness);
   }
-  put(key, spec.cavities.size());
+  append_bits(key, spec.cavities.size());
   for (const CavitySpec& c : spec.cavities) {
-    put(key, c.channel_count);
-    put(key, c.channel_width);
-    put(key, c.channel_height);
-    put(key, c.wall_thickness);
-    put(key, c.pitch);
-    put(key, c.cavity_thickness);
+    append_bits(key, c.channel_count);
+    append_bits(key, c.channel_width);
+    append_bits(key, c.channel_height);
+    append_bits(key, c.wall_thickness);
+    append_bits(key, c.pitch);
+    append_bits(key, c.cavity_thickness);
   }
-  put(key, spec.tsvs.count);
-  put(key, spec.tsvs.side);
-  put(key, spec.tsvs.cu_conductivity);
-  put(key, cfg.delivery_mode);
+  append_bits(key, spec.tsvs.count);
+  append_bits(key, spec.tsvs.side);
+  append_bits(key, spec.tsvs.cu_conductivity);
+  append_bits(key, cfg.delivery_mode);
 
-  const ThermalModelParams& t = cfg.thermal;
-  put(key, t.grid_rows);
-  put(key, t.grid_cols);
-  put(key, t.silicon_conductivity);
-  put(key, t.silicon_volumetric_heat_capacity);
-  put(key, t.bond_conductivity);
-  put(key, t.cavity_wall_conductivity);
-  put(key, t.channel_params.beol_thickness);
-  put(key, t.channel_params.beol_conductivity);
-  put(key, t.channel_params.heat_transfer_coeff);
-  put(key, t.coolant.heat_capacity);
-  put(key, t.coolant.density);
-  put(key, t.coolant.conductivity);
-  put(key, t.coolant.dynamic_viscosity);
-  put(key, t.tim_thickness);
-  put(key, t.tim_conductivity);
-  put(key, t.spreader_capacitance);
-  put(key, t.sink_capacitance);
-  put(key, t.spreader_to_sink_resistance);
-  put(key, t.sink_to_ambient_resistance);
-  put(key, t.alternate_flow_direction);
-  put(key, t.fluid_tolerance);
-  put(key, t.max_fluid_iterations);
-  put(key, t.steady_fluid_iterations);
-  put(key, t.steady_pseudo_dt);
-  put(key, t.steady_tolerance);
-  put(key, t.max_steady_iterations);
-  put(key, t.direct_steady_solver);
-  put(key, t.solver_backend);
-  put(key, t.pcg.tolerance);
-  put(key, t.pcg.max_iterations);
-  put(key, t.pcg.preconditioner);
-  put(key, t.pcg.ssor_omega);
+  ThermalModelParams t = cfg.thermal;
+  t.inlet_temperature = 0.0;
+  t.ambient_temperature = 0.0;
+  t.solver_backend = resolved_backend(t, spec.layers.size());
+  append_fields(key, t);
   return key;
 }
 
@@ -123,8 +81,8 @@ std::string system_identity(const StackSpec& spec, const SimulationConfig& cfg) 
 /// bakes into its parameters.
 std::string model_key(const std::string& identity, const ThermalModelParams& t) {
   std::string key = identity;
-  put(key, t.inlet_temperature);
-  put(key, t.ambient_temperature);
+  append_bits(key, t.inlet_temperature);
+  append_bits(key, t.ambient_temperature);
   return key;
 }
 
@@ -134,7 +92,7 @@ std::string model_key(const std::string& identity, const ThermalModelParams& t) 
 std::string rom_key(const std::string& identity,
                     const std::vector<VolumetricFlow>& flows) {
   std::string key = identity;
-  for (VolumetricFlow f : flows) put(key, f.m3_per_s());
+  for (VolumetricFlow f : flows) append_bits(key, f.m3_per_s());
   return key;
 }
 
@@ -216,7 +174,10 @@ std::vector<VolumetricFlow> resolve_flows(const SimulationConfig& cfg,
 }  // namespace
 
 ThermalService::ThermalService(ServeParams params)
-    : params_(params), queue_(params.queue) {
+    : params_(params),
+      models_(params.model_pool_capacity, &model_evictions_),
+      roms_(params.rom_cache_capacity, &rom_evictions_),
+      queue_(params.queue) {
   LIQUID3D_REQUIRE(params_.model_pool_capacity >= 1,
                    "model pool capacity must be >= 1");
   LIQUID3D_REQUIRE(params_.rom_cache_capacity >= 1,
@@ -251,95 +212,27 @@ struct ThermalService::ResolvedQuery {
 std::shared_ptr<ThermalService::ModelEntry> ThermalService::model_for(
     const std::string& key, const StackSpec& spec,
     const ThermalModelParams& thermal) {
-  std::shared_ptr<ModelEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PoolSlot& slot = models_[key];
-    if (!slot.entry) slot.entry = std::make_shared<ModelEntry>();
-    slot.last_used = ++lru_clock_;
-    entry = slot.entry;
-    while (models_.size() > params_.model_pool_capacity) {
-      auto victim = models_.end();
-      for (auto it = models_.begin(); it != models_.end(); ++it) {
-        if (it->first == key) continue;
-        if (victim == models_.end() ||
-            it->second.last_used < victim->second.last_used) {
-          victim = it;
-        }
-      }
-      if (victim == models_.end()) break;
-      models_.erase(victim);  // borrowers' shared_ptr keeps the model alive
-      model_evictions_.add();
-    }
-  }
-  std::lock_guard<std::mutex> entry_lock(entry->mu);
-  if (!entry->model) {
-    entry->model = std::make_unique<ThermalModel3D>(make_stack(spec), thermal);
-  }
-  return entry;
+  return models_.get(key, [&] {
+    return std::make_shared<ModelEntry>(make_stack(spec), thermal);
+  });
 }
 
 std::shared_ptr<const ReducedSteadyModel> ThermalService::rom_for(
     const SteadyQuery& query, const ResolvedQuery& resolved) {
-  const std::string key = rom_key(resolved.identity, resolved.flows);
-  std::promise<std::shared_ptr<const ReducedSteadyModel>> promise;
-  std::shared_future<std::shared_ptr<const ReducedSteadyModel>> future;
-  bool builder = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = roms_.find(key);
-    if (it == roms_.end()) {
-      future = promise.get_future().share();
-      roms_.emplace(key, RomSlot{future, ++lru_clock_});
-      builder = true;
-    } else {
-      it->second.last_used = ++lru_clock_;
-      future = it->second.future;
+  return roms_.get(rom_key(resolved.identity, resolved.flows), [&] {
+    const ThermalModelParams& thermal = query.config.thermal;
+    const std::shared_ptr<ModelEntry> entry = model_for(
+        model_key(resolved.identity, thermal), resolved.spec, thermal);
+    std::shared_ptr<const ReducedSteadyModel> rom;
+    {
+      std::lock_guard<std::mutex> entry_lock(entry->mu);
+      if (!resolved.flows.empty()) entry->model.set_cavity_flow(resolved.flows);
+      rom = std::make_shared<const ReducedSteadyModel>(
+          ReducedSteadyModel::build(entry->model, params_.rom));
     }
-    while (roms_.size() > params_.rom_cache_capacity) {
-      // Evict the least-recently-used *settled* entry; in-flight builds are
-      // left alone (their waiters hold the future).
-      auto victim = roms_.end();
-      for (auto it2 = roms_.begin(); it2 != roms_.end(); ++it2) {
-        if (it2->first == key) continue;
-        if (it2->second.future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-          continue;
-        }
-        if (victim == roms_.end() ||
-            it2->second.last_used < victim->second.last_used) {
-          victim = it2;
-        }
-      }
-      if (victim == roms_.end()) break;
-      roms_.erase(victim);
-      rom_evictions_.add();
-    }
-  }
-  if (builder) {
-    try {
-      const ThermalModelParams& thermal = query.config.thermal;
-      std::shared_ptr<ModelEntry> entry = model_for(
-          model_key(resolved.identity, thermal), resolved.spec, thermal);
-      std::shared_ptr<const ReducedSteadyModel> rom;
-      {
-        std::lock_guard<std::mutex> entry_lock(entry->mu);
-        if (!resolved.flows.empty()) entry->model->set_cavity_flow(resolved.flows);
-        rom = std::make_shared<const ReducedSteadyModel>(
-            ReducedSteadyModel::build(*entry->model, params_.rom));
-      }
-      rom_builds_.add();
-      promise.set_value(std::move(rom));
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        roms_.erase(key);
-      }
-      promise.set_exception(std::current_exception());
-      throw;
-    }
-  }
-  return future.get();
+    rom_builds_.add();
+    return rom;
+  });
 }
 
 SteadyAnswer ThermalService::full_steady(const SteadyQuery& query,
@@ -350,7 +243,7 @@ SteadyAnswer ThermalService::full_steady(const SteadyQuery& query,
       model_key(resolved.identity, resolved.thermal), resolved.spec, resolved.thermal);
   SteadyAnswer answer;
   std::lock_guard<std::mutex> lock(entry->mu);
-  ThermalModel3D& model = *entry->model;
+  ThermalModel3D& model = entry->model;
   if (!resolved.flows.empty()) model.set_cavity_flow(resolved.flows);
   const std::vector<std::vector<double>> watts =
       resolve_watts(query, block_layout(model.stack()));

@@ -7,7 +7,7 @@
 //
 //   * a pool of constructed thermal models per system topology (model
 //     construction + characterization dominate one-shot latency);
-//   * the process-wide CharacterizationCache (sharded; see
+//   * the process-wide CharacterizationCache (see
 //     sim/characterization_cache.hpp) feeding every session it spawns;
 //   * a cache of reduced-order steady models (serve/rom.hpp) keyed on
 //     (system, flow vector), so repeat steady queries skip the solver
@@ -20,20 +20,23 @@
 // Steady answers carry an explicit error contract: the ROM result is used
 // only when its residual-based estimate stays within the query's bound;
 // otherwise the service transparently falls back to the full steady solver
-// and the answer is exact (to solver tolerance).  Both caches are bounded
-// LRU; eviction is by least-recent use, and an evicted ROM simply rebuilds
-// on the next miss.  Both are keyed by one raw-bits identity built once per
-// query (steady_keys), so a warm ROM answer never builds a stack.
+// and the answer is exact (to solver tolerance).  Both caches are one
+// SharedCache each (common/shared_cache.hpp): one lock, builds outside it,
+// bounded LRU over settled entries, and an evicted ROM simply rebuilds on
+// the next miss.  Both are keyed by one raw-bits identity built once per
+// query (steady_keys) from the ThermalModelParams field table, so a warm
+// ROM answer is one lock and one map find and never builds a stack.
 #pragma once
 
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/shared_cache.hpp"
 #include "obs/metrics.hpp"
 #include "serve/query.hpp"
 #include "serve/queue.hpp"
@@ -87,8 +90,9 @@ class ThermalService {
 
   /// The pooled-model and ROM cache keys a steady query resolves to: raw
   /// bits of the resolved stack spec, delivery mode and every thermal
-  /// parameter, plus the boundary references (model) or the per-cavity
-  /// flow vector (ROM).  Exposed so tests can check identity coverage.
+  /// parameter (the backend as resolved), plus the boundary references
+  /// (model) or the per-cavity flow vector (ROM).  Exposed so tests can
+  /// check identity coverage.
   struct SteadyKeys {
     std::string model;
     std::string rom;
@@ -102,16 +106,10 @@ class ThermalService {
  private:
   /// One pooled full-fidelity model; `mu` serializes solves on it.
   struct ModelEntry {
+    ModelEntry(Stack3D stack, const ThermalModelParams& thermal)
+        : model(std::move(stack), thermal) {}
     std::mutex mu;
-    std::unique_ptr<ThermalModel3D> model;
-  };
-  struct PoolSlot {
-    std::shared_ptr<ModelEntry> entry;
-    std::uint64_t last_used = 0;
-  };
-  struct RomSlot {
-    std::shared_future<std::shared_ptr<const ReducedSteadyModel>> future;
-    std::uint64_t last_used = 0;
+    ThermalModel3D model;
   };
 
   struct ResolvedQuery;
@@ -128,10 +126,6 @@ class ThermalService {
       double trace_period_s);
 
   ServeParams params_;
-  mutable std::mutex mu_;  ///< guards the two cache maps + LRU clock
-  std::map<std::string, PoolSlot> models_;
-  std::map<std::string, RomSlot> roms_;
-  std::uint64_t lru_clock_ = 0;
 
   // Per-instance obs counters (not in the global registry: each service
   // owns its own stats; the registry holds process-wide solver/batch
@@ -145,6 +139,11 @@ class ThermalService {
   obs::Counter full_solves_;
   obs::Counter model_evictions_;
   obs::Counter session_queries_;
+
+  /// Keyed by model_key / rom_key; LRU-bounded by the ServeParams
+  /// capacities, counting evictions into the counters above.
+  SharedCache<ModelEntry> models_;
+  SharedCache<const ReducedSteadyModel> roms_;
 
   QueryQueue queue_;
 };

@@ -1,121 +1,38 @@
 #include "sim/characterization_cache.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/identity_key.hpp"
 #include "control/characterize.hpp"
 #include "coolant/pump.hpp"
-#include "thermal/solver/backend.hpp"
 
 namespace liquid3d {
 
 namespace {
 
-void append(std::string& key, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g,", v);
-  key += buf;
-}
-
-void append(std::string& key, std::size_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%zu,", v);
-  key += buf;
-}
-
-// Every numeric parameter the characterization harness consumes.  The grid
-// resolution matters (steady temperatures are grid-dependent) and so do the
-// solver knobs (direct vs pseudo-transient paths agree only to tolerance).
-// `layer_count` is the stack's layer count — needed to resolve the backend
-// the model will actually run with.
-void append_thermal(std::string& key, const ThermalModelParams& t,
-                    std::size_t layer_count) {
-  append(key, t.grid_rows);
-  append(key, t.grid_cols);
-  append(key, t.silicon_conductivity);
-  append(key, t.silicon_volumetric_heat_capacity);
-  append(key, t.bond_conductivity);
-  append(key, t.cavity_wall_conductivity);
-  append(key, t.inlet_temperature);
-  append(key, t.ambient_temperature);
-  append(key, t.channel_params.beol_thickness);
-  append(key, t.channel_params.beol_conductivity);
-  append(key, t.channel_params.heat_transfer_coeff);
-  append(key, t.coolant.heat_capacity);
-  append(key, t.coolant.density);
-  append(key, t.coolant.conductivity);
-  append(key, t.coolant.dynamic_viscosity);
-  append(key, t.tim_thickness);
-  append(key, t.tim_conductivity);
-  append(key, t.spreader_capacitance);
-  append(key, t.sink_capacitance);
-  append(key, t.spreader_to_sink_resistance);
-  append(key, t.sink_to_ambient_resistance);
-  key += t.alternate_flow_direction ? "alt," : "noalt,";
-  append(key, t.fluid_tolerance);
-  append(key, t.max_fluid_iterations);
-  append(key, t.steady_fluid_iterations);
-  append(key, t.steady_pseudo_dt);
-  append(key, t.steady_tolerance);
-  append(key, t.max_steady_iterations);
-  key += t.direct_steady_solver ? "direct," : "pseudo,";
-  // Backend axis: the direct and iterative paths agree only to tolerance,
-  // so artifacts built under one must not be served to the other.  Keyed on
-  // the *resolved* backend — a kAuto config and an explicit request that
-  // resolve identically build bitwise-identical artifacts and must share
-  // one cache entry.  The PCG knobs enter the key only when the resolved
-  // backend actually consumes them, for the same sharing reason.
-  const SolverBackend resolved = resolve_solver_backend(
-      t.solver_backend, t.grid_rows * t.grid_cols * layer_count,
-      t.grid_cols * layer_count);
-  key += to_string(resolved);
-  key += ",";
-  if (resolved == SolverBackend::kPcg) {
-    append(key, t.pcg.tolerance);
-    append(key, t.pcg.max_iterations);
-    key += to_string(t.pcg.preconditioner);
-    key += ",";
-    append(key, t.pcg.ssor_omega);
-  }
-}
-
-void append_power(std::string& key, const PowerModelParams& p) {
-  append(key, p.core_active_w);
-  append(key, p.core_idle_w);
-  append(key, p.core_sleep_w);
-  append(key, p.l2_w);
-  append(key, p.crossbar_max_w);
-  append(key, p.crossbar_floor_frac);
-  append(key, p.misc_w_per_m2);
-  append(key, p.core_leak_ref_w);
-  append(key, p.l2_leak_ref_w);
-  append(key, p.crossbar_leak_ref_w);
-  append(key, p.misc_leak_ref_w_per_m2);
-  append(key, p.leakage.reference_temperature);
-  append(key, p.leakage.linear_coeff);
-  append(key, p.leakage.quadratic_coeff);
-}
-
-void append_system(std::string& key, const SimulationConfig& cfg, bool liquid) {
-  // The geometry enters the key as the canonical stack fingerprint, so any
-  // two configurations that build the same stack — via layer_pairs, a preset
-  // spec, or a stack file — share characterization artifacts, and custom
-  // stacks can never collide with the Niagara presets.
+// Every parameter the characterization harness consumes, as raw bits: the
+// stack (by its canonical fingerprint, so any two configurations that build
+// the same stack — via layer_pairs, a preset spec, or a stack file — share
+// artifacts), the cooling and delivery modes, and every ThermalModelParams
+// and PowerModelParams field.  The backend enters as the one the model will
+// resolve to: a kAuto config and an explicit request that resolve alike
+// build bitwise-identical artifacts and share one entry.
+std::string system_key(const char* tag, const SimulationConfig& cfg, bool liquid) {
   const Stack3D stack = make_simulation_stack(cfg);
-  char fp[24];
-  std::snprintf(fp, sizeof fp, "%016llx,",
-                static_cast<unsigned long long>(stack_fingerprint(stack)));
-  key += fp;
-  key += liquid ? "liquid," : "air,";
-  key += to_string(cfg.delivery_mode);
-  key += ",";
-  append_thermal(key, cfg.thermal, stack.layer_count());
-  append_power(key, cfg.power);
+  std::string key = tag;
+  key.reserve(512);
+  append_bits(key, stack_fingerprint(stack));
+  append_bits(key, liquid);
+  append_bits(key, cfg.delivery_mode);
+  ThermalModelParams thermal = cfg.thermal;
+  thermal.solver_backend = resolved_backend(thermal, stack.layer_count());
+  append_fields(key, thermal);
+  append_fields(key, cfg.power);
+  return key;
 }
 
 std::shared_ptr<const FlowLut> build_flow_lut(const SimulationConfig& cfg) {
@@ -169,75 +86,14 @@ std::shared_ptr<const TalbWeightTable> build_talb_weights(
 }  // namespace
 
 std::string CharacterizationCache::flow_lut_key(const SimulationConfig& cfg) {
-  std::string key = "lut:";
-  append_system(key, cfg, /*liquid=*/true);
-  append(key, cfg.metrics.target_c - cfg.manager.lut_margin_c);
-  append(key, cfg.characterization_threads);
+  std::string key = system_key("lut:", cfg, /*liquid=*/true);
+  append_bits(key, cfg.metrics.target_c - cfg.manager.lut_margin_c);
+  append_bits(key, cfg.characterization_threads);
   return key;
 }
 
 std::string CharacterizationCache::talb_key(const SimulationConfig& cfg) {
-  std::string key = "talb:";
-  append_system(key, cfg, cfg.cooling != CoolingMode::kAir);
-  return key;
-}
-
-template <typename T, typename Build>
-std::shared_ptr<const T> CharacterizationCache::get_or_build(
-    std::array<Shard<T>, kShardCount>& shards, const std::string& key,
-    Build&& build) {
-  Shard<T>& shard = shards[std::hash<std::string>{}(key) % kShardCount];
-  std::promise<std::shared_ptr<const T>> promise;
-  std::shared_future<std::shared_ptr<const T>> future;
-  bool builder = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-      future = promise.get_future().share();
-      shard.entries.emplace(key, future);
-      builder = true;
-    } else {
-      future = it->second;
-    }
-  }
-  if (builder) {
-    // The expensive part runs outside the lock; same-key requesters block
-    // on the shared future, everyone else proceeds.
-    try {
-      promise.set_value(build());
-    } catch (...) {
-      // Un-publish before propagating so the next requester retries the
-      // build; waiters already holding the future see the exception.
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.entries.erase(key);
-      }
-      promise.set_exception(std::current_exception());
-      throw;
-    }
-  }
-  return future.get();
-}
-
-template <typename T>
-std::size_t CharacterizationCache::shard_size(
-    const std::array<Shard<T>, kShardCount>& shards) {
-  std::size_t total = 0;
-  for (const Shard<T>& shard : shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.entries.size();
-  }
-  return total;
-}
-
-template <typename T>
-void CharacterizationCache::shard_clear(
-    std::array<Shard<T>, kShardCount>& shards) {
-  for (Shard<T>& shard : shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
-  }
+  return system_key("talb:", cfg, cfg.cooling != CoolingMode::kAir);
 }
 
 std::shared_ptr<const FlowLut> CharacterizationCache::flow_lut(
@@ -247,14 +103,12 @@ std::shared_ptr<const FlowLut> CharacterizationCache::flow_lut(
   // liquid entry built from the same thermal/power parameters.
   LIQUID3D_REQUIRE(cfg.cooling != CoolingMode::kAir,
                    "flow LUT only applies to liquid cooling");
-  return get_or_build(luts_, flow_lut_key(cfg),
-                      [&cfg] { return build_flow_lut(cfg); });
+  return luts_.get(flow_lut_key(cfg), [&cfg] { return build_flow_lut(cfg); });
 }
 
 std::shared_ptr<const TalbWeightTable> CharacterizationCache::talb_weights(
     const SimulationConfig& cfg) {
-  return get_or_build(weights_, talb_key(cfg),
-                      [&cfg] { return build_talb_weights(cfg); });
+  return weights_.get(talb_key(cfg), [&cfg] { return build_talb_weights(cfg); });
 }
 
 CharacterizationCache& CharacterizationCache::global() {
@@ -263,12 +117,12 @@ CharacterizationCache& CharacterizationCache::global() {
 }
 
 std::size_t CharacterizationCache::size() const {
-  return shard_size(luts_) + shard_size(weights_);
+  return luts_.size() + weights_.size();
 }
 
 void CharacterizationCache::clear() {
-  shard_clear(luts_);
-  shard_clear(weights_);
+  luts_.clear();
+  weights_.clear();
 }
 
 }  // namespace liquid3d

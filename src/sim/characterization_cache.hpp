@@ -14,24 +14,20 @@
 // never on the policy, workload, seed, or duration of the run that happens
 // to trigger the build.
 //
-// Concurrency: the table is sharded by key hash, and a miss installs a
-// shared_future under the shard lock but runs the build *outside* it.  A
-// characterization build is minutes of steady solves; under the old single
-// mutex (with builds under the lock) every session in the process — even
-// ones whose artifact was already cached — stalled behind an unrelated
-// build.  Now same-key requesters share one build (they block on its
-// future and receive the same pointer), different-key requesters in other
-// shards never touch the same lock, and a failed build erases its entry so
-// the next requester retries instead of inheriting a poisoned future.
+// Concurrency: each table is a SharedCache (common/shared_cache.hpp) —
+// one lock, builds outside it.  A characterization build is many steady
+// solves; a requester whose artifact is already cached never waits behind
+// it.  Same-key requesters share one build (they block on its future and
+// receive the same pointer), and a failed build erases its entry so the
+// next requester retries instead of inheriting a poisoned future.  Lookups
+// are rare — one per artifact when a suite cell or session is configured —
+// so one lock serves.
 #pragma once
 
-#include <array>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
+#include "common/shared_cache.hpp"
 #include "control/flow_lut.hpp"
 #include "control/talb_weights.hpp"
 #include "sim/session.hpp"
@@ -64,30 +60,8 @@ class CharacterizationCache {
   [[nodiscard]] static std::string talb_key(const SimulationConfig& cfg);
 
  private:
-  static constexpr std::size_t kShardCount = 16;
-
-  /// One lock stripe: entries hold futures (not values) so a key's first
-  /// requester can publish "build in progress" and release the lock before
-  /// doing the expensive work.
-  template <typename T>
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, std::shared_future<std::shared_ptr<const T>>> entries;
-  };
-
-  template <typename T, typename Build>
-  static std::shared_ptr<const T> get_or_build(
-      std::array<Shard<T>, kShardCount>& shards, const std::string& key,
-      Build&& build);
-
-  template <typename T>
-  static std::size_t shard_size(const std::array<Shard<T>, kShardCount>& shards);
-
-  template <typename T>
-  static void shard_clear(std::array<Shard<T>, kShardCount>& shards);
-
-  std::array<Shard<FlowLut>, kShardCount> luts_;
-  std::array<Shard<TalbWeightTable>, kShardCount> weights_;
+  SharedCache<const FlowLut> luts_;
+  SharedCache<const TalbWeightTable> weights_;
 };
 
 }  // namespace liquid3d

@@ -55,6 +55,13 @@ void fnv_mix(std::uint64_t& h, double v) {
 }
 }  // namespace
 
+SolverBackend resolved_backend(const ThermalModelParams& t,
+                               std::size_t layer_count) {
+  return resolve_solver_backend(t.solver_backend,
+                                t.grid_rows * t.grid_cols * layer_count,
+                                t.grid_cols * layer_count);
+}
+
 ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
     : stack_(std::move(stack)),
       params_(params),
@@ -64,8 +71,7 @@ ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
       node_count_(stack_.layer_count() * grid_.cell_count()),
       inlet_temperature_(params.inlet_temperature) {
   LIQUID3D_REQUIRE(layer_count_ >= 1, "stack must have at least one layer");
-  backend_ = resolve_solver_backend(params_.solver_backend, node_count_,
-                                    grid_.cols() * layer_count_);
+  backend_ = resolved_backend(params_, layer_count_);
   maps_.reserve(layer_count_);
   for (std::size_t l = 0; l < layer_count_; ++l) {
     maps_.emplace_back(grid_, stack_.layer(l).floorplan);

@@ -42,11 +42,13 @@
 // each iteration solves C/dt + G against the last fluid march.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -161,6 +163,60 @@ struct ThermalModelParams {
   /// Iterative-backend knobs (tolerance, iteration cap, preconditioner).
   PcgParams pcg{};
 };
+
+/// The one list of ThermalModelParams' leaf fields: calls f(name, field) for
+/// each, with `t` const or mutable.  The names and order are the serve wire's
+/// (`t.<name>`, the two enums last), and every cache identity is derived
+/// from this walk, so a field missing here is missing everywhere.
+template <class Params, class F>
+  requires std::same_as<std::remove_const_t<Params>, ThermalModelParams>
+constexpr void visit_fields(Params& t, F&& f) {
+  f("grid_rows", t.grid_rows);
+  f("grid_cols", t.grid_cols);
+  f("silicon_conductivity", t.silicon_conductivity);
+  f("silicon_volumetric_heat_capacity", t.silicon_volumetric_heat_capacity);
+  f("bond_conductivity", t.bond_conductivity);
+  f("cavity_wall_conductivity", t.cavity_wall_conductivity);
+  f("inlet_temperature", t.inlet_temperature);
+  f("ambient_temperature", t.ambient_temperature);
+  f("beol_thickness", t.channel_params.beol_thickness);
+  f("beol_conductivity", t.channel_params.beol_conductivity);
+  f("heat_transfer_coeff", t.channel_params.heat_transfer_coeff);
+  f("coolant_heat_capacity", t.coolant.heat_capacity);
+  f("coolant_density", t.coolant.density);
+  f("coolant_conductivity", t.coolant.conductivity);
+  f("coolant_dynamic_viscosity", t.coolant.dynamic_viscosity);
+  f("tim_thickness", t.tim_thickness);
+  f("tim_conductivity", t.tim_conductivity);
+  f("spreader_capacitance", t.spreader_capacitance);
+  f("sink_capacitance", t.sink_capacitance);
+  f("spreader_to_sink_resistance", t.spreader_to_sink_resistance);
+  f("sink_to_ambient_resistance", t.sink_to_ambient_resistance);
+  f("alternate_flow_direction", t.alternate_flow_direction);
+  f("fluid_tolerance", t.fluid_tolerance);
+  f("max_fluid_iterations", t.max_fluid_iterations);
+  f("steady_fluid_iterations", t.steady_fluid_iterations);
+  f("steady_pseudo_dt", t.steady_pseudo_dt);
+  f("steady_tolerance", t.steady_tolerance);
+  f("max_steady_iterations", t.max_steady_iterations);
+  f("direct_steady_solver", t.direct_steady_solver);
+  f("pcg_tolerance", t.pcg.tolerance);
+  f("pcg_max_iterations", t.pcg.max_iterations);
+  f("pcg_ssor_omega", t.pcg.ssor_omega);
+  f("solver_backend", t.solver_backend);
+  f("pcg_preconditioner", t.pcg.preconditioner);
+}
+
+// Drift tripwire: a field added to ThermalModelParams (or to a struct it
+// nests) changes its size and stops the build here, until the field is in
+// visit_fields and this size is updated.
+static_assert(sizeof(void*) != 8 || sizeof(ThermalModelParams) == 264,
+              "ThermalModelParams changed: update visit_fields and this size");
+
+/// The backend a model of `layer_count` layers built with `t` runs on —
+/// kAuto resolved by the bandwidth cost model, explicit requests as given.
+[[nodiscard]] SolverBackend resolved_backend(const ThermalModelParams& t,
+                                             std::size_t layer_count);
 
 class ThermalModel3D {
  public:

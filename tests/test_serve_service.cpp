@@ -7,12 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/identity_key.hpp"
 #include "geom/stack_spec.hpp"
+#include "serve/net/envelope.hpp"
 #include "serve/service.hpp"
+#include "sim/characterization_cache.hpp"
 #include "sim/session.hpp"
 
 namespace liquid3d {
@@ -175,6 +181,21 @@ TEST(ServeService, PcgQueryIsNotServedByAPooledDirectModel) {
   EXPECT_EQ(after_direct.layer_max_c, alone.layer_max_c);
 }
 
+TEST(ServeService, AutoAndDirectQueriesShareOneRom) {
+  // The backend enters the identity as resolved: at the default grid kAuto
+  // resolves to kDirect, so both queries are one system and one ROM build.
+  SteadyQuery automatic;
+  automatic.config.cooling = CoolingMode::kLiquidMax;
+  SteadyQuery direct = automatic;
+  direct.config.thermal.solver_backend = SolverBackend::kDirect;
+  const ThermalService::SteadyKeys keys = ThermalService::steady_keys(automatic);
+  EXPECT_EQ(ThermalService::steady_keys(direct).model, keys.model);
+  EXPECT_EQ(ThermalService::steady_keys(direct).rom, keys.rom);
+  ThermalService service;
+  EXPECT_EQ(service.steady(automatic).t_max_c, service.steady(direct).t_max_c);
+  EXPECT_EQ(service.stats().rom_builds, 1u);
+}
+
 /// A liquid stack with inline blocks, so every spec field can be perturbed
 /// without leaving the valid set.
 StackSpec inline_spec() {
@@ -193,6 +214,32 @@ StackSpec inline_spec() {
   return spec;
 }
 
+/// Perturbs field `index` of a parameter struct through its visit_fields
+/// table (doubles x1.01, integers +1, bools flipped, enums to another value);
+/// returns the field's name, empty past the last field.
+template <class Params>
+std::string perturb_field(Params& params, std::size_t index) {
+  std::string name;
+  std::size_t i = 0;
+  visit_fields(params, [&](const char* field_name, auto& field) {
+    using F = std::remove_reference_t<decltype(field)>;
+    if (i++ != index) return;
+    name = field_name;
+    if constexpr (std::is_same_v<F, bool>) {
+      field = !field;
+    } else if constexpr (std::is_same_v<F, double>) {
+      field *= 1.01;
+    } else if constexpr (std::is_same_v<F, SolverBackend>) {
+      field = SolverBackend::kPcg;  // kDirect resolves like kAuto: see below
+    } else if constexpr (std::is_same_v<F, PcgPreconditioner>) {
+      field = PcgPreconditioner::kJacobi;
+    } else {
+      field += 1;
+    }
+  });
+  return name;
+}
+
 TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
   SteadyQuery base;
   base.config.cooling = CoolingMode::kLiquidMax;
@@ -200,6 +247,49 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
   const ThermalService::SteadyKeys keys = ThermalService::steady_keys(base);
   EXPECT_EQ(ThermalService::steady_keys(base).model, keys.model);
   EXPECT_EQ(ThermalService::steady_keys(base).rom, keys.rom);
+  const std::string lut = CharacterizationCache::flow_lut_key(base.config);
+  const std::string talb = CharacterizationCache::talb_key(base.config);
+
+  // Every ThermalModelParams field moves every key, except that the two
+  // boundary references shape the full model and not the ROM, and crosses
+  // the wire bit for bit.
+  std::size_t thermal_fields = 0;
+  for (SteadyQuery q = base;; q = base, ++thermal_fields) {
+    const std::string name = perturb_field(q.config.thermal, thermal_fields);
+    if (name.empty()) break;
+    SCOPED_TRACE(name);
+    const ThermalService::SteadyKeys k = ThermalService::steady_keys(q);
+    EXPECT_NE(k.model, keys.model);
+    EXPECT_EQ(k.rom == keys.rom,
+              name == "inlet_temperature" || name == "ambient_temperature");
+    EXPECT_NE(CharacterizationCache::flow_lut_key(q.config), lut);
+    EXPECT_NE(CharacterizationCache::talb_key(q.config), talb);
+    std::string sent, received;
+    append_fields(sent, q.config.thermal);
+    const WireRequest wire = decode_request(encode_request(1, 0.0, q));
+    append_fields(received, std::get<SteadyQuery>(wire.payload).config.thermal);
+    EXPECT_EQ(received, sent);
+  }
+  EXPECT_EQ(thermal_fields, 34u);
+
+  // Every PowerModelParams field moves both characterization keys.
+  std::size_t power_fields = 0;
+  for (SimulationConfig cfg = base.config;; cfg = base.config, ++power_fields) {
+    const std::string name = perturb_field(cfg.power, power_fields);
+    if (name.empty()) break;
+    EXPECT_NE(CharacterizationCache::flow_lut_key(cfg), lut) << name;
+    EXPECT_NE(CharacterizationCache::talb_key(cfg), talb) << name;
+  }
+  EXPECT_EQ(power_fields, 14u);
+
+  // The one deliberate equality: the backend enters as resolved, and kAuto
+  // resolves to kDirect at the default grid (kPcg moved every key above).
+  SteadyQuery direct = base;
+  direct.config.thermal.solver_backend = SolverBackend::kDirect;
+  EXPECT_EQ(ThermalService::steady_keys(direct).model, keys.model);
+  EXPECT_EQ(ThermalService::steady_keys(direct).rom, keys.rom);
+  EXPECT_EQ(CharacterizationCache::flow_lut_key(direct.config), lut);
+  EXPECT_EQ(CharacterizationCache::talb_key(direct.config), talb);
 
   using Perturb = void (*)(SteadyQuery&);
   const auto both_change = [&](const char* field, Perturb perturb) {
@@ -209,81 +299,6 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
     EXPECT_NE(k.model, keys.model) << field;
     EXPECT_NE(k.rom, keys.rom) << field;
   };
-  // Every ThermalModelParams field but the two references.
-  both_change("grid_rows", [](SteadyQuery& q) { q.config.thermal.grid_rows += 1; });
-  both_change("grid_cols", [](SteadyQuery& q) { q.config.thermal.grid_cols += 1; });
-  both_change("silicon_conductivity",
-              [](SteadyQuery& q) { q.config.thermal.silicon_conductivity *= 1.01; });
-  both_change("silicon_volumetric_heat_capacity", [](SteadyQuery& q) {
-    q.config.thermal.silicon_volumetric_heat_capacity *= 1.01;
-  });
-  both_change("bond_conductivity",
-              [](SteadyQuery& q) { q.config.thermal.bond_conductivity *= 1.01; });
-  both_change("cavity_wall_conductivity",
-              [](SteadyQuery& q) { q.config.thermal.cavity_wall_conductivity *= 1.01; });
-  both_change("channel_params.beol_thickness", [](SteadyQuery& q) {
-    q.config.thermal.channel_params.beol_thickness *= 1.01;
-  });
-  both_change("channel_params.beol_conductivity", [](SteadyQuery& q) {
-    q.config.thermal.channel_params.beol_conductivity *= 1.01;
-  });
-  both_change("channel_params.heat_transfer_coeff", [](SteadyQuery& q) {
-    q.config.thermal.channel_params.heat_transfer_coeff *= 1.01;
-  });
-  both_change("coolant.heat_capacity",
-              [](SteadyQuery& q) { q.config.thermal.coolant.heat_capacity *= 1.01; });
-  both_change("coolant.density",
-              [](SteadyQuery& q) { q.config.thermal.coolant.density *= 1.01; });
-  both_change("coolant.conductivity",
-              [](SteadyQuery& q) { q.config.thermal.coolant.conductivity *= 1.01; });
-  both_change("coolant.dynamic_viscosity", [](SteadyQuery& q) {
-    q.config.thermal.coolant.dynamic_viscosity *= 1.01;
-  });
-  both_change("tim_thickness",
-              [](SteadyQuery& q) { q.config.thermal.tim_thickness *= 1.01; });
-  both_change("tim_conductivity",
-              [](SteadyQuery& q) { q.config.thermal.tim_conductivity *= 1.01; });
-  both_change("spreader_capacitance",
-              [](SteadyQuery& q) { q.config.thermal.spreader_capacitance *= 1.01; });
-  both_change("sink_capacitance",
-              [](SteadyQuery& q) { q.config.thermal.sink_capacitance *= 1.01; });
-  both_change("spreader_to_sink_resistance", [](SteadyQuery& q) {
-    q.config.thermal.spreader_to_sink_resistance *= 1.01;
-  });
-  both_change("sink_to_ambient_resistance", [](SteadyQuery& q) {
-    q.config.thermal.sink_to_ambient_resistance *= 1.01;
-  });
-  both_change("alternate_flow_direction", [](SteadyQuery& q) {
-    q.config.thermal.alternate_flow_direction = !q.config.thermal.alternate_flow_direction;
-  });
-  both_change("fluid_tolerance",
-              [](SteadyQuery& q) { q.config.thermal.fluid_tolerance *= 1.01; });
-  both_change("max_fluid_iterations",
-              [](SteadyQuery& q) { q.config.thermal.max_fluid_iterations += 1; });
-  both_change("steady_fluid_iterations",
-              [](SteadyQuery& q) { q.config.thermal.steady_fluid_iterations += 1; });
-  both_change("steady_pseudo_dt",
-              [](SteadyQuery& q) { q.config.thermal.steady_pseudo_dt *= 1.01; });
-  both_change("steady_tolerance",
-              [](SteadyQuery& q) { q.config.thermal.steady_tolerance *= 1.01; });
-  both_change("max_steady_iterations",
-              [](SteadyQuery& q) { q.config.thermal.max_steady_iterations += 1; });
-  both_change("direct_steady_solver", [](SteadyQuery& q) {
-    q.config.thermal.direct_steady_solver = !q.config.thermal.direct_steady_solver;
-  });
-  both_change("solver_backend", [](SteadyQuery& q) {
-    q.config.thermal.solver_backend = SolverBackend::kPcg;
-  });
-  both_change("pcg.tolerance",
-              [](SteadyQuery& q) { q.config.thermal.pcg.tolerance *= 1.01; });
-  both_change("pcg.max_iterations",
-              [](SteadyQuery& q) { q.config.thermal.pcg.max_iterations += 1; });
-  both_change("pcg.preconditioner", [](SteadyQuery& q) {
-    q.config.thermal.pcg.preconditioner = PcgPreconditioner::kJacobi;
-  });
-  both_change("pcg.ssor_omega",
-              [](SteadyQuery& q) { q.config.thermal.pcg.ssor_omega = 1.2; });
-
   // Every StackSpec field.
   both_change("name", [](SteadyQuery& q) { q.config.stack->name += "-b"; });
   both_change("die_width", [](SteadyQuery& q) { q.config.stack->die_width *= 1.01; });
@@ -352,18 +367,11 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
   EXPECT_NE(ThermalService::steady_keys(swapped).rom,
             ThermalService::steady_keys(preset).rom);
 
-  // The boundary references shape the full model, not the ROM.
-  for (Perturb perturb : {
-           +[](SteadyQuery& q) { q.config.thermal.inlet_temperature += 1.0; },
-           +[](SteadyQuery& q) { q.config.thermal.ambient_temperature += 1.0; },
-           +[](SteadyQuery& q) { q.reference_c = 30.0; },
-       }) {
-    SteadyQuery q = base;
-    perturb(q);
-    const ThermalService::SteadyKeys k = ThermalService::steady_keys(q);
-    EXPECT_NE(k.model, keys.model);
-    EXPECT_EQ(k.rom, keys.rom);
-  }
+  // A reference override shapes the full model, not the ROM.
+  SteadyQuery reference = base;
+  reference.reference_c = 30.0;
+  EXPECT_NE(ThermalService::steady_keys(reference).model, keys.model);
+  EXPECT_EQ(ThermalService::steady_keys(reference).rom, keys.rom);
   // Both liquid modes build the same steady model.
   SteadyQuery var = base;
   var.config.cooling = CoolingMode::kLiquidVar;
