@@ -316,38 +316,29 @@ void BM_SteadyStatePerCavity(benchmark::State& state) {
 BENCHMARK(BM_SteadyStatePerCavity)->Args({23, 26, 0})->Args({23, 26, 1});
 
 // Full flow-LUT characterization (the acceptance workload: 25 utilization
-// points x all pump settings).  `fast` is the production configuration —
-// direct fluid-eliminated steady solver, fused leakage iteration,
-// warm-started, sampled over the thread pool; the baseline replicates the
-// seed behaviour: pseudo-transient continuation, outer leakage fixed
-// point, serial sweep.
-void characterization_pass(bool fast, std::size_t threads, std::size_t points) {
-  ThermalModelParams p;  // paper-default grid
-  p.direct_steady_solver = fast;
+// points x all pump settings) in the production configuration: the direct
+// steady solve inside its leakage loop, warm-started, sampled over the
+// thread pool.  The first argument is always 1, so the row names stay
+// those of the recorded baseline; the second is the thread count.
+void characterization_pass(std::size_t threads, std::size_t points) {
   const Stack3D stack = make_2layer_system();
   auto factory = [&]() {
-    auto h = std::make_unique<CharacterizationHarness>(
-        stack, p, PowerModelParams{}, PumpModel::laing_ddc(),
+    return std::make_unique<CharacterizationHarness>(
+        stack, ThermalModelParams{}, PowerModelParams{}, PumpModel::laing_ddc(),
         FlowDeliveryMode::kPressureLimited);
-    h->set_warm_start(fast);
-    h->set_fused_leakage(fast);
-    return h;
   };
   const FlowLut lut = characterize_flow_lut(factory, 78.0, points, threads);
   benchmark::DoNotOptimize(lut.setting_count());
 }
 
 void BM_FlowLutCharacterization(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
   const auto threads = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
-    characterization_pass(fast, threads, 25);
+    characterization_pass(threads, 25);
   }
-  state.SetLabel(fast ? "solver engine: direct steady + warm start + pool"
-                      : "seed behaviour: pseudo-transient, serial");
+  state.SetLabel("solver engine: direct steady + warm start + pool");
 }
 BENCHMARK(BM_FlowLutCharacterization)
-    ->Args({0, 1})
     ->Args({1, 1})
     ->Args({1, 0})  // 0 = hardware concurrency
     ->Unit(benchmark::kMillisecond)

@@ -77,35 +77,20 @@ void CharacterizationHarness::apply_uniform_power(double utilization) {
 }
 
 double CharacterizationHarness::solve_with_leakage_fixed_point(double utilization) {
-  // The leakage term depends on temperature, which depends on power.  The
-  // fused path re-applies the power assignment before every pseudo-transient
-  // step, so one continuation run converges power and temperature together —
-  // the seed wrapped the whole steady solve in an outer fixed point and paid
-  // for 3-4 complete pseudo-transient runs per operating point.  A genuinely
-  // diverging iterate is physical thermal runaway and is reported as the
-  // (large) last value, which the LUT correctly treats as "needs more flow".
-  if (fused_leakage_) {
+  // The leakage term depends on temperature, which depends on power:
+  // solve_steady_state re-applies the power assignment before every solve
+  // and stops once the field moves less than 0.05 K.  A genuinely diverging
+  // iterate is physical thermal runaway and is reported as the (large) last
+  // value, which the LUT correctly treats as "needs more flow".  The loop
+  // aborts on runaway (>400 C), but never before the first solve: the
+  // warm-start seed may legitimately be a hot state that this operating
+  // point cools down from.
+  std::size_t steps = 0;
+  model_.solve_steady_state([&]() {
     apply_uniform_power(utilization);
-    // Abort on runaway (>400 C) — but never before the first solve: the
-    // warm-start seed may legitimately be a hot state that this operating
-    // point cools down from.
-    std::size_t steps = 0;
-    model_.solve_steady_state([&]() {
-      apply_uniform_power(utilization);
-      return steps++ == 0 || model_.max_temperature() <= 400.0;
-    });
-    return model_.max_temperature();
-  }
-  double tmax_prev = model_.max_temperature();
-  for (int iter = 0; iter < 80; ++iter) {
-    apply_uniform_power(utilization);
-    model_.solve_steady_state();
-    const double tmax = model_.max_temperature();
-    if (std::abs(tmax - tmax_prev) < 0.05) return tmax;
-    if (tmax > 400.0) return tmax;  // runaway: no point iterating further
-    tmax_prev = tmax;
-  }
-  return tmax_prev;
+    return steps++ == 0 || model_.max_temperature() <= 400.0;
+  });
+  return model_.max_temperature();
 }
 
 namespace {

@@ -13,9 +13,10 @@
 // Steady solves here are *warm-started*: every converged operating point is
 // snapshotted, and a new solve seeds the model from the nearest previously
 // converged (utilization, flow) point.  Characterization sweeps are monotone
-// in both coordinates, so pseudo-transient iteration counts collapse by an
-// order of magnitude; the grid itself is sampled in parallel (one harness
-// per worker) by `characterize_flow_lut`.
+// in both coordinates, so the leakage loop (and, on the PCG backend, the
+// pseudo-transient continuation) starts close to its answer; the grid
+// itself is sampled in parallel (one harness per worker) by
+// `characterize_flow_lut`.
 #pragma once
 
 #include <cstddef>
@@ -85,11 +86,6 @@ class CharacterizationHarness {
   /// the model happens to be in (the seed behaviour).
   void set_warm_start(bool enabled) { warm_start_ = enabled; }
   [[nodiscard]] bool warm_start() const { return warm_start_; }
-  /// Fold the leakage-power update into the pseudo-transient continuation
-  /// (one steady run per operating point) instead of the seed's outer
-  /// power/solve fixed point (3-4 runs).  On by default.
-  void set_fused_leakage(bool enabled) { fused_leakage_ = enabled; }
-  [[nodiscard]] bool fused_leakage() const { return fused_leakage_; }
   /// Number of converged operating points currently cached.
   [[nodiscard]] std::size_t warm_point_count() const { return warm_points_.size(); }
 
@@ -111,7 +107,6 @@ class CharacterizationHarness {
   std::optional<FlowDelivery> delivery_;
   std::vector<BlockSite> cores_;
   bool warm_start_ = true;
-  bool fused_leakage_ = true;
   std::vector<WarmPoint> warm_points_;
 };
 

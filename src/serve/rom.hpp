@@ -9,10 +9,10 @@
 //
 // where m_b spreads 1 W over block b's nodes.  Offline, per (topology, flow
 // vector), the builder solves one full steady state per floorplan block
-// through the model's own steady path (so reduced answers are the full
-// solver's answers, recombined) and keeps only the silicon rows of each
-// g_b, layer-major ([layer][block][cell]; silicon node = cell·layers +
-// layer).  Nothing is truncated: the "basis" is the constant vector plus
+// through the model's own steady path — the solve a force_full query makes
+// — so reduced answers are the full solver's answers, recombined.  It keeps
+// only the silicon rows of each g_b, layer-major ([layer][block][cell];
+// silicon node = cell·layers + layer).  Nothing is truncated: the "basis" is the constant vector plus
 // every block's influence solution, and no projection or reduced solve is
 // needed.
 //

@@ -99,20 +99,6 @@ struct CellSlot {
   std::size_t attempts = 0;     ///< ladder attempts consumed
 };
 
-/// Loosen every budget/tolerance a stall can hit: the PCG tolerance and
-/// iteration cap, and the steady pseudo-transient iteration cap and
-/// tolerance.  Only the most-relaxed rung of the ladder uses this: it
-/// trades accuracy for an answer, which is still better than no record at
-/// all for a pathological operating point.  That rung runs on the direct
-/// backend, which eliminates the coolant instead of iterating it, so no
-/// fluid budget needs loosening.
-void relax_thermal_params(ThermalModelParams& p) {
-  p.pcg.tolerance *= 1e4;
-  p.pcg.max_iterations *= 4;
-  p.max_steady_iterations *= 4;
-  p.steady_tolerance *= 10.0;
-}
-
 /// One rung of the escalation ladder (attempt is 1-based).  Rebuilds the
 /// config from the suite each time: the backend lives on the seed-neutral
 /// ScenarioSpec::solver axis, so characterization artifacts rebuild
@@ -125,9 +111,7 @@ SimulationResult run_cell_attempt(ExperimentSuite& suite, const SweepCell& cell,
   }
   ScenarioSpec scenario = cell.scenario;
   if (attempt >= 2) scenario.solver = SolverBackend::kDirect;
-  SimulationConfig cfg = suite.make_config(scenario, workload);
-  if (attempt >= 3) relax_thermal_params(cfg.thermal);
-  Simulator sim(cfg);
+  Simulator sim(suite.make_config(scenario, workload));
   return sim.run();
 }
 

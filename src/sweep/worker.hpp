@@ -22,12 +22,12 @@
 // evicted from its lockstep group (siblings keep their shared
 // factorization semantics — on a batched SolverError the chunk re-runs
 // solo, which is bit-identical by the locked batch==solo contract) and
-// retried through an escalation ladder: attempt 1 as configured, attempt 2
-// on the direct backend, attempt 3 direct with relaxed tolerances/budgets.
-// A cell that exhausts `max_cell_attempts` becomes a FAILED journal record
-// carrying the error text and the attempt count; ConfigError/LogicError
-// still propagate (they are not numerical outcomes and retrying cannot
-// help).
+// retried through an escalation ladder: attempt 1 as configured, every
+// later attempt on the direct backend, which has no iteration budget or
+// tolerance to stall on.  A cell that exhausts `max_cell_attempts` becomes
+// a FAILED journal record carrying the error text and the attempt count;
+// ConfigError/LogicError still propagate (they are not numerical outcomes
+// and retrying cannot help).
 #pragma once
 
 #include <cstddef>
@@ -51,9 +51,8 @@ struct SweepWorkerOptions {
   /// Worker threads for the kThreadPool execution (0 = hardware
   /// concurrency).
   std::size_t worker_threads = 0;
-  /// Solve attempts per cell before it is journaled as FAILED: 1 = as
-  /// configured, 2 = direct backend, 3 = direct backend with relaxed
-  /// tolerances.  Values above 3 repeat the most-relaxed rung.
+  /// Solve attempts per cell before it is journaled as FAILED: attempt 1
+  /// runs as configured, attempts 2 and later on the direct backend.
   std::size_t max_cell_attempts = 3;
 };
 

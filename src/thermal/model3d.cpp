@@ -343,16 +343,16 @@ void ThermalModel3D::stamp_system(MatrixT& m, double inv_dt) const {
   }
 }
 
-PcgSolver& ThermalModel3D::pcg_for_dt(double dt_s) {
-  if (PcgSolver* cached = pcg_cache_.find(dt_s)) return *cached;
+PcgSolver& ThermalModel3D::pcg_for(double inv_dt) {
+  if (PcgSolver* cached = pcg_cache_.find(inv_dt)) return *cached;
   static obs::Histogram& assemble_h =
       obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
   obs::ScopedTimer assemble_t(assemble_h);
   SparseMatrix a(node_count_);
-  stamp_system(a, 1.0 / dt_s);
+  stamp_system(a, inv_dt);
   a.finalize();
   assemble_t.stop();
-  return pcg_cache_.insert(dt_s,
+  return pcg_cache_.insert(inv_dt,
                            std::make_unique<PcgSolver>(std::move(a), params_.pcg));
 }
 
@@ -446,9 +446,8 @@ void ThermalModel3D::assemble_transient_rhs(double inv_dt, double* out) const {
   }
 }
 
-double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
+double ThermalModel3D::advance(double inv_dt, std::size_t fluid_iters,
                                double fluid_tol) {
-  const double inv_dt = 1.0 / dt_s;
   temps_prev_.assign(temps_.begin(), temps_.end());
   const bool liquid = stack_.has_cavities();
   if (backend_ == SolverBackend::kDirect) {
@@ -463,7 +462,7 @@ double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
   }
   // PCG: the silicon<->fluid fixed point.  Each iteration solves the
   // symmetric C/dt + G against the last fluid march.
-  PcgSolver& pcg = pcg_for_dt(dt_s);
+  PcgSolver& pcg = pcg_for(inv_dt);
   for (std::size_t iter = 0; iter < (liquid ? fluid_iters : 1); ++iter) {
     assemble_transient_rhs(inv_dt, rhs_.data());
     require_finite(rhs_.data(), node_count_, kNonFiniteRhs);
@@ -477,8 +476,8 @@ double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
     // decision built on the field.  SolverError, not ConfigError or
     // LogicError: the configuration is well-formed and the code is not
     // buggy — the system is ill-conditioned for the configured budget,
-    // and callers (the sweep worker's quarantine ladder) may retry with
-    // another backend or a relaxed tolerance.
+    // and callers (the sweep worker's quarantine ladder) may retry on
+    // another backend.
     if (!last_pcg_.converged) {
       throw SolverError(
           "PCG transient step did not converge within max_iterations; "
@@ -578,7 +577,7 @@ void ThermalModel3D::solve_eliminated(const LuSlot& slot, double inv_dt) {
 
 void ThermalModel3D::step(double dt_s) {
   LIQUID3D_REQUIRE(dt_s > 0.0, "time step must be positive");
-  advance(dt_s, params_.max_fluid_iterations, params_.fluid_tolerance);
+  advance(1.0 / dt_s, params_.max_fluid_iterations, params_.fluid_tolerance);
   if (!stack_.has_cavities()) update_package_transient(dt_s);
 }
 
@@ -594,26 +593,6 @@ void ThermalModel3D::update_package_transient(double dt_s) {
                       params_.sink_to_ambient_resistance;
   spreader_temp_ += dt_s * (q_in - q_ss) / params_.spreader_capacitance;
   sink_temp_ += dt_s * (q_ss - q_sa) / params_.sink_capacitance;
-}
-
-void ThermalModel3D::update_package_steady() {
-  double g_total = 0.0;
-  double gt_total = 0.0;
-  for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-    g_total += g_package_;
-    gt_total += g_package_ * temps_[node(layer_count_ - 1, cell)];
-  }
-  const double g_ss = 1.0 / params_.spreader_to_sink_resistance;
-  const double g_sa = 1.0 / params_.sink_to_ambient_resistance;
-  // Two-node linear balance, solved exactly.
-  //   (g_total + g_ss) T_spr - g_ss T_sink = gt_total
-  //   -g_ss T_spr + (g_ss + g_sa) T_sink  = g_sa T_amb
-  const double a11 = g_total + g_ss;
-  const double a22 = g_ss + g_sa;
-  const double det = a11 * a22 - g_ss * g_ss;
-  spreader_temp_ =
-      (gt_total * a22 + g_ss * g_sa * params_.ambient_temperature) / det;
-  sink_temp_ = (a11 * g_sa * params_.ambient_temperature + g_ss * gt_total) / det;
 }
 
 void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
@@ -637,8 +616,7 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
     // The fluid-eliminated assembly is exact algebra for any flow (only the
     // unpivoted *factorization* needs diagonal dominance, and the export
     // never factorizes), so the operator is valid in the advection-limited
-    // regime too — where solve_steady_state reaches the same solution by
-    // pseudo-transient continuation.
+    // regime too.  It is the matrix of solve_steady_state's direct solve.
     const std::size_t bw = grid_.cols() * layer_count_;
     BandedLuMatrix m(node_count_, bw, bw);
     std::vector<double> scratch;
@@ -658,8 +636,8 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
     }
   } else {
     // Silicon conduction network plus the two-node package (spreader, sink)
-    // appended as unknowns — the coupled system update_package_steady and
-    // the pseudo-transient continuation jointly converge to.
+    // appended as unknowns.  solve_steady_state solves the same system with
+    // the package eliminated in closed form.
     const std::size_t spr = node_count_;
     const std::size_t snk = node_count_ + 1;
     std::vector<std::map<std::size_t, double>> rows(out.nodes);
@@ -713,8 +691,44 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
   }
 }
 
-void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_step) {
-  // The solve is exact for a fixed power map; the loop only iterates the
+void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
+  const bool liquid = stack_.has_cavities();
+  // Zero flow in any cavity of a liquid stack has no bounded steady state
+  // (every heat path ends in the coolant); fail fast instead of iterating
+  // forever.
+  for (const VolumetricFlow& f : cavity_flows_) {
+    LIQUID3D_REQUIRE(f.m3_per_s() > 0.0,
+                     "steady state of a liquid stack requires nonzero flow "
+                     "in every cavity");
+  }
+  if (liquid && backend_ == SolverBackend::kPcg) {
+    // The fluid-eliminated operator is non-symmetric and banded — the
+    // O(n b^2) object the iterative backend exists to avoid — so PCG
+    // reaches a liquid steady state by pseudo-transient continuation, each
+    // backward-Euler step warm-started.  Far from the steady state the
+    // inner silicon<->fluid alternation need not be polished: its tolerance
+    // tracks the last outer step's movement (floored at the configured
+    // tolerance, so the endgame — and the final answer — stays as tight).
+    const double inv_dt = 1.0 / params_.steady_pseudo_dt;
+    double fluid_tol = params_.fluid_tolerance;
+    double delta = 0.0;
+    for (std::size_t iter = 0; iter < params_.max_steady_iterations; ++iter) {
+      if (pre_step && !pre_step()) return;
+      delta = advance(inv_dt, params_.steady_fluid_iterations, fluid_tol);
+      if (delta < params_.steady_tolerance) return;
+      fluid_tol = std::max(params_.fluid_tolerance, 0.1 * delta);
+    }
+    // Not converged within the iteration cap — surface it; silent
+    // divergence would corrupt every characterization built on top.
+    // SolverError (a numerical outcome of this operating point), not
+    // LogicError: a retry on the direct backend may well succeed.
+    throw SolverError(
+        "steady-state pseudo-transient iteration did not converge within "
+        "max_steady_iterations",
+        to_string(backend_), params_.max_steady_iterations, delta);
+  }
+  // Everywhere else the steady state is the implicit step at 1/dt = 0.  For
+  // a fixed power map that is one solve; the loop only iterates the
   // temperature-dependent power (leakage) supplied through pre_step.  Near
   // runaway the leakage loop gain approaches 1 and convergence stalls —
   // like the seed's outer fixed point (80 iterations, 0.05 K) we return the
@@ -724,62 +738,20 @@ void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_
   constexpr double kPowerTolerance = 0.05;  // K, the seed's leakage criterion
   for (std::size_t iter = 0; iter < kMaxPowerIterations; ++iter) {
     if (pre_step && !pre_step()) return;
-    temps_prev_.assign(temps_.begin(), temps_.end());
-    solve_eliminated(lu_slot(0.0), 0.0);
+    if (!liquid) {
+      // An air stack's only external coupling is the package on its top
+      // layer, so at steady state all the power crosses the spreader and
+      // the sink in series, and the silicon solves against T_spreader.
+      const double p_total = total_power();
+      sink_temp_ = params_.ambient_temperature +
+                   p_total * params_.sink_to_ambient_resistance;
+      spreader_temp_ = sink_temp_ + p_total * params_.spreader_to_sink_resistance;
+    }
+    // No fluid iterations: a liquid stack gets here on the direct backend
+    // only, where the coolant is eliminated.
+    advance(0.0, 1, 0.0);
     if (!pre_step || max_change() < kPowerTolerance) return;
   }
-}
-
-void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
-  // Zero flow in any cavity of a liquid stack has no bounded steady state
-  // (every heat path ends in the coolant); fail fast instead of iterating
-  // forever.
-  if (stack_.has_cavities()) {
-    for (const VolumetricFlow& f : cavity_flows_) {
-      LIQUID3D_REQUIRE(f.m3_per_s() > 0.0,
-                       "steady state of a liquid stack requires nonzero flow "
-                       "in every cavity");
-    }
-  }
-  // The fluid-eliminated direct steady solve is a banded-LU object — the
-  // O(n b^2) cost profile the iterative backend exists to avoid — so the
-  // PCG backend always takes the pseudo-transient continuation below, with
-  // each backward-Euler step solved iteratively and warm-started.  The
-  // unpivoted LU is trusted at every flow: where sigma = g_sum / w_row > 2
-  // its rows are not diagonally dominant, and EliminatedStep.* pin its
-  // answers against the LU-free PCG fixed point instead.
-  if (params_.direct_steady_solver && stack_.has_cavities() &&
-      backend_ == SolverBackend::kDirect) {
-    solve_steady_state_direct(pre_step);
-    return;
-  }
-  // Far from the steady state the PCG backend's inner silicon<->fluid
-  // alternation need not be polished: its tolerance tracks the last outer
-  // step's movement (floored at the configured tolerance, so the endgame —
-  // and the final answer — is exactly as tight as before).
-  double fluid_tol = params_.fluid_tolerance;
-  double delta = 0.0;
-  for (std::size_t iter = 0; iter < params_.max_steady_iterations; ++iter) {
-    if (pre_step && !pre_step()) return;
-    delta = advance(params_.steady_pseudo_dt,
-                    params_.steady_fluid_iterations, fluid_tol);
-    if (!stack_.has_cavities()) {
-      const double spr_before = spreader_temp_;
-      update_package_steady();
-      delta = std::max(delta, std::abs(spreader_temp_ - spr_before));
-    }
-    if (delta < params_.steady_tolerance) return;
-    fluid_tol = std::max(params_.fluid_tolerance, 0.1 * delta);
-  }
-  // Not converged within the iteration cap — surface it; silent divergence
-  // would corrupt every characterization built on top.  SolverError (a
-  // numerical outcome of this operating point), not LogicError: nothing is
-  // wrong with the code, and a retry with more iterations or the direct
-  // backend may well succeed.
-  throw SolverError(
-      "steady-state pseudo-transient iteration did not converge within "
-      "max_steady_iterations",
-      to_string(backend_), params_.max_steady_iterations, delta);
 }
 
 double ThermalModel3D::cell_temperature(std::size_t layer, std::size_t cell) const {

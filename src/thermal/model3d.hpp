@@ -36,10 +36,13 @@
 // package temperature.  Either way each model keeps one banded-LU slot,
 // refactorized in place when its key — 1/dt and, for liquid stacks, the
 // flow vector — changes, unless a linked peer's slot already holds that key
-// (share_factors_with).  The liquid steady direct solve is that slot at
-// 1/dt = 0; the air steady state is pseudo-transient steps through it.
-// The PCG backend (symmetric solver) keeps the silicon<->fluid fixed point:
-// each iteration solves C/dt + G against the last fluid march.
+// (share_factors_with).  The steady state is the same implicit step at
+// 1/dt = 0 through that slot; an air stack first sets its spreader and sink
+// in closed form, since all the power crosses the package in series.  The
+// PCG backend (symmetric solver) solves air steady states the same way but
+// keeps the silicon<->fluid fixed point for liquid stacks: each iteration
+// solves C/dt + G against the last fluid march, and a liquid steady state
+// is pseudo-transient continuation over such steps.
 #pragma once
 
 #include <concepts>
@@ -66,8 +69,8 @@ namespace liquid3d {
 
 /// Complete dynamic state of a ThermalModel3D — everything `step` and
 /// `solve_steady_state` evolve.  Snapshot/restore lets characterization
-/// warm-start a steady solve from a previously converged nearby operating
-/// point instead of pseudo-timestepping from scratch.
+/// warm-start a steady solve (its leakage loop, and the PCG backend's
+/// iterations) from a previously converged nearby operating point.
 struct ThermalState {
   std::vector<double> temps;                   ///< silicon nodes [°C]
   std::vector<std::vector<double>> fluid_temp; ///< [cavity][cell]
@@ -124,17 +127,18 @@ struct ThermalModelParams {
   /// assumes a common inlet side.
   bool alternate_flow_direction = false;
 
-  // PCG backend only: the silicon<->fluid fixed point inside each implicit
-  // step.  The direct backend eliminates the coolant exactly and ignores
-  // these three fields.
+  // PCG backend, liquid stacks only.  The direct backend eliminates the
+  // coolant exactly, and every air steady state is one solve, so nothing
+  // else reads these six fields.
+  //
+  // The silicon<->fluid fixed point inside each implicit step:
   double fluid_tolerance = 0.005;       ///< K
   std::size_t max_fluid_iterations = 10;
   /// Inner fluid iterations during steady-state pseudo-transient steps; the
   /// silicon<->fluid coupling approaches unit gain at very low flow, so the
   /// steady path gets a larger budget.
   std::size_t steady_fluid_iterations = 40;
-
-  // Steady-state solve: pseudo-transient continuation.  A bare
+  // The steady state by pseudo-transient continuation.  A bare
   // silicon<->fluid alternation loses contraction when the coolant
   // dominates the heat path (low flow, many cavities), so the steady state
   // is reached by backward-Euler steps with a time step far above every
@@ -143,21 +147,10 @@ struct ThermalModelParams {
   double steady_tolerance = 1e-4;       ///< K
   std::size_t max_steady_iterations = 1500;
 
-  /// Liquid stacks only: solve the steady state directly.  The coolant
-  /// march is linear in the wall temperatures, and eliminating it couples
-  /// each cell only to upstream cells in its channel row — within the
-  /// matrix bandwidth — so one banded-LU solve replaces the whole
-  /// pseudo-transient continuation (which this flag falls back to).
-  /// Applies to the direct backend; the PCG backend always reaches the
-  /// steady state by pseudo-transient continuation (the fluid-eliminated
-  /// system is non-symmetric and banded — exactly the O(n b^2) object the
-  /// iterative backend exists to avoid).
-  bool direct_steady_solver = true;
-
-  /// Linear solver family for the backward-Euler (and steady pseudo-step)
-  /// systems.  kAuto resolves per model from the bandwidth x size cost
-  /// model in solver/backend.hpp — direct for every current grid, PCG once
-  /// the half-bandwidth (cols x layers) makes O(n b^2) factorization the
+  /// Linear solver family for the backward-Euler and steady systems.
+  /// kAuto resolves per model from the bandwidth x size cost model in
+  /// solver/backend.hpp — direct for every current grid, PCG once the
+  /// half-bandwidth (cols x layers) makes O(n b^2) factorization the
   /// bottleneck (the paper-native 100 µm regime).
   SolverBackend solver_backend = SolverBackend::kAuto;
   /// Iterative-backend knobs (tolerance, iteration cap, preconditioner).
@@ -199,7 +192,6 @@ constexpr void visit_fields(Params& t, F&& f) {
   f("steady_pseudo_dt", t.steady_pseudo_dt);
   f("steady_tolerance", t.steady_tolerance);
   f("max_steady_iterations", t.max_steady_iterations);
-  f("direct_steady_solver", t.direct_steady_solver);
   f("pcg_tolerance", t.pcg.tolerance);
   f("pcg_max_iterations", t.pcg.max_iterations);
   f("pcg_ssor_omega", t.pcg.ssor_omega);
@@ -261,12 +253,14 @@ class ThermalModel3D {
   /// Advance the transient solution by dt seconds (backward Euler).
   void step(double dt_s);
 
-  /// Solve directly for the steady state under the current power and flow.
-  /// `pre_step`, when given, runs before every pseudo-transient step — the
+  /// Solve for the steady state under the current power and flow: the
+  /// implicit step at 1/dt = 0 (pseudo-transient continuation for a liquid
+  /// stack on the PCG backend).  `pre_step`, when given, runs before every
+  /// leakage iteration (every pseudo-transient step on that path) — the
   /// hook characterization uses to fold the temperature-dependent leakage
-  /// power update into the continuation loop instead of wrapping the whole
-  /// solve in an outer fixed point.  Returning false aborts the iteration
-  /// (e.g. on detected thermal runaway).
+  /// power into the solve, iterating until the field moves less than
+  /// 0.05 K.  Returning false aborts the iteration (e.g. on detected
+  /// thermal runaway).
   void solve_steady_state(const std::function<bool()>& pre_step = {});
 
   // -- Readback ---------------------------------------------------------------
@@ -340,8 +334,8 @@ class ThermalModel3D {
   /// fluid-eliminated operator for liquid stacks (requires nonzero flow in
   /// every cavity), the conduction network plus the two package unknowns
   /// for air stacks.  Offline-path cost (dense band scan); reuses `out`'s
-  /// storage.  The exported algebra is exact — the pseudo-transient and
-  /// direct steady paths both converge to solutions of this system.
+  /// storage.  The exported algebra is exact: solve_steady_state's answer
+  /// solves this system (to the PCG backend's tolerance there).
   void export_steady_operator(SteadyOperator& out) const;
 
  private:
@@ -374,9 +368,9 @@ class ThermalModel3D {
   /// slot and the PCG backend's CSR operator share.
   template <typename MatrixT>
   void stamp_system(MatrixT& m, double inv_dt) const;
-  /// PCG system (CSR operator + preconditioner) for the given step size,
-  /// cached per dt in pcg_cache_.
-  PcgSolver& pcg_for_dt(double dt_s);
+  /// PCG system (CSR operator + preconditioner) of C inv_dt + G, cached
+  /// per inv_dt in pcg_cache_ (inv_dt = 0: the steady operator).
+  PcgSolver& pcg_for(double inv_dt);
   /// Assemble the fluid-eliminated operator C inv_dt + G_elim for the
   /// current flow vector (liquid stacks) into `m`, of size node_count() and
   /// half-bandwidths cols x layers, plus each node's coefficient on the
@@ -404,14 +398,13 @@ class ThermalModel3D {
   /// rhs_ -> temps_ through a factorized direct system (timed, with the
   /// finite checks on both sides of the solve).
   void solve_direct(const BandedLuMatrix& factor);
-  /// Direct steady solve (liquid stacks); see ThermalModelParams.
-  void solve_steady_state_direct(const std::function<bool()>& pre_step);
-  /// One backward-Euler step; returns the largest node temperature change.
-  /// The direct backend takes one LU solve (of the fluid-eliminated
-  /// operator for liquid stacks, of C/dt + G for air).  The PCG backend alternates warm-started
-  /// silicon solves with the fluid march, up to `fluid_iters` times or
-  /// until the fluid moves less than `fluid_tol`.
-  double advance(double dt_s, std::size_t fluid_iters, double fluid_tol);
+  /// One backward-Euler step of size 1/inv_dt (inv_dt = 0: the steady
+  /// state); returns the largest node temperature change.  The direct
+  /// backend takes one LU solve (of the fluid-eliminated operator for
+  /// liquid stacks, of C inv_dt + G for air).  The PCG backend alternates
+  /// warm-started silicon solves with the fluid march, up to `fluid_iters`
+  /// times or until the fluid moves less than `fluid_tol`.
+  double advance(double inv_dt, std::size_t fluid_iters, double fluid_tol);
   /// Largest |temps_ - temps_prev_| over the silicon nodes.
   [[nodiscard]] double max_change() const;
   /// Write the backward-Euler right-hand side of the coolant-explicit form
@@ -424,7 +417,6 @@ class ThermalModel3D {
   double march_fluid(std::size_t cavity);
   double march_all_fluid();
   void update_package_transient(double dt_s);
-  void update_package_steady();
 
   Stack3D stack_;
   ThermalModelParams params_;
@@ -461,7 +453,7 @@ class ThermalModel3D {
   // batch groups are backend-homogeneous).
   SolverBackend backend_ = SolverBackend::kDirect;
 
-  // Iterative backend: PCG systems (CSR + preconditioner) per dt; see
+  // Iterative backend: PCG systems (CSR + preconditioner) per 1/dt; see
   // DtKeyedLruCache for the tolerant key comparison.
   DtKeyedLruCache<PcgSolver> pcg_cache_{4};
   PcgSummary last_pcg_{};

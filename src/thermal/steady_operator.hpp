@@ -8,13 +8,15 @@
 //   A T = p + ref_coef * T_ref
 //
 //  * liquid stacks: A is the fluid-eliminated steady operator (the same
-//    non-symmetric banded system solve_steady_state_direct factorizes;
+//    non-symmetric banded system the direct steady solve factorizes;
 //    advection makes upstream cells heat downstream ones, not vice versa),
 //    T_ref is the coolant inlet temperature, and ref_coef collects the
 //    inlet constants the channel-march elimination produces;
 //  * air stacks: A is the conduction network over the silicon nodes plus
 //    two appended package unknowns (spreader, sink), T_ref is ambient, and
-//    ref_coef has a single entry on the sink row (1/R_sa).
+//    ref_coef has a single entry on the sink row (1/R_sa).  The steady
+//    solve eliminates the two package rows in closed form — all the power
+//    crosses them in series — and solves the silicon rows alone.
 //
 // The export is a snapshot: it captures the operator for the flow vector
 // set on the model at export time.  serve/rom.hpp superposes steady

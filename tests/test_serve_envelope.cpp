@@ -433,7 +433,6 @@ TEST(ServeEnvelope, PercentSeventeenGRequestDecodesToTheSameBits) {
       "t.steady_pseudo_dt 5\n"
       "t.steady_tolerance 0.0001\n"
       "t.max_steady_iterations 1500\n"
-      "t.direct_steady_solver 1\n"
       "t.pcg_tolerance 0.33333333333333331\n"
       "t.pcg_max_iterations 1000\n"
       "t.pcg_ssor_omega 1\n"

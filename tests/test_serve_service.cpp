@@ -270,7 +270,7 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
     append_fields(received, std::get<SteadyQuery>(wire.payload).config.thermal);
     EXPECT_EQ(received, sent);
   }
-  EXPECT_EQ(thermal_fields, 34u);
+  EXPECT_EQ(thermal_fields, 33u);
 
   // Every PowerModelParams field moves both characterization keys.
   std::size_t power_fields = 0;

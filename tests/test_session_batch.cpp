@@ -245,7 +245,7 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
 
   // An air group's operator depends on dt alone: its groupmates borrow the
   // lead's LU slot, so the group factorizes once per dt — the steady warm
-  // start's pseudo-step and the transient substep — not once per cell.
+  // start's 1/dt = 0 and the transient substep — not once per cell.
   std::vector<SimulationResult> air_serial;
   BatchRunner air_batch;
   for (std::size_t i = 0; i < 3; ++i) {

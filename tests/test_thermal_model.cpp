@@ -304,30 +304,19 @@ TEST(ThermalModel, EliminatedTransientRowsAreDiagonallyDominant) {
   // sampling sub-step the stored-heat term C/dt makes every row of
   // C/dt + G_elim strictly dominant at all five pump settings — including
   // the lowest, where the steady rows alone are not (sigma = g_sum / w_row
-  // = 2.08 > 2).  The steady pseudo-step's C/dt is 100x smaller: it
-  // restores strict dominance wherever sigma <= 2, and at the lowest
-  // setting leaves the rows within 0.1% of it (measured 0.99908).  Below
-  // the lowest setting (valve throttling) dominance is lost; the
-  // EliminatedStep tests pin the LU's answers there against the PCG fixed
-  // point instead.
+  // = 2.08 > 2).  Below the lowest setting (valve throttling) dominance is
+  // lost; the EliminatedStep tests pin the LU's answers there against the
+  // PCG fixed point instead.
   ThermalModel3D m(make_2layer_system(), ThermalModelParams{});
   const std::size_t bw = m.grid().cols() * m.layer_count();
   BandedLuMatrix a(m.node_count(), bw, bw);
   std::vector<double> inlet_coef;
-  const double pseudo_inv_dt = 1.0 / m.params().steady_pseudo_dt;
   for (std::size_t s = 0; s < 5; ++s) {
     SCOPED_TRACE(s);
     m.set_cavity_flow(setting_flow(s));
     ThermalModel3DTestAccess::build_eliminated_system(m, 1.0 / 0.05, a,
                                                       inlet_coef);
     EXPECT_GT(min_dominance_ratio(a), 1.02);
-    ThermalModel3DTestAccess::build_eliminated_system(m, pseudo_inv_dt, a,
-                                                      inlet_coef);
-    if (s == 0) {
-      EXPECT_GT(min_dominance_ratio(a), 0.999);
-    } else {
-      EXPECT_GT(min_dominance_ratio(a), 1.0);
-    }
     ThermalModel3DTestAccess::build_eliminated_system(m, 0.0, a, inlet_coef);
     if (s == 0) {
       EXPECT_LT(min_dominance_ratio(a), 1.0);
@@ -393,8 +382,8 @@ TEST(ThermalModelFailures, PcgIterationCapThrowsSolverErrorWithDiagnostics) {
 
 TEST(ThermalModelFailures, SteadyStallThrowsSolverErrorWithDiagnostics) {
   ThermalModelParams p = fast_params();
-  // The PCG backend always takes the pseudo-transient continuation (the
-  // direct fluid-eliminated solve would bypass the iteration cap entirely).
+  // Only a liquid stack on the PCG backend takes the pseudo-transient
+  // continuation (every other steady state is one solve, with no cap).
   p.solver_backend = SolverBackend::kPcg;
   p.max_steady_iterations = 2;  // force the pseudo-transient loop to stall
   p.steady_tolerance = 1e-12;
