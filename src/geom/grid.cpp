@@ -76,21 +76,21 @@ void BlockCellMap::distribute_power(const std::vector<double>& block_power,
   }
 }
 
-double BlockCellMap::block_max(const std::vector<double>& cell_values,
+double BlockCellMap::block_max(const double* values, std::size_t stride,
                                std::size_t block) const {
   const auto& cells = block_cells_.at(block);
   LIQUID3D_ASSERT(!cells.empty(), "block has no cells");
-  double best = cell_values[cells.front().cell];
-  for (const CellShare& share : cells) best = std::max(best, cell_values[share.cell]);
+  double best = values[cells.front().cell * stride];
+  for (const CellShare& share : cells) best = std::max(best, values[share.cell * stride]);
   return best;
 }
 
-double BlockCellMap::block_mean(const std::vector<double>& cell_values,
+double BlockCellMap::block_mean(const double* values, std::size_t stride,
                                 std::size_t block) const {
   const auto& cells = block_cells_.at(block);
   LIQUID3D_ASSERT(!cells.empty(), "block has no cells");
   double acc = 0.0;
-  for (const CellShare& share : cells) acc += cell_values[share.cell] * share.weight;
+  for (const CellShare& share : cells) acc += values[share.cell * stride] * share.weight;
   return acc;
 }
 

@@ -74,13 +74,23 @@ class BlockCellMap {
   void distribute_power(const std::vector<double>& block_power,
                         std::vector<double>& cell_power) const;
 
-  /// Maximum cell temperature over a block's footprint.
-  [[nodiscard]] double block_max(const std::vector<double>& cell_values,
+  /// Maximum cell temperature over a block's footprint; cell c's value is
+  /// values[c * stride], so a layer of an interleaved field is read in place.
+  [[nodiscard]] double block_max(const double* values, std::size_t stride,
                                  std::size_t block) const;
+  [[nodiscard]] double block_max(const std::vector<double>& cell_values,
+                                 std::size_t block) const {
+    return block_max(cell_values.data(), 1, block);
+  }
 
-  /// Area-weighted mean cell temperature over a block's footprint.
-  [[nodiscard]] double block_mean(const std::vector<double>& cell_values,
+  /// Area-weighted mean cell temperature over a block's footprint (strided
+  /// like block_max).
+  [[nodiscard]] double block_mean(const double* values, std::size_t stride,
                                   std::size_t block) const;
+  [[nodiscard]] double block_mean(const std::vector<double>& cell_values,
+                                  std::size_t block) const {
+    return block_mean(cell_values.data(), 1, block);
+  }
 
  private:
   std::vector<std::size_t> cell_owner_;

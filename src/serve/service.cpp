@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -254,12 +255,11 @@ SteadyAnswer ThermalService::full_steady(const SteadyQuery& query,
   full_solves_.add();
   answer.t_max_c = model.max_temperature();
   const std::size_t layers = model.stack().layer_count();
-  ThermalState state;
-  model.save_state(state);
+  const std::span<const double> temps = model.temperatures();
   answer.layer_max_c.assign(layers, -1e300);
-  for (std::size_t i = 0; i < state.temps.size(); ++i) {
+  for (std::size_t i = 0; i < temps.size(); ++i) {
     const std::size_t layer = i % layers;
-    answer.layer_max_c[layer] = std::max(answer.layer_max_c[layer], state.temps[i]);
+    answer.layer_max_c[layer] = std::max(answer.layer_max_c[layer], temps[i]);
   }
   return answer;
 }

@@ -1,6 +1,7 @@
 #include "thermal/model3d.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -33,12 +34,15 @@ void fnv_mix(std::uint64_t& h, std::uint64_t word) {
   }
 }
 
-/// Sum-then-test: one pass, and NaN/Inf anywhere poisons the sum, so a
-/// single isfinite() check covers the whole vector.
+/// Throws exactly when some entry is NaN or ±inf (all exponent bits set);
+/// an integer OR-reduction, so the one pass vectorizes.
 void require_finite(const double* v, std::size_t n, const char* what) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += v[i];
-  if (!std::isfinite(sum)) throw SolverError(what);
+  constexpr std::uint64_t kExponent = 0x7ff0000000000000ULL;
+  std::uint64_t non_finite = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    non_finite |= (std::bit_cast<std::uint64_t>(v[i]) & kExponent) == kExponent;
+  }
+  if (non_finite != 0) throw SolverError(what);
 }
 
 constexpr const char* kNonFiniteRhs =
@@ -81,7 +85,6 @@ ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
   rhs_.assign(node_count_, 0.0);
   temps_prev_.assign(node_count_, 0.0);
   if (backend_ == SolverBackend::kPcg) pcg_x_.assign(node_count_, 0.0);
-  layer_scratch_.assign(cell_count_, 0.0);
   if (stack_.has_cavities()) {
     fluid_temp_.assign(stack_.cavity_count(),
                        std::vector<double>(cell_count_, inlet_temperature_));
@@ -305,6 +308,10 @@ void ThermalModel3D::set_block_power(std::size_t layer, const std::vector<double
 void ThermalModel3D::set_cavity_flow(VolumetricFlow per_cavity) {
   LIQUID3D_REQUIRE(stack_.has_cavities(), "flow only applies to liquid stacks");
   LIQUID3D_REQUIRE(per_cavity.m3_per_s() >= 0.0, "flow must be non-negative");
+  if (std::any_of(cavity_flows_.begin(), cavity_flows_.end(),
+                  [per_cavity](VolumetricFlow f) { return f != per_cavity; })) {
+    settle_fluid();
+  }
   std::fill(cavity_flows_.begin(), cavity_flows_.end(), per_cavity);
 }
 
@@ -315,7 +322,13 @@ void ThermalModel3D::set_cavity_flow(const std::vector<VolumetricFlow>& per_cavi
   for (const VolumetricFlow& f : per_cavity) {
     LIQUID3D_REQUIRE(f.m3_per_s() >= 0.0, "flow must be non-negative");
   }
+  if (per_cavity != cavity_flows_) settle_fluid();
   cavity_flows_.assign(per_cavity.begin(), per_cavity.end());
+}
+
+void ThermalModel3D::set_inlet_temperature(double celsius) {
+  if (celsius != inlet_temperature_) settle_fluid();
+  inlet_temperature_ = celsius;
 }
 
 void ThermalModel3D::initialize(double temperature_c) {
@@ -325,6 +338,7 @@ void ThermalModel3D::initialize(double temperature_c) {
   }
   std::fill(cavity_absorbed_.begin(), cavity_absorbed_.end(), 0.0);
   std::fill(cavity_outlet_.begin(), cavity_outlet_.end(), inlet_temperature_);
+  fluid_stale_ = false;
   spreader_temp_ = params_.ambient_temperature;
   sink_temp_ = params_.ambient_temperature;
 }
@@ -356,7 +370,7 @@ PcgSolver& ThermalModel3D::pcg_for(double inv_dt) {
                            std::make_unique<PcgSolver>(std::move(a), params_.pcg));
 }
 
-double ThermalModel3D::march_fluid(std::size_t cavity) {
+double ThermalModel3D::march_fluid(std::size_t cavity) const {
   auto& fluid = fluid_temp_[cavity];
   const double w_cavity = params_.coolant.volumetric_heat_capacity() *
                           cavity_flows_[cavity].m3_per_s();
@@ -412,12 +426,17 @@ double ThermalModel3D::march_fluid(std::size_t cavity) {
   return max_delta;
 }
 
-double ThermalModel3D::march_all_fluid() {
+double ThermalModel3D::march_all_fluid() const {
   double max_delta = 0.0;
   for (std::size_t k = 0; k < fluid_temp_.size(); ++k) {
     max_delta = std::max(max_delta, march_fluid(k));
   }
+  fluid_stale_ = false;
   return max_delta;
+}
+
+void ThermalModel3D::settle_fluid() const {
+  if (fluid_stale_) (void)march_all_fluid();
 }
 
 void ThermalModel3D::assemble_transient_rhs(double inv_dt, double* out) const {
@@ -446,8 +465,8 @@ void ThermalModel3D::assemble_transient_rhs(double inv_dt, double* out) const {
   }
 }
 
-double ThermalModel3D::advance(double inv_dt, std::size_t fluid_iters,
-                               double fluid_tol) {
+void ThermalModel3D::advance(double inv_dt, std::size_t fluid_iters,
+                             double fluid_tol) {
   temps_prev_.assign(temps_.begin(), temps_.end());
   const bool liquid = stack_.has_cavities();
   if (backend_ == SolverBackend::kDirect) {
@@ -458,7 +477,7 @@ double ThermalModel3D::advance(double inv_dt, std::size_t fluid_iters,
       assemble_transient_rhs(inv_dt, rhs_.data());
       solve_direct(*slot.lu);
     }
-    return max_change();
+    return;
   }
   // PCG: the silicon<->fluid fixed point.  Each iteration solves the
   // symmetric C/dt + G against the last fluid march.
@@ -489,7 +508,6 @@ double ThermalModel3D::advance(double inv_dt, std::size_t fluid_iters,
     require_finite(temps_.data(), node_count_, kNonFiniteSolution);
     if (!liquid || march_all_fluid() < fluid_tol) break;
   }
-  return max_change();
 }
 
 void ThermalModel3D::solve_direct(const BandedLuMatrix& factor) {
@@ -572,7 +590,7 @@ void ThermalModel3D::solve_eliminated(const LuSlot& slot, double inv_dt) {
               slot.inlet_coef[i] * inlet_temperature_;
   }
   solve_direct(*slot.lu);
-  (void)march_all_fluid();  // fluid, outlet and absorbed-power readbacks
+  fluid_stale_ = true;  // the coolant readbacks march on demand
 }
 
 void ThermalModel3D::step(double dt_s) {
@@ -714,7 +732,8 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
     double delta = 0.0;
     for (std::size_t iter = 0; iter < params_.max_steady_iterations; ++iter) {
       if (pre_step && !pre_step()) return;
-      delta = advance(inv_dt, params_.steady_fluid_iterations, fluid_tol);
+      advance(inv_dt, params_.steady_fluid_iterations, fluid_tol);
+      delta = max_change();
       if (delta < params_.steady_tolerance) return;
       fluid_tol = std::max(params_.fluid_tolerance, 0.1 * delta);
     }
@@ -761,18 +780,12 @@ double ThermalModel3D::cell_temperature(std::size_t layer, std::size_t cell) con
 
 double ThermalModel3D::block_temperature(std::size_t layer, std::size_t block) const {
   LIQUID3D_REQUIRE(layer < layer_count_, "layer index out of range");
-  for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-    layer_scratch_[cell] = temps_[node(layer, cell)];
-  }
-  return maps_[layer].block_max(layer_scratch_, block);
+  return maps_[layer].block_max(temps_.data() + layer, layer_count_, block);
 }
 
 double ThermalModel3D::block_mean_temperature(std::size_t layer, std::size_t block) const {
   LIQUID3D_REQUIRE(layer < layer_count_, "layer index out of range");
-  for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-    layer_scratch_[cell] = temps_[node(layer, cell)];
-  }
-  return maps_[layer].block_mean(layer_scratch_, block);
+  return maps_[layer].block_mean(temps_.data() + layer, layer_count_, block);
 }
 
 double ThermalModel3D::max_temperature() const {
@@ -805,11 +818,13 @@ void ThermalModel3D::cavity_max_temperatures(std::vector<double>& out) const {
 
 double ThermalModel3D::fluid_outlet_temperature(std::size_t cavity) const {
   LIQUID3D_REQUIRE(cavity < cavity_outlet_.size(), "cavity index out of range");
+  settle_fluid();
   return cavity_outlet_[cavity];
 }
 
 double ThermalModel3D::cavity_absorbed_power(std::size_t cavity) const {
   LIQUID3D_REQUIRE(cavity < cavity_absorbed_.size(), "cavity index out of range");
+  settle_fluid();
   return cavity_absorbed_[cavity];
 }
 
@@ -820,6 +835,7 @@ double ThermalModel3D::total_power() const {
 }
 
 void ThermalModel3D::save_state(ThermalState& out) const {
+  settle_fluid();
   out.temps.assign(temps_.begin(), temps_.end());
   out.fluid_temp.resize(fluid_temp_.size());
   for (std::size_t k = 0; k < fluid_temp_.size(); ++k) {
@@ -843,6 +859,7 @@ void ThermalModel3D::restore_state(const ThermalState& state) {
   }
   cavity_absorbed_.assign(state.cavity_absorbed.begin(), state.cavity_absorbed.end());
   cavity_outlet_.assign(state.cavity_outlet.begin(), state.cavity_outlet.end());
+  fluid_stale_ = false;
   spreader_temp_ = state.spreader_temp;
   sink_temp_ = state.sink_temp;
 }

@@ -27,8 +27,8 @@
 // Numerics: backward Euler.  The quasi-static march is linear in the wall
 // temperatures, so on the direct backend a liquid step eliminates the
 // coolant exactly: it solves (C/dt + G_elim(flow)) T = C/dt T_prev + P +
-// inlet_coef T_in once by banded LU, then marches the fluid once to refresh
-// the fluid, outlet and absorbed-power readbacks.  G_elim couples each cell
+// inlet_coef T_in once by banded LU; the fluid, outlet and absorbed-power
+// readbacks march the coolant on demand.  G_elim couples each cell
 // only to upstream cells of its channel row (within the band), and its
 // coefficients carry the flow — the paper's "cell resistivity varies at
 // runtime" mechanism in its physically equivalent form.  Air stacks have no
@@ -244,7 +244,7 @@ class ThermalModel3D {
   }
 
   /// Override the coolant inlet temperature [°C].
-  void set_inlet_temperature(double celsius) { inlet_temperature_ = celsius; }
+  void set_inlet_temperature(double celsius);
 
   // -- Simulation -------------------------------------------------------------
   /// Reset every node (and the package/fluid) to the given temperature [°C].
@@ -265,11 +265,11 @@ class ThermalModel3D {
 
   // -- Readback ---------------------------------------------------------------
   [[nodiscard]] double cell_temperature(std::size_t layer, std::size_t cell) const;
+  /// The silicon field [°C]; node (layer l, cell c) is at c * layer_count() + l.
+  [[nodiscard]] std::span<const double> temperatures() const { return temps_; }
   /// Worst-case (max-cell) temperature over a block's footprint — what a
-  /// per-unit thermal sensor reports.  NOTE: the block readbacks share a
-  /// per-model scratch buffer (no per-call allocation), so a model instance
-  /// must not be read concurrently from multiple threads — parallel drivers
-  /// give each worker its own model.
+  /// per-unit thermal sensor reports.  The block readbacks read the field in
+  /// place.
   [[nodiscard]] double block_temperature(std::size_t layer, std::size_t block) const;
   [[nodiscard]] double block_mean_temperature(std::size_t layer, std::size_t block) const;
   /// Maximum junction temperature anywhere in the stack.
@@ -284,7 +284,11 @@ class ThermalModel3D {
   /// after first use).
   void cavity_max_temperatures(std::vector<double>& out) const;
 
-  /// Mean coolant outlet temperature of a cavity [°C].
+  /// Mean coolant outlet temperature of a cavity [°C].  NOTE: this reader,
+  /// cavity_absorbed_power and save_state are const but first run the
+  /// coolant march a direct liquid solve leaves pending (mutable state), so
+  /// a model instance must not be read concurrently from multiple threads —
+  /// parallel drivers give each worker its own model.
   [[nodiscard]] double fluid_outlet_temperature(std::size_t cavity) const;
   /// Heat absorbed by one cavity's coolant [W] (from the last evaluation).
   [[nodiscard]] double cavity_absorbed_power(std::size_t cavity) const;
@@ -392,19 +396,19 @@ class ThermalModel3D {
   const LuSlot& lu_slot(double inv_dt);
   /// One fluid-eliminated solve through a slot that fits (liquid stacks,
   /// direct backend): temps_ <- (C inv_dt + G_elim)^-1 (C inv_dt
-  /// temps_prev_ + P + inlet_coef T_in), then one fluid march for the
-  /// readbacks.
+  /// temps_prev_ + P + inlet_coef T_in).  Nothing reads the coolant until a
+  /// readback, so the march is left pending (fluid_stale_).
   void solve_eliminated(const LuSlot& slot, double inv_dt);
   /// rhs_ -> temps_ through a factorized direct system (timed, with the
   /// finite checks on both sides of the solve).
   void solve_direct(const BandedLuMatrix& factor);
   /// One backward-Euler step of size 1/inv_dt (inv_dt = 0: the steady
-  /// state); returns the largest node temperature change.  The direct
-  /// backend takes one LU solve (of the fluid-eliminated operator for
-  /// liquid stacks, of C inv_dt + G for air).  The PCG backend alternates
-  /// warm-started silicon solves with the fluid march, up to `fluid_iters`
-  /// times or until the fluid moves less than `fluid_tol`.
-  double advance(double inv_dt, std::size_t fluid_iters, double fluid_tol);
+  /// state); max_change() then gives the largest node temperature change.
+  /// The direct backend takes one LU solve (of the fluid-eliminated
+  /// operator for liquid stacks, of C inv_dt + G for air).  The PCG backend
+  /// alternates warm-started silicon solves with the fluid march, up to
+  /// `fluid_iters` times or until the fluid moves less than `fluid_tol`.
+  void advance(double inv_dt, std::size_t fluid_iters, double fluid_tol);
   /// Largest |temps_ - temps_prev_| over the silicon nodes.
   [[nodiscard]] double max_change() const;
   /// Write the backward-Euler right-hand side of the coolant-explicit form
@@ -413,9 +417,14 @@ class ThermalModel3D {
   /// Serves the air direct step and every PCG step.
   void assemble_transient_rhs(double inv_dt, double* out) const;
   /// March the coolant downstream through one cavity given silicon temps.
-  /// Returns the largest fluid temperature change.
-  double march_fluid(std::size_t cavity);
-  double march_all_fluid();
+  /// Returns the largest fluid temperature change.  Its outputs depend only
+  /// on temps_, the inlet temperature and the flows, so a pending march is
+  /// settled before any of them changes (initialize and restore_state
+  /// overwrite the coolant and drop it).
+  double march_fluid(std::size_t cavity) const;
+  double march_all_fluid() const;
+  /// Run the march a direct liquid solve left pending, if any.
+  void settle_fluid() const;
   void update_package_transient(double dt_s);
 
   Stack3D stack_;
@@ -440,9 +449,11 @@ class ThermalModel3D {
   // State.
   std::vector<double> temps_;       ///< silicon node temperatures [°C]
   std::vector<double> cell_power_;  ///< per node injected power [W]
-  std::vector<std::vector<double>> fluid_temp_;  ///< [cavity][cell]
-  std::vector<double> cavity_absorbed_;          ///< [cavity] W
-  std::vector<double> cavity_outlet_;            ///< [cavity] mean outlet °C
+  // The coolant: mutable because its const readers settle a pending march.
+  mutable std::vector<std::vector<double>> fluid_temp_;  ///< [cavity][cell]
+  mutable std::vector<double> cavity_absorbed_;          ///< [cavity] W
+  mutable std::vector<double> cavity_outlet_;            ///< [cavity] mean outlet °C
+  mutable bool fluid_stale_ = false;  ///< a march is pending (direct liquid)
   double spreader_temp_ = 45.0;
   double sink_temp_ = 45.0;
   double inlet_temperature_;
@@ -468,7 +479,6 @@ class ThermalModel3D {
   std::vector<double> rhs_;
   std::vector<double> temps_prev_;
   std::vector<double> pcg_x_;  ///< PCG solution buffer (warm-start copy)
-  mutable std::vector<double> layer_scratch_;
   std::vector<double> block_power_scratch_;
 };
 

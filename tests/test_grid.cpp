@@ -1,6 +1,7 @@
 // Grid rasterization (geom/grid.hpp): power conservation and readback.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "geom/grid.hpp"
@@ -92,6 +93,29 @@ TEST(BlockCellMap, BlockMaxAndMeanReadback) {
   EXPECT_DOUBLE_EQ(map.block_max(values, 1), 13.0);
   EXPECT_DOUBLE_EQ(map.block_mean(values, 0), (0 + 1 + 10 + 11) / 4.0);
   EXPECT_DOUBLE_EQ(map.block_mean(values, 1), (2 + 3 + 12 + 13) / 4.0);
+}
+
+TEST(BlockCellMap, StridedReductionsMatchContiguous) {
+  // Layer `offset` of a field interleaving `stride` layers, read in place,
+  // must give the bits of the same reductions over a contiguous copy.
+  const Floorplan fp = make_niagara_core_die();
+  const Grid g(11, 13, fp.width(), fp.height());
+  const BlockCellMap map(g, fp);
+  for (const std::size_t stride : {1u, 2u, 4u}) {
+    std::vector<double> field(g.cell_count() * stride);
+    for (std::size_t i = 0; i < field.size(); ++i) {
+      field[i] = 50.0 + 10.0 * std::sin(0.37 * static_cast<double>(i));
+    }
+    for (std::size_t offset = 0; offset < stride; ++offset) {
+      std::vector<double> layer(g.cell_count());
+      for (std::size_t c = 0; c < layer.size(); ++c) layer[c] = field[c * stride + offset];
+      for (std::size_t b = 0; b < map.block_count(); ++b) {
+        EXPECT_EQ(map.block_max(field.data() + offset, stride, b), map.block_max(layer, b));
+        EXPECT_EQ(map.block_mean(field.data() + offset, stride, b),
+                  map.block_mean(layer, b));
+      }
+    }
+  }
 }
 
 TEST(BlockCellMap, MajorityOwnerOnMisalignedGrid) {

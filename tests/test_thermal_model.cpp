@@ -2,7 +2,9 @@
 // transient-vs-steady consistency, TSV and grid-refinement behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -343,6 +345,126 @@ TEST(ThermalModel, BlockReadbackConsistent) {
   EXPECT_GT(core_min, m.min_temperature());
 }
 
+TEST(ThermalModel, BlockReadbacksMatchLayerCopy) {
+  // The block readbacks read the interleaved field in place; they must give
+  // the bits of the BlockCellMap reductions over a copy of the layer.
+  for (const CoolingType cooling : {CoolingType::kLiquid, CoolingType::kAir}) {
+    for (const bool four : {false, true}) {
+      SCOPED_TRACE(std::string(cooling == CoolingType::kLiquid ? "liquid " : "air ") +
+                   (four ? "4-layer" : "2-layer"));
+      ThermalModel3D m(four ? make_4layer_system(cooling) : make_2layer_system(cooling),
+                       fast_params());
+      if (cooling == CoolingType::kLiquid) m.set_cavity_flow(setting_flow(2));
+      for (std::size_t l = 0; l < m.layer_count(); ++l) {
+        std::vector<double> w(m.block_map(l).block_count());
+        for (std::size_t b = 0; b < w.size(); ++b) {
+          w[b] = 0.2 + 0.15 * static_cast<double>((b * 7 + l * 3) % 11);
+        }
+        m.set_block_power(l, w);
+      }
+      m.initialize(45.0);
+      for (int i = 0; i < 3; ++i) m.step(0.1);
+      std::vector<double> layer(m.grid().cell_count());
+      for (std::size_t l = 0; l < m.layer_count(); ++l) {
+        for (std::size_t c = 0; c < layer.size(); ++c) layer[c] = m.cell_temperature(l, c);
+        const BlockCellMap& map = m.block_map(l);
+        for (std::size_t b = 0; b < map.block_count(); ++b) {
+          EXPECT_EQ(m.block_temperature(l, b), map.block_max(layer, b));
+          EXPECT_EQ(m.block_mean_temperature(l, b), map.block_mean(layer, b));
+        }
+      }
+    }
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(bits(a[i]), bits(b[i])) << i;
+}
+
+void expect_bitwise_equal(const ThermalState& a, const ThermalState& b) {
+  expect_bitwise_equal(a.temps, b.temps);
+  ASSERT_EQ(a.fluid_temp.size(), b.fluid_temp.size());
+  for (std::size_t k = 0; k < a.fluid_temp.size(); ++k) {
+    expect_bitwise_equal(a.fluid_temp[k], b.fluid_temp[k]);
+  }
+  expect_bitwise_equal(a.cavity_absorbed, b.cavity_absorbed);
+  expect_bitwise_equal(a.cavity_outlet, b.cavity_outlet);
+}
+
+TEST(FluidReadbacks, OnDemandMarchMatchesEagerMarch) {
+  // A direct liquid step leaves the coolant march pending until a readback.
+  // `eager` reads after every step, so it marches every step; `lazy` reads
+  // only at checkpoints, each placed right after an input change with no
+  // step between, so a march the change failed to settle first would run
+  // on the new inputs and show.
+  for (const bool four : {false, true}) {
+    SCOPED_TRACE(four ? "4-layer" : "2-layer");
+    ThermalModelParams p = fast_params();
+    p.alternate_flow_direction = true;
+    const Stack3D stack = four ? make_4layer_system() : make_2layer_system();
+    ThermalModel3D eager(stack, p);
+    ThermalModel3D lazy(stack, p);
+    const std::size_t cavities = stack.cavity_count();
+    std::vector<VolumetricFlow> uneven(cavities);
+    for (std::size_t k = 0; k < cavities; ++k) uneven[k] = setting_flow(1 + k % 3);
+    for (ThermalModel3D* m : {&eager, &lazy}) {
+      m->set_cavity_flow(setting_flow(2));
+      set_core_power(*m, 2.5);
+      m->initialize(45.0);
+    }
+    const auto step_both = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        eager.step(0.1);
+        lazy.step(0.1);
+        for (std::size_t k = 0; k < cavities; ++k) {
+          (void)eager.fluid_outlet_temperature(k);
+          (void)eager.cavity_absorbed_power(k);
+        }
+      }
+    };
+    const auto checkpoint = [&](const char* where) {
+      SCOPED_TRACE(where);
+      for (std::size_t k = 0; k < cavities; ++k) {
+        EXPECT_EQ(bits(lazy.fluid_outlet_temperature(k)),
+                  bits(eager.fluid_outlet_temperature(k)));
+        EXPECT_EQ(bits(lazy.cavity_absorbed_power(k)), bits(eager.cavity_absorbed_power(k)));
+      }
+      EXPECT_EQ(bits(lazy.max_temperature()), bits(eager.max_temperature()));
+    };
+    step_both(3);
+    for (ThermalModel3D* m : {&eager, &lazy}) m->set_cavity_flow(setting_flow(3));
+    checkpoint("after a scalar flow change");
+    step_both(3);
+    for (ThermalModel3D* m : {&eager, &lazy}) m->set_cavity_flow(uneven);
+    checkpoint("after a vector flow change");
+    step_both(3);
+    for (ThermalModel3D* m : {&eager, &lazy}) m->set_inlet_temperature(42.0);
+    checkpoint("after an inlet change");
+    step_both(2);
+    ThermalState eager_saved;
+    ThermalState lazy_saved;
+    eager.save_state(eager_saved);
+    lazy.save_state(lazy_saved);
+    expect_bitwise_equal(lazy_saved, eager_saved);
+    step_both(2);
+    for (ThermalModel3D* m : {&eager, &lazy}) m->set_cavity_flow(setting_flow(1));
+    step_both(1);
+    eager.restore_state(eager_saved);
+    lazy.restore_state(lazy_saved);
+    checkpoint("after restore_state");
+    step_both(2);
+    checkpoint("at the end");
+    ThermalState eager_end;
+    ThermalState lazy_end;
+    eager.save_state(eager_end);
+    lazy.save_state(lazy_end);
+    expect_bitwise_equal(lazy_end, eager_end);
+  }
+}
+
 // --- Failure taxonomy: numerical outcomes raise SolverError, not
 // ConfigError (nothing wrong with the inputs) or LogicError (nothing wrong
 // with the code). ---------------------------------------------------------
@@ -360,6 +482,49 @@ TEST(ThermalModelFailures, NonFinitePowerThrowsSolverError) {
   // Merely invalid (finite, negative) power is still the caller's mistake.
   w[0] = -1.0;
   EXPECT_THROW(m.set_block_power(0, w), ConfigError);
+}
+
+TEST(ThermalModelFailures, NonFiniteFieldThrowsAtEveryPosition) {
+  // A NaN or ±inf anywhere in the field reaches the step's right-hand side,
+  // and the finite check there must name it, wherever it sits.
+  struct Path {
+    const char* name;
+    CoolingType cooling;
+    SolverBackend backend;
+  };
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const Path& path : {Path{"direct liquid", CoolingType::kLiquid, SolverBackend::kDirect},
+                           Path{"direct air", CoolingType::kAir, SolverBackend::kDirect},
+                           Path{"pcg liquid", CoolingType::kLiquid, SolverBackend::kPcg}}) {
+    ThermalModelParams p = fast_params();
+    p.solver_backend = path.backend;
+    ThermalModel3D m(make_2layer_system(path.cooling), p);
+    if (path.cooling == CoolingType::kLiquid) m.set_cavity_flow(setting_flow(2));
+    set_core_power(m, 2.0);
+    m.initialize(45.0);
+    m.step(0.1);
+    ThermalState healthy;
+    m.save_state(healthy);
+    const std::size_t n = m.node_count();
+    for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      for (const double bad : bad_values) {
+        SCOPED_TRACE(std::string(path.name) + " node " + std::to_string(at) + " value " +
+                     std::to_string(bad));
+        ThermalState poisoned = healthy;
+        poisoned.temps[at] = bad;
+        m.restore_state(poisoned);
+        try {
+          m.step(0.1);
+          ADD_FAILURE() << "expected SolverError";
+        } catch (const SolverError& e) {
+          EXPECT_NE(std::string(e.what()).find("RHS contains non-finite"), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(ThermalModelFailures, PcgIterationCapThrowsSolverErrorWithDiagnostics) {
