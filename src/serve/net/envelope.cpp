@@ -15,7 +15,6 @@
 #include "geom/stack_spec.hpp"
 #include "thermal/model3d.hpp"
 #include "thermal/solver/backend.hpp"
-#include "thermal/solver/pcg.hpp"
 
 namespace liquid3d {
 
@@ -280,10 +279,6 @@ constexpr auto visit_stats = [](auto& s, auto&& f) {
 
 void read_enum(std::string_view v, SolverBackend& out) {
   out = solver_backend_from_name(v);
-}
-
-void read_enum(std::string_view v, PcgPreconditioner& out) {
-  out = pcg_preconditioner_from_name(v);
 }
 
 /// Writes every field as `<prefix><name> <value>`; enums by their to_string

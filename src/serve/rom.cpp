@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 #include "thermal/steady_operator.hpp"
@@ -43,14 +44,15 @@ ReducedSteadyModel ReducedSteadyModel::build(ThermalModel3D& model,
   rom.influence_.assign(layers * inputs * cells, 0.0);
   rom.residual_l1_.assign(inputs, 0.0);
 
-  ThermalState state;
+  // Reads the field in place: the coolant is never read, so its pending
+  // march never runs.
   const auto solve_snapshot = [&](std::vector<double>& out_field) {
     model.solve_steady_state();
-    model.save_state(state);
-    std::copy(state.temps.begin(), state.temps.end(), out_field.begin());
+    const std::span<const double> temps = model.temperatures();
+    std::copy(temps.begin(), temps.end(), out_field.begin());
     if (!op.liquid) {
-      out_field[op.silicon_nodes] = state.spreader_temp;
-      out_field[op.silicon_nodes + 1] = state.sink_temp;
+      out_field[op.silicon_nodes] = model.spreader_temperature();
+      out_field[op.silicon_nodes + 1] = model.sink_temperature();
     }
   };
 

@@ -58,10 +58,10 @@ std::vector<SweepCell> expand_grid(const SweepGridSpec& grid) {
 
 double estimate_cell_cost(const SweepGridSpec& grid,
                           const ScenarioSpec& scenario) {
-  // Geometry only — no thermal model is built.  Mirrors the constants of
-  // resolve_solver_backend (thermal/solver/backend.cpp).  Binding through
-  // apply_scenario picks up the scenario's stack axis, so custom geometries
-  // cost-balance by their real size.
+  // Geometry only — no thermal model is built; the per-row price is the
+  // one resolve_solver_backend decides by.  Binding through apply_scenario
+  // picks up the scenario's stack axis, so custom geometries cost-balance
+  // by their real size.
   SimulationConfig cfg = to_suite_config(grid).base;
   cfg.layer_pairs = grid.layer_pairs;
   apply_scenario(scenario, cfg, grid.stacks);
@@ -74,13 +74,7 @@ double estimate_cell_cost(const SweepGridSpec& grid,
 
   const SolverBackend backend = resolve_solver_backend(
       scenario.solver, static_cast<std::size_t>(n), b);
-  constexpr double kDirectFactorAmortization = 200.0;
-  constexpr double kPcgIterationEstimate = 60.0;
-  constexpr double kPcgFlopsPerRow = 22.0;
-  const double bw = static_cast<double>(b);
-  const double per_row = backend == SolverBackend::kPcg
-                             ? kPcgIterationEstimate * kPcgFlopsPerRow
-                             : 2.0 * bw + bw * bw / kDirectFactorAmortization;
+  const double per_row = solve_cost_per_row(backend, b);
   // Fluid march: one sweep over every cavity cell per substep.
   const double fluid = static_cast<double>(stack.cavity_count()) * rows * cols;
 

@@ -92,11 +92,10 @@ enum class ShardStrategy {
 /// axis or a cooling mismatch — planning fails fast, not on a worker.
 void resolve_grid_stacks(SweepGridSpec& grid);
 
-/// Relative wall-clock cost of one cell under the PR 4 solver cost model:
-/// ticks x substeps x per-substep solve cost, where the solve cost follows
-/// the resolved backend (direct back-substitution ~ n*b plus amortized
-/// factorization; PCG ~ n x estimated iterations), plus the fluid march on
-/// liquid stacks.  Deterministic and cheap (geometry only, no model build).
+/// Relative wall-clock cost of one cell under the solver cost model:
+/// ticks x substeps x (n x solve_cost_per_row(resolved backend, b) + the
+/// fluid march's cavity cells), the same per-row price kAuto resolves by.
+/// Deterministic and cheap (geometry only, no model build).
 [[nodiscard]] double estimate_cell_cost(const SweepGridSpec& grid,
                                         const ScenarioSpec& scenario);
 

@@ -86,6 +86,7 @@ ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
   temps_prev_.assign(node_count_, 0.0);
   if (backend_ == SolverBackend::kPcg) pcg_x_.assign(node_count_, 0.0);
   if (stack_.has_cavities()) {
+    if (backend_ == SolverBackend::kPcg) fluid_scratch_.assign(cell_count_, 0.0);
     fluid_temp_.assign(stack_.cavity_count(),
                        std::vector<double>(cell_count_, inlet_temperature_));
     cavity_absorbed_.assign(stack_.cavity_count(), 0.0);
@@ -358,7 +359,7 @@ void ThermalModel3D::stamp_system(MatrixT& m, double inv_dt) const {
 }
 
 PcgSolver& ThermalModel3D::pcg_for(double inv_dt) {
-  if (PcgSolver* cached = pcg_cache_.find(inv_dt)) return *cached;
+  if (pcg_ && pcg_inv_dt_ == inv_dt) return *pcg_;
   static obs::Histogram& assemble_h =
       obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
   obs::ScopedTimer assemble_t(assemble_h);
@@ -366,12 +367,17 @@ PcgSolver& ThermalModel3D::pcg_for(double inv_dt) {
   stamp_system(a, inv_dt);
   a.finalize();
   assemble_t.stop();
-  return pcg_cache_.insert(inv_dt,
-                           std::make_unique<PcgSolver>(std::move(a), params_.pcg));
+  // A build that throws leaves the slot empty, so a stale key never
+  // outlives the system it named.
+  pcg_.emplace(std::move(a), params_.pcg);
+  pcg_inv_dt_ = inv_dt;
+  return *pcg_;
 }
 
-double ThermalModel3D::march_fluid(std::size_t cavity) const {
-  auto& fluid = fluid_temp_[cavity];
+ThermalModel3D::CavityTotals ThermalModel3D::march_fluid(std::size_t cavity,
+                                                         const double* temps,
+                                                         double t_inlet,
+                                                         double* fluid) const {
   const double w_cavity = params_.coolant.volumetric_heat_capacity() *
                           cavity_flows_[cavity].m3_per_s();
   const double w_row = w_cavity / static_cast<double>(grid_.rows());
@@ -392,16 +398,15 @@ double ThermalModel3D::march_fluid(std::size_t cavity) const {
   // Counterflow routing: odd cavities flow -x (inlet at the right edge).
   const bool reverse = params_.alternate_flow_direction && (cavity % 2 == 1);
 
-  double max_delta = 0.0;
   double absorbed = 0.0;
   double outlet_acc = 0.0;
   for (std::size_t r = 0; r < grid_.rows(); ++r) {
-    double t_in = inlet_temperature_;
+    double t_in = t_inlet;
     for (std::size_t ci = 0; ci < grid_.cols(); ++ci) {
       const std::size_t c = reverse ? grid_.cols() - 1 - ci : ci;
       const std::size_t cell = grid_.index(r, c);
-      const double t_below = has_below ? temps_[node(cavity - 1, cell)] : 0.0;
-      const double t_above = has_above ? temps_[node(cavity, cell)] : 0.0;
+      const double t_below = has_below ? temps[node(cavity - 1, cell)] : 0.0;
+      const double t_above = has_above ? temps[node(cavity, cell)] : 0.0;
       double t_f;
       if (w_row > 1e-12) {
         // Heat balance with the cell-mean fluid temperature
@@ -414,59 +419,58 @@ double ThermalModel3D::march_fluid(std::size_t cavity) const {
       } else {
         // Stagnant coolant: pure conduction equilibrium between the walls.
         t_f = g_sum > 0.0 ? (g_dn * t_below + g_up * t_above) / g_sum
-                          : inlet_temperature_;
+                          : t_inlet;
       }
-      max_delta = std::max(max_delta, std::abs(t_f - fluid[cell]));
       fluid[cell] = t_f;
     }
     outlet_acc += t_in;
   }
-  cavity_absorbed_[cavity] = absorbed;
-  cavity_outlet_[cavity] = outlet_acc / static_cast<double>(grid_.rows());
-  return max_delta;
+  return {absorbed, outlet_acc / static_cast<double>(grid_.rows())};
 }
 
-double ThermalModel3D::march_all_fluid() const {
-  double max_delta = 0.0;
+void ThermalModel3D::add_coolant_pull(const double* field, double t_inlet,
+                                      double scale, double* y) {
+  const double g_dn = scale * g_fluid_dn_;
+  const double g_up = scale * g_fluid_up_;
   for (std::size_t k = 0; k < fluid_temp_.size(); ++k) {
-    max_delta = std::max(max_delta, march_fluid(k));
+    (void)march_fluid(k, field, t_inlet, fluid_scratch_.data());
+    if (k >= 1) {
+      for (std::size_t cell = 0; cell < cell_count_; ++cell) {
+        y[node(k - 1, cell)] += g_dn * fluid_scratch_[cell];
+      }
+    }
+    if (k < layer_count_) {
+      for (std::size_t cell = 0; cell < cell_count_; ++cell) {
+        y[node(k, cell)] += g_up * fluid_scratch_[cell];
+      }
+    }
   }
-  fluid_stale_ = false;
-  return max_delta;
 }
 
 void ThermalModel3D::settle_fluid() const {
-  if (fluid_stale_) (void)march_all_fluid();
+  if (!fluid_stale_) return;
+  for (std::size_t k = 0; k < fluid_temp_.size(); ++k) {
+    const CavityTotals totals =
+        march_fluid(k, temps_.data(), inlet_temperature_, fluid_temp_[k].data());
+    cavity_absorbed_[k] = totals.absorbed;
+    cavity_outlet_[k] = totals.outlet;
+  }
+  fluid_stale_ = false;
 }
 
 void ThermalModel3D::assemble_transient_rhs(double inv_dt, double* out) const {
-  // Stored heat + injected power + external couplings.
+  // Stored heat + injected power (+ the package's pull on an air stack).
   for (std::size_t i = 0; i < node_count_; ++i) {
     out[i] = capacitance_[i] * inv_dt * temps_prev_[i] + cell_power_[i];
   }
-  if (stack_.has_cavities()) {
-    for (std::size_t k = 0; k <= layer_count_; ++k) {
-      const auto& fluid = fluid_temp_[k];
-      if (k >= 1) {
-        for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-          out[node(k - 1, cell)] += g_fluid_dn_ * fluid[cell];
-        }
-      }
-      if (k < layer_count_) {
-        for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-          out[node(k, cell)] += g_fluid_up_ * fluid[cell];
-        }
-      }
-    }
-  } else {
+  if (!stack_.has_cavities()) {
     for (std::size_t cell = 0; cell < cell_count_; ++cell) {
       out[node(layer_count_ - 1, cell)] += g_package_ * spreader_temp_;
     }
   }
 }
 
-void ThermalModel3D::advance(double inv_dt, std::size_t fluid_iters,
-                             double fluid_tol) {
+void ThermalModel3D::advance(double inv_dt) {
   temps_prev_.assign(temps_.begin(), temps_.end());
   const bool liquid = stack_.has_cavities();
   if (backend_ == SolverBackend::kDirect) {
@@ -479,35 +483,43 @@ void ThermalModel3D::advance(double inv_dt, std::size_t fluid_iters,
     }
     return;
   }
-  // PCG: the silicon<->fluid fixed point.  Each iteration solves the
-  // symmetric C/dt + G against the last fluid march.
+  // PCG: one Krylov solve through the IC(0) of M = C inv_dt + G + D — CG
+  // on M for air, BiCGSTAB on the fluid-eliminated M - K for liquid.
   PcgSolver& pcg = pcg_for(inv_dt);
-  for (std::size_t iter = 0; iter < (liquid ? fluid_iters : 1); ++iter) {
-    assemble_transient_rhs(inv_dt, rhs_.data());
-    require_finite(rhs_.data(), node_count_, kNonFiniteRhs);
-    // Warm-start from the current field: across fluid iterations (and
-    // across steps) the solution moves by fractions of a kelvin, so the
-    // iterative solve needs a handful of iterations, not a cold start's.
-    pcg_x_.assign(temps_.begin(), temps_.end());
-    last_pcg_ = pcg.solve(rhs_.data(), pcg_x_.data());
-    // An iterate that stalled at the iteration cap is not a solution;
-    // accepting it silently would corrupt every sample and policy
-    // decision built on the field.  SolverError, not ConfigError or
-    // LogicError: the configuration is well-formed and the code is not
-    // buggy — the system is ill-conditioned for the configured budget,
-    // and callers (the sweep worker's quarantine ladder) may retry on
-    // another backend.
-    if (!last_pcg_.converged) {
-      throw SolverError(
-          "PCG transient step did not converge within max_iterations; "
-          "raise ThermalModelParams::pcg.max_iterations or loosen the "
-          "tolerance",
-          "pcg", last_pcg_.iterations, last_pcg_.relative_residual);
-    }
-    temps_.swap(pcg_x_);
-    require_finite(temps_.data(), node_count_, kNonFiniteSolution);
-    if (!liquid || march_all_fluid() < fluid_tol) break;
+  assemble_transient_rhs(inv_dt, rhs_.data());
+  if (liquid) {
+    // The inlet term k_in T_in: the coolant's pull on walls held at 0 °C.
+    std::fill(pcg_x_.begin(), pcg_x_.end(), 0.0);
+    add_coolant_pull(pcg_x_.data(), inlet_temperature_, 1.0, rhs_.data());
   }
+  require_finite(rhs_.data(), node_count_, kNonFiniteRhs);
+  // Warm-start from the current field: across steps the solution moves by
+  // fractions of a kelvin, so the solve needs a handful of iterations, not
+  // a cold start's.
+  pcg_x_.assign(temps_.begin(), temps_.end());
+  if (liquid) {
+    last_pcg_ = pcg.solve(rhs_.data(), pcg_x_.data(),
+                          [this](const double* v, double* y) {
+                            add_coolant_pull(v, 0.0, -1.0, y);
+                          });
+  } else {
+    last_pcg_ = pcg.solve(rhs_.data(), pcg_x_.data());
+  }
+  // An iterate that stalled at the iteration cap is not a solution;
+  // accepting it silently would corrupt every sample and policy decision
+  // built on the field.  SolverError, not ConfigError or LogicError: the
+  // configuration is well-formed and the code is not buggy — the system is
+  // ill-conditioned for the configured budget, and callers (the sweep
+  // worker's quarantine ladder) may retry on another backend.
+  if (!last_pcg_.converged) {
+    throw SolverError(
+        "PCG solve did not converge within max_iterations; raise "
+        "ThermalModelParams::pcg.max_iterations or loosen the tolerance",
+        "pcg", last_pcg_.iterations, last_pcg_.relative_residual);
+  }
+  temps_.swap(pcg_x_);
+  require_finite(temps_.data(), node_count_, kNonFiniteSolution);
+  fluid_stale_ = liquid;  // the coolant readbacks march on demand
 }
 
 void ThermalModel3D::solve_direct(const BandedLuMatrix& factor) {
@@ -595,7 +607,7 @@ void ThermalModel3D::solve_eliminated(const LuSlot& slot, double inv_dt) {
 
 void ThermalModel3D::step(double dt_s) {
   LIQUID3D_REQUIRE(dt_s > 0.0, "time step must be positive");
-  advance(1.0 / dt_s, params_.max_fluid_iterations, params_.fluid_tolerance);
+  advance(1.0 / dt_s);
   if (!stack_.has_cavities()) update_package_transient(dt_s);
 }
 
@@ -719,40 +731,13 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
                      "steady state of a liquid stack requires nonzero flow "
                      "in every cavity");
   }
-  if (liquid && backend_ == SolverBackend::kPcg) {
-    // The fluid-eliminated operator is non-symmetric and banded — the
-    // O(n b^2) object the iterative backend exists to avoid — so PCG
-    // reaches a liquid steady state by pseudo-transient continuation, each
-    // backward-Euler step warm-started.  Far from the steady state the
-    // inner silicon<->fluid alternation need not be polished: its tolerance
-    // tracks the last outer step's movement (floored at the configured
-    // tolerance, so the endgame — and the final answer — stays as tight).
-    const double inv_dt = 1.0 / params_.steady_pseudo_dt;
-    double fluid_tol = params_.fluid_tolerance;
-    double delta = 0.0;
-    for (std::size_t iter = 0; iter < params_.max_steady_iterations; ++iter) {
-      if (pre_step && !pre_step()) return;
-      advance(inv_dt, params_.steady_fluid_iterations, fluid_tol);
-      delta = max_change();
-      if (delta < params_.steady_tolerance) return;
-      fluid_tol = std::max(params_.fluid_tolerance, 0.1 * delta);
-    }
-    // Not converged within the iteration cap — surface it; silent
-    // divergence would corrupt every characterization built on top.
-    // SolverError (a numerical outcome of this operating point), not
-    // LogicError: a retry on the direct backend may well succeed.
-    throw SolverError(
-        "steady-state pseudo-transient iteration did not converge within "
-        "max_steady_iterations",
-        to_string(backend_), params_.max_steady_iterations, delta);
-  }
-  // Everywhere else the steady state is the implicit step at 1/dt = 0.  For
-  // a fixed power map that is one solve; the loop only iterates the
-  // temperature-dependent power (leakage) supplied through pre_step.  Near
-  // runaway the leakage loop gain approaches 1 and convergence stalls —
-  // like the seed's outer fixed point (80 iterations, 0.05 K) we return the
-  // last iterate rather than failing: callers treat a hot non-converged
-  // point as "needs more flow".
+  // The steady state is the implicit step at 1/dt = 0.  For a fixed power
+  // map that is one solve; the loop only iterates the temperature-dependent
+  // power (leakage) supplied through pre_step.  Near runaway the leakage
+  // loop gain approaches 1 and convergence stalls — like the seed's outer
+  // fixed point (80 iterations, 0.05 K) we return the last iterate rather
+  // than failing: callers treat a hot non-converged point as "needs more
+  // flow".
   constexpr std::size_t kMaxPowerIterations = 80;
   constexpr double kPowerTolerance = 0.05;  // K, the seed's leakage criterion
   for (std::size_t iter = 0; iter < kMaxPowerIterations; ++iter) {
@@ -766,9 +751,7 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
                    p_total * params_.sink_to_ambient_resistance;
       spreader_temp_ = sink_temp_ + p_total * params_.spreader_to_sink_resistance;
     }
-    // No fluid iterations: a liquid stack gets here on the direct backend
-    // only, where the coolant is eliminated.
-    advance(0.0, 1, 0.0);
+    advance(0.0);
     if (!pre_step || max_change() < kPowerTolerance) return;
   }
 }

@@ -25,24 +25,27 @@
 //     capacitance), heat sink to ambient.
 //
 // Numerics: backward Euler.  The quasi-static march is linear in the wall
-// temperatures, so on the direct backend a liquid step eliminates the
-// coolant exactly: it solves (C/dt + G_elim(flow)) T = C/dt T_prev + P +
-// inlet_coef T_in once by banded LU; the fluid, outlet and absorbed-power
-// readbacks march the coolant on demand.  G_elim couples each cell
-// only to upstream cells of its channel row (within the band), and its
-// coefficients carry the flow — the paper's "cell resistivity varies at
-// runtime" mechanism in its physically equivalent form.  Air stacks have no
-// coolant: a step solves their conduction operator C/dt + G against the
-// package temperature.  Either way each model keeps one banded-LU slot,
+// temperatures, so a liquid step eliminates the coolant exactly: it solves
+// (C/dt + G_elim(flow)) T = C/dt T_prev + P + inlet_coef T_in, and the
+// fluid, outlet and absorbed-power readbacks march the coolant on demand.
+// G_elim couples each cell only to upstream cells of its channel row
+// (within the band), and its coefficients carry the flow — the paper's
+// "cell resistivity varies at runtime" mechanism in its physically
+// equivalent form.  Air stacks have no coolant: a step solves their
+// conduction operator C/dt + G against the package temperature.  Every
+// step is one linear solve, and the steady state is the same step at
+// 1/dt = 0 (an air stack first sets its spreader and sink in closed form,
+// since all the power crosses the package in series).
+//
+// The direct backend solves by banded LU from one slot per model,
 // refactorized in place when its key — 1/dt and, for liquid stacks, the
 // flow vector — changes, unless a linked peer's slot already holds that key
-// (share_factors_with).  The steady state is the same implicit step at
-// 1/dt = 0 through that slot; an air stack first sets its spreader and sink
-// in closed form, since all the power crosses the package in series.  The
-// PCG backend (symmetric solver) solves air steady states the same way but
-// keeps the silicon<->fluid fixed point for liquid stacks: each iteration
-// solves C/dt + G against the last fluid march, and a liquid steady state
-// is pseudo-transient continuation over such steps.
+// (share_factors_with).  The PCG backend keeps one CSR system of
+// M = C/dt + G + D (D: each wall's conductance to the coolant or package)
+// and its IC(0), rebuilt in place when 1/dt changes, and solves by one
+// warm-started Krylov solve: CG on M for air stacks, BiCGSTAB on M - K for
+// liquid stacks, where K d — the coolant's pull on the walls — is the
+// march of d from a 0 °C inlet.  G_elim = G + D - K is never formed.
 #pragma once
 
 #include <concepts>
@@ -50,6 +53,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -61,7 +65,6 @@
 #include "geom/stack.hpp"
 #include "thermal/solver/backend.hpp"
 #include "thermal/solver/banded_lu.hpp"
-#include "thermal/solver/factorization_cache.hpp"
 #include "thermal/solver/pcg.hpp"
 #include "thermal/steady_operator.hpp"
 
@@ -70,7 +73,7 @@ namespace liquid3d {
 /// Complete dynamic state of a ThermalModel3D — everything `step` and
 /// `solve_steady_state` evolve.  Snapshot/restore lets characterization
 /// warm-start a steady solve (its leakage loop, and the PCG backend's
-/// iterations) from a previously converged nearby operating point.
+/// Krylov iterations) from a previously converged nearby operating point.
 struct ThermalState {
   std::vector<double> temps;                   ///< silicon nodes [°C]
   std::vector<std::vector<double>> fluid_temp; ///< [cavity][cell]
@@ -127,39 +130,22 @@ struct ThermalModelParams {
   /// assumes a common inlet side.
   bool alternate_flow_direction = false;
 
-  // PCG backend, liquid stacks only.  The direct backend eliminates the
-  // coolant exactly, and every air steady state is one solve, so nothing
-  // else reads these six fields.
-  //
-  // The silicon<->fluid fixed point inside each implicit step:
-  double fluid_tolerance = 0.005;       ///< K
-  std::size_t max_fluid_iterations = 10;
-  /// Inner fluid iterations during steady-state pseudo-transient steps; the
-  /// silicon<->fluid coupling approaches unit gain at very low flow, so the
-  /// steady path gets a larger budget.
-  std::size_t steady_fluid_iterations = 40;
-  // The steady state by pseudo-transient continuation.  A bare
-  // silicon<->fluid alternation loses contraction when the coolant
-  // dominates the heat path (low flow, many cavities), so the steady state
-  // is reached by backward-Euler steps with a time step far above every
-  // system time constant.
-  double steady_pseudo_dt = 5.0;        ///< s
-  double steady_tolerance = 1e-4;       ///< K
-  std::size_t max_steady_iterations = 1500;
-
+  // Numerics: how the system above is solved.  Every backend solves the
+  // same equations; these choose the method and its stopping rule.
   /// Linear solver family for the backward-Euler and steady systems.
   /// kAuto resolves per model from the bandwidth x size cost model in
   /// solver/backend.hpp — direct for every current grid, PCG once the
   /// half-bandwidth (cols x layers) makes O(n b^2) factorization the
   /// bottleneck (the paper-native 100 µm regime).
   SolverBackend solver_backend = SolverBackend::kAuto;
-  /// Iterative-backend knobs (tolerance, iteration cap, preconditioner).
+  /// Iterative-backend knobs: the relative-residual tolerance and the
+  /// iteration cap of every Krylov solve (steps and steady states alike).
   PcgParams pcg{};
 };
 
 /// The one list of ThermalModelParams' leaf fields: calls f(name, field) for
 /// each, with `t` const or mutable.  The names and order are the serve wire's
-/// (`t.<name>`, the two enums last), and every cache identity is derived
+/// (`t.<name>`, the enum last), and every cache identity is derived
 /// from this walk, so a field missing here is missing everywhere.
 template <class Params, class F>
   requires std::same_as<std::remove_const_t<Params>, ThermalModelParams>
@@ -186,23 +172,15 @@ constexpr void visit_fields(Params& t, F&& f) {
   f("spreader_to_sink_resistance", t.spreader_to_sink_resistance);
   f("sink_to_ambient_resistance", t.sink_to_ambient_resistance);
   f("alternate_flow_direction", t.alternate_flow_direction);
-  f("fluid_tolerance", t.fluid_tolerance);
-  f("max_fluid_iterations", t.max_fluid_iterations);
-  f("steady_fluid_iterations", t.steady_fluid_iterations);
-  f("steady_pseudo_dt", t.steady_pseudo_dt);
-  f("steady_tolerance", t.steady_tolerance);
-  f("max_steady_iterations", t.max_steady_iterations);
   f("pcg_tolerance", t.pcg.tolerance);
   f("pcg_max_iterations", t.pcg.max_iterations);
-  f("pcg_ssor_omega", t.pcg.ssor_omega);
   f("solver_backend", t.solver_backend);
-  f("pcg_preconditioner", t.pcg.preconditioner);
 }
 
 // Drift tripwire: a field added to ThermalModelParams (or to a struct it
 // nests) changes its size and stops the build here, until the field is in
 // visit_fields and this size is updated.
-static_assert(sizeof(void*) != 8 || sizeof(ThermalModelParams) == 264,
+static_assert(sizeof(void*) != 8 || sizeof(ThermalModelParams) == 192,
               "ThermalModelParams changed: update visit_fields and this size");
 
 /// The backend a model of `layer_count` layers built with `t` runs on —
@@ -254,13 +232,12 @@ class ThermalModel3D {
   void step(double dt_s);
 
   /// Solve for the steady state under the current power and flow: the
-  /// implicit step at 1/dt = 0 (pseudo-transient continuation for a liquid
-  /// stack on the PCG backend).  `pre_step`, when given, runs before every
-  /// leakage iteration (every pseudo-transient step on that path) — the
-  /// hook characterization uses to fold the temperature-dependent leakage
-  /// power into the solve, iterating until the field moves less than
-  /// 0.05 K.  Returning false aborts the iteration (e.g. on detected
-  /// thermal runaway).
+  /// implicit step at 1/dt = 0, on every stack and backend.  `pre_step`,
+  /// when given, runs before every leakage iteration — the hook
+  /// characterization uses to fold the temperature-dependent leakage power
+  /// into the solve, iterating until the field moves less than 0.05 K.
+  /// Returning false aborts the iteration (e.g. on detected thermal
+  /// runaway).
   void solve_steady_state(const std::function<bool()>& pre_step = {});
 
   // -- Readback ---------------------------------------------------------------
@@ -286,13 +263,14 @@ class ThermalModel3D {
 
   /// Mean coolant outlet temperature of a cavity [°C].  NOTE: this reader,
   /// cavity_absorbed_power and save_state are const but first run the
-  /// coolant march a direct liquid solve leaves pending (mutable state), so
+  /// coolant march a liquid solve leaves pending (mutable state), so
   /// a model instance must not be read concurrently from multiple threads —
   /// parallel drivers give each worker its own model.
   [[nodiscard]] double fluid_outlet_temperature(std::size_t cavity) const;
   /// Heat absorbed by one cavity's coolant [W] (from the last evaluation).
   [[nodiscard]] double cavity_absorbed_power(std::size_t cavity) const;
-  /// Heat-sink temperature (air-cooled stacks) [°C].
+  /// Heat-spreader and heat-sink temperatures (air-cooled stacks) [°C].
+  [[nodiscard]] double spreader_temperature() const { return spreader_temp_; }
   [[nodiscard]] double sink_temperature() const { return sink_temp_; }
 
   /// Total power currently injected [W].
@@ -316,10 +294,6 @@ class ThermalModel3D {
 
   /// The backend this model resolved to (never kAuto).
   [[nodiscard]] SolverBackend solver_backend() const { return backend_; }
-  /// PCG system cache statistics (iterative backend; empty on direct).
-  [[nodiscard]] const DtKeyedLruCache<PcgSolver>& pcg_cache() const {
-    return pcg_cache_;
-  }
   /// Outcome of the most recent PCG solve (iterative backend).
   [[nodiscard]] const PcgSummary& last_pcg() const { return last_pcg_; }
 
@@ -367,13 +341,14 @@ class ThermalModel3D {
   }
 
   void build_topology();
-  /// Stamp the backward-Euler operator (C/dt + G) into a zeroed matrix
-  /// exposing add_diagonal/add_coupling — the single assembly the air LU
-  /// slot and the PCG backend's CSR operator share.
+  /// Stamp M = C inv_dt + G + D into a zeroed matrix exposing
+  /// add_diagonal/add_coupling — the single assembly the air LU slot and
+  /// the PCG backend's CSR operator share.
   template <typename MatrixT>
   void stamp_system(MatrixT& m, double inv_dt) const;
-  /// PCG system (CSR operator + preconditioner) of C inv_dt + G, cached
-  /// per inv_dt in pcg_cache_ (inv_dt = 0: the steady operator).
+  /// The PCG system (CSR operator M and its IC(0)) for inv_dt (0: the
+  /// steady operator): the model's one slot, rebuilt in place when inv_dt
+  /// differs from its key.
   PcgSolver& pcg_for(double inv_dt);
   /// Assemble the fluid-eliminated operator C inv_dt + G_elim for the
   /// current flow vector (liquid stacks) into `m`, of size node_count() and
@@ -397,33 +372,46 @@ class ThermalModel3D {
   /// One fluid-eliminated solve through a slot that fits (liquid stacks,
   /// direct backend): temps_ <- (C inv_dt + G_elim)^-1 (C inv_dt
   /// temps_prev_ + P + inlet_coef T_in).  Nothing reads the coolant until a
-  /// readback, so the march is left pending (fluid_stale_).
+  /// readback, so the march is left pending (fluid_stale_), as after a
+  /// PCG liquid solve.
   void solve_eliminated(const LuSlot& slot, double inv_dt);
   /// rhs_ -> temps_ through a factorized direct system (timed, with the
   /// finite checks on both sides of the solve).
   void solve_direct(const BandedLuMatrix& factor);
   /// One backward-Euler step of size 1/inv_dt (inv_dt = 0: the steady
   /// state); max_change() then gives the largest node temperature change.
-  /// The direct backend takes one LU solve (of the fluid-eliminated
-  /// operator for liquid stacks, of C inv_dt + G for air).  The PCG backend
-  /// alternates warm-started silicon solves with the fluid march, up to
-  /// `fluid_iters` times or until the fluid moves less than `fluid_tol`.
-  void advance(double inv_dt, std::size_t fluid_iters, double fluid_tol);
+  /// One linear solve of the fluid-eliminated operator (liquid stacks) or
+  /// of C inv_dt + G (air): by LU on the direct backend, by one
+  /// warm-started Krylov solve on PCG.
+  void advance(double inv_dt);
   /// Largest |temps_ - temps_prev_| over the silicon nodes.
   [[nodiscard]] double max_change() const;
-  /// Write the backward-Euler right-hand side of the coolant-explicit form
-  /// (stored heat + injected power + external coupling terms) into out[i]
-  /// for node i.  Reads temps_prev_ — callers snapshot temps_ there first.
-  /// Serves the air direct step and every PCG step.
+  /// Write the backward-Euler right-hand side C inv_dt temps_prev_ + P, plus
+  /// the spreader's pull on an air stack's top layer, into out[i] for node
+  /// i.  Reads temps_prev_ — callers snapshot temps_ there first.  Serves
+  /// the air direct step and every PCG step (a liquid one adds the inlet
+  /// term).
   void assemble_transient_rhs(double inv_dt, double* out) const;
-  /// March the coolant downstream through one cavity given silicon temps.
-  /// Returns the largest fluid temperature change.  Its outputs depend only
-  /// on temps_, the inlet temperature and the flows, so a pending march is
-  /// settled before any of them changes (initialize and restore_state
-  /// overwrite the coolant and drop it).
-  double march_fluid(std::size_t cavity) const;
-  double march_all_fluid() const;
-  /// Run the march a direct liquid solve left pending, if any.
+  /// What one cavity's march reports besides its fluid field.
+  struct CavityTotals {
+    double absorbed;  ///< heat the coolant took up [W]
+    double outlet;    ///< mean outlet temperature [°C]
+  };
+  /// March the coolant downstream through one cavity: `fluid` (cell_count_
+  /// values) <- the coolant temperature over the silicon field `temps`
+  /// with inlet temperature `t_inlet`.  Linear in (temps, t_inlet).
+  CavityTotals march_fluid(std::size_t cavity, const double* temps,
+                           double t_inlet, double* fluid) const;
+  /// y[wall] += scale * g_face * T_fluid for every wall of every cavity,
+  /// T_fluid the march over `field` from `t_inlet`: with t_inlet = 0 and
+  /// scale = -1 this subtracts K field (the BiCGSTAB operator term), with a
+  /// zero field and scale = 1 it adds the inlet term k_in T_in.
+  void add_coolant_pull(const double* field, double t_inlet, double scale,
+                        double* y);
+  /// Run the march a liquid solve left pending, if any: the coolant
+  /// readbacks depend only on temps_, the inlet temperature and the flows,
+  /// so a pending march is settled before any of them changes (initialize
+  /// and restore_state overwrite the coolant and drop it).
   void settle_fluid() const;
   void update_package_transient(double dt_s);
 
@@ -453,7 +441,7 @@ class ThermalModel3D {
   mutable std::vector<std::vector<double>> fluid_temp_;  ///< [cavity][cell]
   mutable std::vector<double> cavity_absorbed_;          ///< [cavity] W
   mutable std::vector<double> cavity_outlet_;            ///< [cavity] mean outlet °C
-  mutable bool fluid_stale_ = false;  ///< a march is pending (direct liquid)
+  mutable bool fluid_stale_ = false;  ///< a march is pending (liquid)
   double spreader_temp_ = 45.0;
   double sink_temp_ = 45.0;
   double inlet_temperature_;
@@ -464,9 +452,11 @@ class ThermalModel3D {
   // batch groups are backend-homogeneous).
   SolverBackend backend_ = SolverBackend::kDirect;
 
-  // Iterative backend: PCG systems (CSR + preconditioner) per 1/dt; see
-  // DtKeyedLruCache for the tolerant key comparison.
-  DtKeyedLruCache<PcgSolver> pcg_cache_{4};
+  // Iterative backend: the one PCG system and the 1/dt it was built for (a
+  // model steps at one substep and solves steady states at 0, so a slot
+  // keyed exactly by 1/dt rebuilds only when the caller switches).
+  std::optional<PcgSolver> pcg_;
+  double pcg_inv_dt_ = 0.0;
   PcgSummary last_pcg_{};
   // Direct backend: the model's one LU slot, rebuilt in place on any change
   // of its key, and the models whose slots it may borrow
@@ -479,6 +469,7 @@ class ThermalModel3D {
   std::vector<double> rhs_;
   std::vector<double> temps_prev_;
   std::vector<double> pcg_x_;  ///< PCG solution buffer (warm-start copy)
+  std::vector<double> fluid_scratch_;  ///< one cavity's march (PCG liquid)
   std::vector<double> block_power_scratch_;
 };
 

@@ -23,24 +23,31 @@ SolverBackend solver_backend_from_name(std::string_view s) {
   throw ConfigError("unknown solver backend name '" + std::string(s) + "'");
 }
 
-SolverBackend resolve_solver_backend(SolverBackend requested, std::size_t n,
-                                     std::size_t half_bandwidth) {
-  if (requested != SolverBackend::kAuto) return requested;
+double solve_cost_per_row(SolverBackend backend, std::size_t half_bandwidth) {
+  LIQUID3D_REQUIRE(backend != SolverBackend::kAuto,
+                   "solve cost needs a resolved backend");
   // Solves served by one factorization before its key changes — transient
   // runs reuse a factor for thousands of substeps at a fixed flow, so this
   // is a deliberately conservative (direct-favoring) amortization.
   constexpr double kDirectFactorAmortization = 200.0;
-  // Conservative iteration estimate for warm-started IC(0)-PCG on the
-  // stencil, and the per-row flop count of one iteration (SpMV + IC(0)
-  // sweeps + the vector updates).
+  // Conservative iteration estimate for a warm-started IC(0)-preconditioned
+  // Krylov solve on the stencil, and the per-row flop count of one
+  // iteration (SpMV + IC(0) sweeps + the vector updates).
   constexpr double kPcgIterationEstimate = 60.0;
   constexpr double kPcgFlopsPerRow = 22.0;
+  if (backend == SolverBackend::kPcg) return kPcgIterationEstimate * kPcgFlopsPerRow;
+  const double b = static_cast<double>(half_bandwidth);
+  return 4.0 * b + 2.0 * b * b / kDirectFactorAmortization;
+}
 
-  const double b = static_cast<double>(std::min(half_bandwidth, n - 1));
-  const double direct_per_row = 4.0 * b + 2.0 * b * b / kDirectFactorAmortization;
-  const double pcg_per_row = kPcgIterationEstimate * kPcgFlopsPerRow;
-  return direct_per_row > pcg_per_row ? SolverBackend::kPcg
-                                      : SolverBackend::kDirect;
+SolverBackend resolve_solver_backend(SolverBackend requested, std::size_t n,
+                                     std::size_t half_bandwidth) {
+  if (requested != SolverBackend::kAuto) return requested;
+  const std::size_t b = std::min(half_bandwidth, n - 1);
+  return solve_cost_per_row(SolverBackend::kDirect, b) >
+                 solve_cost_per_row(SolverBackend::kPcg, b)
+             ? SolverBackend::kPcg
+             : SolverBackend::kDirect;
 }
 
 }  // namespace liquid3d

@@ -7,11 +7,13 @@
 //             Exact, cache-friendly, and unbeatable while the
 //             half-bandwidth b = cols x layers stays modest (every grid the
 //             tests and the paper evaluation use today).
-//   kPcg    — preconditioned conjugate gradient over CSR (solver/pcg.hpp):
-//             no factorization, O(nnz) ≈ O(7n) per iteration, warm-started
+//   kPcg    — one IC(0)-preconditioned Krylov solve over CSR per step
+//             (solver/pcg.hpp): CG for air stacks, BiCGSTAB with the
+//             coolant applied matrix-free for liquid stacks.  No
+//             factorization, O(nnz) ≈ O(7n) per iteration, warm-started
 //             from the previous temperature field.  Wins when the band gets
 //             fat — the paper's native 100 µm grid drives b into the
-//             thousands, where O(n b^2) assembly hits the wall.
+//             thousands, where O(n b^2) factorization hits the wall.
 //   kAuto   — pick per model from the bandwidth-driven cost model below;
 //             resolves to kDirect for every current grid.
 #pragma once
@@ -26,17 +28,23 @@ enum class SolverBackend { kAuto, kDirect, kPcg };
 [[nodiscard]] const char* to_string(SolverBackend b);
 [[nodiscard]] SolverBackend solver_backend_from_name(std::string_view s);
 
+/// Estimated flops per row of one solve on a resolved backend (kDirect or
+/// kPcg) at the given half-bandwidth — the one cost model behind
+/// resolve_solver_backend and the sweep planner's cell costs.  The direct
+/// path costs ~4b flops of forward and back substitution (one multiply-add
+/// per band entry of L and of U) plus 2b^2 / kDirectFactorAmortization of
+/// factorization (a b x b rank-1 update per pivot; one factorization
+/// serves the ~hundreds of solves a slot's key sees); PCG costs
+/// ~kPcgIterationEstimate iterations of ~kPcgFlopsPerRow each, sized for
+/// the IC(0)-preconditioned stencil.
+[[nodiscard]] double solve_cost_per_row(SolverBackend backend,
+                                        std::size_t half_bandwidth);
+
 /// Resolve kAuto to a concrete backend for an n-node system of the given
-/// half-bandwidth; explicit requests pass through untouched.
-///
-/// Cost model (per solve, per row): the direct path costs ~4b flops of
-/// forward and back substitution (one multiply-add per band entry of L and
-/// of U) plus 2b^2 / kDirectFactorAmortization of factorization (a b x b
-/// rank-1 update per pivot; one factorization serves the ~hundreds of
-/// solves a slot's key sees); PCG costs ~kPcgIterationEstimate iterations
-/// of ~kPcgFlopsPerRow each, sized for the IC(0)-preconditioned stencil.
-/// With the constants below the cutover lands near b ≈ 215 — above every
-/// current grid (b ≤ 208), well below the paper-native regime (b ≥ 1000).
+/// half-bandwidth (clamped to n - 1): the cheaper of the two per
+/// solve_cost_per_row; explicit requests pass through untouched.  The
+/// cutover lands near b ≈ 215 — above every current grid (b ≤ 208), well
+/// below the paper-native regime (b ≥ 1000).
 [[nodiscard]] SolverBackend resolve_solver_backend(SolverBackend requested,
                                                    std::size_t n,
                                                    std::size_t half_bandwidth);

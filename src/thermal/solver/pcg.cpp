@@ -20,48 +20,16 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 }  // namespace
 
-const char* to_string(PcgPreconditioner p) {
-  switch (p) {
-    case PcgPreconditioner::kJacobi: return "jacobi";
-    case PcgPreconditioner::kSsor: return "ssor";
-    case PcgPreconditioner::kIncompleteCholesky: return "ic0";
-  }
-  return "?";
-}
-
-PcgPreconditioner pcg_preconditioner_from_name(std::string_view s) {
-  if (s == "jacobi") return PcgPreconditioner::kJacobi;
-  if (s == "ssor") return PcgPreconditioner::kSsor;
-  if (s == "ic0") return PcgPreconditioner::kIncompleteCholesky;
-  throw ConfigError("unknown preconditioner name '" + std::string(s) + "'");
-}
-
 PcgSolver::PcgSolver(SparseMatrix matrix, PcgParams params)
     : a_(std::move(matrix)), params_(params) {
   LIQUID3D_REQUIRE(a_.finalized(), "PcgSolver needs a finalized matrix");
   LIQUID3D_REQUIRE(params_.tolerance > 0.0, "tolerance must be positive");
   LIQUID3D_REQUIRE(params_.max_iterations >= 1, "need at least one iteration");
-  LIQUID3D_REQUIRE(params_.ssor_omega > 0.0 && params_.ssor_omega < 2.0,
-                   "SSOR omega must lie in (0, 2)");
   const std::size_t n = a_.size();
-  r_.assign(n, 0.0);
-  z_.assign(n, 0.0);
-  p_.assign(n, 0.0);
-  q_.assign(n, 0.0);
-  build_jacobi();  // SSOR also uses the inverse diagonal
-  if (params_.preconditioner == PcgPreconditioner::kIncompleteCholesky) {
-    build_ic0();
+  for (std::vector<double>* v : {&r_, &z_, &p_, &q_, &r_hat_, &t_}) {
+    v->assign(n, 0.0);
   }
-}
-
-void PcgSolver::build_jacobi() {
-  const std::size_t n = a_.size();
-  inv_diag_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = a_.diagonal(i);
-    LIQUID3D_REQUIRE(d > 0.0, "PCG requires a positive diagonal");
-    inv_diag_[i] = 1.0 / d;
-  }
+  build_ic0();
 }
 
 void PcgSolver::build_ic0() {
@@ -121,61 +89,27 @@ void PcgSolver::build_ic0() {
 }
 
 void PcgSolver::apply_preconditioner(const double* r, double* z) const {
+  // Forward solve L y = r, then backward solve Lᵀ z = y, in place.
   const std::size_t n = a_.size();
-  switch (params_.preconditioner) {
-    case PcgPreconditioner::kJacobi: {
-      for (std::size_t i = 0; i < n; ++i) z[i] = r[i] * inv_diag_[i];
-      return;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t diag = lrow_ptr_[i + 1] - 1;
+    double acc = r[i];
+    for (std::size_t p = lrow_ptr_[i]; p < diag; ++p) {
+      acc -= lval_[p] * z[lcol_[p]];
     }
-    case PcgPreconditioner::kSsor: {
-      // M = (D + ωL) D⁻¹ (D + ωU) / (ω(2-ω)), applied as a forward sweep, a
-      // diagonal scaling folded into the backward sweep, and a final scale.
-      const double w = params_.ssor_omega;
-      const auto& rp = a_.row_ptr();
-      const auto& ci = a_.col();
-      const auto& av = a_.val();
-      for (std::size_t i = 0; i < n; ++i) {
-        double acc = r[i];
-        const std::size_t diag = a_.diag_index(i);
-        for (std::size_t p = rp[i]; p < diag; ++p) acc -= w * av[p] * z[ci[p]];
-        z[i] = acc * inv_diag_[i];
-      }
-      for (std::size_t i = n; i-- > 0;) {
-        double acc = 0.0;
-        const std::size_t diag = a_.diag_index(i);
-        for (std::size_t p = diag + 1; p < rp[i + 1]; ++p) {
-          acc += av[p] * z[ci[p]];
-        }
-        z[i] -= w * acc * inv_diag_[i];
-      }
-      const double scale = w * (2.0 - w);
-      for (std::size_t i = 0; i < n; ++i) z[i] *= scale;
-      return;
-    }
-    case PcgPreconditioner::kIncompleteCholesky: {
-      // Forward solve L y = r, then backward solve Lᵀ z = y, in place.
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t diag = lrow_ptr_[i + 1] - 1;
-        double acc = r[i];
-        for (std::size_t p = lrow_ptr_[i]; p < diag; ++p) {
-          acc -= lval_[p] * z[lcol_[p]];
-        }
-        z[i] = acc / lval_[diag];
-      }
-      for (std::size_t i = n; i-- > 0;) {
-        const std::size_t diag = lrow_ptr_[i + 1] - 1;
-        const double zi = z[i] / lval_[diag];
-        z[i] = zi;
-        for (std::size_t p = lrow_ptr_[i]; p < diag; ++p) {
-          z[lcol_[p]] -= lval_[p] * zi;
-        }
-      }
-      return;
+    z[i] = acc / lval_[diag];
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    const std::size_t diag = lrow_ptr_[i + 1] - 1;
+    const double zi = z[i] / lval_[diag];
+    z[i] = zi;
+    for (std::size_t p = lrow_ptr_[i]; p < diag; ++p) {
+      z[lcol_[p]] -= lval_[p] * zi;
     }
   }
 }
 
-PcgSummary PcgSolver::solve(const double* b, double* x) {
+PcgSummary PcgSolver::solve(const double* b, double* x, const OperatorTerm& minus_k) {
   // Profiling hooks (out of band; see docs/observability.md): wall time
   // per solve, iteration count, and final relative residual.  Iteration
   // growth with grid resolution is the ROADMAP's preconditioner metric.
@@ -209,23 +143,28 @@ PcgSummary PcgSolver::solve(const double* b, double* x) {
     last_ = {0, 0.0, true};
     return finish();
   }
-  const double target2 =
-      params_.tolerance * params_.tolerance * b_norm2;
+  const double target2 = params_.tolerance * params_.tolerance * b_norm2;
 
   a_.multiply(x, q_.data());
+  if (minus_k) minus_k(x, q_.data());
   for (std::size_t i = 0; i < n; ++i) r_[i] = b[i] - q_[i];
   double r_norm2 = dot(r_, r_);
-  if (r_norm2 <= target2) {
-    last_ = {0, std::sqrt(r_norm2 / b_norm2), true};
-    return finish();
+  std::size_t it = 0;
+  if (r_norm2 > target2) {
+    it = minus_k ? iterate_bicgstab(x, minus_k, r_norm2, target2, b_norm2)
+                 : iterate_cg(x, r_norm2, target2, b_norm2);
   }
+  last_ = {it, std::sqrt(r_norm2 / b_norm2), r_norm2 <= target2};
+  return finish();
+}
 
+std::size_t PcgSolver::iterate_cg(double* x, double& r_norm2, double target2,
+                                  double b_norm2) {
+  const std::size_t n = a_.size();
   apply_preconditioner(r_.data(), z_.data());
   p_ = z_;
   double rz = dot(r_, z_);
-
   std::size_t it = 0;
-  bool converged = false;
   while (it < params_.max_iterations) {
     ++it;
     a_.multiply(p_.data(), q_.data());
@@ -243,20 +182,73 @@ PcgSummary PcgSolver::solve(const double* b, double* x) {
       r_[i] -= alpha * q_[i];
     }
     r_norm2 = dot(r_, r_);
-    if (r_norm2 <= target2) {
-      converged = true;
-      break;
-    }
+    if (r_norm2 <= target2) break;
     apply_preconditioner(r_.data(), z_.data());
     const double rz_next = dot(r_, z_);
     const double beta = rz_next / rz;
     rz = rz_next;
     for (std::size_t i = 0; i < n; ++i) p_[i] = z_[i] + beta * p_[i];
   }
+  return it;
+}
 
-  total_iterations_ += it;
-  last_ = {it, std::sqrt(r_norm2 / b_norm2), converged};
-  return finish();
+std::size_t PcgSolver::iterate_bicgstab(double* x, const OperatorTerm& minus_k,
+                                        double& r_norm2, double target2,
+                                        double b_norm2) {
+  // Right-preconditioned BiCGSTAB: iterates on (A - K) P⁻¹ and maps back
+  // through P⁻¹ as it goes, so r_ is always the true system's recurrence
+  // residual and the stopping rule is CG's.  z_ holds P⁻¹p, then P⁻¹s; q_
+  // holds v = (A - K) P⁻¹p.
+  const std::size_t n = a_.size();
+  const auto apply = [this, &minus_k](const double* v, double* y) {
+    a_.multiply(v, y);
+    minus_k(v, y);
+  };
+  std::size_t it = 0;
+  // A vanishing inner product (or a non-finite one) leaves no direction to
+  // continue in: the Krylov analogue of CG's curvature breakdown.
+  const auto require_nonzero = [&](double v, const char* what) {
+    if (!(std::isfinite(v) && v != 0.0)) {
+      throw SolverError(std::string("BiCGSTAB breakdown: ") + what + " vanished",
+                        "pcg", it, std::sqrt(r_norm2 / b_norm2));
+    }
+  };
+  r_hat_ = r_;
+  std::fill(p_.begin(), p_.end(), 0.0);
+  std::fill(q_.begin(), q_.end(), 0.0);
+  double rho = 1.0;
+  double alpha = 1.0;
+  double omega = 1.0;
+  while (it < params_.max_iterations) {
+    ++it;
+    const double rho_next = dot(r_hat_, r_);
+    require_nonzero(rho_next, "<r_hat, r>");
+    const double beta = (rho_next / rho) * (alpha / omega);
+    rho = rho_next;
+    for (std::size_t i = 0; i < n; ++i) p_[i] = r_[i] + beta * (p_[i] - omega * q_[i]);
+    apply_preconditioner(p_.data(), z_.data());
+    apply(z_.data(), q_.data());
+    const double r_hat_v = dot(r_hat_, q_);
+    require_nonzero(r_hat_v, "<r_hat, v>");
+    alpha = rho / r_hat_v;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] += alpha * z_[i];
+      r_[i] -= alpha * q_[i];  // r_ now holds s
+    }
+    r_norm2 = dot(r_, r_);
+    if (r_norm2 <= target2) break;
+    apply_preconditioner(r_.data(), z_.data());
+    apply(z_.data(), t_.data());
+    omega = dot(t_, r_) / dot(t_, t_);
+    require_nonzero(omega, "omega");
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] += omega * z_[i];
+      r_[i] -= omega * t_[i];
+    }
+    r_norm2 = dot(r_, r_);
+    if (r_norm2 <= target2) break;
+  }
+  return it;
 }
 
 }  // namespace liquid3d

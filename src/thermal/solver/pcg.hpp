@@ -1,42 +1,38 @@
-// pcg.hpp — preconditioned conjugate gradient solver over SparseMatrix.
+// pcg.hpp — IC(0)-preconditioned Krylov solves over SparseMatrix.
 //
 // The iterative counterpart of BandedLuMatrix for the backward-Euler
-// thermal systems: the operator is SPD (capacitance/dt plus a conduction
-// M-matrix), so CG converges unconditionally, and each iteration costs
-// O(nnz) ≈ O(7n) instead of the banded back-substitution's O(n b).  At the
-// paper's native 100 µm grid (b in the thousands) that — plus skipping the
-// O(n b^2) factorization entirely — is the whole ballgame.
+// thermal systems.  Each iteration costs O(nnz) ≈ O(7n) instead of the
+// banded back-substitution's O(n b), and there is no O(n b^2)
+// factorization; at the paper's native 100 µm grid (b in the thousands)
+// that is the whole ballgame.
 //
-// Preconditioners (all SPD-preserving):
-//   * kJacobi             — diagonal scaling; cheapest apply, most iterations.
-//   * kSsor               — symmetric SOR sweep (ω=1 ⇒ symmetric
-//                           Gauss-Seidel); no setup beyond the matrix itself.
-//   * kIncompleteCholesky — IC(0), zero fill-in.  The thermal operators are
-//                           diagonally dominant M-matrices, for which IC(0)
-//                           provably does not break down (Meijerink & van
-//                           der Vorst); it is the default and the iteration
-//                           count winner.
+// One solver, two loops, chosen by the operator:
+//   * A x = b, with A the SPD CSR matrix (capacitance/dt plus a conduction
+//     M-matrix: an air stack's system): preconditioned conjugate gradient.
+//   * (A - K) x = b, with K a non-symmetric term applied matrix-free (a
+//     liquid stack's coolant, whose march couples each wall to the cells
+//     upstream of it): right-preconditioned BiCGSTAB (van der Vorst 1992).
+//     The fluid-eliminated operator is never formed, so an apply stays O(n)
+//     where its explicit upstream couplings would hold ~cols entries a row.
+// Both loops precondition with the IC(0) of A: zero fill-in, and for the
+// diagonally dominant M-matrices the model assembles it provably does not
+// break down (Meijerink & van der Vorst).
 //
 // Warm starts: solve() takes the initial guess in x.  Backward-Euler steps
-// and fluid fixed-point iterations change the solution by a fraction of a
-// kelvin, so seeding from the previous temperature field cuts iterations by
-// several-fold versus a cold start — the iterative analogue of the direct
-// path reusing one factorization across steps.
+// change the solution by a fraction of a kelvin, so seeding from the
+// previous temperature field cuts iterations several-fold versus a cold
+// start — the iterative analogue of the direct path reusing one
+// factorization across steps.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
+#include <functional>
 #include <vector>
 
 #include "thermal/solver/sparse_matrix.hpp"
 
 namespace liquid3d {
-
-enum class PcgPreconditioner { kJacobi, kSsor, kIncompleteCholesky };
-
-[[nodiscard]] const char* to_string(PcgPreconditioner p);
-[[nodiscard]] PcgPreconditioner pcg_preconditioner_from_name(std::string_view s);
 
 struct PcgParams {
   /// Convergence target on the relative residual ‖b - A x‖ / ‖b‖.  The
@@ -44,9 +40,6 @@ struct PcgParams {
   /// direct solver, at a cost of a couple of extra iterations.
   double tolerance = 1e-10;
   std::size_t max_iterations = 1000;
-  PcgPreconditioner preconditioner = PcgPreconditioner::kIncompleteCholesky;
-  /// SSOR relaxation factor in (0, 2); 1.0 = symmetric Gauss-Seidel.
-  double ssor_omega = 1.0;
 };
 
 /// Outcome of one solve() call.
@@ -57,47 +50,54 @@ struct PcgSummary {
   bool converged = false;
 };
 
-/// One assembled system: the CSR operator plus its preconditioner, ready to
-/// solve any number of right-hand sides.  Owns the matrix; the model's
-/// dt-keyed cache (DtKeyedLruCache) stores PcgSolver instances.
+/// y -= K v: the non-symmetric term a BiCGSTAB solve subtracts from the CSR
+/// operator, applied matrix-free.
+using OperatorTerm = std::function<void(const double* v, double* y)>;
+
+/// One assembled system: the CSR operator plus its IC(0), ready to solve
+/// any number of right-hand sides.  Owns the matrix; a model keeps one, for
+/// the 1/dt it last solved at.
 class PcgSolver {
  public:
-  /// Takes the finalized matrix and builds the configured preconditioner.
+  /// Takes the finalized matrix and builds its IC(0).
   PcgSolver(SparseMatrix matrix, PcgParams params);
 
   [[nodiscard]] const SparseMatrix& matrix() const { return a_; }
   [[nodiscard]] const PcgParams& params() const { return params_; }
 
-  /// Solve A x = b.  On entry x holds the initial guess (warm start); on
-  /// exit the solution.  Throws LogicError if the operator is detected
-  /// non-SPD mid-iteration.  Allocation-free after the first call.
-  PcgSummary solve(const double* b, double* x);
+  /// Solve A x = b by CG, or (A - K) x = b by BiCGSTAB when `minus_k` is
+  /// given.  On entry x holds the initial guess (warm start); on exit the
+  /// solution.  A breakdown (curvature lost in CG, a vanishing inner
+  /// product in BiCGSTAB) throws SolverError; hitting the iteration cap
+  /// returns converged = false.  Allocation-free after construction.
+  PcgSummary solve(const double* b, double* x, const OperatorTerm& minus_k = {});
 
   /// Last solve's outcome.
   [[nodiscard]] const PcgSummary& last() const { return last_; }
-  /// Iterations accumulated over every solve (hot-loop telemetry).
-  [[nodiscard]] std::uint64_t total_iterations() const { return total_iterations_; }
   [[nodiscard]] std::uint64_t solves() const { return solves_; }
 
  private:
-  void build_jacobi();
   void build_ic0();
   void apply_preconditioner(const double* r, double* z) const;
+  /// The two loops: each starts from the residual in r_ (squared norm
+  /// r_norm2), updates x, and leaves the final recurrence residual in
+  /// r_norm2; they return the iterations taken.
+  std::size_t iterate_cg(double* x, double& r_norm2, double target2, double b_norm2);
+  std::size_t iterate_bicgstab(double* x, const OperatorTerm& minus_k,
+                               double& r_norm2, double target2, double b_norm2);
 
   SparseMatrix a_;
   PcgParams params_;
 
-  // Preconditioner data.
-  std::vector<double> inv_diag_;      ///< Jacobi (and SSOR diagonal scaling)
-  std::vector<std::size_t> lrow_ptr_; ///< IC(0) factor, lower CSR (diag last)
+  // IC(0) factor, lower CSR with the diagonal last in each row.
+  std::vector<std::size_t> lrow_ptr_;
   std::vector<std::uint32_t> lcol_;
   std::vector<double> lval_;
 
-  // Persistent solve scratch.
-  std::vector<double> r_, z_, p_, q_;
+  // Persistent solve scratch; r_hat_ and t_ serve BiCGSTAB only.
+  std::vector<double> r_, z_, p_, q_, r_hat_, t_;
 
   PcgSummary last_{};
-  std::uint64_t total_iterations_ = 0;
   std::uint64_t solves_ = 0;
 };
 

@@ -7,8 +7,8 @@
 // their O(n b^2) factorization cost hits the wall — the system is
 // overwhelmingly sparse: nnz ≈ 7n versus the band's n(b+1) stored entries.
 // CSR keeps exactly the nonzeros, makes the matrix-vector product O(nnz),
-// and gives the preconditioners (solver/pcg.hpp) ordered row access to the
-// lower/upper triangles.
+// and gives the IC(0) preconditioner (solver/pcg.hpp) ordered row access
+// to the lower triangle.
 //
 // Assembly mirrors BandedLuMatrix: the same add_diagonal/add_coupling
 // calls, fed by the same ThermalModel3D::stamp_system walk, so the two
@@ -46,7 +46,7 @@ class SparseMatrix {
   /// y = A x (finalized matrices only).
   void multiply(const double* x, double* y) const;
 
-  // -- CSR access (preconditioners) -------------------------------------------
+  // -- CSR access (the IC(0) build) -------------------------------------------
   /// Row i occupies [row_ptr()[i], row_ptr()[i+1]) in col()/val(), columns
   /// sorted ascending.
   [[nodiscard]] const std::vector<std::size_t>& row_ptr() const { return row_ptr_; }

@@ -36,7 +36,6 @@ SteadyQuery sample_steady() {
   q.config.thermal.alternate_flow_direction = true;
   q.config.thermal.solver_backend = SolverBackend::kPcg;
   q.config.thermal.pcg.tolerance = 1.0 / 3.0;  // not exactly representable
-  q.config.thermal.pcg.preconditioner = PcgPreconditioner::kSsor;
   q.block_watts = {{0.5, 1.0 / 7.0}, {}, {2.25}};
   q.core_watts = 3.125;
   q.flows_ml_per_min = {11.0, 13.5};
@@ -77,7 +76,6 @@ TEST(ServeEnvelope, SteadyQueryRoundTripsBitExactly) {
   EXPECT_EQ(q.config.thermal.solver_backend, SolverBackend::kPcg);
   // The bit-identity linchpin: a double that has no short decimal form.
   EXPECT_EQ(q.config.thermal.pcg.tolerance, 1.0 / 3.0);
-  EXPECT_EQ(q.config.thermal.pcg.preconditioner, PcgPreconditioner::kSsor);
   EXPECT_EQ(q.block_watts, ref.block_watts);
   EXPECT_EQ(q.core_watts, ref.core_watts);
   EXPECT_EQ(q.flows_ml_per_min, ref.flows_ml_per_min);
@@ -283,6 +281,24 @@ TEST(ServeEnvelope, RejectsForeignMagicUnknownVersionAndUnknownTag) {
                ConfigError);
 }
 
+TEST(ServeEnvelope, RemovedThermalKeysAreRejected) {
+  // Removing a field removes its key: a request that still carries one of
+  // the PCG backend's retired knobs gets a typed bad-request, not a silent
+  // drop of a setting the client believes it made.
+  WireRequest request;
+  request.payload = SteadyQuery{};
+  const std::string valid = encode_request(request);
+  ASSERT_NO_THROW((void)decode_request(valid));
+  for (const char* line :
+       {"t.fluid_tolerance 0.005", "t.max_fluid_iterations 10",
+        "t.steady_fluid_iterations 40", "t.steady_pseudo_dt 5",
+        "t.steady_tolerance 0.0001", "t.max_steady_iterations 1500",
+        "t.pcg_ssor_omega 1", "t.pcg_preconditioner ic0",
+        "t.direct_steady_solver 1"}) {
+    EXPECT_THROW((void)decode_request(valid + line + "\n"), ConfigError) << line;
+  }
+}
+
 TEST(ServeEnvelope, RejectsUnknownKeysAndMalformedValues) {
   EXPECT_THROW(
       (void)decode_request("liquid3d-serve 1 steady\nid 1\nbogus_key 3\n"),
@@ -427,17 +443,9 @@ TEST(ServeEnvelope, PercentSeventeenGRequestDecodesToTheSameBits) {
       "t.spreader_to_sink_resistance 0.10000000000000001\n"
       "t.sink_to_ambient_resistance 0.050000000000000003\n"
       "t.alternate_flow_direction 1\n"
-      "t.fluid_tolerance 0.0050000000000000001\n"
-      "t.max_fluid_iterations 10\n"
-      "t.steady_fluid_iterations 40\n"
-      "t.steady_pseudo_dt 5\n"
-      "t.steady_tolerance 0.0001\n"
-      "t.max_steady_iterations 1500\n"
       "t.pcg_tolerance 0.33333333333333331\n"
       "t.pcg_max_iterations 1000\n"
-      "t.pcg_ssor_omega 1\n"
       "t.solver_backend pcg\n"
-      "t.pcg_preconditioner ssor\n"
       "core_watts 3.125\n"
       "block_watts 0:0.5,0.14285714285714285;1:;2:2.25\n"
       "flows_ml_per_min 11,13.5\n"

@@ -19,6 +19,7 @@
 #include "sweep/merge.hpp"
 #include "sweep/plan.hpp"
 #include "sweep/worker.hpp"
+#include "thermal/solver/backend.hpp"
 
 namespace liquid3d {
 namespace {
@@ -105,6 +106,30 @@ TEST(SweepPlan, MoreShardsThanCellsLeavesEmptyShards) {
   ASSERT_EQ(shards.size(), 6u);
   EXPECT_TRUE(shards[4].empty());
   EXPECT_TRUE(shards[5].empty());
+}
+
+TEST(SweepPlan, CellCostIsTicksTimesSubstepsTimesSolveCost) {
+  // cost = ticks x substeps x (n x per-row solve cost + fluid cells), with
+  // the per-row price resolve_solver_backend decides by: ~4b + 2b^2/200
+  // for the banded LU, 60 iterations x 22 flops for PCG.  On the tiny grid
+  // (2 s at 100 ms ticks, 2 substeps) the 2-layer liquid stack has
+  // n = 2 x 8 x 9 nodes, b = 9 x 2 and 3 cavities of 8 x 9 cells.
+  SweepGridSpec grid = tiny_grid();
+  const ScenarioSpec direct = grid.scenarios[1];
+  ScenarioSpec pcg = direct;
+  pcg.name = "talb-var-pcg";
+  pcg.solver = SolverBackend::kPcg;
+  const double ticks_x_substeps = 20.0 * 2.0;
+  const double n = 2.0 * 8.0 * 9.0;
+  const double b = 18.0;
+  const double fluid = 3.0 * 8.0 * 9.0;
+  EXPECT_DOUBLE_EQ(solve_cost_per_row(SolverBackend::kDirect, 18),
+                   4.0 * b + 2.0 * b * b / 200.0);
+  EXPECT_DOUBLE_EQ(solve_cost_per_row(SolverBackend::kPcg, 18), 60.0 * 22.0);
+  EXPECT_DOUBLE_EQ(estimate_cell_cost(grid, direct),
+                   ticks_x_substeps * (n * (4.0 * b + 2.0 * b * b / 200.0) + fluid));
+  EXPECT_DOUBLE_EQ(estimate_cell_cost(grid, pcg),
+                   ticks_x_substeps * (n * 60.0 * 22.0 + fluid));
 }
 
 TEST(SweepPlan, CostWeightedPartitionIsDeterministicAndComplete) {

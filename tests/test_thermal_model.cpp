@@ -308,7 +308,7 @@ TEST(ThermalModel, EliminatedTransientRowsAreDiagonallyDominant) {
   // the lowest, where the steady rows alone are not (sigma = g_sum / w_row
   // = 2.08 > 2).  Below the lowest setting (valve throttling) dominance is
   // lost; the EliminatedStep tests pin the LU's answers there against the
-  // PCG fixed point instead.
+  // PCG backend's BiCGSTAB solve, which never factorizes, instead.
   ThermalModel3D m(make_2layer_system(), ThermalModelParams{});
   const std::size_t bw = m.grid().cols() * m.layer_count();
   BandedLuMatrix a(m.node_count(), bw, bw);
@@ -547,11 +547,10 @@ TEST(ThermalModelFailures, PcgIterationCapThrowsSolverErrorWithDiagnostics) {
 
 TEST(ThermalModelFailures, SteadyStallThrowsSolverErrorWithDiagnostics) {
   ThermalModelParams p = fast_params();
-  // Only a liquid stack on the PCG backend takes the pseudo-transient
-  // continuation (every other steady state is one solve, with no cap).
+  // A liquid steady state on the PCG backend is one BiCGSTAB solve at
+  // 1/dt = 0; a cap it cannot meet must surface, not return the iterate.
   p.solver_backend = SolverBackend::kPcg;
-  p.max_steady_iterations = 2;  // force the pseudo-transient loop to stall
-  p.steady_tolerance = 1e-12;
+  p.pcg.max_iterations = 1;
   ThermalModel3D m(make_2layer_system(), p);
   m.set_cavity_flow(setting_flow(2));
   set_core_power(m, 2.0);
@@ -559,8 +558,9 @@ TEST(ThermalModelFailures, SteadyStallThrowsSolverErrorWithDiagnostics) {
     m.solve_steady_state();
     FAIL() << "expected SolverError";
   } catch (const SolverError& e) {
-    EXPECT_EQ(e.iterations(), 2u);
-    EXPECT_GT(e.residual(), 0.0);  // the last pseudo-transient delta in K
+    EXPECT_EQ(e.backend(), "pcg");
+    EXPECT_EQ(e.iterations(), 1u);
+    EXPECT_GT(e.residual(), 0.0);  // the relative residual at the cap
   }
 }
 

@@ -1,12 +1,14 @@
-// thermal_test_access.hpp — white-box access to ThermalModel3D's direct
-// path for tests and benchmarks: the fluid-eliminated operator and the LU
-// slot, which are private to the model, and the reference assembly the
-// direct-write one must reproduce bit for bit.
+// thermal_test_access.hpp — white-box access to ThermalModel3D for tests and
+// benchmarks: the fluid-eliminated operator and the LU slot, which are
+// private to the model, the reference assembly the direct-write one must
+// reproduce bit for bit, and the silicon-only solve the eliminated step is
+// a fixed point of.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "thermal/model3d.hpp"
 
@@ -109,6 +111,40 @@ struct ThermalModel3DTestAccess {
         }
       }
     }
+  }
+  /// One silicon solve against a given coolant field — the body of the
+  /// silicon<->fluid fixed point the PCG backend once iterated:
+  /// (C inv_dt + G + D) T = C inv_dt t_prev + P + g_face T_fluid, by CG to a
+  /// 1e-14 relative residual from t_prev.  The fluid-eliminated step is a
+  /// fixed point of it.
+  static std::vector<double> silicon_solve_against_fluid(
+      const ThermalModel3D& m, double inv_dt, const std::vector<double>& t_prev,
+      const std::vector<std::vector<double>>& fluid) {
+    SparseMatrix a(m.node_count_);
+    std::vector<double> rhs(m.node_count_);
+    for (std::size_t i = 0; i < m.node_count_; ++i) {
+      a.add_diagonal(i, m.capacitance_[i] * inv_dt + m.ext_diag_[i]);
+      rhs[i] = m.capacitance_[i] * inv_dt * t_prev[i] + m.cell_power_[i];
+    }
+    for (const ThermalModel3D::Coupling& c : m.couplings_) {
+      a.add_coupling(c.a, c.b, c.g);
+    }
+    a.finalize();
+    for (std::size_t k = 0; k < fluid.size(); ++k) {
+      for (std::size_t cell = 0; cell < m.cell_count_; ++cell) {
+        if (k >= 1) rhs[m.node(k - 1, cell)] += m.g_fluid_dn_ * fluid[k][cell];
+        if (k < m.layer_count_) rhs[m.node(k, cell)] += m.g_fluid_up_ * fluid[k][cell];
+      }
+    }
+    PcgParams tight;
+    tight.tolerance = 1e-14;
+    tight.max_iterations = 5000;
+    PcgSolver solver(std::move(a), tight);
+    std::vector<double> t = t_prev;
+    if (!solver.solve(rhs.data(), t.data()).converged) {
+      throw SolverError("oracle CG did not converge");
+    }
+    return t;
   }
   /// Per-node heat capacity [J/K]: the C of C/dt + G.
   static const std::vector<double>& capacitance(const ThermalModel3D& m) {
