@@ -82,7 +82,7 @@ struct SimulationConfig {
 
   /// Thermal model knobs, including the solver backend axis
   /// (`thermal.solver_backend`: direct banded LU vs preconditioned
-  /// CG, kAuto = bandwidth cost model) — set by ScenarioSpec binding.
+  /// BiCGSTAB, kAuto = bandwidth cost model) — set by ScenarioSpec binding.
   ThermalModelParams thermal{};
   PowerModelParams power{};
   DpmParams dpm{};

@@ -483,8 +483,8 @@ void ThermalModel3D::advance(double inv_dt) {
     }
     return;
   }
-  // PCG: one Krylov solve through the IC(0) of M = C inv_dt + G + D — CG
-  // on M for air, BiCGSTAB on the fluid-eliminated M - K for liquid.
+  // PCG: one BiCGSTAB solve through the IC(0) of M = C inv_dt + G + D, on
+  // the fluid-eliminated M - K for liquid and on M itself for air.
   PcgSolver& pcg = pcg_for(inv_dt);
   assemble_transient_rhs(inv_dt, rhs_.data());
   if (liquid) {
@@ -497,14 +497,11 @@ void ThermalModel3D::advance(double inv_dt) {
   // fractions of a kelvin, so the solve needs a handful of iterations, not
   // a cold start's.
   pcg_x_.assign(temps_.begin(), temps_.end());
-  if (liquid) {
-    last_pcg_ = pcg.solve(rhs_.data(), pcg_x_.data(),
-                          [this](const double* v, double* y) {
-                            add_coolant_pull(v, 0.0, -1.0, y);
-                          });
-  } else {
-    last_pcg_ = pcg.solve(rhs_.data(), pcg_x_.data());
-  }
+  const OperatorTerm minus_k = [this](const double* v, double* y) {
+    add_coolant_pull(v, 0.0, -1.0, y);
+  };
+  last_pcg_ = pcg.solve(rhs_.data(), pcg_x_.data(),
+                        liquid ? minus_k : OperatorTerm{});
   // An iterate that stalled at the iteration cap is not a solution;
   // accepting it silently would corrupt every sample and policy decision
   // built on the field.  SolverError, not ConfigError or LogicError: the

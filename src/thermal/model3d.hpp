@@ -43,9 +43,9 @@
 // (share_factors_with).  The PCG backend keeps one CSR system of
 // M = C/dt + G + D (D: each wall's conductance to the coolant or package)
 // and its IC(0), rebuilt in place when 1/dt changes, and solves by one
-// warm-started Krylov solve: CG on M for air stacks, BiCGSTAB on M - K for
-// liquid stacks, where K d — the coolant's pull on the walls — is the
-// march of d from a 0 °C inlet.  G_elim = G + D - K is never formed.
+// warm-started BiCGSTAB solve: on M for air stacks, on M - K for liquid
+// stacks, where K d — the coolant's pull on the walls — is the march of d
+// from a 0 °C inlet.  G_elim = G + D - K is never formed.
 #pragma once
 
 #include <concepts>

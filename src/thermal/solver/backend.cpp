@@ -30,9 +30,11 @@ double solve_cost_per_row(SolverBackend backend, std::size_t half_bandwidth) {
   // runs reuse a factor for thousands of substeps at a fixed flow, so this
   // is a deliberately conservative (direct-favoring) amortization.
   constexpr double kDirectFactorAmortization = 200.0;
-  // Conservative iteration estimate for a warm-started IC(0)-preconditioned
-  // Krylov solve on the stencil, and the per-row flop count of one
-  // iteration (SpMV + IC(0) sweeps + the vector updates).
+  // Iteration estimate and per-row flop count sized for one CG iteration
+  // (one SpMV, one IC(0) apply, the vector updates).  They predate the
+  // BiCGSTAB solve, whose iteration does two SpMVs, two IC(0) applies and,
+  // on liquid stacks, two coolant marches; they were not re-measured, so
+  // the ~215 cutover is unverified for the liquid PCG path.
   constexpr double kPcgIterationEstimate = 60.0;
   constexpr double kPcgFlopsPerRow = 22.0;
   if (backend == SolverBackend::kPcg) return kPcgIterationEstimate * kPcgFlopsPerRow;

@@ -8,8 +8,8 @@
 //             half-bandwidth b = cols x layers stays modest (every grid the
 //             tests and the paper evaluation use today).
 //   kPcg    — one IC(0)-preconditioned Krylov solve over CSR per step
-//             (solver/pcg.hpp): CG for air stacks, BiCGSTAB with the
-//             coolant applied matrix-free for liquid stacks.  No
+//             (solver/pcg.hpp): BiCGSTAB, with the coolant applied
+//             matrix-free for liquid stacks.  No
 //             factorization, O(nnz) ≈ O(7n) per iteration, warm-started
 //             from the previous temperature field.  Wins when the band gets
 //             fat — the paper's native 100 µm grid drives b into the
@@ -36,7 +36,8 @@ enum class SolverBackend { kAuto, kDirect, kPcg };
 /// factorization (a b x b rank-1 update per pivot; one factorization
 /// serves the ~hundreds of solves a slot's key sees); PCG costs
 /// ~kPcgIterationEstimate iterations of ~kPcgFlopsPerRow each, sized for
-/// the IC(0)-preconditioned stencil.
+/// one IC(0)-preconditioned CG iteration on the stencil (a BiCGSTAB
+/// iteration does twice that; the constants were not re-measured).
 [[nodiscard]] double solve_cost_per_row(SolverBackend backend,
                                         std::size_t half_bandwidth);
 

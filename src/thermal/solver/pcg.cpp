@@ -145,68 +145,21 @@ PcgSummary PcgSolver::solve(const double* b, double* x, const OperatorTerm& minu
   }
   const double target2 = params_.tolerance * params_.tolerance * b_norm2;
 
-  a_.multiply(x, q_.data());
-  if (minus_k) minus_k(x, q_.data());
+  // Right-preconditioned BiCGSTAB (van der Vorst 1992) on A - K: iterates
+  // on (A - K) P⁻¹ and maps back through P⁻¹ as it goes, so r_ is always the
+  // true system's recurrence residual.  z_ holds P⁻¹p, then P⁻¹s; q_ holds
+  // v = (A - K) P⁻¹p.  With no K it solves the SPD system A x = b.
+  const auto apply = [this, &minus_k](const double* v, double* y) {
+    a_.multiply(v, y);
+    if (minus_k) minus_k(v, y);
+  };
+  apply(x, q_.data());
   for (std::size_t i = 0; i < n; ++i) r_[i] = b[i] - q_[i];
   double r_norm2 = dot(r_, r_);
   std::size_t it = 0;
-  if (r_norm2 > target2) {
-    it = minus_k ? iterate_bicgstab(x, minus_k, r_norm2, target2, b_norm2)
-                 : iterate_cg(x, r_norm2, target2, b_norm2);
-  }
-  last_ = {it, std::sqrt(r_norm2 / b_norm2), r_norm2 <= target2};
-  return finish();
-}
-
-std::size_t PcgSolver::iterate_cg(double* x, double& r_norm2, double target2,
-                                  double b_norm2) {
-  const std::size_t n = a_.size();
-  apply_preconditioner(r_.data(), z_.data());
-  p_ = z_;
-  double rz = dot(r_, z_);
-  std::size_t it = 0;
-  while (it < params_.max_iterations) {
-    ++it;
-    a_.multiply(p_.data(), q_.data());
-    const double pq = dot(p_, q_);
-    // Curvature breakdown means the operator handed to us is not SPD for
-    // this right-hand side — a numerical outcome (SolverError), since the
-    // same assembly succeeds at other operating points.
-    if (!(pq > 0.0)) {
-      throw SolverError("PCG breakdown: operator is not positive definite",
-                        "pcg", it, std::sqrt(r_norm2 / b_norm2));
-    }
-    const double alpha = rz / pq;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * p_[i];
-      r_[i] -= alpha * q_[i];
-    }
-    r_norm2 = dot(r_, r_);
-    if (r_norm2 <= target2) break;
-    apply_preconditioner(r_.data(), z_.data());
-    const double rz_next = dot(r_, z_);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    for (std::size_t i = 0; i < n; ++i) p_[i] = z_[i] + beta * p_[i];
-  }
-  return it;
-}
-
-std::size_t PcgSolver::iterate_bicgstab(double* x, const OperatorTerm& minus_k,
-                                        double& r_norm2, double target2,
-                                        double b_norm2) {
-  // Right-preconditioned BiCGSTAB: iterates on (A - K) P⁻¹ and maps back
-  // through P⁻¹ as it goes, so r_ is always the true system's recurrence
-  // residual and the stopping rule is CG's.  z_ holds P⁻¹p, then P⁻¹s; q_
-  // holds v = (A - K) P⁻¹p.
-  const std::size_t n = a_.size();
-  const auto apply = [this, &minus_k](const double* v, double* y) {
-    a_.multiply(v, y);
-    minus_k(v, y);
-  };
-  std::size_t it = 0;
   // A vanishing inner product (or a non-finite one) leaves no direction to
-  // continue in: the Krylov analogue of CG's curvature breakdown.
+  // continue in — a numerical outcome (SolverError), since the same
+  // assembly succeeds at other operating points.
   const auto require_nonzero = [&](double v, const char* what) {
     if (!(std::isfinite(v) && v != 0.0)) {
       throw SolverError(std::string("BiCGSTAB breakdown: ") + what + " vanished",
@@ -219,7 +172,7 @@ std::size_t PcgSolver::iterate_bicgstab(double* x, const OperatorTerm& minus_k,
   double rho = 1.0;
   double alpha = 1.0;
   double omega = 1.0;
-  while (it < params_.max_iterations) {
+  while (r_norm2 > target2 && it < params_.max_iterations) {
     ++it;
     const double rho_next = dot(r_hat_, r_);
     require_nonzero(rho_next, "<r_hat, r>");
@@ -246,9 +199,9 @@ std::size_t PcgSolver::iterate_bicgstab(double* x, const OperatorTerm& minus_k,
       r_[i] -= omega * t_[i];
     }
     r_norm2 = dot(r_, r_);
-    if (r_norm2 <= target2) break;
   }
-  return it;
+  last_ = {it, std::sqrt(r_norm2 / b_norm2), r_norm2 <= target2};
+  return finish();
 }
 
 }  // namespace liquid3d

@@ -6,17 +6,16 @@
 // factorization; at the paper's native 100 µm grid (b in the thousands)
 // that is the whole ballgame.
 //
-// One solver, two loops, chosen by the operator:
-//   * A x = b, with A the SPD CSR matrix (capacitance/dt plus a conduction
-//     M-matrix: an air stack's system): preconditioned conjugate gradient.
-//   * (A - K) x = b, with K a non-symmetric term applied matrix-free (a
-//     liquid stack's coolant, whose march couples each wall to the cells
-//     upstream of it): right-preconditioned BiCGSTAB (van der Vorst 1992).
-//     The fluid-eliminated operator is never formed, so an apply stays O(n)
-//     where its explicit upstream couplings would hold ~cols entries a row.
-// Both loops precondition with the IC(0) of A: zero fill-in, and for the
-// diagonally dominant M-matrices the model assembles it provably does not
-// break down (Meijerink & van der Vorst).
+// One loop for every operator: right-preconditioned BiCGSTAB (van der
+// Vorst 1992) on (A - K) x = b.  A is the SPD CSR matrix (capacitance/dt
+// plus a conduction M-matrix); K is an optional non-symmetric term applied
+// matrix-free (a liquid stack's coolant, whose march couples each wall to
+// the cells upstream of it).  The fluid-eliminated operator is never
+// formed, so an apply stays O(n) where its explicit upstream couplings
+// would hold ~cols entries a row.  An air stack passes no K and the same
+// loop solves its symmetric system.  The preconditioner is the IC(0) of A:
+// zero fill-in, and for the diagonally dominant M-matrices the model
+// assembles it provably does not break down (Meijerink & van der Vorst).
 //
 // Warm starts: solve() takes the initial guess in x.  Backward-Euler steps
 // change the solution by a fraction of a kelvin, so seeding from the
@@ -50,8 +49,8 @@ struct PcgSummary {
   bool converged = false;
 };
 
-/// y -= K v: the non-symmetric term a BiCGSTAB solve subtracts from the CSR
-/// operator, applied matrix-free.
+/// y -= K v: the non-symmetric term a solve subtracts from the CSR operator,
+/// applied matrix-free.
 using OperatorTerm = std::function<void(const double* v, double* y)>;
 
 /// One assembled system: the CSR operator plus its IC(0), ready to solve
@@ -65,11 +64,11 @@ class PcgSolver {
   [[nodiscard]] const SparseMatrix& matrix() const { return a_; }
   [[nodiscard]] const PcgParams& params() const { return params_; }
 
-  /// Solve A x = b by CG, or (A - K) x = b by BiCGSTAB when `minus_k` is
-  /// given.  On entry x holds the initial guess (warm start); on exit the
-  /// solution.  A breakdown (curvature lost in CG, a vanishing inner
-  /// product in BiCGSTAB) throws SolverError; hitting the iteration cap
-  /// returns converged = false.  Allocation-free after construction.
+  /// Solve (A - K) x = b by BiCGSTAB, with K = 0 when `minus_k` is empty.
+  /// On entry x holds the initial guess (warm start); on exit the solution.
+  /// A breakdown (a vanishing inner product) throws SolverError; hitting
+  /// the iteration cap returns converged = false.  Allocation-free after
+  /// construction.
   PcgSummary solve(const double* b, double* x, const OperatorTerm& minus_k = {});
 
   /// Last solve's outcome.
@@ -79,12 +78,6 @@ class PcgSolver {
  private:
   void build_ic0();
   void apply_preconditioner(const double* r, double* z) const;
-  /// The two loops: each starts from the residual in r_ (squared norm
-  /// r_norm2), updates x, and leaves the final recurrence residual in
-  /// r_norm2; they return the iterations taken.
-  std::size_t iterate_cg(double* x, double& r_norm2, double target2, double b_norm2);
-  std::size_t iterate_bicgstab(double* x, const OperatorTerm& minus_k,
-                               double& r_norm2, double target2, double b_norm2);
 
   SparseMatrix a_;
   PcgParams params_;
@@ -94,7 +87,7 @@ class PcgSolver {
   std::vector<std::uint32_t> lcol_;
   std::vector<double> lval_;
 
-  // Persistent solve scratch; r_hat_ and t_ serve BiCGSTAB only.
+  // Persistent solve scratch.
   std::vector<double> r_, z_, p_, q_, r_hat_, t_;
 
   PcgSummary last_{};

@@ -1,5 +1,5 @@
 // Iterative thermal backend (thermal/solver/{sparse_matrix,pcg,backend}):
-// CSR assembly, IC(0)-preconditioned CG and BiCGSTAB against dense solves,
+// CSR assembly, IC(0)-preconditioned BiCGSTAB against dense solves,
 // warm starts, the bandwidth cost-model cutover, and direct-vs-PCG
 // agreement of full ThermalModel3D transient and steady solves across
 // grids, stacks, and flow vectors — including the direct backend's
@@ -120,7 +120,7 @@ void expect_matches_dense(const Matrix& dense, const std::vector<double>& b,
 }
 
 TEST(Pcg, AllPreconditionersMatchDenseSolve) {
-  // IC(0) is the one preconditioner; CG through it on the SPD network.
+  // IC(0) is the one preconditioner; BiCGSTAB through it on the SPD network.
   constexpr std::size_t n = 90;
   Rng rng(11);
   Matrix dense(n, n);

@@ -114,7 +114,7 @@ struct ThermalModel3DTestAccess {
   }
   /// One silicon solve against a given coolant field — the body of the
   /// silicon<->fluid fixed point the PCG backend once iterated:
-  /// (C inv_dt + G + D) T = C inv_dt t_prev + P + g_face T_fluid, by CG to a
+  /// (C inv_dt + G + D) T = C inv_dt t_prev + P + g_face T_fluid, by PcgSolver to a
   /// 1e-14 relative residual from t_prev.  The fluid-eliminated step is a
   /// fixed point of it.
   static std::vector<double> silicon_solve_against_fluid(
@@ -142,7 +142,7 @@ struct ThermalModel3DTestAccess {
     PcgSolver solver(std::move(a), tight);
     std::vector<double> t = t_prev;
     if (!solver.solve(rhs.data(), t.data()).converged) {
-      throw SolverError("oracle CG did not converge");
+      throw SolverError("oracle silicon solve did not converge");
     }
     return t;
   }
