@@ -97,6 +97,36 @@ void BM_BandedLuSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BandedLuSolve)->Args({1196, 52})->Args({2392, 104});
 
+// k right-hand sides through one factor in one call, as a lockstep group
+// of k models solves them (ThermalModel3D::step_lockstep); the
+// `seconds_per_rhs` counter is the time per right-hand side, to set against
+// BM_BandedLuSolve's per-call time from the same run.  /1 is the
+// single-RHS path itself.
+void BM_BandedLuSolveMany(benchmark::State& state) {
+  BandedLuMatrix m = make_eliminated_operator(state);
+  m.factorize();
+  const auto k = static_cast<std::size_t>(state.range(2));
+  std::vector<double> rhs(m.size() * k);
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    rhs[i] = 1.0 + 1e-3 * static_cast<double>(i % 97);
+  }
+  std::vector<double> x(rhs.size());
+  for (auto _ : state) {
+    x = rhs;
+    m.solve(x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["seconds_per_rhs"] = benchmark::Counter(
+      static_cast<double>(k),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BandedLuSolveMany)
+    ->Args({1196, 52, 1})
+    ->Args({1196, 52, 4})
+    ->Args({2392, 104, 1})
+    ->Args({2392, 104, 4});
+
 void BM_BandedLuSolveSeedBaseline(benchmark::State& state) {
   const BandedLuMatrix a = make_eliminated_operator(state);
   std::vector<double> band(a.band().begin(), a.band().end());
@@ -185,10 +215,11 @@ BENCHMARK(BM_TransientStep)
     ->Args({46, 52, 1});
 
 // Batched air sessions: a BatchRunner run of N air-cooled sessions (1 s
-// simulated on the paper-default grid, distinct workloads and seeds).  The
-// group's models borrow one LU slot per dt, so the run factorizes twice
-// (steady warm start, transient substep) whatever N is.  items = sessions;
-// compare items/s across the 1/4/16 rows to read the factor-sharing win.
+// simulated on the paper-default grid, distinct workloads and seeds).  Each
+// slice of up to four sessions shares one LU slot per dt, so it factorizes
+// twice (steady warm start, transient substep), and steps its sessions in
+// one four-column sweep per substep.  items = sessions; compare items/s
+// across the 1/4/16 rows to read the sharing win.
 void BM_BatchedTransient(benchmark::State& state) {
   const auto nsessions = static_cast<std::size_t>(state.range(0));
   const char* workloads[] = {"gzip", "Web-high", "MPlayer", "Database"};
@@ -213,9 +244,10 @@ BENCHMARK(BM_BatchedTransient)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillis
 
 // -- Iterative (PCG) backend --------------------------------------------------
 //
-// The direct solver pays O(n b^2) to factorize; at the paper's native
-// 100 µm resolution the half-bandwidth b = cols x layers reaches the
-// thousands and that cost hits the wall.  On these liquid stacks a PCG step,
+// The direct solver pays O(n b^2) to factorize, which grows with the
+// half-bandwidth b = cols x layers (230 on the paper's 100 µm grid with 2
+// layers, where the direct step is still faster; 1000 on the 200 x 500
+// grid below).  On these liquid stacks a PCG step,
 // and the steady state, is one BiCGSTAB solve of the fluid-eliminated
 // operator, preconditioned by the IC(0) of its symmetric part and applying
 // the coolant as a march.  The fine-grid rows below

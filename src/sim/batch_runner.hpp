@@ -1,29 +1,39 @@
 // batch_runner.hpp — co-advance many independent simulation sessions so
-// compatible ones share a thermal factorization.
+// that compatible ones share thermal factors and triangular sweeps.
 //
 // The evaluation grid of Sec. V is dozens of independent (policy x cooling
-// x workload) cells over ONE stack geometry and ONE sampling interval.
-// Each cell's model steps itself through its own banded-LU slot, and a
-// group's models are linked (ThermalModel3D::share_factors_with), so a
-// model whose slot does not fit the current key solves through a
-// groupmate's that does instead of refactorizing.  Air cells' operator
-// C/dt + G depends only on the topology and dt, so an air group
-// factorizes once per dt between all its cells; liquid cells' eliminated
-// operators also carry each cell's flow vector, so cells at an equal flow
-// vector factorize once between them.  There are no multi-RHS solves: every
-// solve is one cell's single right-hand side.
+// x workload) cells over ONE stack geometry and ONE sampling interval, and
+// at almost every substep most cells solve the same operator.  A
+// BatchRunner cuts its sessions into slices of at most kSliceSessions, in
+// add order, and runs one slice to completion before the next.  Within a
+// slice, sessions whose conduction topology
+// (ThermalModel3D::topology_fingerprint()), sampling interval and substep
+// count agree form a lockstep group: their models are linked
+// (ThermalModel3D::share_factors_with) and every substep goes through
+// ThermalModel3D::step_lockstep, so the models whose LU key (1/dt and flow
+// vector) agrees solve through one factor in one multi-right-hand-side
+// sweep.  Air cells' key is 1/dt alone, so an air group shares every
+// substep; liquid cells share while their flow vectors are equal.  Factor
+// links stay inside a slice, and the LU storage of a finished slice is
+// handed to the next slice's models instead of being freed and allocated
+// again.
 //
-// Grouping is automatic: sessions whose conduction topology
-// (ThermalModel3D::topology_fingerprint()), sampling interval, and substep
-// count agree advance together; anything else falls into its own group and
-// simply runs serially.  Scheduling, power, control, and metrics stay
-// entirely per-session — only the factorization is shared — and a borrowed
-// factor is bit-identical to the one each cell would have built, so a
+// run() takes the slices one after another on the calling thread (the
+// serve queue's batches and the sweep worker's chunks); run_sliced() takes
+// a list of cell configurations and runs its slices on a thread pool,
+// building each slice's sessions on the worker that runs it (the
+// ExperimentSuite grid).
+//
+// Scheduling, power, control and metrics stay entirely per-session — only
+// the factor and the sweep through it are shared — and a shared factor is
+// bit-identical to the one each cell would have built, while each
+// right-hand side of a sweep is solved bit for bit as alone, so a
 // BatchRunner's results are BIT-IDENTICAL to serial Simulator::run() calls
 // (locked in by tests/test_session_batch.cpp).
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/session.hpp"
@@ -31,8 +41,17 @@
 
 namespace liquid3d {
 
+class ThreadPool;
+
 class BatchRunner {
  public:
+  /// Most sessions one slice co-advances.  On the paper grid's two
+  /// workers, slices of 2 / 4 / 8 measured 6.7-7.2 / 4.9-5.6 / 5.2-5.9 ms
+  /// of CPU per cell, and 8 kept 1.4 MB more resident (docs/performance.md,
+  /// "Lockstep slices"); four is also the most columns BandedLuMatrix::solve
+  /// carries through one load of the factor.
+  static constexpr std::size_t kSliceSessions = 4;
+
   BatchRunner() = default;
 
   /// Construct a session for `cfg` and enqueue it; returns its index.
@@ -48,18 +67,28 @@ class BatchRunner {
     return *sessions_.at(i);
   }
 
-  /// Initialize and run every session to completion, co-advancing each
-  /// compatible group in lockstep.  Results are in add order.
+  /// Initialize and run every session to completion, slice by slice on the
+  /// calling thread.  Results are in add order.
   std::vector<SimulationResult> run();
 
-  /// Lockstep groups formed by the last run().
+  /// Run `cells` on `pool`, slices of kSliceSessions consecutive cells at
+  /// a time: each worker builds a slice's sessions, runs them as run()
+  /// does, and keeps its LU storage for its next slice.  Results are in
+  /// cell order.
+  [[nodiscard]] static std::vector<SimulationResult> run_sliced(
+      std::span<const SimulationConfig> cells, ThreadPool& pool);
+
+  /// Distinct lockstep groupings (topology, interval, substeps) among the
+  /// sessions of the last run().
   [[nodiscard]] std::size_t group_count() const { return group_count_; }
 
  private:
+  using FactorStorage = std::vector<std::unique_ptr<BandedLuMatrix>>;
+
+  std::vector<SimulationResult> run(FactorStorage& storage);
+
   std::vector<std::unique_ptr<SimulationSession>> sessions_;
   std::size_t group_count_ = 0;
-  // Per-run scratch.
-  std::vector<SimulationSession*> active_;
 };
 
 }  // namespace liquid3d

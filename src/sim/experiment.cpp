@@ -105,20 +105,10 @@ SimulationConfig ExperimentSuite::make_config(PolicyConfig policy,
 }
 
 std::vector<SimulationResult> ExperimentSuite::run_cells(
-    std::vector<SimulationConfig> cells) {
-  if (cfg_.execution == SuiteExecution::kBatched) {
-    BatchRunner batch;
-    for (SimulationConfig& cell : cells) batch.add(std::move(cell));
-    return batch.run();
-  }
-  std::vector<SimulationResult> results(cells.size());
+    const std::vector<SimulationConfig>& cells) {
   ThreadPool pool(cfg_.worker_threads == 0 ? ThreadPool::default_concurrency()
                                            : cfg_.worker_threads);
-  pool.parallel_for(0, cells.size(), [&](std::size_t i) {
-    Simulator sim(cells[i]);
-    results[i] = sim.run();
-  });
-  return results;
+  return BatchRunner::run_sliced(cells, pool);
 }
 
 std::vector<PolicySummary> ExperimentSuite::run(
@@ -135,7 +125,7 @@ std::vector<PolicySummary> ExperimentSuite::run(
     }
   }
 
-  std::vector<SimulationResult> results = run_cells(std::move(cells));
+  std::vector<SimulationResult> results = run_cells(cells);
 
   std::vector<PolicySummary> summaries;
   summaries.reserve(scenarios.size());
@@ -199,7 +189,7 @@ FlowComparisonResult ExperimentSuite::run_flow_comparison(
   if (!canonical) {
     for (SimulationConfig& cell : cells) cell.core_bias = scenario.core_bias;
   }
-  std::vector<SimulationResult> results = run_cells(std::move(cells));
+  std::vector<SimulationResult> results = run_cells(cells);
 
   FlowComparisonResult r;
   r.scenario = scenario.name;

@@ -8,10 +8,12 @@
 // energy normalization the paper's plots use.
 //
 // Cells are expressed as ScenarioSpec values (sim/scenario.hpp); the legacy
-// PolicyConfig pair survives as a convenience adapter.  Execution is either
-// a ThreadPool fan-out (one session per worker) or a lockstep BatchRunner
-// (all compatible cells sharing one factorization) — both are bit-identical
-// to a serial sweep, so the choice is purely an execution-resource knob.
+// PolicyConfig pair survives as a convenience adapter.  The cells run as
+// BatchRunner slices on a thread pool (BatchRunner::run_sliced): each
+// worker co-advances a few consecutive cells — one scenario over
+// neighbouring workloads — in lockstep, so cells at an equal operator
+// share a factor and a triangular sweep.  Results are bit-identical to a
+// serial sweep of solo sessions.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +35,13 @@ struct PolicyConfig {
 /// The seven bars of Figs. 6-7, in plot order.
 [[nodiscard]] std::vector<PolicyConfig> paper_policy_grid();
 
-/// How ExperimentSuite::run executes its cells (results are identical).
+/// The sweep worker's execution paths (sweep/worker.hpp).  ExperimentSuite
+/// ignores SuiteConfig::execution and runs every grid as described above;
+/// that field stays only because the end-to-end benchmark (e2e_bench) sets
+/// it, and goes with the next change to that benchmark.
 enum class SuiteExecution {
-  kThreadPool,  ///< one session per worker thread (wall-clock parallelism)
-  kBatched,     ///< lockstep BatchRunner (shared factorizations, one thread)
+  kThreadPool,  ///< one session per worker thread
+  kBatched,     ///< lockstep BatchRunner
 };
 
 struct SuiteConfig {
@@ -44,10 +49,11 @@ struct SuiteConfig {
   SimTime duration = SimTime::from_s(60);
   std::uint64_t seed = 7;
   bool dpm_enabled = true;
-  /// Worker threads for the policy x workload fan-out (0 = hardware
+  /// Worker threads the cells' lockstep slices run on (0 = hardware
   /// concurrency).  Every cell is an independent session (own thermal
   /// model, own RNG stream), so results are bit-identical to a serial run.
   std::size_t worker_threads = 0;
+  /// Ignored by ExperimentSuite (see SuiteExecution).
   SuiteExecution execution = SuiteExecution::kThreadPool;
   /// Base template applied to every run (thermal/power/etc. parameters).
   SimulationConfig base{};
@@ -120,7 +126,7 @@ class ExperimentSuite {
 
  private:
   [[nodiscard]] std::vector<SimulationResult> run_cells(
-      std::vector<SimulationConfig> cells);
+      const std::vector<SimulationConfig>& cells);
 
   SuiteConfig cfg_;
   CharacterizationCache cache_;

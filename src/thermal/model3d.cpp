@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -50,6 +51,14 @@ constexpr const char* kNonFiniteRhs =
     "inputs and fluid state)";
 constexpr const char* kNonFiniteSolution =
     "linear solve produced non-finite temperatures";
+
+/// Solves through a factor the solving model did not build: a linked
+/// peer's slot, or a lockstep groupmate's.
+obs::Counter& borrowed_factors() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
+  return c;
+}
 
 void fnv_mix(std::uint64_t& h, double v) {
   std::uint64_t bits;
@@ -475,12 +484,10 @@ void ThermalModel3D::advance(double inv_dt) {
   const bool liquid = stack_.has_cavities();
   if (backend_ == SolverBackend::kDirect) {
     const LuSlot& slot = lu_slot(inv_dt);
-    if (liquid) {
-      solve_eliminated(slot, inv_dt);
-    } else {
-      assemble_transient_rhs(inv_dt, rhs_.data());
-      solve_direct(*slot.lu);
-    }
+    assemble_direct_rhs(slot, inv_dt, rhs_.data());
+    solve_direct(*slot.lu, rhs_);
+    temps_.swap(rhs_);
+    finish_direct_solve();
     return;
   }
   // PCG: one BiCGSTAB solve through the IC(0) of M = C inv_dt + G + D, on
@@ -519,19 +526,33 @@ void ThermalModel3D::advance(double inv_dt) {
   fluid_stale_ = liquid;  // the coolant readbacks march on demand
 }
 
-void ThermalModel3D::solve_direct(const BandedLuMatrix& factor) {
+void ThermalModel3D::assemble_direct_rhs(const LuSlot& slot, double inv_dt,
+                                         double* out) const {
+  if (stack_.has_cavities()) {
+    for (std::size_t i = 0; i < node_count_; ++i) {
+      out[i] = capacitance_[i] * inv_dt * temps_prev_[i] + cell_power_[i] +
+               slot.inlet_coef[i] * inlet_temperature_;
+    }
+  } else {
+    assemble_transient_rhs(inv_dt, out);
+  }
   // A single NaN/Inf in the RHS (a power-model blowup, a diverged fluid
   // state) would silently poison the entire field through the solve;
   // catch it at the boundary where the cause is still nameable.
-  require_finite(rhs_.data(), node_count_, kNonFiniteRhs);
+  require_finite(out, node_count_, kNonFiniteRhs);
+}
+
+void ThermalModel3D::solve_direct(const BandedLuMatrix& factor,
+                                  std::span<double> rhs) {
   static obs::Histogram& solve_h =
       obs::Registry::global().histogram("liquid3d_solver_direct_solve_seconds");
-  {
-    obs::ScopedTimer t(solve_h);
-    factor.solve(rhs_);
-  }
-  temps_.swap(rhs_);
+  obs::ScopedTimer t(solve_h);
+  factor.solve(rhs);
+}
+
+void ThermalModel3D::finish_direct_solve() {
   require_finite(temps_.data(), node_count_, kNonFiniteSolution);
+  fluid_stale_ = stack_.has_cavities();  // the coolant readbacks march on demand
 }
 
 double ThermalModel3D::max_change() const {
@@ -561,11 +582,9 @@ void ThermalModel3D::share_factors_with(std::span<ThermalModel3D* const> peers) 
 const ThermalModel3D::LuSlot& ThermalModel3D::lu_slot(double inv_dt) {
   LuSlot& slot = lu_slot_;
   if (slot_fits(slot, inv_dt)) return slot;
-  static obs::Counter& borrowed_c =
-      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
   for (const ThermalModel3D* peer : factor_peers_) {
     if (slot_fits(peer->lu_slot_, inv_dt)) {
-      borrowed_c.add();
+      borrowed_factors().add();
       return peer->lu_slot_;
     }
   }
@@ -593,19 +612,90 @@ const ThermalModel3D::LuSlot& ThermalModel3D::lu_slot(double inv_dt) {
   return slot;
 }
 
-void ThermalModel3D::solve_eliminated(const LuSlot& slot, double inv_dt) {
-  for (std::size_t i = 0; i < node_count_; ++i) {
-    rhs_[i] = capacitance_[i] * inv_dt * temps_prev_[i] + cell_power_[i] +
-              slot.inlet_coef[i] * inlet_temperature_;
-  }
-  solve_direct(*slot.lu);
-  fluid_stale_ = true;  // the coolant readbacks march on demand
-}
-
 void ThermalModel3D::step(double dt_s) {
   LIQUID3D_REQUIRE(dt_s > 0.0, "time step must be positive");
   advance(1.0 / dt_s);
   if (!stack_.has_cavities()) update_package_transient(dt_s);
+}
+
+bool ThermalModel3D::shares_lu_key(const ThermalModel3D& other) const {
+  return backend_ == SolverBackend::kDirect &&
+         other.backend_ == SolverBackend::kDirect &&
+         topo_fingerprint_ == other.topo_fingerprint_ &&
+         cavity_flows_ == other.cavity_flows_;
+}
+
+void ThermalModel3D::step_lockstep(std::span<ThermalModel3D* const> models,
+                                   double dt_s) {
+  LIQUID3D_REQUIRE(dt_s > 0.0, "time step must be positive");
+  static obs::Histogram& rhs_h =
+      obs::Registry::global().histogram("liquid3d_batch_rhs_per_solve");
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    ThermalModel3D& lead = *models[i];
+    if (lead.backend_ != SolverBackend::kDirect) {
+      lead.step(dt_s);
+      continue;
+    }
+    // The first model of each key leads its group; later holders of the
+    // key were solved with it.
+    const auto same_key = [&](const ThermalModel3D* m) {
+      return lead.shares_lu_key(*m);
+    };
+    if (std::any_of(models.begin(), models.begin() + i, same_key)) continue;
+    std::vector<ThermalModel3D*>& group = lead.lockstep_group_;
+    group.clear();
+    group.push_back(&lead);
+    std::copy_if(models.begin() + i + 1, models.end(), std::back_inserter(group),
+                 same_key);
+    rhs_h.record(static_cast<double>(group.size()));
+    if (group.size() == 1) {
+      lead.step(dt_s);
+    } else {
+      lead.step_group(dt_s);
+    }
+  }
+}
+
+void ThermalModel3D::step_group(double dt_s) {
+  // Equal keys give bit-identical factors (the topology fingerprint
+  // contract), so the group solves through one: the lead's own, a linked
+  // peer's, or the lead's refactorized.  Everything else — right-hand
+  // side, solution and checks — stays per model, exactly as in advance().
+  const double inv_dt = 1.0 / dt_s;
+  const std::size_t k = lockstep_group_.size();
+  const LuSlot& slot = lu_slot(inv_dt);
+  borrowed_factors().add(k - 1);
+  lockstep_rhs_.resize(k * node_count_);
+  for (std::size_t v = 0; v < k; ++v) {
+    ThermalModel3D& m = *lockstep_group_[v];
+    m.temps_prev_.assign(m.temps_.begin(), m.temps_.end());
+    m.assemble_direct_rhs(slot, inv_dt, lockstep_rhs_.data() + v * node_count_);
+  }
+  solve_direct(*slot.lu, lockstep_rhs_);
+  for (std::size_t v = 0; v < k; ++v) {
+    ThermalModel3D& m = *lockstep_group_[v];
+    const double* x = lockstep_rhs_.data() + v * node_count_;
+    m.temps_.assign(x, x + node_count_);
+    m.finish_direct_solve();
+    if (!stack_.has_cavities()) m.update_package_transient(dt_s);
+  }
+}
+
+std::unique_ptr<BandedLuMatrix> ThermalModel3D::release_factor_storage() {
+  return std::move(lu_slot_.lu);
+}
+
+void ThermalModel3D::adopt_factor_storage(std::unique_ptr<BandedLuMatrix>& storage) {
+  const std::size_t bw = grid_.cols() * layer_count_;
+  if (backend_ != SolverBackend::kDirect || lu_slot_.lu || !storage ||
+      storage->size() != node_count_ ||
+      storage->lower_bandwidth() != bw || storage->upper_bandwidth() != bw) {
+    return;
+  }
+  lu_slot_.lu = std::move(storage);
+  // A factor of another model is no factor of this one: a NaN 1/dt fits no
+  // key, so the first solve reassembles the band.
+  lu_slot_.inv_dt = std::numeric_limits<double>::quiet_NaN();
 }
 
 void ThermalModel3D::update_package_transient(double dt_s) {

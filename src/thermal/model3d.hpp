@@ -40,7 +40,9 @@
 // The direct backend solves by banded LU from one slot per model,
 // refactorized in place when its key — 1/dt and, for liquid stacks, the
 // flow vector — changes, unless a linked peer's slot already holds that key
-// (share_factors_with).  The PCG backend keeps one CSR system of
+// (share_factors_with); step_lockstep solves models that hold one key
+// through one factor in one multi-right-hand-side sweep.  The PCG backend
+// keeps one CSR system of
 // M = C/dt + G + D (D: each wall's conductance to the coolant or package)
 // and its IC(0), rebuilt in place when 1/dt changes, and solves by one
 // warm-started BiCGSTAB solve: on M for air stacks, on M - K for liquid
@@ -134,9 +136,10 @@ struct ThermalModelParams {
   // same equations; these choose the method and its stopping rule.
   /// Linear solver family for the backward-Euler and steady systems.
   /// kAuto resolves per model from the bandwidth x size cost model in
-  /// solver/backend.hpp — direct for every current grid, PCG once the
-  /// half-bandwidth (cols x layers) makes O(n b^2) factorization the
-  /// bottleneck (the paper-native 100 µm regime).
+  /// solver/backend.hpp — direct for every default grid, PCG once the
+  /// half-bandwidth (cols x layers) passes ~215.  That sends the paper's
+  /// 100 µm grid (100 x 115 cells, b = 230 on 2 layers, 460 on 4) to PCG,
+  /// although the direct step is the faster one there (ROADMAP item 3).
   SolverBackend solver_backend = SolverBackend::kAuto;
   /// Iterative-backend knobs: the relative-residual tolerance and the
   /// iteration cap of every Krylov solve (steps and steady states alike).
@@ -231,6 +234,15 @@ class ThermalModel3D {
   /// Advance the transient solution by dt seconds (backward Euler).
   void step(double dt_s);
 
+  /// step(dt_s) on every model of `models`, bit for bit, with the direct
+  /// solves shared: models whose LU key agrees — direct backend, equal
+  /// topology fingerprints and equal flow vectors, at the one 1/dt —
+  /// solve through one factor in one multi-right-hand-side sweep.  PCG
+  /// models, and a model whose key no other holds, take step().  Links set
+  /// by share_factors_with still apply to the factor a group solves
+  /// through.  BatchRunner's substep loop.
+  static void step_lockstep(std::span<ThermalModel3D* const> models, double dt_s);
+
   /// Solve for the steady state under the current power and flow: the
   /// implicit step at 1/dt = 0, on every stack and backend.  `pre_step`,
   /// when given, runs before every leakage iteration — the hook
@@ -291,6 +303,15 @@ class ThermalModel3D {
   /// the link; an empty span unlinks.  BatchRunner links the sessions of
   /// each lockstep group.
   void share_factors_with(std::span<ThermalModel3D* const> peers);
+
+  /// Direct backend: move this model's LU band out (null if it has none),
+  /// so a model built after this one is gone can reuse the allocation.
+  [[nodiscard]] std::unique_ptr<BandedLuMatrix> release_factor_storage();
+  /// Take `storage` as this model's LU band, if the model has none yet and
+  /// the shape fits (otherwise `storage` is left as it was).  The slot's
+  /// key is invalidated, so no factor of the band's former owner can be
+  /// mistaken for one of this model's.
+  void adopt_factor_storage(std::unique_ptr<BandedLuMatrix>& storage);
 
   /// The backend this model resolved to (never kAuto).
   [[nodiscard]] SolverBackend solver_backend() const { return backend_; }
@@ -369,15 +390,24 @@ class ThermalModel3D {
   /// a linked peer's, else the own slot reassembled and refactorized in
   /// place.  Direct backend.
   const LuSlot& lu_slot(double inv_dt);
-  /// One fluid-eliminated solve through a slot that fits (liquid stacks,
-  /// direct backend): temps_ <- (C inv_dt + G_elim)^-1 (C inv_dt
-  /// temps_prev_ + P + inlet_coef T_in).  Nothing reads the coolant until a
-  /// readback, so the march is left pending (fluid_stale_), as after a
-  /// PCG liquid solve.
-  void solve_eliminated(const LuSlot& slot, double inv_dt);
-  /// rhs_ -> temps_ through a factorized direct system (timed, with the
-  /// finite checks on both sides of the solve).
-  void solve_direct(const BandedLuMatrix& factor);
+  /// A direct step in three parts.  First the right-hand side for the
+  /// slot's operator into out[0, node_count()), checked finite: C inv_dt
+  /// temps_prev_ + P + inlet_coef T_in for liquid stacks, that of
+  /// assemble_transient_rhs for air.
+  void assemble_direct_rhs(const LuSlot& slot, double inv_dt, double* out) const;
+  /// Then the solve, of one right-hand side or of a lockstep group's
+  /// column block (timed).
+  static void solve_direct(const BandedLuMatrix& factor, std::span<double> rhs);
+  /// Then, with the solution in temps_, its finite check.  Nothing reads
+  /// the coolant until a readback, so a liquid model's march is left
+  /// pending (fluid_stale_), as after a PCG liquid solve.
+  void finish_direct_solve();
+  /// Whether this model and `other` solve through the same direct factor
+  /// at any one 1/dt (step_lockstep's key).
+  [[nodiscard]] bool shares_lu_key(const ThermalModel3D& other) const;
+  /// step() of this model and the rest of lockstep_group_ (which it leads)
+  /// through one factor and one sweep of their stacked right-hand sides.
+  void step_group(double dt_s);
   /// One backward-Euler step of size 1/inv_dt (inv_dt = 0: the steady
   /// state); max_change() then gives the largest node temperature change.
   /// One linear solve of the fluid-eliminated operator (liquid stacks) or
@@ -468,6 +498,8 @@ class ThermalModel3D {
   // readbacks must not touch the heap after warm-up.
   std::vector<double> rhs_;
   std::vector<double> temps_prev_;
+  std::vector<ThermalModel3D*> lockstep_group_;  ///< step_lockstep, as lead
+  std::vector<double> lockstep_rhs_;  ///< the group's n x k column block
   std::vector<double> pcg_x_;  ///< PCG solution buffer (warm-start copy)
   std::vector<double> fluid_scratch_;  ///< one cavity's march (PCG liquid)
   std::vector<double> block_power_scratch_;

@@ -11,11 +11,14 @@
 //             (solver/pcg.hpp): BiCGSTAB, with the coolant applied
 //             matrix-free for liquid stacks.  No
 //             factorization, O(nnz) ≈ O(7n) per iteration, warm-started
-//             from the previous temperature field.  Wins when the band gets
-//             fat — the paper's native 100 µm grid drives b into the
-//             thousands, where O(n b^2) factorization hits the wall.
+//             from the previous temperature field.  Meant for bands so
+//             fat that O(n b^2) factorization hits the wall.  The paper's
+//             100 µm cells make a 100 x 115 grid, b = 230 on 2 layers and
+//             460 on 4, where the direct step is still the faster one
+//             (ROADMAP item 3 records both).
 //   kAuto   — pick per model from the bandwidth-driven cost model below;
-//             resolves to kDirect for every current grid.
+//             resolves to kDirect for every grid the tests and the
+//             evaluation run by default.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +47,9 @@ enum class SolverBackend { kAuto, kDirect, kPcg };
 /// Resolve kAuto to a concrete backend for an n-node system of the given
 /// half-bandwidth (clamped to n - 1): the cheaper of the two per
 /// solve_cost_per_row; explicit requests pass through untouched.  The
-/// cutover lands near b ≈ 215 — above every current grid (b ≤ 208), well
-/// below the paper-native regime (b ≥ 1000).
+/// cutover lands near b ≈ 215 — above every default grid (b ≤ 208), but
+/// below the paper's 100 µm grid (b = 230 on 2 layers, 460 on 4), which it
+/// therefore sends to PCG although the direct step is faster there.
 [[nodiscard]] SolverBackend resolve_solver_backend(SolverBackend requested,
                                                    std::size_t n,
                                                    std::size_t half_bandwidth);

@@ -25,6 +25,9 @@ constexpr std::size_t kBlock = 4;
 /// Trailing columns a factorization panel updates together, sharing each
 /// load of the panel's L columns.
 constexpr std::size_t kColumnGroup = 4;
+/// Right-hand sides the triangular solves carry together, sharing each
+/// load of the factor.
+constexpr std::size_t kRhsGroup = 4;
 
 /// t - a * b, fused exactly where the compiler contracted the unblocked
 /// kernels' `x -= a * b` (see common/madd.hpp).
@@ -58,11 +61,16 @@ bool with_length(std::size_t len, F&& f) {
 ///   x[r] -= sum_q cols[q][r] * coef[v * K + q]   over rows [r0, r1),
 /// the K terms applied in list order.  Each element is read and written
 /// once per K terms instead of once per term, and each load from cols
-/// serves all NC vectors.
+/// serves all NC vectors.  This and the fixed-shape kernels below are
+/// forced inline: with a copy per right-hand-side count, GCC otherwise
+/// calls them out of line, and the one-column solve and the factorization
+/// measured 5-12% slower.
 template <std::size_t K, std::size_t NC>
-void fused_update(double* __restrict x, std::size_t stride,
-                  const double* const* cols, const double* coef,
-                  std::size_t r0, std::size_t r1) {
+[[gnu::always_inline]] inline void fused_update(double* __restrict x,
+                                                std::size_t stride,
+                                                const double* const* cols,
+                                                const double* coef,
+                                                std::size_t r0, std::size_t r1) {
   const double* c[K];
   double a[NC][K];
   for (std::size_t q = 0; q < K; ++q) c[q] = cols[q];
@@ -99,8 +107,9 @@ void fused_update(double* x, const double* const* cols, const double* coef,
 /// having written nothing, if some vector has a zero coefficient: the
 /// unblocked sweep skipped such pivots, so the general path must.
 template <std::size_t M, std::size_t NC>
-bool eliminate_fixed(const Band& b, double* x, std::size_t stride,
-                     std::size_t p0) {
+[[gnu::always_inline]] inline bool eliminate_fixed(const Band& b, double* x,
+                                                   std::size_t stride,
+                                                   std::size_t p0) {
   const double* cols[M];
   double coef[NC * M];  // coef[v * M + q]: vector v's coefficient of pivot q
   for (std::size_t q = 0; q < M; ++q) {
@@ -134,20 +143,9 @@ bool eliminate_fixed(const Band& b, double* x, std::size_t stride,
   return true;
 }
 
-/// Unit-lower elimination of the pivots [p0, p1) (at most kBlock) from the
-/// row-indexed vector x: x[r] -= L(r, p) * x[p] for every p in the block
-/// and every row r in (p, p + bl], with x[p] read once final.  Pivots whose
-/// x[p] is zero contribute nothing and are skipped, as the unblocked sweep
-/// skipped them.
-void eliminate(const Band& b, double* x, std::size_t p0, std::size_t p1) {
-  const std::size_t len = p1 - p0;
-  if (len <= b.bl && p1 + b.bl <= b.n &&
-      with_length<kBlock>(len, [&]<std::size_t M>() {
-        return eliminate_fixed<M, 1>(b, x, 0, p0);
-      })) {
-    return;
-  }
-  // General path: zero coefficients, and blocks the band edge cuts short.
+/// eliminate() on one vector where the fixed shapes do not apply: zero
+/// coefficients, and blocks the band edge cuts short.
+void eliminate_general(const Band& b, double* x, std::size_t p0, std::size_t p1) {
   const double* cols[kBlock];
   double coef[kBlock];
   std::size_t reach[kBlock];  // one past the last row pivot q reaches
@@ -185,28 +183,63 @@ void eliminate(const Band& b, double* x, std::size_t p0, std::size_t p1) {
   }
 }
 
+/// Unit-lower elimination of the pivots [p0, p1) (at most kBlock) from the
+/// NC row-indexed vectors x + v * stride: x[r] -= L(r, p) * x[p] for every
+/// p in the block and every row r in (p, p + bl], with x[p] read once
+/// final.  Pivots whose x[p] is zero contribute nothing and are skipped, as
+/// the unblocked sweep skipped them.  The NC vectors share each load of L
+/// where all of them take the fixed shapes; otherwise each is eliminated
+/// alone.
+template <std::size_t NC>
+void eliminate(const Band& b, double* x, std::size_t stride, std::size_t p0,
+               std::size_t p1) {
+  const std::size_t len = p1 - p0;
+  if (len <= b.bl && p1 + b.bl <= b.n &&
+      with_length<kBlock>(len, [&]<std::size_t M>() {
+        return eliminate_fixed<M, NC>(b, x, stride, p0);
+      })) {
+    return;
+  }
+  if constexpr (NC == 1) {
+    eliminate_general(b, x, p0, p1);
+  } else {
+    for (std::size_t v = 0; v < NC; ++v) eliminate<1>(b, x + v * stride, 0, p0, p1);
+  }
+}
+
 /// back_substitute() for a block of exactly M columns [j0, j0 + M) with
-/// M <= bu and j0 >= bu: every column reaches the whole block and the rows
-/// above it stay inside the matrix, so the shapes are fixed.
-template <std::size_t M>
-void back_substitute_fixed(const Band& b, double* x, std::size_t j0) {
+/// M <= bu and j0 >= bu, on the NC vectors x + v * stride: every column
+/// reaches the whole block and the rows above it stay inside the matrix,
+/// so the shapes are fixed.
+template <std::size_t M, std::size_t NC>
+[[gnu::always_inline]] inline void back_substitute_fixed(const Band& b, double* x,
+                                                         std::size_t stride,
+                                                         std::size_t j0) {
   const double* cols[M];  // cols[q] = column j0 + M - 1 - q
-  double coef[M];
+  double coef[NC * M];    // coef[v * M + q]: vector v's x at column q
   for (std::size_t q = 0; q < M; ++q) {
     const std::size_t jj = j0 + M - 1 - q;
     cols[q] = b.col(jj);
-    double t = x[jj];
-    for (std::size_t s = 0; s < q; ++s) t = sub_product(t, cols[s][jj], coef[s]);
-    coef[q] = t / cols[q][jj];
-    x[jj] = coef[q];
+    for (std::size_t v = 0; v < NC; ++v) {
+      double t = x[jj + v * stride];
+      for (std::size_t s = 0; s < q; ++s) {
+        t = sub_product(t, cols[s][jj], coef[v * M + s]);
+      }
+      coef[v * M + q] = t / cols[q][jj];
+      x[jj + v * stride] = coef[v * M + q];
+    }
   }
   const std::size_t full_begin = j0 + M - 1 - b.bu;
-  fused_update<M, 1>(x, 0, cols, coef, full_begin, j0);
-  for (std::size_t i = 0; i + 1 < M; ++i) {
-    const std::size_t r = full_begin - 1 - i;
-    double t = x[r];
-    for (std::size_t q = i + 1; q < M; ++q) t = sub_product(t, cols[q][r], coef[q]);
-    x[r] = t;
+  fused_update<M, NC>(x, stride, cols, coef, full_begin, j0);
+  for (std::size_t v = 0; v < NC; ++v) {
+    for (std::size_t i = 0; i + 1 < M; ++i) {
+      const std::size_t r = full_begin - 1 - i + v * stride;
+      double t = x[r];
+      for (std::size_t q = i + 1; q < M; ++q) {
+        t = sub_product(t, cols[q][full_begin - 1 - i], coef[v * M + q]);
+      }
+      x[r] = t;
+    }
   }
 }
 
@@ -215,16 +248,10 @@ void back_substitute_fixed(const Band& b, double* x, std::size_t j0) {
 /// below it and is divided by the diagonal; then every row above the block
 /// takes the updates of the block's columns that reach it — each row in
 /// descending column order, as in the unblocked sweep.  No column is
-/// skipped: the unblocked backward sweep skipped none.
-void back_substitute(const Band& b, double* x, std::size_t j0, std::size_t j1) {
-  const std::size_t len = j1 - j0;
-  if (len <= b.bu && j0 >= b.bu &&
-      with_length<kBlock>(len, [&]<std::size_t M>() {
-        back_substitute_fixed<M>(b, x, j0);
-        return true;
-      })) {
-    return;
-  }
+/// skipped: the unblocked backward sweep skipped none.  One vector, for the
+/// blocks the band edges cut short.
+void back_substitute_general(const Band& b, double* x, std::size_t j0,
+                             std::size_t j1) {
   const double* cols[kBlock];
   double coef[kBlock];
   std::size_t lo[kBlock];  // the first row column q reaches
@@ -259,6 +286,46 @@ void back_substitute(const Band& b, double* x, std::size_t j0, std::size_t j1) {
       t = sub_product(t, cols[q][i], coef[q]);
     }
     x[i] = t;
+  }
+}
+
+/// back_substitute() of the columns [j0, j1) on the NC vectors
+/// x + v * stride.
+template <std::size_t NC>
+void back_substitute(const Band& b, double* x, std::size_t stride,
+                     std::size_t j0, std::size_t j1) {
+  const std::size_t len = j1 - j0;
+  if (len <= b.bu && j0 >= b.bu) {
+    with_length<kBlock>(len, [&]<std::size_t M>() {
+      back_substitute_fixed<M, NC>(b, x, stride, j0);
+      return true;
+    });
+    return;
+  }
+  for (std::size_t v = 0; v < NC; ++v) {
+    back_substitute_general(b, x + v * stride, j0, j1);
+  }
+}
+
+/// Both triangular solves of the NC right-hand sides x + v * stride, kBlock
+/// unknowns at a time.  The forward sweep starts at the first row where
+/// some right-hand side is nonzero: a leading run of zeros (a sparse
+/// right-hand side) takes no elimination work at all.
+template <std::size_t NC>
+void solve_group(const Band& b, double* x, std::size_t stride) {
+  std::size_t k0 = b.n;
+  for (std::size_t v = 0; v < NC; ++v) {
+    std::size_t first = 0;
+    while (first < k0 && x[first + v * stride] == 0.0) ++first;
+    k0 = first;
+  }
+  for (; k0 < b.n; k0 += kBlock) {
+    eliminate<NC>(b, x, stride, k0, std::min(b.n, k0 + kBlock));
+  }
+  for (std::size_t j1 = b.n; j1 > 0;) {
+    const std::size_t j0 = j1 > kBlock ? j1 - kBlock : 0;
+    back_substitute<NC>(b, x, stride, j0, j1);
+    j1 = j0;
   }
 }
 
@@ -328,7 +395,7 @@ void BandedLuMatrix::factorize() {
       }
       const std::size_t p_lo = std::max(k0, c >= bu_ ? c - bu_ : 0);
       const std::size_t p_hi = std::min(c, panel_end);
-      if (p_lo < p_hi) eliminate(b, x, p_lo, p_hi);
+      if (p_lo < p_hi) eliminate<1>(b, x, 0, p_lo, p_hi);
       if (c >= panel_end) continue;
       // Pivot c: every update it takes is in.
       const double pivot = x[c];
@@ -344,23 +411,17 @@ void BandedLuMatrix::factorize() {
   factorized_ = true;
 }
 
-void BandedLuMatrix::solve(std::vector<double>& rhs) const {
+void BandedLuMatrix::solve(std::span<double> rhs) const {
   LIQUID3D_ASSERT(factorized_, "solve requires a factorized matrix");
-  LIQUID3D_REQUIRE(rhs.size() == n_, "rhs size mismatch");
+  LIQUID3D_REQUIRE(!rhs.empty() && rhs.size() % n_ == 0, "rhs size mismatch");
   const Band b{band_.data(), n_, bl_, bu_};
-  double* const x = rhs.data();
-  // Forward, unit-diagonal L, kBlock unknowns at a time.  A leading run
-  // of zeros (a sparse right-hand side) takes no elimination work at all.
-  std::size_t k0 = 0;
-  while (k0 < n_ && x[k0] == 0.0) ++k0;
-  for (; k0 < n_; k0 += kBlock) {
-    eliminate(b, x, k0, std::min(n_, k0 + kBlock));
-  }
-  // Backward, U, kBlock unknowns at a time from the bottom.
-  for (std::size_t j1 = n_; j1 > 0;) {
-    const std::size_t j0 = j1 > kBlock ? j1 - kBlock : 0;
-    back_substitute(b, x, j0, j1);
-    j1 = j0;
+  // kRhsGroup columns at a time share each load of the factor.
+  for (std::size_t j = 0; j < rhs.size(); j += kRhsGroup * n_) {
+    const std::size_t k = std::min(kRhsGroup, (rhs.size() - j) / n_);
+    with_length<kRhsGroup>(k, [&]<std::size_t NC>() {
+      solve_group<NC>(b, rhs.data() + j, n_);
+      return true;
+    });
   }
 }
 

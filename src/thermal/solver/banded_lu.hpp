@@ -33,9 +33,11 @@
 // sharing each load of the panel's L.  The triangular solves are blocked
 // the same way: a few unknowns are finalized, then one fused sweep covers
 // the rows all of them reach; a leading run of zeros in the right-hand side
-// costs no elimination work.  Each matrix and vector element receives the
-// same updates in the same order as in the unblocked kernels, so the
-// factor and every solution are bit-identical to theirs.
+// costs no elimination work.  Several right-hand sides go through one sweep
+// together, sharing each load of the factor; each keeps its own zero skips.
+// Each matrix and vector element receives the same updates in the same
+// order as in the unblocked kernels, so the factor and every solution are
+// bit-identical to theirs, whatever the number of right-hand sides.
 #pragma once
 
 #include <cstddef>
@@ -82,8 +84,11 @@ class BandedLuMatrix {
   void factorize();
   [[nodiscard]] bool factorized() const { return factorized_; }
 
-  /// Solve A x = rhs in place.
-  void solve(std::vector<double>& rhs) const;
+  /// Solve A X = B in place for k right-hand sides: `rhs` is the n x k
+  /// column block B (column j at rhs[j * n]), so rhs.size() must be a
+  /// positive multiple of n.  Each column's solution is bit-identical to
+  /// solving it alone.
+  void solve(std::span<double> rhs) const;
 
  private:
   std::size_t n_;

@@ -2,10 +2,11 @@
 // thermal backend.
 //
 // The 7-point conduction stencil has ~4 neighbours per node regardless of
-// grid size, so at the paper's native 100 µm resolution — where the banded
-// solvers' half-bandwidth b = cols x layers climbs into the thousands and
-// their O(n b^2) factorization cost hits the wall — the system is
-// overwhelmingly sparse: nnz ≈ 7n versus the band's n(b+1) stored entries.
+// grid size, so on fine grids — where the banded solvers' half-bandwidth
+// b = cols x layers grows (230 on the paper's 100 µm grid with 2 layers,
+// 1000 on the 200 x 500 demonstration grid) and their O(n b^2)
+// factorization cost with it — the system is overwhelmingly sparse:
+// nnz ≈ 7n versus the band's n(2b+1) stored entries.
 // CSR keeps exactly the nonzeros, makes the matrix-vector product O(nnz),
 // and gives the IC(0) preconditioner (solver/pcg.hpp) ordered row access
 // to the lower triangle.

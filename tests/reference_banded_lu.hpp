@@ -4,6 +4,11 @@
 // band interface) as the oracle the blocked kernels must reproduce bit for
 // bit, and as the micro-benchmark baseline.  Not part of the library.
 //
+// Each update x -= a * b is spelled madd(-a, b, x), as the library kernels
+// spell theirs, so its rounding is the target's and not the optimizer's:
+// the oracle then holds in every build, debug and sanitizer builds
+// included (see common/madd.hpp).
+//
 // The band is BandedLuMatrix's column-major layout: element (i, j) lives at
 // band[j * (bl + bu + 1) + (i - j + bu)].
 #pragma once
@@ -14,6 +19,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/madd.hpp"
 
 namespace liquid3d::reference {
 
@@ -36,7 +42,7 @@ inline void banded_lu_factorize(std::vector<double>& band_v, std::size_t n,
       if (ukj == 0.0) continue;
       double* const dst = colj + (bu - j);
       const double* const src = colk + bu;
-      for (std::size_t i = 1; i <= ml; ++i) dst[i] -= src[i] * ukj;
+      for (std::size_t i = 1; i <= ml; ++i) dst[i] = madd(-src[i], ukj, dst[i]);
     }
   }
 }
@@ -55,7 +61,7 @@ inline void banded_lu_solve(const std::vector<double>& band_v, std::size_t n,
     if (yk == 0.0) continue;
     const double* const colk = band + k * w + bu;
     const std::size_t ml = std::min(bl, n - 1 - k);
-    for (std::size_t i = 1; i <= ml; ++i) x[k + i] -= colk[i] * yk;
+    for (std::size_t i = 1; i <= ml; ++i) x[k + i] = madd(-colk[i], yk, x[k + i]);
   }
   // Backward, U: finalize x[j], then push it up the column.
   for (std::size_t jj = n; jj-- > 0;) {
@@ -64,7 +70,7 @@ inline void banded_lu_solve(const std::vector<double>& band_v, std::size_t n,
     x[jj] = xj;
     const std::size_t mu = std::min(bu, jj);
     const double* const up = colj - jj;  // up[i] = U(i, jj)
-    for (std::size_t i = jj - mu; i < jj; ++i) x[i] -= up[i] * xj;
+    for (std::size_t i = jj - mu; i < jj; ++i) x[i] = madd(-up[i], xj, x[i]);
   }
 }
 

@@ -125,9 +125,12 @@ TEST(Experiment, CellResultsInvariantUnderGridReordering) {
   }
 }
 
-TEST(Experiment, BatchedExecutionMatchesThreadPool) {
+TEST(Experiment, SuiteMatchesSoloSessions) {
+  // The suite runs its cells as lockstep slices on its pool; each cell's
+  // result equals a solo session of the same configuration.
   SuiteConfig sc = tiny_suite();
   sc.duration = SimTime::from_s(3);
+  sc.worker_threads = 2;
   const std::vector<PolicyConfig> policies = {
       {Policy::kLoadBalancing, CoolingMode::kLiquidMax},
       {Policy::kLoadBalancing, CoolingMode::kAir},
@@ -135,17 +138,14 @@ TEST(Experiment, BatchedExecutionMatchesThreadPool) {
   const std::vector<BenchmarkSpec> workloads = {*find_benchmark("gzip"),
                                                 *find_benchmark("Web-med")};
 
-  ExperimentSuite pooled(sc);
-  sc.execution = SuiteExecution::kBatched;
-  ExperimentSuite batched(sc);
-  const auto res_pool = pooled.run(policies, workloads);
-  const auto res_batch = batched.run(policies, workloads);
-  ASSERT_EQ(res_pool.size(), res_batch.size());
-  for (std::size_t p = 0; p < res_pool.size(); ++p) {
+  ExperimentSuite suite(sc);
+  const auto results = suite.run(policies, workloads);
+  ASSERT_EQ(results.size(), policies.size());
+  for (std::size_t p = 0; p < results.size(); ++p) {
     for (std::size_t w = 0; w < workloads.size(); ++w) {
-      SCOPED_TRACE(res_pool[p].label);
-      expect_same_result(res_pool[p].per_workload[w],
-                         res_batch[p].per_workload[w]);
+      SCOPED_TRACE(results[p].label);
+      expect_same_result(results[p].per_workload[w],
+                         Simulator(suite.make_config(policies[p], workloads[w])).run());
     }
   }
 }

@@ -3,16 +3,19 @@
 // (ThermalModel3D::share_factors_with).  The core guarantee under test:
 // batching never changes results — a BatchRunner of many sessions (air
 // groups factorizing once per dt between them, liquid models borrowing a
-// groupmate's LU slot at an equal flow vector) is bit-identical to serial
-// Simulator::run() calls.
+// groupmate's LU slot at an equal flow vector, models at one key solving
+// in one multi-right-hand-side sweep, slices on a thread pool) is
+// bit-identical to serial Simulator::run() calls.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "sim/batch_runner.hpp"
+#include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/model3d.hpp"
 #include "thermal_test_access.hpp"
@@ -235,15 +238,15 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
   const std::vector<SimulationResult> batched = batch.run();
   ASSERT_EQ(batched.size(), 8u);
   EXPECT_EQ(batch.group_count(), 1u);  // one lockstep group
-  // Liquid sessions solve one at a time, through their own eliminated LU
-  // slots or a groupmate's at an equal flow vector.
+  // Liquid sessions at an equal flow vector solve through one factor: the
+  // lead's own slot or a groupmate's.
   EXPECT_GT(borrowed.value(), borrowed_before);
   for (std::size_t i = 0; i < 8; ++i) {
     SCOPED_TRACE(workloads[i]);
     expect_bit_identical(batched[i], serial[i]);
   }
 
-  // An air group's operator depends on dt alone: its groupmates borrow the
+  // An air group's operator depends on dt alone: its groupmates share the
   // lead's LU slot, so the group factorizes once per dt — the steady warm
   // start's 1/dt = 0 and the transient substep — not once per cell.
   std::vector<SimulationResult> air_serial;
@@ -313,6 +316,65 @@ TEST(BatchRunner, MixedDurationsDropFinishedSessionsFromLockstep) {
   ASSERT_EQ(results.size(), 2u);
   expect_bit_identical(results[0], short_serial);
   expect_bit_identical(results[1], long_serial);
+}
+
+TEST(BatchRunner, PooledSlicesMatchSerial) {
+  // All seven paper scenarios over three workloads, scenario-major as
+  // ExperimentSuite lays them out, on two workers: the four-cell slices
+  // mix air and liquid cells, LB/Mig/TALB (Max) cells at one flow key, and
+  // TALB (Var) cells whose flows change mid-run and differ between cells.
+  // Every field of every cell equals a solo run.  Ten simulated seconds:
+  // the variable-flow controller's first pump moves come after a few.
+  SuiteConfig sc;
+  sc.duration = SimTime::from_s(10);
+  sc.base.thermal.grid_rows = 8;
+  sc.base.thermal.grid_cols = 9;
+  ExperimentSuite suite(sc);
+  const std::vector<ScenarioSpec> scenarios = paper_scenario_grid();
+  ASSERT_EQ(scenarios.size(), 7u);
+  const char* workloads[] = {"Web-med", "Database", "Web&DB"};
+  std::vector<SimulationConfig> cells;
+  for (const ScenarioSpec& s : scenarios) {
+    for (const char* w : workloads) cells.push_back(suite.make_config(s, *find_benchmark(w)));
+  }
+  ThreadPool pool(2);
+  const std::vector<SimulationResult> pooled = BatchRunner::run_sliced(cells, pool);
+  ASSERT_EQ(pooled.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(pooled[i].label + " / " + pooled[i].benchmark);
+    expect_bit_identical(pooled[i], Simulator(cells[i]).run());
+  }
+  // The TALB (Var) cells are the last three: their pump moved during the
+  // run, and not in step across cells.
+  const SimulationResult* var = &pooled[cells.size() - 3];
+  ASSERT_EQ(var[0].label, "TALB (Var)");
+  EXPECT_GT(var[0].pump_transitions + var[1].pump_transitions + var[2].pump_transitions,
+            0u);
+  EXPECT_TRUE(var[0].avg_pump_setting != var[1].avg_pump_setting ||
+              var[1].avg_pump_setting != var[2].avg_pump_setting);
+}
+
+TEST(BatchRunner, SliceAtOneKeyFactorizesOncePerKey) {
+  // Four LB (Max) cells hold the top pump setting throughout: one slice,
+  // two keys (the steady warm start's 1/dt = 0 and the substep's), so two
+  // factorizations, and every substep is one four-column sweep.
+  const obs::ScopedEnabled obs_on(true);
+  obs::Histogram& rhs_per_solve =
+      obs::Registry::global().histogram("liquid3d_batch_rhs_per_solve");
+  BatchRunner batch;
+  const char* workloads[] = {"Web-med", "gzip", "Database", "MPlayer"};
+  for (std::size_t i = 0; i < BatchRunner::kSliceSessions; ++i) {
+    batch.add(session_config(400 + i, workloads[i]));
+  }
+  const std::uint64_t factorizations = factorization_count();
+  const std::uint64_t sweeps = rhs_per_solve.count();
+  const double columns = rhs_per_solve.sum();
+  (void)batch.run();
+  EXPECT_EQ(factorization_count() - factorizations, 2u);
+  const std::uint64_t new_sweeps = rhs_per_solve.count() - sweeps;
+  EXPECT_GT(new_sweeps, 0u);
+  EXPECT_EQ(rhs_per_solve.sum() - columns,
+            static_cast<double>(new_sweeps * BatchRunner::kSliceSessions));
 }
 
 TEST(BatchRunner, IncompatibleTopologiesFormSeparateGroups) {

@@ -2,7 +2,8 @@
 // networks (the air operator) and on general dominant bands against the
 // dense solver, refactorization after set_zero, the blocked banded LU and
 // direct-write eliminated assembly against their unblocked references (bit
-// for bit), the dt-keyed LRU cache and the models' LU slots,
+// for bit), multi-right-hand-side solves against single ones (bit for
+// bit), the dt-keyed LRU cache and the models' LU slots,
 // warm-started characterization equivalence, and the no-allocation
 // guarantee of the transient hot loop.
 #include <gtest/gtest.h>
@@ -410,6 +411,80 @@ TEST(BandedLu, EliminatedOperatorsMatchUnblockedAndReferenceAssembly) {
         }
       }
     }
+  }
+}
+
+/// Solve the n x k column block `block` through the factorized `lu` in one
+/// call: every column must equal, byte for byte, its own single solve and
+/// the unblocked reference solve.
+void expect_many_match_single(const BandedLuMatrix& lu, const std::vector<double>& block) {
+  const std::size_t n = lu.size();
+  const std::vector<double> band(lu.band().begin(), lu.band().end());
+  std::vector<double> x = block;
+  lu.solve(x);
+  for (std::size_t j = 0; j < block.size() / n; ++j) {
+    SCOPED_TRACE(::testing::Message() << "column " << j);
+    std::vector<double> single(block.begin() + j * n, block.begin() + (j + 1) * n);
+    std::vector<double> ref = single;
+    lu.solve(single);
+    reference::banded_lu_solve(band, n, lu.lower_bandwidth(), lu.upper_bandwidth(), ref);
+    EXPECT_EQ(std::memcmp(x.data() + j * n, single.data(), n * sizeof(double)), 0)
+        << "column differs from its single solve";
+    EXPECT_EQ(std::memcmp(x.data() + j * n, ref.data(), n * sizeof(double)), 0)
+        << "column differs from the unblocked kernel's";
+  }
+}
+
+TEST(BandedLu, ManyRightHandSidesMatchSingleSolves) {
+  // A ragged n (a multiple of neither the 4-unknown block nor the
+  // 4-column group) with bl != bu.  Row 150 has nothing left of its
+  // diagonal, so L's row 150 is zero and a zero right-hand side there
+  // meets pivot 150 as an exact-zero coefficient amid nonzero neighbours.
+  Rng rng(21);
+  constexpr std::size_t kZeroRow = 150;
+  BandedLuMatrix ragged = random_dominant_band(301, 26, 19, 0.7, rng);
+  for (std::size_t j = kZeroRow - 26; j < kZeroRow; ++j) ragged.at(kZeroRow, j) = 0.0;
+  ragged.factorize();
+  const auto random_block = [&](std::size_t n, std::size_t k, double lo, double hi) {
+    std::vector<double> b(n * k);
+    for (double& v : b) v = rng.uniform(lo, hi);
+    return b;
+  };
+  for (std::size_t k = 1; k <= 9; ++k) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    std::vector<double> b = random_block(ragged.size(), k, -1.0, 1.0);
+    const std::size_t n = ragged.size();
+    // Column 1 starts with a run of zeros (the ROM build's influence
+    // columns do), column 2 has the exact-zero interior coefficient.
+    if (k >= 2) std::fill_n(b.begin() + static_cast<std::ptrdiff_t>(n), 200, 0.0);
+    if (k >= 3) b[2 * n + kZeroRow] = 0.0;
+    expect_many_match_single(ragged, b);
+  }
+
+  // The real operators: the 2-layer paper-grid stack's fluid-eliminated
+  // operator for a step (1/dt = 20) and the steady state (1/dt = 0), and
+  // the air stack's C/dt + G through its model's LU slot.
+  ThermalModel3D liquid(make_niagara_stack(1, CoolingType::kLiquid), ThermalModelParams{});
+  liquid.set_cavity_flow(VolumetricFlow::from_ml_per_min(40.0));
+  const std::size_t bw = liquid.grid().cols() * liquid.layer_count();
+  for (const double inv_dt : {20.0, 0.0}) {
+    SCOPED_TRACE(::testing::Message() << "liquid inv_dt=" << inv_dt);
+    BandedLuMatrix a(liquid.node_count(), bw, bw);
+    std::vector<double> inlet;
+    ThermalModel3DTestAccess::build_eliminated_system(liquid, inv_dt, a, inlet);
+    a.factorize();
+    for (const std::size_t k : {2u, 4u, 5u}) {
+      expect_many_match_single(a, random_block(a.size(), k, 40.0, 90.0));
+    }
+  }
+  ThermalModel3D air(make_niagara_stack(1, CoolingType::kAir), ThermalModelParams{});
+  air.step(0.05);
+  const BandedLuMatrix* air_lu = ThermalModel3DTestAccess::lu_slot(air);
+  ASSERT_NE(air_lu, nullptr);
+  ASSERT_TRUE(air_lu->factorized());
+  for (const std::size_t k : {3u, 4u, 7u}) {
+    SCOPED_TRACE("air");
+    expect_many_match_single(*air_lu, random_block(air_lu->size(), k, 40.0, 90.0));
   }
 }
 

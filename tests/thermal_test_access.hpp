@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/madd.hpp"
 #include "obs/metrics.hpp"
 #include "thermal/model3d.hpp"
 
@@ -94,7 +95,7 @@ struct ThermalModel3DTestAccess {
                 m.add(wall, md.node(k, cu), -g_w * s2 * coef_up[cu]);
               }
             }
-            inlet_coef[wall] += g_w * s2 * alpha;
+            inlet_coef[wall] = madd(g_w * s2, alpha, inlet_coef[wall]);
           }
           alpha *= s;
           for (const std::size_t cu : upstream) {
