@@ -1,9 +1,9 @@
 // bench_micro_solver — engineering micro-benchmarks (google-benchmark) for
 // the thermal substrate: the banded LU and eliminated assembly of the
 // direct path (blocked/direct-write vs the unblocked kernels and add()-based
-// assembly they replaced), full transient/steady model operations, a
-// batched run of air sessions, the PCG backend, and warm- vs cold-started
-// flow-LUT characterization.
+// assembly they replaced), full transient/steady model operations up to
+// the paper's 100 µm grid, a batched run of air sessions, and flow-LUT
+// characterization.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -174,17 +174,8 @@ void BM_EliminatedAssembleSeedBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_EliminatedAssembleSeedBaseline)->Args({23, 26});
 
-ThermalModel3D make_backend_model(std::size_t rows, std::size_t cols,
-                                  std::size_t pairs, SolverBackend backend) {
-  ThermalModelParams p;
-  p.grid_rows = rows;
-  p.grid_cols = cols;
-  p.solver_backend = backend;
-  ThermalModel3D m(make_niagara_stack(pairs, CoolingType::kLiquid), p);
-  const MicrochannelModel ch(CavitySpec{}, CoolantProperties::water());
-  const FlowDelivery d(PumpModel::laing_ddc(), FlowDeliveryMode::kPressureLimited, ch,
-                       11.5e-3, 2 * pairs + 1);
-  m.set_cavity_flow(d.per_cavity(2));
+ThermalModel3D make_model(std::size_t rows, std::size_t cols, std::size_t pairs) {
+  ThermalModel3D m = make_liquid_model(pairs, rows, cols);
   const Floorplan& fp = m.stack().layer(0).floorplan;
   std::vector<double> w(fp.block_count(), 0.0);
   for (std::size_t b = 0; b < fp.block_count(); ++b) {
@@ -192,10 +183,6 @@ ThermalModel3D make_backend_model(std::size_t rows, std::size_t cols,
   }
   m.set_block_power(0, w);
   return m;
-}
-
-ThermalModel3D make_model(std::size_t rows, std::size_t cols, std::size_t pairs) {
-  return make_backend_model(rows, cols, pairs, SolverBackend::kAuto);
 }
 
 void BM_TransientStep(benchmark::State& state) {
@@ -209,10 +196,14 @@ void BM_TransientStep(benchmark::State& state) {
   }
   state.SetLabel("50ms backward-Euler step: one fluid-eliminated LU solve + fluid march");
 }
+// The 100 x 115 rows are the paper's 100 µm cells on the 11.5 x 10 mm die:
+// b = 230 on 2 layers (an 85 MB band) and 460 on 4 (339 MB).
 BENCHMARK(BM_TransientStep)
     ->Args({23, 26, 1})
     ->Args({23, 26, 2})
-    ->Args({46, 52, 1});
+    ->Args({46, 52, 1})
+    ->Args({100, 115, 1})
+    ->Args({100, 115, 2});
 
 // Batched air sessions: a BatchRunner run of N air-cooled sessions (1 s
 // simulated on the paper-default grid, distinct workloads and seeds).  Each
@@ -241,69 +232,6 @@ void BM_BatchedTransient(benchmark::State& state) {
   state.SetLabel("BatchRunner, 2-layer air stack, 1 s simulated per session");
 }
 BENCHMARK(BM_BatchedTransient)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
-// -- Iterative (PCG) backend --------------------------------------------------
-//
-// The direct solver pays O(n b^2) to factorize, which grows with the
-// half-bandwidth b = cols x layers (230 on the paper's 100 µm grid with 2
-// layers, where the direct step is still faster; 1000 on the 200 x 500
-// grid below).  On these liquid stacks a PCG step,
-// and the steady state, is one BiCGSTAB solve of the fluid-eliminated
-// operator, preconditioned by the IC(0) of its symmetric part and applying
-// the coolant as a march.  The fine-grid rows below
-// (200x500 grid, 2 layers: 100k cells per layer, n = 200k nodes, b = 1000)
-// are the demonstration case, where a banded-LU factor alone would take
-// n (2b + 1) doubles = 3.2 GB.  The small rows (46x52, the existing largest
-// test grid) feed the CI bench-guard smoke subset.
-
-void BM_CgTransientStep(benchmark::State& state) {
-  ThermalModel3D m = make_backend_model(static_cast<std::size_t>(state.range(0)),
-                                        static_cast<std::size_t>(state.range(1)),
-                                        static_cast<std::size_t>(state.range(2)),
-                                        SolverBackend::kPcg);
-  // Two power maps a realistic tick alternates between; the perturbation
-  // keeps every measured solve doing honest Krylov work (at a fixed power
-  // the field converges and warm starts make later steps nearly free —
-  // the average would then depend on the iteration count).
-  const Floorplan& fp = m.stack().layer(0).floorplan;
-  std::vector<double> hi(fp.block_count(), 0.0);
-  std::vector<double> lo(fp.block_count(), 0.0);
-  for (std::size_t b = 0; b < fp.block_count(); ++b) {
-    if (fp.block(b).type == BlockType::kCore) {
-      hi[b] = 3.3;
-      lo[b] = 2.7;
-    }
-  }
-  // Settle out of the cold start so the timing loop measures the sustained
-  // regime, not an amortized share of the initial equilibration.
-  for (int i = 0; i < 50; ++i) m.step(0.05);
-  bool flip = false;
-  for (auto _ : state) {
-    flip = !flip;
-    m.set_block_power(0, flip ? hi : lo);
-    m.step(0.05);
-    benchmark::DoNotOptimize(m.max_temperature());
-  }
-  state.SetLabel("sustained 50ms step (power toggling): one warm-started BiCGSTAB "
-                 "solve of the fluid-eliminated operator, IC(0)");
-}
-BENCHMARK(BM_CgTransientStep)->Args({46, 52, 1})->Args({200, 500, 1});
-
-void BM_CgSteadyState(benchmark::State& state) {
-  ThermalModel3D m = make_backend_model(static_cast<std::size_t>(state.range(0)),
-                                        static_cast<std::size_t>(state.range(1)), 1,
-                                        SolverBackend::kPcg);
-  for (auto _ : state) {
-    m.initialize(45.0);
-    m.solve_steady_state();
-    benchmark::DoNotOptimize(m.max_temperature());
-  }
-  state.SetLabel("one BiCGSTAB solve at 1/dt = 0 from 45 C, IC(0)");
-}
-BENCHMARK(BM_CgSteadyState)
-    ->Args({46, 52})
-    ->Args({200, 500})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_SteadyState(benchmark::State& state) {
   ThermalModel3D m = make_model(static_cast<std::size_t>(state.range(0)),

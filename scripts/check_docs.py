@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""check_docs.py — fail when the docs name code that does not exist.
+
+Scans the backticked spans of docs/*.md, the top-level README*.md files
+and the `//` comments of every source file under src/, and reports:
+
+  * a repo path (`src/sweep/plan.hpp`, `solver/banded_lu.hpp`,
+    `tests/`) that no tracked file or directory ends with;
+  * a `Type::member` whose type or member never appears as an identifier
+    in src/, tests/ or tools/;
+  * a `snake_case(` call whose name never appears there.
+
+e2e_bench/README.md is left out: it belongs to the benchmark, which
+changes only together with the benchmark.
+
+Usage: scripts/check_docs.py [REPO_ROOT]   (exit 1 and one line per miss)
+"""
+import pathlib
+import re
+import sys
+
+PATH_RE = re.compile(
+    r"^(?:[\w.-]+/)+(?:[\w.-]+\.(?:hpp|cpp|h|md|py|sh|json|yml|txt|stack|env|csv))?$")
+MEMBER_RE = re.compile(r"\b([A-Z]\w*)::(~?[A-Za-z_]\w*)")
+CALL_RE = re.compile(r"(?<![\w.:>])([a-z_][a-z0-9_]*)\(")
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
+SOURCE_SUFFIXES = {".hpp", ".cpp", ".h"}
+
+
+def tracked_paths(root):
+    """Every file and directory under the source trees, as repo-relative
+    posix paths (directories with a trailing slash)."""
+    paths = set()
+    for top in ("src", "tests", "tools", "bench", "examples", "docs",
+                "scripts", "e2e_bench", ".github"):
+        base = root / top
+        if not base.exists():
+            continue
+        paths.add(top + "/")
+        for p in base.rglob("*"):
+            rel = p.relative_to(root).as_posix()
+            paths.add(rel + "/" if p.is_dir() else rel)
+    for p in root.iterdir():
+        if p.is_file():
+            paths.add(p.name)
+    return paths
+
+
+def identifiers(root):
+    """Every identifier token in the code the docs may name."""
+    idents = set()
+    for top in ("src", "tests", "tools"):
+        for p in (root / top).rglob("*"):
+            if p.is_file() and p.suffix in SOURCE_SUFFIXES:
+                idents.update(IDENT_RE.findall(p.read_text(errors="replace")))
+    return idents
+
+
+def path_resolves(span, paths):
+    return any(p == span or p.endswith("/" + span) for p in paths)
+
+
+def check_span(span, paths, idents):
+    """Misses in one backticked span, as messages."""
+    misses = []
+    if PATH_RE.match(span) and not path_resolves(span, paths):
+        misses.append(f"path `{span}` does not exist")
+    for type_name, member in MEMBER_RE.findall(span):
+        for name in (type_name, member.lstrip("~")):
+            if name not in idents:
+                misses.append(f"`{type_name}::{member}`: `{name}` is not in the code")
+    for name in CALL_RE.findall(span):
+        if name not in idents:
+            misses.append(f"`{name}(` is not in the code")
+    return misses
+
+
+def sources(root):
+    """(label, text) for every scanned document and source comment."""
+    for p in sorted((root / "docs").glob("*.md")):
+        yield p.relative_to(root).as_posix(), p.read_text()
+    for p in sorted(root.glob("README*.md")):
+        yield p.name, p.read_text()
+    for p in sorted((root / "src").rglob("*")):
+        if not (p.is_file() and p.suffix in SOURCE_SUFFIXES):
+            continue
+        rel = p.relative_to(root).as_posix()
+        for number, line in enumerate(p.read_text().splitlines(), 1):
+            at = line.find("//")
+            if at >= 0:
+                yield f"{rel}:{number}", line[at:]
+
+
+def main(argv):
+    root = pathlib.Path(argv[1] if len(argv) > 1 else
+                        pathlib.Path(__file__).resolve().parent.parent)
+    paths = tracked_paths(root)
+    idents = identifiers(root)
+    failures = 0
+    for label, text in sources(root):
+        for number, line in enumerate(text.splitlines(), 1):
+            where = label if ":" in label else f"{label}:{number}"
+            for span in SPAN_RE.findall(line):
+                for miss in check_span(span.strip(), paths, idents):
+                    print(f"{where}: {miss}")
+                    failures += 1
+    if failures:
+        print(f"check_docs: {failures} stale reference(s)")
+        return 1
+    print("check_docs: every backticked path and name resolves")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -52,12 +52,10 @@ run_bench() {
 # BM_SteadyState also matches BM_SteadyStatePerCavity (the vector-flow
 # assembly benchmark) by prefix; keep both in the JSON.  BM_BandedLu* are
 # the direct path's kernels, which BM_EliminatedAssemble* (the liquid
-# operator's assembly) joins.  BM_Cg* is the iterative (PCG) backend,
-# including the fine-grid rows (n = 200k, b = 1000) where a direct factor
-# would not fit in memory.  NOTE: the fine-grid PCG steady solve runs tens
-# of seconds; a full refresh takes a few minutes.
+# operator's assembly) joins.  BM_TransientStep/100/115/* steps the paper's
+# 100 um grid, whose 4-layer band takes 339 MB and a second to factorize.
 run_bench bench_micro_solver "${tmp_dir}/micro.json" \
-  'BM_BandedLu|BM_EliminatedAssemble|BM_TransientStep|BM_BatchedTransient|BM_SteadyState|BM_FlowLut|BM_Cg'
+  'BM_BandedLu|BM_EliminatedAssemble|BM_TransientStep|BM_BatchedTransient|BM_SteadyState|BM_FlowLut'
 
 # Service latency/throughput: steady-query p50/p99 (acceptance: warm-ROM
 # p50 <= 25 us on the 2-layer Niagara liquid stack), batched vs serial

@@ -53,20 +53,18 @@ inline std::string solver_error_message(const std::string& what,
 }
 }  // namespace detail
 
-/// Raised when a numerical method fails: non-convergence within an
-/// iteration cap, detected breakdown (loss of positive definiteness), or
-/// non-finite values in solver inputs/outputs.  Deliberately distinct from
-/// ConfigError (nothing about the configuration is malformed) and
+/// Raised when a numerical method fails: a vanishing or non-finite pivot,
+/// or non-finite values in solver inputs/outputs.  Deliberately distinct
+/// from ConfigError (nothing about the configuration is malformed) and
 /// LogicError (nothing about the code is wrong): a SolverError is a
 /// retriable per-cell outcome that fault-tolerant drivers turn into data.
 class SolverError : public std::runtime_error {
  public:
   explicit SolverError(const std::string& what)
       : std::runtime_error(what) {}
-  /// `backend` is the solver family that failed ("pcg", "direct", ...);
-  /// `iterations` how many it spent; `residual` the final convergence
-  /// measure in the method's own metric (relative residual for PCG, max
-  /// temperature delta in K for the steady continuation).
+  /// `backend` is the solver that failed ("direct": the banded LU);
+  /// `iterations` how far it got (the LU's failing pivot index);
+  /// `residual` the method's own failure measure (the pivot's magnitude).
   SolverError(const std::string& what, std::string backend,
               std::size_t iterations, double residual)
       : std::runtime_error(

@@ -1,10 +1,10 @@
 // fault_injection.hpp — deterministic fault injection for chaos testing.
 //
 // Production code marks *fault sites* — named points where a failure can be
-// provoked on demand: the PCG solve reporting non-convergence, the journal
-// append tearing mid-write, a sweep worker chunk blowing up.  Sites are
-// compiled in unconditionally but cost a single relaxed atomic load when
-// nothing is armed, so the shipping binaries carry their own chaos harness.
+// provoked on demand: the journal append tearing mid-write, a sweep worker
+// chunk or cell blowing up.  Sites are compiled in unconditionally but cost
+// a single relaxed atomic load when nothing is armed, so the shipping
+// binaries carry their own chaos harness.
 //
 // Arming is a spec string (env var `LIQUID3D_FAULTS` or programmatic):
 //
@@ -25,7 +25,6 @@
 //
 // Sites currently wired in:
 //
-//   pcg.solve       PcgSolver::solve returns a non-converged summary
 //   journal.append  SweepJournal::append persists a torn prefix and throws
 //   worker.chunk    run_sweep_shard fails a whole chunk (hit once per chunk)
 //   worker.cell     run_sweep_shard fails one cell, keyed by grid index,

@@ -13,9 +13,8 @@
 // Steady solves here are *warm-started*: every converged operating point is
 // snapshotted, and a new solve seeds the model from the nearest previously
 // converged (utilization, flow) point.  Characterization sweeps are monotone
-// in both coordinates, so the leakage loop (and, on the PCG backend, each
-// warm-started Krylov solve) starts close to its answer; the grid itself is
-// sampled in parallel (one harness per worker) by `characterize_flow_lut`.
+// in both coordinates, so the leakage loop starts close to its answer; the
+// grid itself is sampled in parallel (one harness per worker) by `characterize_flow_lut`.
 #pragma once
 
 #include <cstddef>

@@ -167,7 +167,7 @@ class MaxTracker {
 //
 // Buckets: 4 sub-buckets per octave (resolution factor 2^0.25 ≈ 19%),
 // binary exponent clamped to [kMinExp, kMaxExp].  That spans ~9e-13
-// (PCG residuals) through ~1e12 (nanosecond latencies) in one fixed
+// (relative residuals) through ~1e12 (nanosecond latencies) in one fixed
 // ~2.6 KB table.  Values below the range, NaN, and non-positive
 // oddities clamp into bucket 0; values above the range (and +inf) land
 // in the overflow bucket (the last one).

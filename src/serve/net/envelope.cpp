@@ -14,7 +14,6 @@
 #include "common/parse.hpp"
 #include "geom/stack_spec.hpp"
 #include "thermal/model3d.hpp"
-#include "thermal/solver/backend.hpp"
 
 namespace liquid3d {
 
@@ -277,12 +276,7 @@ constexpr auto visit_stats = [](auto& s, auto&& f) {
   f("wire_queue_hwm_window", s.wire_queue_hwm_window);
 };
 
-void read_enum(std::string_view v, SolverBackend& out) {
-  out = solver_backend_from_name(v);
-}
-
-/// Writes every field as `<prefix><name> <value>`; enums by their to_string
-/// spelling.
+/// Writes every field as `<prefix><name> <value>`.
 template <class T, class Visit>
 void write_table(Writer& w, const T& obj, Visit visit, std::string_view prefix = {}) {
   visit(obj, [&w, prefix](const char* name, const auto& field) {
@@ -290,8 +284,6 @@ void write_table(Writer& w, const T& obj, Visit visit, std::string_view prefix =
     w.out += prefix;
     if constexpr (std::is_same_v<F, bool>) {
       w.flag(name, field);
-    } else if constexpr (std::is_enum_v<F>) {
-      w.kv(name, to_string(field));
     } else {
       w.num(name, field);
     }
@@ -324,8 +316,6 @@ bool read_table(Visit visit, T& obj, std::string_view key, std::string_view valu
       field = read_flag(value, what, key);
     } else if constexpr (std::is_same_v<F, double>) {
       field = read_f64(value, what, key);
-    } else if constexpr (std::is_enum_v<F>) {
-      read_enum(value, field);
     } else {
       static_assert(std::is_unsigned_v<F>);
       field = static_cast<F>(read_u64(value, what, key));

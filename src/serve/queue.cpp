@@ -74,6 +74,10 @@ void QueryQueue::stop() {
 
 void QueryQueue::worker_loop() {
   using Clock = std::chrono::steady_clock;
+  // Kept across batches: a paced what-if, mostly a batch of one, solves in
+  // the band its predecessor left instead of allocating and faulting in
+  // its own.
+  BatchRunner::FactorStorage storage;
   for (;;) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
@@ -119,7 +123,7 @@ void QueryQueue::worker_loop() {
     batches_.add();
     batched_sessions_.add(batch.size());
     max_batch_seen_.observe(batch.size());
-    run_batch(batch);
+    run_batch(batch, storage);
 
     lock.lock();
     --active_;
@@ -127,7 +131,8 @@ void QueryQueue::worker_loop() {
   }
 }
 
-void QueryQueue::run_batch(std::vector<SessionJob>& jobs) {
+void QueryQueue::run_batch(std::vector<SessionJob>& jobs,
+                           BatchRunner::FactorStorage& storage) {
   std::vector<std::vector<SampleTrace>> traces(jobs.size());
   try {
     BatchRunner runner;
@@ -138,7 +143,7 @@ void QueryQueue::run_batch(std::vector<SessionJob>& jobs) {
       }
       runner.add(std::move(session));
     }
-    std::vector<SimulationResult> results = runner.run();
+    std::vector<SimulationResult> results = runner.run(storage);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       jobs[i].promise.set_value(
           SessionOutcome{std::move(results[i]), std::move(traces[i])});

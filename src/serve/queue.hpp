@@ -26,6 +26,7 @@
 
 #include "obs/metrics.hpp"
 #include "serve/query.hpp"
+#include "sim/batch_runner.hpp"
 
 namespace liquid3d {
 
@@ -81,7 +82,9 @@ class QueryQueue {
 
  private:
   void worker_loop();
-  void run_batch(std::vector<SessionJob>& jobs);
+  /// Runs `jobs` through one BatchRunner whose models adopt the worker's
+  /// LU bands from `storage` and leave theirs there for its next batch.
+  void run_batch(std::vector<SessionJob>& jobs, BatchRunner::FactorStorage& storage);
   static void run_solo(SessionJob& job);
 
   Params params_;

@@ -66,8 +66,8 @@ ReducedSteadyModel ReducedSteadyModel::build(ThermalModel3D& model,
   }
 
   // Influence solutions g_b = A⁻¹ m_b: the deviation field of 1 W in block
-  // (l, b), solved through the model's own steady path (the direct solve
-  // at 1/dt = 0, or the PCG backend's — whatever this model resolves to).
+  // (l, b), solved through the model's own steady path (the LU solve at
+  // 1/dt = 0).
   for (std::size_t l = 0; l < layers; ++l) {
     for (std::size_t b = 0; b < zero_watts[l].size(); ++b) {
       for (std::size_t l2 = 0; l2 < layers; ++l2) {

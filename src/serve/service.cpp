@@ -30,10 +30,8 @@ double elapsed_us(Clock::time_point start) {
 /// boundary references: the resolved stack spec (whose cooling type agrees
 /// with the config's — resolved_stack_spec checks it, and the liquid modes
 /// build one model), the delivery mode, and every ThermalModelParams field
-/// with the references zeroed and the backend resolved (a kAuto and an
-/// explicit query that resolve alike build the same model).  Stack presets
-/// enter as their spec, so a preset and its equal explicit spec share
-/// entries.
+/// with the references zeroed.  Stack presets enter as their spec, so a
+/// preset and its equal explicit spec share entries.
 std::string system_identity(const StackSpec& spec, const SimulationConfig& cfg) {
   std::string key;
   key.reserve(512);
@@ -73,7 +71,6 @@ std::string system_identity(const StackSpec& spec, const SimulationConfig& cfg) 
   ThermalModelParams t = cfg.thermal;
   t.inlet_temperature = 0.0;
   t.ambient_temperature = 0.0;
-  t.solver_backend = resolved_backend(t, spec.layers.size());
   append_fields(key, t);
   return key;
 }

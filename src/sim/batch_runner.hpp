@@ -19,7 +19,9 @@
 // again.
 //
 // run() takes the slices one after another on the calling thread (the
-// serve queue's batches and the sweep worker's chunks); run_sliced() takes
+// serve queue's batches and the sweep worker's chunks), and run(storage)
+// also hands its last slice's LU storage to the caller's next batch, as
+// the serve queue's workers keep theirs; run_sliced() takes
 // a list of cell configurations and runs its slices on a thread pool,
 // building each slice's sessions on the worker that runs it (the
 // ExperimentSuite grid).
@@ -45,6 +47,9 @@ class ThreadPool;
 
 class BatchRunner {
  public:
+  /// LU bands a finished slice left for the next one to adopt.
+  using FactorStorage = std::vector<std::unique_ptr<BandedLuMatrix>>;
+
   /// Most sessions one slice co-advances.  On the paper grid's two
   /// workers, slices of 2 / 4 / 8 measured 6.7-7.2 / 4.9-5.6 / 5.2-5.9 ms
   /// of CPU per cell, and 8 kept 1.4 MB more resident (docs/performance.md,
@@ -70,6 +75,9 @@ class BatchRunner {
   /// Initialize and run every session to completion, slice by slice on the
   /// calling thread.  Results are in add order.
   std::vector<SimulationResult> run();
+  /// run(), with the first slice's models adopting bands from `storage`
+  /// and the last slice's bands left in it afterwards.
+  std::vector<SimulationResult> run(FactorStorage& storage);
 
   /// Run `cells` on `pool`, slices of kSliceSessions consecutive cells at
   /// a time: each worker builds a slice's sessions, runs them as run()
@@ -83,10 +91,6 @@ class BatchRunner {
   [[nodiscard]] std::size_t group_count() const { return group_count_; }
 
  private:
-  using FactorStorage = std::vector<std::unique_ptr<BandedLuMatrix>>;
-
-  std::vector<SimulationResult> run(FactorStorage& storage);
-
   std::vector<std::unique_ptr<SimulationSession>> sessions_;
   std::size_t group_count_ = 0;
 };

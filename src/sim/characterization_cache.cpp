@@ -18,9 +18,7 @@ namespace {
 // stack (by its canonical fingerprint, so any two configurations that build
 // the same stack — via layer_pairs, a preset spec, or a stack file — share
 // artifacts), the cooling and delivery modes, and every ThermalModelParams
-// and PowerModelParams field.  The backend enters as the one the model will
-// resolve to: a kAuto config and an explicit request that resolve alike
-// build bitwise-identical artifacts and share one entry.
+// and PowerModelParams field.
 std::string system_key(const char* tag, const SimulationConfig& cfg, bool liquid) {
   const Stack3D stack = make_simulation_stack(cfg);
   std::string key = tag;
@@ -28,9 +26,7 @@ std::string system_key(const char* tag, const SimulationConfig& cfg, bool liquid
   append_bits(key, stack_fingerprint(stack));
   append_bits(key, liquid);
   append_bits(key, cfg.delivery_mode);
-  ThermalModelParams thermal = cfg.thermal;
-  thermal.solver_backend = resolved_backend(thermal, stack.layer_count());
-  append_fields(key, thermal);
+  append_fields(key, cfg.thermal);
   append_fields(key, cfg.power);
   return key;
 }

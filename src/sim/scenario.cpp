@@ -65,29 +65,24 @@ CoolingMode cooling_from_name(std::string_view s) {
 
 const std::vector<std::string>& scenario_csv_header() {
   static const std::vector<std::string> header = {
-      "name", "policy", "cooling", "valves", "skew", "label", "solver",
-      "stack"};
+      "name", "policy", "cooling", "valves", "skew", "label", "stack"};
   return header;
 }
 
 std::vector<std::string> to_csv_row(const ScenarioSpec& s) {
-  return {s.name,  policy_name(s.policy),       cooling_name(s.cooling),
-          s.valve_network ? "1" : "0", s.skew,  s.label,
-          to_string(s.solver),         s.stack};
+  return {s.name,   policy_name(s.policy), cooling_name(s.cooling),
+          s.valve_network ? "1" : "0", s.skew, s.label, s.stack};
 }
 
 ScenarioSpec scenario_from_csv_row(const std::vector<std::string>& row) {
-  // The solver and stack columns were appended in later schema revisions;
-  // rows written before them (6 or 7 columns) still parse with default
-  // values — sharded sweep checkpoints stay readable.
+  // The stack column was appended in a later schema revision; rows written
+  // before it (6 columns) still parse with the default geometry.
   const std::vector<std::string>& header = scenario_csv_header();
   LIQUID3D_REQUIRE(
-      row.size() == header.size() || row.size() == header.size() - 1 ||
-          row.size() == header.size() - 2,
+      row.size() == header.size() || row.size() == header.size() - 1,
       "scenario row arity mismatch: got " + std::to_string(row.size()) +
           " columns, expected " + std::to_string(header.size()) +
-          " (or legacy " + std::to_string(header.size() - 2) + "/" +
-          std::to_string(header.size() - 1) + ")");
+          " (or legacy " + std::to_string(header.size() - 1) + ")");
   // Annotate parse failures with the offending column's header name, so a
   // shard/plan reader can report "row 12, column 'policy'" instead of a
   // bare failure.
@@ -109,10 +104,7 @@ ScenarioSpec scenario_from_csv_row(const std::vector<std::string>& row) {
   });
   s.skew = row[4];
   s.label = row[5];
-  if (row.size() > 6) {
-    s.solver = in_column(6, [&] { return solver_backend_from_name(row[6]); });
-  }
-  if (row.size() > 7) s.stack = row[7];
+  if (row.size() > 6) s.stack = row[6];
   return s;
 }
 
@@ -123,7 +115,6 @@ void apply_scenario(const ScenarioSpec& s, SimulationConfig& cfg,
   cfg.policy = s.policy;
   cfg.cooling = s.cooling;
   cfg.manager.valve_network = s.valve_network;
-  cfg.thermal.solver_backend = s.solver;
   cfg.label = s.display_label();
   if (!s.stack.empty()) {
     const CoolingType type = s.cooling == CoolingMode::kAir

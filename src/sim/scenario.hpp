@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sim/session.hpp"
-#include "thermal/solver/backend.hpp"
 
 namespace liquid3d {
 
@@ -56,11 +55,6 @@ struct ScenarioSpec {
   std::string skew;
   /// Display label; empty = the paper-style policy_label().
   std::string label;
-  /// Thermal solver backend for the cell's model (kAuto = the bandwidth
-  /// cost model in thermal/solver/backend.hpp picks).  Like the valve/skew
-  /// axes this is deliberately seed-neutral: a backend comparison runs both
-  /// arms on the identical workload trace.
-  SolverBackend solver = SolverBackend::kAuto;
   /// Stack geometry axis: a stack preset name, a stack-file path, or the
   /// name of a spec embedded in sweep metadata ("" = the config's default
   /// system, i.e. the layer_pairs preset).  Resolved by resolve_stack_axis

@@ -80,9 +80,7 @@ struct SimulationConfig {
   /// variance).
   std::size_t characterization_threads = 4;
 
-  /// Thermal model knobs, including the solver backend axis
-  /// (`thermal.solver_backend`: direct banded LU vs preconditioned
-  /// BiCGSTAB, kAuto = bandwidth cost model) — set by ScenarioSpec binding.
+  /// Thermal model knobs: grid, materials, boundary temperatures.
   ThermalModelParams thermal{};
   PowerModelParams power{};
   DpmParams dpm{};

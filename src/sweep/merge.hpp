@@ -15,7 +15,7 @@
 //     a broken determinism assumption, never silently resolved);
 //   * cells missing from every journal (the sweep is incomplete);
 //   * cells journaled as FAILED (their solves exhausted the worker's
-//     escalation ladder).
+//     retry ladder).
 //
 // Degraded mode (allow_partial): FAILED and missing cells become rows of a
 // failure manifest instead of errors, and their summary slots hold labeled

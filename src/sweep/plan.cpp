@@ -56,12 +56,29 @@ std::vector<SweepCell> expand_grid(const SweepGridSpec& grid) {
   return cells;
 }
 
+namespace {
+
+/// Estimated flops per row of one banded-LU step at half-bandwidth b: ~4b
+/// of forward and back substitution (one multiply-add per band entry of L
+/// and of U) plus 2b^2 / kFactorAmortization of factorization (a b x b
+/// rank-1 update per pivot; one factorization serves the ~hundreds of
+/// solves a slot's key sees).
+double lu_step_flops_per_row(std::size_t half_bandwidth) {
+  // Solves served by one factorization before its key changes — transient
+  // runs reuse a factor for thousands of substeps at a fixed flow, so this
+  // is a deliberately conservative amortization.
+  constexpr double kFactorAmortization = 200.0;
+  const double b = static_cast<double>(half_bandwidth);
+  return 4.0 * b + 2.0 * b * b / kFactorAmortization;
+}
+
+}  // namespace
+
 double estimate_cell_cost(const SweepGridSpec& grid,
                           const ScenarioSpec& scenario) {
-  // Geometry only — no thermal model is built; the per-row price is the
-  // one resolve_solver_backend decides by.  Binding through apply_scenario
-  // picks up the scenario's stack axis, so custom geometries cost-balance
-  // by their real size.
+  // Geometry only — no thermal model is built.  Binding through
+  // apply_scenario picks up the scenario's stack axis, so custom
+  // geometries cost-balance by their real size.
   SimulationConfig cfg = to_suite_config(grid).base;
   cfg.layer_pairs = grid.layer_pairs;
   apply_scenario(scenario, cfg, grid.stacks);
@@ -71,10 +88,7 @@ double estimate_cell_cost(const SweepGridSpec& grid,
   const double cols = static_cast<double>(cfg.thermal.grid_cols);
   const double n = static_cast<double>(layers) * rows * cols;
   const std::size_t b = cfg.thermal.grid_cols * layers;
-
-  const SolverBackend backend = resolve_solver_backend(
-      scenario.solver, static_cast<std::size_t>(n), b);
-  const double per_row = solve_cost_per_row(backend, b);
+  const double per_row = lu_step_flops_per_row(b);
   // Fluid march: one sweep over every cavity cell per substep.
   const double fluid = static_cast<double>(stack.cavity_count()) * rows * cols;
 
@@ -101,7 +115,7 @@ std::vector<std::vector<SweepCell>> partition_cells(
   // Cost-weighted: LPT greedy.  The cost depends only on the scenario (all
   // workloads run the same tick count), so cells of one scenario spread
   // across shards exactly like round-robin would, but scenario mixes with
-  // asymmetric solve costs (deep stacks, PCG backends, fine grids) balance
+  // asymmetric solve costs (deep stacks, fine grids) balance
   // by estimated wall-clock instead of by count.  Deterministic: stable
   // sort by (cost desc, index asc), ties in shard load break toward the
   // lowest shard index.

@@ -93,8 +93,8 @@ enum class ShardStrategy {
 void resolve_grid_stacks(SweepGridSpec& grid);
 
 /// Relative wall-clock cost of one cell under the solver cost model:
-/// ticks x substeps x (n x solve_cost_per_row(resolved backend, b) + the
-/// fluid march's cavity cells), the same per-row price kAuto resolves by.
+/// ticks x substeps x (n x (4b + 2b^2 / 200) + the fluid march's cavity
+/// cells), the banded-LU step's flops per row at half-bandwidth b.
 /// Deterministic and cheap (geometry only, no model build).
 [[nodiscard]] double estimate_cell_cost(const SweepGridSpec& grid,
                                         const ScenarioSpec& scenario);

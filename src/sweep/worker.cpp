@@ -93,25 +93,20 @@ struct CellSlot {
   const SweepCell* cell = nullptr;
   BenchmarkSpec workload;
   bool ok = false;              ///< result is valid
-  bool quarantined = false;     ///< needs the escalation ladder
+  bool quarantined = false;     ///< needs the retry ladder
   SimulationResult result;
   std::string error;            ///< last failure (quarantined / FAILED)
   std::size_t attempts = 0;     ///< ladder attempts consumed
 };
 
-/// One rung of the escalation ladder (attempt is 1-based).  Rebuilds the
-/// config from the suite each time: the backend lives on the seed-neutral
-/// ScenarioSpec::solver axis, so characterization artifacts rebuild
-/// correctly for the escalated backend instead of being patched in place.
+/// One rung of the retry ladder: the cell run solo, its config rebuilt
+/// from the suite.
 SimulationResult run_cell_attempt(ExperimentSuite& suite, const SweepCell& cell,
-                                  const BenchmarkSpec& workload,
-                                  std::size_t attempt) {
+                                  const BenchmarkSpec& workload) {
   if (fault_injection::should_fail("worker.cell", cell.index)) {
     throw SolverError("injected worker.cell fault");
   }
-  ScenarioSpec scenario = cell.scenario;
-  if (attempt >= 2) scenario.solver = SolverBackend::kDirect;
-  Simulator sim(suite.make_config(scenario, workload));
+  Simulator sim(suite.make_config(cell.scenario, workload));
   return sim.run();
 }
 
@@ -124,7 +119,7 @@ void run_cell_quarantined(ExperimentSuite& suite, CellSlot& slot,
     ++slot.attempts;
     try {
       slot.result =
-          run_cell_attempt(suite, *slot.cell, slot.workload, slot.attempts);
+          run_cell_attempt(suite, *slot.cell, slot.workload);
       slot.ok = true;
       return;
     } catch (const SolverError& e) {
@@ -230,7 +225,7 @@ SweepWorkerStats run_sweep_shard(const SweepCellFile& shard,
     // already swallowed every cell (small chunks, aggressive faults) there
     // is nothing to run — BatchRunner rejects an empty session list.
     if (configs.empty()) {
-      // fall through to the escalation ladder
+      // fall through to the retry ladder
     } else if (options.execution == SuiteExecution::kBatched) {
       // A SolverError inside a lockstep batch aborts the whole group with
       // no per-cell attribution, so on failure (or an injected
@@ -257,8 +252,7 @@ SweepWorkerStats run_sweep_shard(const SweepCellFile& shard,
           CellSlot& slot = slots[i];
           ++slot.attempts;  // this solo run is the cell's as-configured rung
           try {
-            slot.result = run_cell_attempt(suite, *slot.cell, slot.workload,
-                                           slot.attempts);
+            slot.result = run_cell_attempt(suite, *slot.cell, slot.workload);
             slot.ok = true;
           } catch (const SolverError& e) {
             slot.quarantined = true;
@@ -286,7 +280,7 @@ SweepWorkerStats run_sweep_shard(const SweepCellFile& shard,
       });
     }
 
-    // Phase 3: escalation ladder for everything quarantined above, serial
+    // Phase 3: retry ladder for everything quarantined above, serial
     // (a quarantined cell is pathological — keep it away from siblings).
     for (CellSlot& slot : slots) {
       if (slot.ok || !slot.quarantined) continue;

@@ -22,9 +22,9 @@
 // evicted from its lockstep group (siblings keep their shared
 // factorization semantics — on a batched SolverError the chunk re-runs
 // solo, which is bit-identical by the locked batch==solo contract) and
-// retried through an escalation ladder: attempt 1 as configured, every
-// later attempt on the direct backend, which has no iteration budget or
-// tolerance to stall on.  A cell that exhausts `max_cell_attempts` becomes
+// retried solo, as configured, up to `max_cell_attempts` attempts in all
+// (a fault that clears — an injected one, a lost resource — passes on a
+// later attempt).  A cell that exhausts `max_cell_attempts` becomes
 // a FAILED journal record carrying the error text and the attempt count;
 // ConfigError/LogicError still propagate (they are not numerical outcomes
 // and retrying cannot help).
@@ -51,8 +51,7 @@ struct SweepWorkerOptions {
   /// Worker threads for the kThreadPool execution (0 = hardware
   /// concurrency).
   std::size_t worker_threads = 0;
-  /// Solve attempts per cell before it is journaled as FAILED: attempt 1
-  /// runs as configured, attempts 2 and later on the direct backend.
+  /// Solve attempts per cell before it is journaled as FAILED.
   std::size_t max_cell_attempts = 3;
 };
 
@@ -75,7 +74,7 @@ struct SweepWorkerStats {
 /// naming the cell.  Safe to call again after a crash or cutoff: journaled
 /// cells (completed or FAILED) are never recomputed.  SolverError never
 /// escapes — cell-scoped numerical failures become FAILED journal records
-/// after the escalation ladder runs dry.
+/// after the retry ladder runs dry.
 SweepWorkerStats run_sweep_shard(const SweepCellFile& shard,
                                  const std::string& journal_path,
                                  const SweepWorkerOptions& options = {});

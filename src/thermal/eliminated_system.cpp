@@ -1,6 +1,6 @@
 // eliminated_system.cpp — assembly of the fluid-eliminated operator
-// C inv_dt + G_elim(flows) for liquid stacks (ThermalModel3D's direct
-// backend and steady-operator export).
+// C inv_dt + G_elim(flows) for liquid stacks (ThermalModel3D's LU slot
+// and steady-operator export).
 //
 // Entries are written straight into the LU band's column storage.  This TU
 // builds with floating-point contraction off (see CMakeLists), so every

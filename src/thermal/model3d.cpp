@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -23,7 +24,7 @@ double channel_coverage(const CavitySpec& cavity, double die_height) {
 }
 
 // FNV-1a over 64-bit words; the topology fingerprint hashes the exact bit
-// patterns of every quantity that enters stamp_system, so equal fingerprints
+// patterns of every quantity the assembly reads, so equal fingerprints
 // imply bit-identical system matrices.
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -66,14 +67,31 @@ void fnv_mix(std::uint64_t& h, double v) {
   std::memcpy(&bits, &v, sizeof(bits));
   fnv_mix(h, bits);
 }
-}  // namespace
 
-SolverBackend resolved_backend(const ThermalModelParams& t,
-                               std::size_t layer_count) {
-  return resolve_solver_backend(t.solver_backend,
-                                t.grid_rows * t.grid_cols * layer_count,
-                                t.grid_cols * layer_count);
+/// Throws ConfigError when the LU band of a rows x cols grid on `layers`
+/// layers — n (2b + 1) doubles, n = rows x cols x layers, b = cols x
+/// layers — passes kMaxFactorBytes.  Checked arithmetic: the grid may come
+/// off the wire with any row count.
+void require_factor_fits(std::size_t rows, std::size_t cols, std::size_t layers) {
+  std::size_t b = 0;
+  std::size_t n = 0;
+  std::size_t width = 0;
+  std::size_t bytes = 0;
+  const bool overflow = __builtin_mul_overflow(cols, layers, &b) ||
+                        __builtin_mul_overflow(rows, b, &n) ||
+                        __builtin_mul_overflow(b, 2, &width) ||
+                        __builtin_add_overflow(width, 1, &width) ||
+                        __builtin_mul_overflow(n, width, &bytes) ||
+                        __builtin_mul_overflow(bytes, sizeof(double), &bytes);
+  if (overflow || bytes > kMaxFactorBytes) {
+    throw ConfigError(
+        "a " + std::to_string(rows) + " x " + std::to_string(cols) + " grid on " +
+        std::to_string(layers) + " layers needs an LU band of " +
+        (overflow ? std::string("more than 2^64") : std::to_string(bytes >> 20) + " MiB") +
+        ", above the " + std::to_string(kMaxFactorBytes >> 20) + " MiB limit");
+  }
 }
+}  // namespace
 
 ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
     : stack_(std::move(stack)),
@@ -84,7 +102,7 @@ ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
       node_count_(stack_.layer_count() * grid_.cell_count()),
       inlet_temperature_(params.inlet_temperature) {
   LIQUID3D_REQUIRE(layer_count_ >= 1, "stack must have at least one layer");
-  backend_ = resolved_backend(params_, layer_count_);
+  require_factor_fits(params_.grid_rows, params_.grid_cols, layer_count_);
   maps_.reserve(layer_count_);
   for (std::size_t l = 0; l < layer_count_; ++l) {
     maps_.emplace_back(grid_, stack_.layer(l).floorplan);
@@ -93,9 +111,7 @@ ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
   cell_power_.assign(node_count_, 0.0);
   rhs_.assign(node_count_, 0.0);
   temps_prev_.assign(node_count_, 0.0);
-  if (backend_ == SolverBackend::kPcg) pcg_x_.assign(node_count_, 0.0);
   if (stack_.has_cavities()) {
-    if (backend_ == SolverBackend::kPcg) fluid_scratch_.assign(cell_count_, 0.0);
     fluid_temp_.assign(stack_.cavity_count(),
                        std::vector<double>(cell_count_, inlet_temperature_));
     cavity_absorbed_.assign(stack_.cavity_count(), 0.0);
@@ -262,13 +278,9 @@ void ThermalModel3D::build_topology() {
     }
   }
 
-  // Fingerprint everything stamp_system consumes (plus the shape and the
-  // fluid/package coupling constants, which enter the RHS).  The resolved
-  // solver backend is mixed in too: equal fingerprints promise that the
-  // batch stepper can advance the models identically, which holds only
-  // within one backend.
+  // Fingerprint everything the assembly consumes (plus the shape and the
+  // fluid/package coupling constants, which enter the RHS).
   std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(backend_));
   // The canonical geometry fingerprint guards against distinct stacks whose
   // discretized networks happen to coincide at this grid resolution.
   fnv_mix(h, stack_fingerprint(stack_));
@@ -353,36 +365,6 @@ void ThermalModel3D::initialize(double temperature_c) {
   sink_temp_ = params_.ambient_temperature;
 }
 
-// One stamping routine serves both backends (their matrix types share the
-// add_diagonal/add_coupling interface on purpose): the direct and iterative
-// paths must assemble the identical operator, and a single stamp keeps an
-// assembly change from reaching one backend but not the other.
-template <typename MatrixT>
-void ThermalModel3D::stamp_system(MatrixT& m, double inv_dt) const {
-  for (std::size_t i = 0; i < node_count_; ++i) {
-    m.add_diagonal(i, capacitance_[i] * inv_dt + ext_diag_[i]);
-  }
-  for (const Coupling& c : couplings_) {
-    m.add_coupling(c.a, c.b, c.g);
-  }
-}
-
-PcgSolver& ThermalModel3D::pcg_for(double inv_dt) {
-  if (pcg_ && pcg_inv_dt_ == inv_dt) return *pcg_;
-  static obs::Histogram& assemble_h =
-      obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
-  obs::ScopedTimer assemble_t(assemble_h);
-  SparseMatrix a(node_count_);
-  stamp_system(a, inv_dt);
-  a.finalize();
-  assemble_t.stop();
-  // A build that throws leaves the slot empty, so a stale key never
-  // outlives the system it named.
-  pcg_.emplace(std::move(a), params_.pcg);
-  pcg_inv_dt_ = inv_dt;
-  return *pcg_;
-}
-
 ThermalModel3D::CavityTotals ThermalModel3D::march_fluid(std::size_t cavity,
                                                          const double* temps,
                                                          double t_inlet,
@@ -437,25 +419,6 @@ ThermalModel3D::CavityTotals ThermalModel3D::march_fluid(std::size_t cavity,
   return {absorbed, outlet_acc / static_cast<double>(grid_.rows())};
 }
 
-void ThermalModel3D::add_coolant_pull(const double* field, double t_inlet,
-                                      double scale, double* y) {
-  const double g_dn = scale * g_fluid_dn_;
-  const double g_up = scale * g_fluid_up_;
-  for (std::size_t k = 0; k < fluid_temp_.size(); ++k) {
-    (void)march_fluid(k, field, t_inlet, fluid_scratch_.data());
-    if (k >= 1) {
-      for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-        y[node(k - 1, cell)] += g_dn * fluid_scratch_[cell];
-      }
-    }
-    if (k < layer_count_) {
-      for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-        y[node(k, cell)] += g_up * fluid_scratch_[cell];
-      }
-    }
-  }
-}
-
 void ThermalModel3D::settle_fluid() const {
   if (!fluid_stale_) return;
   for (std::size_t k = 0; k < fluid_temp_.size(); ++k) {
@@ -467,63 +430,13 @@ void ThermalModel3D::settle_fluid() const {
   fluid_stale_ = false;
 }
 
-void ThermalModel3D::assemble_transient_rhs(double inv_dt, double* out) const {
-  // Stored heat + injected power (+ the package's pull on an air stack).
-  for (std::size_t i = 0; i < node_count_; ++i) {
-    out[i] = capacitance_[i] * inv_dt * temps_prev_[i] + cell_power_[i];
-  }
-  if (!stack_.has_cavities()) {
-    for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-      out[node(layer_count_ - 1, cell)] += g_package_ * spreader_temp_;
-    }
-  }
-}
-
 void ThermalModel3D::advance(double inv_dt) {
   temps_prev_.assign(temps_.begin(), temps_.end());
-  const bool liquid = stack_.has_cavities();
-  if (backend_ == SolverBackend::kDirect) {
-    const LuSlot& slot = lu_slot(inv_dt);
-    assemble_direct_rhs(slot, inv_dt, rhs_.data());
-    solve_direct(*slot.lu, rhs_);
-    temps_.swap(rhs_);
-    finish_direct_solve();
-    return;
-  }
-  // PCG: one BiCGSTAB solve through the IC(0) of M = C inv_dt + G + D, on
-  // the fluid-eliminated M - K for liquid and on M itself for air.
-  PcgSolver& pcg = pcg_for(inv_dt);
-  assemble_transient_rhs(inv_dt, rhs_.data());
-  if (liquid) {
-    // The inlet term k_in T_in: the coolant's pull on walls held at 0 °C.
-    std::fill(pcg_x_.begin(), pcg_x_.end(), 0.0);
-    add_coolant_pull(pcg_x_.data(), inlet_temperature_, 1.0, rhs_.data());
-  }
-  require_finite(rhs_.data(), node_count_, kNonFiniteRhs);
-  // Warm-start from the current field: across steps the solution moves by
-  // fractions of a kelvin, so the solve needs a handful of iterations, not
-  // a cold start's.
-  pcg_x_.assign(temps_.begin(), temps_.end());
-  const OperatorTerm minus_k = [this](const double* v, double* y) {
-    add_coolant_pull(v, 0.0, -1.0, y);
-  };
-  last_pcg_ = pcg.solve(rhs_.data(), pcg_x_.data(),
-                        liquid ? minus_k : OperatorTerm{});
-  // An iterate that stalled at the iteration cap is not a solution;
-  // accepting it silently would corrupt every sample and policy decision
-  // built on the field.  SolverError, not ConfigError or LogicError: the
-  // configuration is well-formed and the code is not buggy — the system is
-  // ill-conditioned for the configured budget, and callers (the sweep
-  // worker's quarantine ladder) may retry on another backend.
-  if (!last_pcg_.converged) {
-    throw SolverError(
-        "PCG solve did not converge within max_iterations; raise "
-        "ThermalModelParams::pcg.max_iterations or loosen the tolerance",
-        "pcg", last_pcg_.iterations, last_pcg_.relative_residual);
-  }
-  temps_.swap(pcg_x_);
-  require_finite(temps_.data(), node_count_, kNonFiniteSolution);
-  fluid_stale_ = liquid;  // the coolant readbacks march on demand
+  const LuSlot& slot = lu_slot(inv_dt);
+  assemble_direct_rhs(slot, inv_dt, rhs_.data());
+  solve_direct(*slot.lu, rhs_);
+  temps_.swap(rhs_);
+  finish_direct_solve();
 }
 
 void ThermalModel3D::assemble_direct_rhs(const LuSlot& slot, double inv_dt,
@@ -534,7 +447,13 @@ void ThermalModel3D::assemble_direct_rhs(const LuSlot& slot, double inv_dt,
                slot.inlet_coef[i] * inlet_temperature_;
     }
   } else {
-    assemble_transient_rhs(inv_dt, out);
+    // Stored heat + injected power + the package's pull on the top layer.
+    for (std::size_t i = 0; i < node_count_; ++i) {
+      out[i] = capacitance_[i] * inv_dt * temps_prev_[i] + cell_power_[i];
+    }
+    for (std::size_t cell = 0; cell < cell_count_; ++cell) {
+      out[node(layer_count_ - 1, cell)] += g_package_ * spreader_temp_;
+    }
   }
   // A single NaN/Inf in the RHS (a power-model blowup, a diverged fluid
   // state) would silently poison the entire field through the solve;
@@ -599,8 +518,12 @@ const ThermalModel3D::LuSlot& ThermalModel3D::lu_slot(double inv_dt) {
     if (stack_.has_cavities()) {
       build_eliminated_system(inv_dt, *slot.lu, slot.inlet_coef, slot.scratch);
     } else {
-      slot.lu->set_zero();
-      stamp_system(*slot.lu, inv_dt);
+      BandedLuMatrix& m = *slot.lu;
+      m.set_zero();
+      for (std::size_t i = 0; i < node_count_; ++i) {
+        m.add_diagonal(i, capacitance_[i] * inv_dt + ext_diag_[i]);
+      }
+      for (const Coupling& c : couplings_) m.add_coupling(c.a, c.b, c.g);
     }
   }
   {
@@ -619,9 +542,7 @@ void ThermalModel3D::step(double dt_s) {
 }
 
 bool ThermalModel3D::shares_lu_key(const ThermalModel3D& other) const {
-  return backend_ == SolverBackend::kDirect &&
-         other.backend_ == SolverBackend::kDirect &&
-         topo_fingerprint_ == other.topo_fingerprint_ &&
+  return topo_fingerprint_ == other.topo_fingerprint_ &&
          cavity_flows_ == other.cavity_flows_;
 }
 
@@ -632,10 +553,6 @@ void ThermalModel3D::step_lockstep(std::span<ThermalModel3D* const> models,
       obs::Registry::global().histogram("liquid3d_batch_rhs_per_solve");
   for (std::size_t i = 0; i < models.size(); ++i) {
     ThermalModel3D& lead = *models[i];
-    if (lead.backend_ != SolverBackend::kDirect) {
-      lead.step(dt_s);
-      continue;
-    }
     // The first model of each key leads its group; later holders of the
     // key were solved with it.
     const auto same_key = [&](const ThermalModel3D* m) {
@@ -687,12 +604,15 @@ std::unique_ptr<BandedLuMatrix> ThermalModel3D::release_factor_storage() {
 
 void ThermalModel3D::adopt_factor_storage(std::unique_ptr<BandedLuMatrix>& storage) {
   const std::size_t bw = grid_.cols() * layer_count_;
-  if (backend_ != SolverBackend::kDirect || lu_slot_.lu || !storage ||
+  if (lu_slot_.lu || !storage ||
       storage->size() != node_count_ ||
       storage->lower_bandwidth() != bw || storage->upper_bandwidth() != bw) {
     return;
   }
   lu_slot_.lu = std::move(storage);
+  static obs::Counter& adopted =
+      obs::Registry::global().counter("liquid3d_solver_adopted_bands_total");
+  adopted.add();
   // A factor of another model is no factor of this one: a NaN 1/dt fits no
   // key, so the first solve reassembles the band.
   lu_slot_.inv_dt = std::numeric_limits<double>::quiet_NaN();

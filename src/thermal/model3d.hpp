@@ -37,17 +37,13 @@
 // 1/dt = 0 (an air stack first sets its spreader and sink in closed form,
 // since all the power crosses the package in series).
 //
-// The direct backend solves by banded LU from one slot per model,
-// refactorized in place when its key — 1/dt and, for liquid stacks, the
-// flow vector — changes, unless a linked peer's slot already holds that key
+// Every solve goes through banded LU from one slot per model, refactorized
+// in place when its key — 1/dt and, for liquid stacks, the flow vector —
+// changes, unless a linked peer's slot already holds that key
 // (share_factors_with); step_lockstep solves models that hold one key
-// through one factor in one multi-right-hand-side sweep.  The PCG backend
-// keeps one CSR system of
-// M = C/dt + G + D (D: each wall's conductance to the coolant or package)
-// and its IC(0), rebuilt in place when 1/dt changes, and solves by one
-// warm-started BiCGSTAB solve: on M for air stacks, on M - K for liquid
-// stacks, where K d — the coolant's pull on the walls — is the march of d
-// from a 0 °C inlet.  G_elim = G + D - K is never formed.
+// through one factor in one multi-right-hand-side sweep.  The band costs
+// n (2b + 1) doubles for n nodes and half-bandwidth b = cols x layers, so
+// construction rejects a grid whose band would pass kMaxFactorBytes.
 #pragma once
 
 #include <concepts>
@@ -55,7 +51,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -65,17 +60,15 @@
 #include "coolant/properties.hpp"
 #include "geom/grid.hpp"
 #include "geom/stack.hpp"
-#include "thermal/solver/backend.hpp"
 #include "thermal/solver/banded_lu.hpp"
-#include "thermal/solver/pcg.hpp"
 #include "thermal/steady_operator.hpp"
 
 namespace liquid3d {
 
 /// Complete dynamic state of a ThermalModel3D — everything `step` and
 /// `solve_steady_state` evolve.  Snapshot/restore lets characterization
-/// warm-start a steady solve (its leakage loop, and the PCG backend's
-/// Krylov iterations) from a previously converged nearby operating point.
+/// warm-start a steady solve's leakage loop from a previously converged
+/// nearby operating point.
 struct ThermalState {
   std::vector<double> temps;                   ///< silicon nodes [°C]
   std::vector<std::vector<double>> fluid_temp; ///< [cavity][cell]
@@ -131,25 +124,12 @@ struct ThermalModelParams {
   /// and wastes its capacity, raising T_max.  Off by default — the paper
   /// assumes a common inlet side.
   bool alternate_flow_direction = false;
-
-  // Numerics: how the system above is solved.  Every backend solves the
-  // same equations; these choose the method and its stopping rule.
-  /// Linear solver family for the backward-Euler and steady systems.
-  /// kAuto resolves per model from the bandwidth x size cost model in
-  /// solver/backend.hpp — direct for every default grid, PCG once the
-  /// half-bandwidth (cols x layers) passes ~215.  That sends the paper's
-  /// 100 µm grid (100 x 115 cells, b = 230 on 2 layers, 460 on 4) to PCG,
-  /// although the direct step is the faster one there (ROADMAP item 3).
-  SolverBackend solver_backend = SolverBackend::kAuto;
-  /// Iterative-backend knobs: the relative-residual tolerance and the
-  /// iteration cap of every Krylov solve (steps and steady states alike).
-  PcgParams pcg{};
 };
 
 /// The one list of ThermalModelParams' leaf fields: calls f(name, field) for
 /// each, with `t` const or mutable.  The names and order are the serve wire's
-/// (`t.<name>`, the enum last), and every cache identity is derived
-/// from this walk, so a field missing here is missing everywhere.
+/// (`t.<name>`), and every cache identity is derived from this walk, so a
+/// field missing here is missing everywhere.
 template <class Params, class F>
   requires std::same_as<std::remove_const_t<Params>, ThermalModelParams>
 constexpr void visit_fields(Params& t, F&& f) {
@@ -175,24 +155,24 @@ constexpr void visit_fields(Params& t, F&& f) {
   f("spreader_to_sink_resistance", t.spreader_to_sink_resistance);
   f("sink_to_ambient_resistance", t.sink_to_ambient_resistance);
   f("alternate_flow_direction", t.alternate_flow_direction);
-  f("pcg_tolerance", t.pcg.tolerance);
-  f("pcg_max_iterations", t.pcg.max_iterations);
-  f("solver_backend", t.solver_backend);
 }
 
 // Drift tripwire: a field added to ThermalModelParams (or to a struct it
 // nests) changes its size and stops the build here, until the field is in
 // visit_fields and this size is updated.
-static_assert(sizeof(void*) != 8 || sizeof(ThermalModelParams) == 192,
+static_assert(sizeof(void*) != 8 || sizeof(ThermalModelParams) == 176,
               "ThermalModelParams changed: update visit_fields and this size");
 
-/// The backend a model of `layer_count` layers built with `t` runs on —
-/// kAuto resolved by the bandwidth cost model, explicit requests as given.
-[[nodiscard]] SolverBackend resolved_backend(const ThermalModelParams& t,
-                                             std::size_t layer_count);
+/// Largest LU band a model may allocate [bytes]: n (2b + 1) doubles for
+/// n = rows x cols x layers nodes and half-bandwidth b = cols x layers.
+/// The paper's 100 µm grid (100 x 115 cells) needs 85 MB on 2 layers and
+/// 339 MB on 4; a 200 x 500 grid on 2 layers would need 3.2 GB.
+inline constexpr std::size_t kMaxFactorBytes = std::size_t{512} << 20;
 
 class ThermalModel3D {
  public:
+  /// Throws ConfigError, before allocating anything of the grid's size,
+  /// when the model's LU band would pass kMaxFactorBytes.
   explicit ThermalModel3D(Stack3D stack, ThermalModelParams params = {});
 
   // -- Topology ---------------------------------------------------------------
@@ -234,17 +214,16 @@ class ThermalModel3D {
   /// Advance the transient solution by dt seconds (backward Euler).
   void step(double dt_s);
 
-  /// step(dt_s) on every model of `models`, bit for bit, with the direct
-  /// solves shared: models whose LU key agrees — direct backend, equal
-  /// topology fingerprints and equal flow vectors, at the one 1/dt —
-  /// solve through one factor in one multi-right-hand-side sweep.  PCG
-  /// models, and a model whose key no other holds, take step().  Links set
-  /// by share_factors_with still apply to the factor a group solves
-  /// through.  BatchRunner's substep loop.
+  /// step(dt_s) on every model of `models`, bit for bit, with the LU
+  /// solves shared: models whose LU key agrees — equal topology
+  /// fingerprints and equal flow vectors, at the one 1/dt — solve through
+  /// one factor in one multi-right-hand-side sweep.  A model whose key no
+  /// other holds takes step().  Links set by share_factors_with still apply
+  /// to the factor a group solves through.  BatchRunner's substep loop.
   static void step_lockstep(std::span<ThermalModel3D* const> models, double dt_s);
 
   /// Solve for the steady state under the current power and flow: the
-  /// implicit step at 1/dt = 0, on every stack and backend.  `pre_step`,
+  /// implicit step at 1/dt = 0, on every stack.  `pre_step`,
   /// when given, runs before every leakage iteration — the hook
   /// characterization uses to fold the temperature-dependent leakage power
   /// into the solve, iterating until the field moves less than 0.05 K.
@@ -295,7 +274,7 @@ class ThermalModel3D {
   /// configured one); sizes must match.
   void restore_state(const ThermalState& state);
 
-  /// Direct backend: when this model's LU slot does not fit its key (dt,
+  /// When this model's LU slot does not fit its key (dt,
   /// and the flow vector of a liquid stack), solve through the slot of a
   /// peer that already fits instead of refactorizing.  Peers must share
   /// this model's topology fingerprint, so a borrowed factor is
@@ -304,7 +283,7 @@ class ThermalModel3D {
   /// each lockstep group.
   void share_factors_with(std::span<ThermalModel3D* const> peers);
 
-  /// Direct backend: move this model's LU band out (null if it has none),
+  /// Move this model's LU band out (null if it has none),
   /// so a model built after this one is gone can reuse the allocation.
   [[nodiscard]] std::unique_ptr<BandedLuMatrix> release_factor_storage();
   /// Take `storage` as this model's LU band, if the model has none yet and
@@ -312,11 +291,6 @@ class ThermalModel3D {
   /// key is invalidated, so no factor of the band's former owner can be
   /// mistaken for one of this model's.
   void adopt_factor_storage(std::unique_ptr<BandedLuMatrix>& storage);
-
-  /// The backend this model resolved to (never kAuto).
-  [[nodiscard]] SolverBackend solver_backend() const { return backend_; }
-  /// Outcome of the most recent PCG solve (iterative backend).
-  [[nodiscard]] const PcgSummary& last_pcg() const { return last_pcg_; }
 
   /// Hash of the conduction topology (capacitances, couplings, external
   /// conductances, grid shape, coolant capacity and flow directions).  Two
@@ -334,7 +308,7 @@ class ThermalModel3D {
   /// every cavity), the conduction network plus the two package unknowns
   /// for air stacks.  Offline-path cost (dense band scan); reuses `out`'s
   /// storage.  The exported algebra is exact: solve_steady_state's answer
-  /// solves this system (to the PCG backend's tolerance there).
+  /// solves this system.
   void export_steady_operator(SteadyOperator& out) const;
 
  private:
@@ -362,15 +336,6 @@ class ThermalModel3D {
   }
 
   void build_topology();
-  /// Stamp M = C inv_dt + G + D into a zeroed matrix exposing
-  /// add_diagonal/add_coupling — the single assembly the air LU slot and
-  /// the PCG backend's CSR operator share.
-  template <typename MatrixT>
-  void stamp_system(MatrixT& m, double inv_dt) const;
-  /// The PCG system (CSR operator M and its IC(0)) for inv_dt (0: the
-  /// steady operator): the model's one slot, rebuilt in place when inv_dt
-  /// differs from its key.
-  PcgSolver& pcg_for(double inv_dt);
   /// Assemble the fluid-eliminated operator C inv_dt + G_elim for the
   /// current flow vector (liquid stacks) into `m`, of size node_count() and
   /// half-bandwidths cols x layers, plus each node's coefficient on the
@@ -388,19 +353,20 @@ class ThermalModel3D {
   [[nodiscard]] bool slot_fits(const LuSlot& slot, double inv_dt) const;
   /// A slot that fits (inv_dt, current flow vector): the model's own, else
   /// a linked peer's, else the own slot reassembled and refactorized in
-  /// place.  Direct backend.
+  /// place.
   const LuSlot& lu_slot(double inv_dt);
-  /// A direct step in three parts.  First the right-hand side for the
-  /// slot's operator into out[0, node_count()), checked finite: C inv_dt
-  /// temps_prev_ + P + inlet_coef T_in for liquid stacks, that of
-  /// assemble_transient_rhs for air.
+  /// A step in three parts.  First the right-hand side for the slot's
+  /// operator into out[0, node_count()), checked finite: C inv_dt
+  /// temps_prev_ + P, plus inlet_coef T_in for liquid stacks and the
+  /// spreader's pull on an air stack's top layer.  Reads temps_prev_ —
+  /// callers snapshot temps_ there first.
   void assemble_direct_rhs(const LuSlot& slot, double inv_dt, double* out) const;
   /// Then the solve, of one right-hand side or of a lockstep group's
   /// column block (timed).
   static void solve_direct(const BandedLuMatrix& factor, std::span<double> rhs);
   /// Then, with the solution in temps_, its finite check.  Nothing reads
   /// the coolant until a readback, so a liquid model's march is left
-  /// pending (fluid_stale_), as after a PCG liquid solve.
+  /// pending (fluid_stale_).
   void finish_direct_solve();
   /// Whether this model and `other` solve through the same direct factor
   /// at any one 1/dt (step_lockstep's key).
@@ -410,18 +376,11 @@ class ThermalModel3D {
   void step_group(double dt_s);
   /// One backward-Euler step of size 1/inv_dt (inv_dt = 0: the steady
   /// state); max_change() then gives the largest node temperature change.
-  /// One linear solve of the fluid-eliminated operator (liquid stacks) or
-  /// of C inv_dt + G (air): by LU on the direct backend, by one
-  /// warm-started Krylov solve on PCG.
+  /// One LU solve of the fluid-eliminated operator (liquid stacks) or of
+  /// C inv_dt + G (air).
   void advance(double inv_dt);
   /// Largest |temps_ - temps_prev_| over the silicon nodes.
   [[nodiscard]] double max_change() const;
-  /// Write the backward-Euler right-hand side C inv_dt temps_prev_ + P, plus
-  /// the spreader's pull on an air stack's top layer, into out[i] for node
-  /// i.  Reads temps_prev_ — callers snapshot temps_ there first.  Serves
-  /// the air direct step and every PCG step (a liquid one adds the inlet
-  /// term).
-  void assemble_transient_rhs(double inv_dt, double* out) const;
   /// What one cavity's march reports besides its fluid field.
   struct CavityTotals {
     double absorbed;  ///< heat the coolant took up [W]
@@ -432,12 +391,6 @@ class ThermalModel3D {
   /// with inlet temperature `t_inlet`.  Linear in (temps, t_inlet).
   CavityTotals march_fluid(std::size_t cavity, const double* temps,
                            double t_inlet, double* fluid) const;
-  /// y[wall] += scale * g_face * T_fluid for every wall of every cavity,
-  /// T_fluid the march over `field` from `t_inlet`: with t_inlet = 0 and
-  /// scale = -1 this subtracts K field (the BiCGSTAB operator term), with a
-  /// zero field and scale = 1 it adds the inlet term k_in T_in.
-  void add_coolant_pull(const double* field, double t_inlet, double scale,
-                        double* y);
   /// Run the march a liquid solve left pending, if any: the coolant
   /// readbacks depend only on temps_, the inlet temperature and the flows,
   /// so a pending march is settled before any of them changes (initialize
@@ -477,20 +430,8 @@ class ThermalModel3D {
   double inlet_temperature_;
   std::vector<VolumetricFlow> cavity_flows_;  ///< [cavity]
 
-  // Resolved solver backend (kAuto is decided at construction, before the
-  // topology fingerprint is computed — the fingerprint mixes it in, so
-  // batch groups are backend-homogeneous).
-  SolverBackend backend_ = SolverBackend::kDirect;
-
-  // Iterative backend: the one PCG system and the 1/dt it was built for (a
-  // model steps at one substep and solves steady states at 0, so a slot
-  // keyed exactly by 1/dt rebuilds only when the caller switches).
-  std::optional<PcgSolver> pcg_;
-  double pcg_inv_dt_ = 0.0;
-  PcgSummary last_pcg_{};
-  // Direct backend: the model's one LU slot, rebuilt in place on any change
-  // of its key, and the models whose slots it may borrow
-  // (share_factors_with).
+  // The model's one LU slot, rebuilt in place on any change of its key,
+  // and the models whose slots it may borrow (share_factors_with).
   LuSlot lu_slot_;
   std::span<ThermalModel3D* const> factor_peers_;
 
@@ -500,8 +441,6 @@ class ThermalModel3D {
   std::vector<double> temps_prev_;
   std::vector<ThermalModel3D*> lockstep_group_;  ///< step_lockstep, as lead
   std::vector<double> lockstep_rhs_;  ///< the group's n x k column block
-  std::vector<double> pcg_x_;  ///< PCG solution buffer (warm-start copy)
-  std::vector<double> fluid_scratch_;  ///< one cavity's march (PCG liquid)
   std::vector<double> block_power_scratch_;
 };
 

@@ -1,5 +1,5 @@
 // banded_lu.hpp — general (non-symmetric) banded LU direct solver: the
-// one direct kernel behind every ThermalModel3D solve on the direct backend.
+// one kernel behind every ThermalModel3D solve.
 //
 // Liquid stacks.  The coolant march is linear in the wall temperatures, and
 // eliminating the fluid couples each silicon cell only to cells upstream in
@@ -21,8 +21,8 @@
 // does not always have them: its steady rows lose dominance once
 // g_sum / w_row > 2 (the lowest pump setting), and valve-throttled cavities
 // lose it even with the C/dt term of a transient step.  There the factor is
-// backed by measurement only (tests pin those answers against the PCG fixed
-// point).  A pivot that vanishes or is non-finite is a numerical outcome of
+// backed by measurement only (tests pin those answers against a dense
+// partially pivoted LU of the same operator).  A pivot that vanishes or is non-finite is a numerical outcome of
 // the operating point, not a bug: factorize() throws SolverError, which the
 // sweep's quarantine ladder records as data.
 //
@@ -63,8 +63,8 @@ class BandedLuMatrix {
   [[nodiscard]] double at(std::size_t i, std::size_t j) const;
   /// Accumulate v into A(i, j).
   void add(std::size_t i, std::size_t j, double v) { at(i, j) += v; }
-  /// The conduction stamps SparseMatrix shares, so ThermalModel3D's one
-  /// stamp_system assembles the air operator for either backend.
+  /// The conduction stamps the air operator is assembled from: g on the
+  /// diagonal of node i.
   void add_diagonal(std::size_t i, double g) { at(i, i) += g; }
   /// Conductance g between distinct nodes i and j: +g on both diagonals,
   /// -g on both off-diagonals.

@@ -19,19 +19,19 @@ class FaultInjectionTest : public ::testing::Test {
 TEST_F(FaultInjectionTest, DisarmedNeverFailsAndIsCheap) {
   EXPECT_FALSE(armed());
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(should_fail("pcg.solve"));
+    EXPECT_FALSE(should_fail("worker.chunk"));
   }
   // Disarmed hits take the fast path and are not recorded.
-  EXPECT_EQ(hits("pcg.solve"), 0u);
+  EXPECT_EQ(hits("worker.chunk"), 0u);
 }
 
 TEST_F(FaultInjectionTest, FailsEveryHitWhenArmedBare) {
-  ScopedFaults faults("pcg.solve");
+  ScopedFaults faults("worker.chunk");
   EXPECT_TRUE(armed());
-  EXPECT_TRUE(should_fail("pcg.solve"));
-  EXPECT_TRUE(should_fail("pcg.solve"));
+  EXPECT_TRUE(should_fail("worker.chunk"));
+  EXPECT_TRUE(should_fail("worker.chunk"));
   EXPECT_FALSE(should_fail("journal.append"));  // other sites untouched
-  EXPECT_EQ(hits("pcg.solve"), 2u);
+  EXPECT_EQ(hits("worker.chunk"), 2u);
   EXPECT_EQ(hits("journal.append"), 1u);
 }
 
@@ -70,13 +70,13 @@ TEST_F(FaultInjectionTest, SemicolonArmsMultipleSpecs) {
 TEST_F(FaultInjectionTest, ProbabilisticScheduleIsSeedDeterministic) {
   std::vector<bool> first;
   {
-    ScopedFaults faults("pcg.solve:p=0.5:seed=42");
-    for (int i = 0; i < 64; ++i) first.push_back(should_fail("pcg.solve"));
+    ScopedFaults faults("worker.chunk:p=0.5:seed=42");
+    for (int i = 0; i < 64; ++i) first.push_back(should_fail("worker.chunk"));
   }
   std::vector<bool> second;
   {
-    ScopedFaults faults("pcg.solve:p=0.5:seed=42");
-    for (int i = 0; i < 64; ++i) second.push_back(should_fail("pcg.solve"));
+    ScopedFaults faults("worker.chunk:p=0.5:seed=42");
+    for (int i = 0; i < 64; ++i) second.push_back(should_fail("worker.chunk"));
   }
   EXPECT_EQ(first, second);
   // The coin actually lands on both sides somewhere in 64 flips.
@@ -85,9 +85,9 @@ TEST_F(FaultInjectionTest, ProbabilisticScheduleIsSeedDeterministic) {
 
   std::vector<bool> other_seed;
   {
-    ScopedFaults faults("pcg.solve:p=0.5:seed=43");
+    ScopedFaults faults("worker.chunk:p=0.5:seed=43");
     for (int i = 0; i < 64; ++i) {
-      other_seed.push_back(should_fail("pcg.solve"));
+      other_seed.push_back(should_fail("worker.chunk"));
     }
   }
   EXPECT_NE(first, other_seed);
@@ -95,23 +95,23 @@ TEST_F(FaultInjectionTest, ProbabilisticScheduleIsSeedDeterministic) {
 
 TEST_F(FaultInjectionTest, MalformedSpecsThrowConfigError) {
   EXPECT_THROW(arm(":nth=1"), ConfigError);  // empty site inside a spec
-  EXPECT_THROW(arm("pcg.solve:bogus=1"), ConfigError);
-  EXPECT_THROW(arm("pcg.solve:nth=0"), ConfigError);
-  EXPECT_THROW(arm("pcg.solve:p=1.5"), ConfigError);
-  EXPECT_THROW(arm("pcg.solve:kill=1"), ConfigError);
+  EXPECT_THROW(arm("worker.chunk:bogus=1"), ConfigError);
+  EXPECT_THROW(arm("worker.chunk:nth=0"), ConfigError);
+  EXPECT_THROW(arm("worker.chunk:p=1.5"), ConfigError);
+  EXPECT_THROW(arm("worker.chunk:kill=1"), ConfigError);
   EXPECT_FALSE(armed());  // nothing half-armed
 }
 
 TEST_F(FaultInjectionTest, DisarmResetsCountersAndSpecs) {
-  arm("pcg.solve:nth=2");
-  EXPECT_FALSE(should_fail("pcg.solve"));
+  arm("worker.chunk:nth=2");
+  EXPECT_FALSE(should_fail("worker.chunk"));
   disarm_all();
   EXPECT_FALSE(armed());
-  EXPECT_EQ(hits("pcg.solve"), 0u);
+  EXPECT_EQ(hits("worker.chunk"), 0u);
   // Re-arming starts a fresh schedule: the first hit is hit #1 again.
-  ScopedFaults faults("pcg.solve:nth=2");
-  EXPECT_FALSE(should_fail("pcg.solve"));
-  EXPECT_TRUE(should_fail("pcg.solve"));
+  ScopedFaults faults("worker.chunk:nth=2");
+  EXPECT_FALSE(should_fail("worker.chunk"));
+  EXPECT_TRUE(should_fail("worker.chunk"));
 }
 
 TEST_F(FaultInjectionTest, ConcurrentHitsAreCountedExactly) {

@@ -161,9 +161,9 @@ TEST_F(FaultToleranceTest, SingleCellChunksSurviveFullyQuarantinedChunks) {
 }
 
 TEST_F(FaultToleranceTest, EscalationLadderRecoversTransientFaults) {
-  // The fault hits cell 3 exactly once: the as-configured rung fails, the
-  // direct-backend rung succeeds, and the shard completes with no FAILED
-  // record and full stats.
+  // The fault hits cell 3 exactly once: the first attempt fails, the solo
+  // retry succeeds, and the shard completes with no FAILED record and full
+  // stats.
   const SweepGridSpec grid = tiny_grid();
   const std::string journal = temp_path("escalate.csv");
   std::remove(journal.c_str());
@@ -177,13 +177,12 @@ TEST_F(FaultToleranceTest, EscalationLadderRecoversTransientFaults) {
   for (const JournalEntry& e : SweepJournal::load(journal)) {
     EXPECT_FALSE(e.failed);
   }
-  // Survivors (cells never faulted) match the reference bit-exactly; cell 3
-  // completed on the escalated backend, so its row is legitimately
-  // different from the as-configured reference.
+  // Every cell matches the reference bit-exactly, the retried one too: its
+  // retry is the same configuration run solo (the batch==solo contract).
   SweepMergeStats merge_stats;
   const std::vector<PolicySummary> merged = merge_sweep_entries(
       full_shard(grid), SweepJournal::load(journal), &merge_stats);
-  expect_survivors_identical(grid, merged, {3});
+  expect_survivors_identical(grid, merged, {});
   std::remove(journal.c_str());
 }
 
@@ -250,7 +249,7 @@ TEST_F(FaultToleranceTest, ResumeSkipsFailedCellsInsteadOfRetrying) {
 
   // Faults are gone now, but the FAILED record is checkpoint state: the
   // resumed worker must not burn time re-solving a cell a prior run
-  // already escalated through the whole ladder.
+  // already retried through the whole ladder.
   const SweepWorkerStats resumed = run_sweep_shard(full_shard(grid), journal);
   EXPECT_EQ(resumed.already_done, 4u);
   EXPECT_EQ(resumed.completed, 0u);
@@ -298,7 +297,7 @@ TEST_F(FaultToleranceTest, FailedJournalRecordsRoundTripThroughCsv) {
   failed.failed = true;
   failed.scenario = "talb-var";
   failed.workload = "Web-med";
-  failed.error = "PCG stalled [backend=pcg, iterations=1000, residual=1]";
+  failed.error = "vanishing pivot [backend=direct, iterations=17, residual=0]";
   failed.attempts = 3;
   {
     SweepJournal journal(path);

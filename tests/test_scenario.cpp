@@ -49,7 +49,6 @@ TEST(Scenario, CsvRowRoundTrips) {
   s.valve_network = true;
   s.skew = "hot-corner";
   s.label = "LB (Max) [valved]";
-  s.solver = SolverBackend::kPcg;
   s.stack = "niagara-4layer";
 
   const std::vector<std::string> row = to_csv_row(s);
@@ -61,16 +60,15 @@ TEST(Scenario, CsvRowRoundTrips) {
   EXPECT_EQ(back.valve_network, s.valve_network);
   EXPECT_EQ(back.skew, s.skew);
   EXPECT_EQ(back.label, s.label);
-  EXPECT_EQ(back.solver, s.solver);
   EXPECT_EQ(back.stack, s.stack);
 
   EXPECT_THROW((void)scenario_from_csv_row({"too", "short"}), ConfigError);
   std::vector<std::string> bad = row;
   bad[3] = "yes";
   EXPECT_THROW((void)scenario_from_csv_row(bad), ConfigError);
-  std::vector<std::string> bad_solver = row;
-  bad_solver[6] = "cholesky?";
-  EXPECT_THROW((void)scenario_from_csv_row(bad_solver), ConfigError);
+  std::vector<std::string> too_long = row;
+  too_long.push_back("auto");  // 8 columns, as rows that carried a solver had
+  EXPECT_THROW((void)scenario_from_csv_row(too_long), ConfigError);
 }
 
 TEST(Scenario, MalformedRowsNameTheOffendingColumn) {
@@ -86,7 +84,7 @@ TEST(Scenario, MalformedRowsNameTheOffendingColumn) {
     }
   };
   const std::vector<std::string> good = {"cell", "talb", "var", "0",
-                                         "",     "",     "auto"};
+                                         "",     "",     ""};
   ASSERT_EQ(error_of(good), "");
 
   std::vector<std::string> bad = good;
@@ -103,34 +101,20 @@ TEST(Scenario, MalformedRowsNameTheOffendingColumn) {
   bad[3] = "maybe";
   EXPECT_NE(error_of(bad).find("column 'valves'"), std::string::npos);
 
-  bad = good;
-  bad[6] = "cholesky?";
-  EXPECT_NE(error_of(bad).find("column 'solver'"), std::string::npos);
-
   // Arity failures spell out expected vs. actual counts.
   const std::string arity = error_of({"too", "short"});
   EXPECT_NE(arity.find("got 2"), std::string::npos) << arity;
-  EXPECT_NE(arity.find("expected 8"), std::string::npos) << arity;
+  EXPECT_NE(arity.find("expected 7"), std::string::npos) << arity;
 }
 
 TEST(Scenario, LegacyRowsWithoutSolverColumnStillParse) {
-  // Rows checkpointed before the solver axis existed (6 columns) must keep
-  // loading; the backend defaults to auto.
+  // Rows checkpointed before the solver and stack axes existed (6 columns)
+  // must keep loading; the stack axis defaults to empty (built-in Niagara
+  // geometry).
   const std::vector<std::string> legacy = {"talb-var", "talb", "var",
                                            "0",        "",     "TALB (Var)"};
   const ScenarioSpec s = scenario_from_csv_row(legacy);
   EXPECT_EQ(s.name, "talb-var");
-  EXPECT_EQ(s.solver, SolverBackend::kAuto);
-}
-
-TEST(Scenario, LegacyRowsWithoutStackColumnStillParse) {
-  // Rows checkpointed before the stack axis existed (7 columns) must keep
-  // loading; the stack axis defaults to empty (built-in Niagara geometry).
-  const std::vector<std::string> legacy = {
-      "talb-var", "talb", "var", "0", "", "TALB (Var)", "pcg"};
-  const ScenarioSpec s = scenario_from_csv_row(legacy);
-  EXPECT_EQ(s.name, "talb-var");
-  EXPECT_EQ(s.solver, SolverBackend::kPcg);
   EXPECT_TRUE(s.stack.empty());
 }
 
@@ -203,22 +187,6 @@ TEST(Scenario, ApplyBindsPolicyCoolingValvesAndSkew) {
   EXPECT_THROW(apply_scenario(air_valves, cfg), ConfigError);
 }
 
-TEST(Scenario, ApplyBindsSolverBackend) {
-  SimulationConfig cfg;
-  ScenarioSpec s;
-  s.name = "talb-var-pcg";
-  s.policy = Policy::kTalb;
-  s.cooling = CoolingMode::kLiquidVar;
-  s.solver = SolverBackend::kPcg;
-  apply_scenario(s, cfg);
-  EXPECT_EQ(cfg.thermal.solver_backend, SolverBackend::kPcg);
-
-  ScenarioSpec dflt;
-  dflt.name = "talb-var";
-  apply_scenario(dflt, cfg);
-  EXPECT_EQ(cfg.thermal.solver_backend, SolverBackend::kAuto);
-}
-
 TEST(Scenario, ApplyBindsStackAxis) {
   SimulationConfig cfg;
   ScenarioSpec s;
@@ -257,7 +225,7 @@ TEST(Scenario, ApplyBindsStackAxis) {
 
 TEST(Scenario, CellSeedIgnoresStackAxis) {
   // The stack axis is seed-neutral: comparing geometries replays the
-  // identical workload trace on every arm, like the valve/skew/solver axes.
+  // identical workload trace on every arm, like the valve/skew axes.
   const BenchmarkSpec gzip = *find_benchmark("gzip");
   ScenarioSpec uniform;
   uniform.policy = Policy::kTalb;
@@ -290,12 +258,6 @@ TEST(Scenario, CellSeedDependsOnIdentityOnly) {
   valved.valve_network = true;
   valved.skew = "hot-corner";
   EXPECT_EQ(cell_seed(7, uniform, gzip), cell_seed(7, valved, gzip));
-
-  // The solver backend is a numerics axis, not an identity axis: a
-  // direct-vs-PCG comparison runs the same workload trace on both arms.
-  ScenarioSpec pcg = uniform;
-  pcg.solver = SolverBackend::kPcg;
-  EXPECT_EQ(cell_seed(7, uniform, gzip), cell_seed(7, pcg, gzip));
 }
 
 TEST(Scenario, CellSeedsAreDistinctAcrossTheGrid) {

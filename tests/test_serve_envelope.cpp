@@ -34,8 +34,7 @@ SteadyQuery sample_steady() {
   q.config.thermal.grid_cols = 9;
   q.config.thermal.inlet_temperature = 32.25;
   q.config.thermal.alternate_flow_direction = true;
-  q.config.thermal.solver_backend = SolverBackend::kPcg;
-  q.config.thermal.pcg.tolerance = 1.0 / 3.0;  // not exactly representable
+  q.config.thermal.bond_conductivity = 1.0 / 3.0;  // not exactly representable
   q.block_watts = {{0.5, 1.0 / 7.0}, {}, {2.25}};
   q.core_watts = 3.125;
   q.flows_ml_per_min = {11.0, 13.5};
@@ -73,9 +72,8 @@ TEST(ServeEnvelope, SteadyQueryRoundTripsBitExactly) {
   EXPECT_EQ(q.config.thermal.inlet_temperature,
             ref.config.thermal.inlet_temperature);
   EXPECT_EQ(q.config.thermal.alternate_flow_direction, true);
-  EXPECT_EQ(q.config.thermal.solver_backend, SolverBackend::kPcg);
   // The bit-identity linchpin: a double that has no short decimal form.
-  EXPECT_EQ(q.config.thermal.pcg.tolerance, 1.0 / 3.0);
+  EXPECT_EQ(q.config.thermal.bond_conductivity, 1.0 / 3.0);
   EXPECT_EQ(q.block_watts, ref.block_watts);
   EXPECT_EQ(q.core_watts, ref.core_watts);
   EXPECT_EQ(q.flows_ml_per_min, ref.flows_ml_per_min);
@@ -283,7 +281,7 @@ TEST(ServeEnvelope, RejectsForeignMagicUnknownVersionAndUnknownTag) {
 
 TEST(ServeEnvelope, RemovedThermalKeysAreRejected) {
   // Removing a field removes its key: a request that still carries one of
-  // the PCG backend's retired knobs gets a typed bad-request, not a silent
+  // the retired solver knobs gets a typed bad-request, not a silent
   // drop of a setting the client believes it made.
   WireRequest request;
   request.payload = SteadyQuery{};
@@ -294,7 +292,8 @@ TEST(ServeEnvelope, RemovedThermalKeysAreRejected) {
         "t.steady_fluid_iterations 40", "t.steady_pseudo_dt 5",
         "t.steady_tolerance 0.0001", "t.max_steady_iterations 1500",
         "t.pcg_ssor_omega 1", "t.pcg_preconditioner ic0",
-        "t.direct_steady_solver 1"}) {
+        "t.direct_steady_solver 1", "t.solver_backend auto",
+        "t.pcg_tolerance 1e-10", "t.pcg_max_iterations 1000"}) {
     EXPECT_THROW((void)decode_request(valid + line + "\n"), ConfigError) << line;
   }
 }
@@ -425,7 +424,7 @@ TEST(ServeEnvelope, PercentSeventeenGRequestDecodesToTheSameBits) {
       "t.grid_cols 9\n"
       "t.silicon_conductivity 120\n"
       "t.silicon_volumetric_heat_capacity 1630000\n"
-      "t.bond_conductivity 4\n"
+      "t.bond_conductivity 0.33333333333333331\n"
       "t.cavity_wall_conductivity 100\n"
       "t.inlet_temperature 32.25\n"
       "t.ambient_temperature 45\n"
@@ -443,9 +442,6 @@ TEST(ServeEnvelope, PercentSeventeenGRequestDecodesToTheSameBits) {
       "t.spreader_to_sink_resistance 0.10000000000000001\n"
       "t.sink_to_ambient_resistance 0.050000000000000003\n"
       "t.alternate_flow_direction 1\n"
-      "t.pcg_tolerance 0.33333333333333331\n"
-      "t.pcg_max_iterations 1000\n"
-      "t.solver_backend pcg\n"
       "core_watts 3.125\n"
       "block_watts 0:0.5,0.14285714285714285;1:;2:2.25\n"
       "flows_ml_per_min 11,13.5\n"
@@ -465,7 +461,7 @@ TEST(ServeEnvelope, PercentSeventeenGRequestDecodesToTheSameBits) {
   const WireRequest old_decoded = decode_request(old_format);
   EXPECT_EQ(encode_request(old_decoded), current);
   const auto& q = std::get<SteadyQuery>(old_decoded.payload);
-  EXPECT_EQ(bits_of(q.config.thermal.pcg.tolerance), bits_of(1.0 / 3.0));
+  EXPECT_EQ(bits_of(q.config.thermal.bond_conductivity), bits_of(1.0 / 3.0));
   EXPECT_EQ(bits_of(q.config.thermal.tim_thickness),
             bits_of(ThermalModelParams{}.tim_thickness));
 }

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "common/error.hpp"
 #include "serve/net/client.hpp"
@@ -235,6 +236,35 @@ TEST(ServeNet, MalformedEnvelopeGetsTypedReplyAndServerKeepsServing) {
   // ...and so does the rest of the server.
   ServeClient client(fx.server.endpoint());
   EXPECT_GT(client.steady(small_steady()).t_max_c, 0.0);
+}
+
+TEST(ServeNet, GridPastTheFactorCapGetsATypedBadRequest) {
+  // A grid whose LU band would pass kMaxFactorBytes — 200 x 500 on 2 layers
+  // needs 3.2 GB, 2^40 rows overflows the size in 64-bit arithmetic — is a
+  // malformed query: the model rejects it before allocating, and the
+  // server keeps serving.
+  Fixture fx;
+  const int fd = connect_socket(fx.server.endpoint());
+  std::uint64_t id = 90;
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{200, 500},
+                                   {std::size_t{1} << 40, 9}}) {
+    SCOPED_TRACE(testing::Message() << rows << " x " << cols);
+    SteadyQuery q = small_steady();
+    q.config.thermal.grid_rows = rows;
+    q.config.thermal.grid_cols = cols;
+    send_frame(fd, encode_request(++id, 0.0, q));
+    const auto reply = recv_frame(fd);
+    ASSERT_TRUE(reply.has_value());
+    const WireResponse response = decode_response(*reply);
+    EXPECT_EQ(response.id, id);
+    EXPECT_EQ(std::get<ErrorReply>(response.payload).code, WireErrorCode::kBadRequest);
+  }
+  send_frame(fd, encode_request(++id, 0.0, small_steady()));
+  const auto reply = recv_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(std::get<SteadyAnswer>(decode_response(*reply).payload).t_max_c,
+            fx.service.steady(small_steady()).t_max_c);
+  ::close(fd);
 }
 
 TEST(ServeNet, OversizedPrefixDropsConnectionButServerKeepsServing) {

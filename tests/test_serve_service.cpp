@@ -16,7 +16,9 @@
 #include "common/error.hpp"
 #include "common/identity_key.hpp"
 #include "geom/stack_spec.hpp"
+#include "obs/metrics.hpp"
 #include "serve/net/envelope.hpp"
+#include "serve/queue.hpp"
 #include "serve/service.hpp"
 #include "sim/characterization_cache.hpp"
 #include "sim/session.hpp"
@@ -105,6 +107,29 @@ TEST(ServeService, ConcurrentWhatIfsShareLockstepBatches) {
   }
 }
 
+TEST(ServeQueue, SequentialBatchesReuseTheWorkersBand) {
+  // Two one-session batches, one after the other, through one queue worker:
+  // the second batch's model adopts the LU band the first left instead of
+  // allocating its own, and answers exactly as a fresh queue does.
+  const obs::Counter& adopted =
+      obs::Registry::global().counter("liquid3d_solver_adopted_bands_total");
+  const auto submit = [](QueryQueue& queue, std::uint64_t seed) {
+    SessionJob job;
+    job.cfg = ThermalService::session_config(small_whatif(seed));
+    return queue.submit(std::move(job));
+  };
+  QueryQueue queue;
+  const std::uint64_t before = adopted.value();
+  (void)submit(queue, 1).get();
+  EXPECT_EQ(adopted.value() - before, 0u);  // nothing to adopt yet
+  const SessionOutcome second = submit(queue, 2).get();
+  EXPECT_EQ(adopted.value() - before, 1u);
+  EXPECT_EQ(queue.batches(), 2u);
+
+  QueryQueue fresh;
+  expect_bit_identical(second.result, submit(fresh, 2).get().result);
+}
+
 TEST(ServeService, ReplayAppliesPhasesAndTraces) {
   ThermalService service;
   ReplayQuery q;
@@ -160,42 +185,6 @@ TEST(ServeService, SteadyQueryValidation) {
   EXPECT_THROW((void)service.steady(air_with_flows), ConfigError);
 }
 
-TEST(ServeService, PcgQueryIsNotServedByAPooledDirectModel) {
-  // The solver backend is part of the model identity: a PCG query issued
-  // after a direct one must not reuse the pooled direct model.
-  SteadyQuery direct;
-  direct.config.cooling = CoolingMode::kLiquidMax;
-  direct.config.thermal.grid_rows = 8;
-  direct.config.thermal.grid_cols = 9;
-  direct.config.thermal.solver_backend = SolverBackend::kDirect;
-  direct.force_full = true;
-  SteadyQuery pcg = direct;
-  pcg.config.thermal.solver_backend = SolverBackend::kPcg;
-
-  ThermalService shared;
-  (void)shared.steady(direct);
-  const SteadyAnswer after_direct = shared.steady(pcg);
-  ThermalService fresh;
-  const SteadyAnswer alone = fresh.steady(pcg);
-  EXPECT_EQ(after_direct.t_max_c, alone.t_max_c);
-  EXPECT_EQ(after_direct.layer_max_c, alone.layer_max_c);
-}
-
-TEST(ServeService, AutoAndDirectQueriesShareOneRom) {
-  // The backend enters the identity as resolved: at the default grid kAuto
-  // resolves to kDirect, so both queries are one system and one ROM build.
-  SteadyQuery automatic;
-  automatic.config.cooling = CoolingMode::kLiquidMax;
-  SteadyQuery direct = automatic;
-  direct.config.thermal.solver_backend = SolverBackend::kDirect;
-  const ThermalService::SteadyKeys keys = ThermalService::steady_keys(automatic);
-  EXPECT_EQ(ThermalService::steady_keys(direct).model, keys.model);
-  EXPECT_EQ(ThermalService::steady_keys(direct).rom, keys.rom);
-  ThermalService service;
-  EXPECT_EQ(service.steady(automatic).t_max_c, service.steady(direct).t_max_c);
-  EXPECT_EQ(service.stats().rom_builds, 1u);
-}
-
 /// A liquid stack with inline blocks, so every spec field can be perturbed
 /// without leaving the valid set.
 StackSpec inline_spec() {
@@ -215,7 +204,7 @@ StackSpec inline_spec() {
 }
 
 /// Perturbs field `index` of a parameter struct through its visit_fields
-/// table (doubles x1.01, integers +1, bools flipped, enums to another value);
+/// table (doubles x1.01, integers +1, bools flipped);
 /// returns the field's name, empty past the last field.
 template <class Params>
 std::string perturb_field(Params& params, std::size_t index) {
@@ -229,8 +218,6 @@ std::string perturb_field(Params& params, std::size_t index) {
       field = !field;
     } else if constexpr (std::is_same_v<F, double>) {
       field *= 1.01;
-    } else if constexpr (std::is_same_v<F, SolverBackend>) {
-      field = SolverBackend::kPcg;  // kDirect resolves like kAuto: see below
     } else {
       field += 1;
     }
@@ -268,7 +255,7 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
     append_fields(received, std::get<SteadyQuery>(wire.payload).config.thermal);
     EXPECT_EQ(received, sent);
   }
-  EXPECT_EQ(thermal_fields, 25u);
+  EXPECT_EQ(thermal_fields, 22u);
 
   // Every PowerModelParams field moves both characterization keys.
   std::size_t power_fields = 0;
@@ -279,15 +266,6 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
     EXPECT_NE(CharacterizationCache::talb_key(cfg), talb) << name;
   }
   EXPECT_EQ(power_fields, 14u);
-
-  // The one deliberate equality: the backend enters as resolved, and kAuto
-  // resolves to kDirect at the default grid (kPcg moved every key above).
-  SteadyQuery direct = base;
-  direct.config.thermal.solver_backend = SolverBackend::kDirect;
-  EXPECT_EQ(ThermalService::steady_keys(direct).model, keys.model);
-  EXPECT_EQ(ThermalService::steady_keys(direct).rom, keys.rom);
-  EXPECT_EQ(CharacterizationCache::flow_lut_key(direct.config), lut);
-  EXPECT_EQ(CharacterizationCache::talb_key(direct.config), talb);
 
   using Perturb = void (*)(SteadyQuery&);
   const auto both_change = [&](const char* field, Perturb perturb) {

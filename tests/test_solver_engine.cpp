@@ -3,9 +3,9 @@
 // dense solver, refactorization after set_zero, the blocked banded LU and
 // direct-write eliminated assembly against their unblocked references (bit
 // for bit), multi-right-hand-side solves against single ones (bit for
-// bit), the dt-keyed LRU cache and the models' LU slots,
-// warm-started characterization equivalence, and the no-allocation
-// guarantee of the transient hot loop.
+// bit), the fluid-eliminated step against a dense partially pivoted LU,
+// the models' LU slots, warm-started characterization equivalence, and the
+// no-allocation guarantee of the transient hot loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -29,6 +30,7 @@
 #include "thermal/model3d.hpp"
 #include "thermal/solver/banded_lu.hpp"
 #include "reference_banded_lu.hpp"
+#include "reference_dense_lu.hpp"
 #include "thermal_test_access.hpp"
 
 // -- Global allocation counter ----------------------------------------------
@@ -559,85 +561,67 @@ TEST(AirStep, MatchesDenseReferenceWithinNamedTolerance) {
 
 // -- Air steady state: the implicit step at 1/dt = 0 ------------------------
 
-/// Largest per-node disagreement [K] allowed between a PCG air steady state
-/// and a dense solve of the exported operator.  PCG stops at a relative
-/// residual of PcgParams::tolerance (1e-10); through the conditioning of
-/// the steady conduction operator that leaves nanokelvins of error in a
-/// field near 75-105 °C (measured 1.3e-9 K on this test's 6x7 grid, 3.4e-9
-/// K on the default 23x26 one).  The bound leaves an order of magnitude of
-/// headroom and still catches a wrong package temperature, which moves the
-/// field by millikelvins.
-constexpr double kAirPcgSteadyToleranceK = 5e-8;
-
-TEST(AirSteady, MatchesDenseReferenceOnBothBackends) {
+TEST(AirSteady, MatchesDenseReference) {
   // The air steady state sets the spreader and sink in closed form (all the
   // power crosses the package in series) and solves the silicon once.  The
   // reference solves the whole exported operator, package unknowns
   // included, densely: A x = p + ref_coef T_amb.
   for (const std::size_t pairs : {1u, 2u}) {
-    for (const SolverBackend backend :
-         {SolverBackend::kDirect, SolverBackend::kPcg}) {
-      SCOPED_TRACE(testing::Message() << 2 * pairs << " layers, "
-                                      << to_string(backend));
-      ThermalModelParams p;
-      p.grid_rows = 6;
-      p.grid_cols = 7;
-      p.solver_backend = backend;
-      ThermalModel3D model(make_niagara_stack(pairs, CoolingType::kAir), p);
-      ASSERT_EQ(model.solver_backend(), backend);
-      for (std::size_t l = 0; l < model.layer_count(); ++l) {
-        const Floorplan& fp = model.stack().layer(l).floorplan;
-        std::vector<double> watts(fp.block_count(), 0.3);
-        for (std::size_t b = 0; b < fp.block_count(); ++b) {
-          if (fp.block(b).type == BlockType::kCore) watts[b] = 3.0;
-        }
-        model.set_block_power(l, watts);
+    SCOPED_TRACE(testing::Message() << 2 * pairs << " layers");
+    ThermalModelParams p;
+    p.grid_rows = 6;
+    p.grid_cols = 7;
+    ThermalModel3D model(make_niagara_stack(pairs, CoolingType::kAir), p);
+    for (std::size_t l = 0; l < model.layer_count(); ++l) {
+      const Floorplan& fp = model.stack().layer(l).floorplan;
+      std::vector<double> watts(fp.block_count(), 0.3);
+      for (std::size_t b = 0; b < fp.block_count(); ++b) {
+        if (fp.block(b).type == BlockType::kCore) watts[b] = 3.0;
       }
-      model.initialize(45.0);
-      model.solve_steady_state();
-
-      SteadyOperator op;
-      model.export_steady_operator(op);
-      const std::size_t n = op.nodes;
-      ASSERT_EQ(n, model.node_count() + 2);
-      Matrix a(n, n);
-      std::vector<double> rhs(n, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t k = op.row_ptr[i]; k < op.row_ptr[i + 1]; ++k) {
-          a(i, op.col[k]) += op.val[k];
-        }
-        rhs[i] = op.ref_coef[i] * op.t_ref;
-      }
-      for (std::size_t l = 0; l < model.layer_count(); ++l) {
-        const Floorplan& fp = model.stack().layer(l).floorplan;
-        for (std::size_t b = 0; b < fp.block_count(); ++b) {
-          const double w = fp.block(b).type == BlockType::kCore ? 3.0 : 0.3;
-          for (const SteadyOperator::InputShare& share : op.block_inputs[l][b]) {
-            rhs[share.node] += w * share.weight;
-          }
-        }
-      }
-      const std::vector<double> expected = solve_linear(a, rhs);
-
-      ThermalState state;
-      model.save_state(state);
-      double worst = 0.0;
-      for (std::size_t i = 0; i < model.node_count(); ++i) {
-        worst = std::max(worst, std::abs(state.temps[i] - expected[i]));
-      }
-      EXPECT_LE(worst, backend == SolverBackend::kDirect
-                           ? kAirLuToleranceK
-                           : kAirPcgSteadyToleranceK);
-      EXPECT_GT(model.max_temperature(), 50.0);  // the power moved the field
-
-      const double p_total = model.total_power();
-      const double sink = p.ambient_temperature + p_total * p.sink_to_ambient_resistance;
-      const double spreader = sink + p_total * p.spreader_to_sink_resistance;
-      EXPECT_EQ(state.sink_temp, sink);
-      EXPECT_EQ(state.spreader_temp, spreader);
-      EXPECT_NEAR(state.spreader_temp, expected[n - 2], kAirLuToleranceK);
-      EXPECT_NEAR(state.sink_temp, expected[n - 1], kAirLuToleranceK);
+      model.set_block_power(l, watts);
     }
+    model.initialize(45.0);
+    model.solve_steady_state();
+
+    SteadyOperator op;
+    model.export_steady_operator(op);
+    const std::size_t n = op.nodes;
+    ASSERT_EQ(n, model.node_count() + 2);
+    Matrix a(n, n);
+    std::vector<double> rhs(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = op.row_ptr[i]; k < op.row_ptr[i + 1]; ++k) {
+        a(i, op.col[k]) += op.val[k];
+      }
+      rhs[i] = op.ref_coef[i] * op.t_ref;
+    }
+    for (std::size_t l = 0; l < model.layer_count(); ++l) {
+      const Floorplan& fp = model.stack().layer(l).floorplan;
+      for (std::size_t b = 0; b < fp.block_count(); ++b) {
+        const double w = fp.block(b).type == BlockType::kCore ? 3.0 : 0.3;
+        for (const SteadyOperator::InputShare& share : op.block_inputs[l][b]) {
+          rhs[share.node] += w * share.weight;
+        }
+      }
+    }
+    const std::vector<double> expected = solve_linear(a, rhs);
+
+    ThermalState state;
+    model.save_state(state);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < model.node_count(); ++i) {
+      worst = std::max(worst, std::abs(state.temps[i] - expected[i]));
+    }
+    EXPECT_LE(worst, kAirLuToleranceK);
+    EXPECT_GT(model.max_temperature(), 50.0);  // the power moved the field
+
+    const double p_total = model.total_power();
+    const double sink = p.ambient_temperature + p_total * p.sink_to_ambient_resistance;
+    const double spreader = sink + p_total * p.spreader_to_sink_resistance;
+    EXPECT_EQ(state.sink_temp, sink);
+    EXPECT_EQ(state.spreader_temp, spreader);
+    EXPECT_NEAR(state.spreader_temp, expected[n - 2], kAirLuToleranceK);
+    EXPECT_NEAR(state.sink_temp, expected[n - 1], kAirLuToleranceK);
   }
 }
 
@@ -659,6 +643,166 @@ TEST(DirectSteady, ReusesFactorizationPerFlowSetting) {
   m.set_cavity_flow(VolumetricFlow::from_ml_per_min(30.0));
   m.solve_steady_state();  // higher flow must cool the stack
   EXPECT_LT(m.max_temperature(), t1);
+}
+
+// -- The fluid-eliminated step against a dense oracle -------------------------
+
+/// Largest per-node disagreement [K] allowed between the eliminated LU step
+/// and the dense oracle (reference::DenseLu on the reference assembly).
+/// Both solve one 220-node system whose field reaches 60-280 °C, and agree
+/// to at most 4.3e-13 K (the throttled steady state; 5e-14 K at 10
+/// ml/min); a factor that lost accuracy where the rows are not dominant, a
+/// wrong coolant coefficient or a stale key moves the field by millikelvins
+/// or more.
+constexpr double kOracleToleranceK = 1e-9;
+
+/// Largest per-node move [K] one more silicon solve against the marched
+/// coolant may make after an eliminated step: both are exact solves of
+/// the same equations, so the field must stay put to rounding.
+constexpr double kFixedPointToleranceK = 1e-9;
+
+/// Sets every core of every layer to `core_watts` and every other block to 0.
+void set_core_power(ThermalModel3D& m, double core_watts) {
+  for (std::size_t l = 0; l < m.layer_count(); ++l) {
+    const Floorplan& fp = m.stack().layer(l).floorplan;
+    std::vector<double> watts(fp.block_count(), 0.0);
+    for (std::size_t b = 0; b < fp.block_count(); ++b) {
+      if (fp.block(b).type == BlockType::kCore) watts[b] = core_watts;
+    }
+    m.set_block_power(l, watts);
+  }
+}
+
+/// Valve-throttled cavities: 2%, 10% and 30% of the lowest Laing DDC
+/// setting's per-cavity flow.  Here the fluid-eliminated rows are not
+/// diagonally dominant (smallest |a_ii| / sum |a_ij| on the 10 x 11 grid:
+/// 0.82 at dt = 0.05 s, 0.72 at steady state), the regime the unpivoted LU
+/// has no a-priori stability guarantee for.
+std::vector<VolumetricFlow> throttled_flows() {
+  const MicrochannelModel channels(CavitySpec{}, CoolantProperties::water());
+  const FlowDelivery delivery(PumpModel::laing_ddc(),
+                              FlowDeliveryMode::kPressureLimited, channels,
+                              11.5e-3, 3);
+  const double lowest = delivery.per_cavity(0).ml_per_min();
+  return {VolumetricFlow::from_ml_per_min(0.02 * lowest),
+          VolumetricFlow::from_ml_per_min(0.10 * lowest),
+          VolumetricFlow::from_ml_per_min(0.30 * lowest)};
+}
+
+/// 2-layer liquid model on a 10 x 11 grid (220 nodes) with powered cores.
+ThermalModel3D make_2layer_model() {
+  ThermalModelParams p;
+  p.grid_rows = 10;
+  p.grid_cols = 11;
+  ThermalModel3D m(make_2layer_system(), p);
+  set_core_power(m, 3.0);
+  return m;
+}
+
+/// The eliminated step of `model`'s operator at 1/dt = inv_dt and its
+/// current flow, powers and inlet temperature, solved by the dense oracle.
+class OracleStep {
+ public:
+  OracleStep(const ThermalModel3D& model, double inv_dt)
+      : inv_dt_(inv_dt),
+        lu_(ThermalModel3DTestAccess::reference_eliminated_dense(model, inv_dt,
+                                                                 inlet_coef_)) {}
+
+  /// The field one step after `t_prev`.
+  [[nodiscard]] std::vector<double> operator()(const ThermalModel3D& model,
+                                               const std::vector<double>& t_prev) const {
+    return lu_.solve(
+        ThermalModel3DTestAccess::eliminated_rhs(model, inv_dt_, t_prev, inlet_coef_));
+  }
+
+ private:
+  double inv_dt_;
+  std::vector<double> inlet_coef_;
+  reference::DenseLu lu_;
+};
+
+/// The model's field and coolant outlets agree with the oracle's field.
+void expect_matches_oracle(const ThermalModel3D& model, const std::vector<double>& oracle) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    worst = std::max(worst, std::abs(model.temperatures()[i] - oracle[i]));
+  }
+  EXPECT_LE(worst, kOracleToleranceK);
+  for (std::size_t k = 0; k < model.stack().cavity_count(); ++k) {
+    EXPECT_NEAR(model.fluid_outlet_temperature(k),
+                ThermalModel3DTestAccess::outlet_over(model, k, oracle),
+                kOracleToleranceK)
+        << "cavity " << k;
+  }
+}
+
+TEST(EliminatedStep, IsAFixedPointOfTheSiliconFluidAlternation) {
+  // After one eliminated step, one more silicon solve against the marched
+  // fluid — the body of the silicon<->fluid fixed point the model once
+  // iterated, kept as a test oracle — must not move any node.
+  ThermalModel3D model = make_2layer_model();
+  model.set_cavity_flow(VolumetricFlow::from_ml_per_min(12.0));
+  model.initialize(45.0);
+  for (int i = 0; i < 5; ++i) model.step(0.05);
+  ThermalState before;
+  model.save_state(before);
+  model.step(0.05);
+  ThermalState after;
+  model.save_state(after);
+
+  const std::vector<double> again =
+      ThermalModel3DTestAccess::silicon_solve_against_fluid(
+          model, 1.0 / 0.05, before.temps, after.fluid_temp);
+  for (std::size_t i = 0; i < model.node_count(); ++i) {
+    ASSERT_NEAR(again[i], after.temps[i], kFixedPointToleranceK) << "node " << i;
+  }
+}
+
+TEST(EliminatedStep, MatchesADenseOracleAcrossAPumpChange) {
+  ThermalModel3D model = make_2layer_model();
+  model.set_cavity_flow(VolumetricFlow::from_ml_per_min(10.0));
+  model.initialize(45.0);
+  std::vector<double> oracle(model.node_count(), 45.0);
+  std::optional<OracleStep> step(std::in_place, model, 1.0 / 0.05);
+  const obs::ScopedEnabled obs_on(true);
+  const std::uint64_t factorizations = factorization_count();
+  for (int i = 0; i < 40; ++i) {
+    if (i == 20) {  // a pump-setting change mid-run
+      model.set_cavity_flow(VolumetricFlow::from_ml_per_min(25.0));
+      step.emplace(model, 1.0 / 0.05);
+    }
+    model.step(0.05);
+    oracle = (*step)(model, oracle);
+  }
+  EXPECT_EQ(factorization_count() - factorizations, 2u);
+  expect_matches_oracle(model, oracle);
+}
+
+TEST(EliminatedStep, MatchesADenseOracleAtThrottledFlows) {
+  ThermalModel3D model = make_2layer_model();
+  ASSERT_EQ(model.stack().cavity_count(), 3u);
+  model.set_cavity_flow(throttled_flows());
+  model.initialize(45.0);
+  std::vector<double> oracle(model.node_count(), 45.0);
+  const OracleStep step(model, 1.0 / 0.05);
+  for (int i = 0; i < 40; ++i) {
+    model.step(0.05);
+    oracle = step(model, oracle);
+  }
+  expect_matches_oracle(model, oracle);
+}
+
+TEST(EliminatedStep, SteadySolveMatchesADenseOracleAtThrottledFlows) {
+  // The steady state is one LU solve at 1/dt = 0, the least dominant form
+  // of the operator.
+  ThermalModel3D model = make_2layer_model();
+  model.set_cavity_flow(throttled_flows());
+  model.initialize(45.0);
+  model.solve_steady_state();
+  EXPECT_GT(model.max_temperature(), 60.0);  // a genuinely throttled point
+  const std::vector<double> oracle =
+      OracleStep(model, 0.0)(model, std::vector<double>(model.node_count(), 0.0));
+  expect_matches_oracle(model, oracle);
 }
 
 // -- Factorization cache -----------------------------------------------------
@@ -905,39 +1049,6 @@ TEST(HotLoop, FlowSwitchingStepDoesNotAllocateAfterWarmup) {
   EXPECT_EQ(factorization_count() - factorizations, 200u);
   EXPECT_EQ(after, before) << "flow-switching loop performed " << (after - before)
                            << " heap allocations over 200 refreshes";
-}
-
-TEST(HotLoop, PcgStepDoesNotAllocateAfterWarmup) {
-  // The iterative backend's hot loop must hold the same contract: the CSR
-  // system and its IC(0) are kept for the step's dt, the Krylov scratch
-  // vectors are persistent members, and the BiCGSTAB operator's coolant
-  // march and the pending readback march write preallocated buffers.
-  ThermalModelParams p;
-  p.grid_rows = 10;
-  p.grid_cols = 11;
-  p.solver_backend = SolverBackend::kPcg;
-  ThermalModel3D model(make_niagara_stack(1, CoolingType::kLiquid), p);
-  model.set_cavity_flow(VolumetricFlow::from_ml_per_min(20.0));
-  const Floorplan& fp = model.stack().layer(0).floorplan;
-  std::vector<double> watts(fp.block_count(), 0.0);
-  for (std::size_t b = 0; b < fp.block_count(); ++b) {
-    if (fp.block(b).type == BlockType::kCore) watts[b] = 3.0;
-  }
-  model.set_block_power(0, watts);
-  model.initialize(45.0);
-
-  model.step(0.05);
-  model.step(0.05);
-
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 1000; ++i) {
-    model.step(0.05);
-    (void)model.max_temperature();
-    (void)model.fluid_outlet_temperature(0);
-  }
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "PCG hot loop performed " << (after - before)
-                           << " heap allocations over 1000 steps";
 }
 
 }  // namespace

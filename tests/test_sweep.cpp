@@ -19,7 +19,6 @@
 #include "sweep/merge.hpp"
 #include "sweep/plan.hpp"
 #include "sweep/worker.hpp"
-#include "thermal/solver/backend.hpp"
 
 namespace liquid3d {
 namespace {
@@ -109,43 +108,41 @@ TEST(SweepPlan, MoreShardsThanCellsLeavesEmptyShards) {
 }
 
 TEST(SweepPlan, CellCostIsTicksTimesSubstepsTimesSolveCost) {
-  // cost = ticks x substeps x (n x per-row solve cost + fluid cells), with
-  // the per-row price resolve_solver_backend decides by: ~4b + 2b^2/200
-  // for the banded LU, 60 iterations x 22 flops for PCG.  On the tiny grid
-  // (2 s at 100 ms ticks, 2 substeps) the 2-layer liquid stack has
-  // n = 2 x 8 x 9 nodes, b = 9 x 2 and 3 cavities of 8 x 9 cells.
+  // cost = ticks x substeps x (n x per-row step cost + fluid cells), with
+  // the banded LU's per-row price ~4b + 2b^2/200.  On the tiny grid (2 s at
+  // 100 ms ticks, 2 substeps) the 2-layer liquid stack has n = 2 x 8 x 9
+  // nodes, b = 9 x 2 and 3 cavities of 8 x 9 cells; the 4-layer stack has
+  // n = 4 x 8 x 9, b = 9 x 4 and 5 cavities.
   SweepGridSpec grid = tiny_grid();
-  const ScenarioSpec direct = grid.scenarios[1];
-  ScenarioSpec pcg = direct;
-  pcg.name = "talb-var-pcg";
-  pcg.solver = SolverBackend::kPcg;
+  const ScenarioSpec two = grid.scenarios[1];
+  ScenarioSpec four = two;
+  four.name = "talb-var-4layer";
+  four.stack = "niagara-4layer";
   const double ticks_x_substeps = 20.0 * 2.0;
-  const double n = 2.0 * 8.0 * 9.0;
-  const double b = 18.0;
-  const double fluid = 3.0 * 8.0 * 9.0;
-  EXPECT_DOUBLE_EQ(solve_cost_per_row(SolverBackend::kDirect, 18),
-                   4.0 * b + 2.0 * b * b / 200.0);
-  EXPECT_DOUBLE_EQ(solve_cost_per_row(SolverBackend::kPcg, 18), 60.0 * 22.0);
-  EXPECT_DOUBLE_EQ(estimate_cell_cost(grid, direct),
-                   ticks_x_substeps * (n * (4.0 * b + 2.0 * b * b / 200.0) + fluid));
-  EXPECT_DOUBLE_EQ(estimate_cell_cost(grid, pcg),
-                   ticks_x_substeps * (n * 60.0 * 22.0 + fluid));
+  const auto cost = [&](double layers, double cavities) {
+    const double n = layers * 8.0 * 9.0;
+    const double b = 9.0 * layers;
+    return ticks_x_substeps * (n * (4.0 * b + 2.0 * b * b / 200.0) + cavities * 8.0 * 9.0);
+  };
+  EXPECT_DOUBLE_EQ(estimate_cell_cost(grid, two), cost(2.0, 3.0));
+  EXPECT_DOUBLE_EQ(estimate_cell_cost(grid, four), cost(4.0, 5.0));
 }
 
 TEST(SweepPlan, CostWeightedPartitionIsDeterministicAndComplete) {
   SweepGridSpec grid = tiny_grid();
-  // Mix cheap air cells with liquid and PCG cells so costs genuinely differ.
-  ScenarioSpec pcg = ScenarioRegistry::global().at("talb-var");
-  pcg.name = "talb-var-pcg";
-  pcg.solver = SolverBackend::kPcg;
-  grid.scenarios.push_back(pcg);
+  // Mix cheap air cells with 2- and 4-layer liquid cells so costs
+  // genuinely differ.
+  ScenarioSpec four = ScenarioRegistry::global().at("talb-var");
+  four.name = "talb-var-4layer";
+  four.stack = "niagara-4layer";
+  grid.scenarios.push_back(four);
 
   const double air = estimate_cell_cost(grid, grid.scenarios[0]);
   const double liquid = estimate_cell_cost(grid, grid.scenarios[1]);
-  const double pcg_cost = estimate_cell_cost(grid, pcg);
+  const double four_cost = estimate_cell_cost(grid, four);
   EXPECT_GT(air, 0.0);
-  EXPECT_GT(liquid, air);    // liquid stacks add cavities + fluid march
-  EXPECT_GT(pcg_cost, liquid);  // forced PCG at this bandwidth is pricier
+  EXPECT_GT(liquid, air);        // liquid stacks add cavities + fluid march
+  EXPECT_GT(four_cost, liquid);  // twice the nodes at twice the bandwidth
 
   const auto a =
       partition_cells(grid, expand_grid(grid), 3, ShardStrategy::kCostWeighted);
@@ -210,8 +207,8 @@ TEST(SweepPlan, ReaderReportsRowAndColumn) {
   const std::string good =
       "#liquid3d-sweep v1\n"
       "#suite layer_pairs=1 duration_ms=2000 seed=7 dpm=1\n"
-      "cell,name,policy,cooling,valves,skew,label,solver,workload\n"
-      "0,lb-air,lb,air,0,,,auto,gzip\n";
+      "cell,name,policy,cooling,valves,skew,label,stack,workload\n"
+      "0,lb-air,lb,air,0,,,,gzip\n";
   {
     std::istringstream in(good);
     EXPECT_EQ(read_sweep_cells(in, "shard.csv").cells.size(), 1u);
@@ -233,9 +230,9 @@ TEST(SweepPlan, ReaderReportsRowAndColumn) {
   EXPECT_THROW((void)read_sweep_cells(no_header, "x"), ConfigError);
 
   std::istringstream dup(
-      "cell,name,policy,cooling,valves,skew,label,solver,workload\n"
-      "0,lb-air,lb,air,0,,,auto,gzip\n"
-      "0,lb-air,lb,air,0,,,auto,gzip\n");
+      "cell,name,policy,cooling,valves,skew,label,stack,workload\n"
+      "0,lb-air,lb,air,0,,,,gzip\n"
+      "0,lb-air,lb,air,0,,,,gzip\n");
   EXPECT_THROW((void)read_sweep_cells(dup, "x"), ConfigError);
 }
 
@@ -675,13 +672,13 @@ TEST(SweepPlan, StackAxisRoundTripsThroughSuiteMetadata) {
   ASSERT_EQ(back.grid.scenarios.size(), 1u);
   EXPECT_EQ(back.grid.scenarios[0].stack, "quad-die");
 
-  // Legacy 9-column file (no stack column, no stack= token) still loads,
-  // with the stack axis defaulting to empty.
+  // A legacy file without the stack column (8 columns, no stack= token)
+  // still loads, with the stack axis defaulting to empty.
   std::istringstream legacy_in(
       "#liquid3d-sweep v1\n"
       "#suite layer_pairs=1 duration_ms=2000 seed=7 dpm=1\n"
-      "cell,name,policy,cooling,valves,skew,label,solver,workload\n"
-      "0,talb-var,talb,var,0,,,auto,gzip\n");
+      "cell,name,policy,cooling,valves,skew,label,workload\n"
+      "0,talb-var,talb,var,0,,,gzip\n");
   const SweepCellFile legacy_back = read_sweep_cells(legacy_in, "legacy");
   ASSERT_EQ(legacy_back.cells.size(), 1u);
   EXPECT_TRUE(legacy_back.grid.stacks.empty());

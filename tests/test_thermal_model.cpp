@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/fault_injection.hpp"
 #include "coolant/flow.hpp"
 #include "geom/sites.hpp"
 #include "geom/stack.hpp"
@@ -307,8 +306,8 @@ TEST(ThermalModel, EliminatedTransientRowsAreDiagonallyDominant) {
   // C/dt + G_elim strictly dominant at all five pump settings — including
   // the lowest, where the steady rows alone are not (sigma = g_sum / w_row
   // = 2.08 > 2).  Below the lowest setting (valve throttling) dominance is
-  // lost; the EliminatedStep tests pin the LU's answers there against the
-  // PCG backend's BiCGSTAB solve, which never factorizes, instead.
+  // lost; the EliminatedStep tests pin the LU's answers there against a
+  // dense partially pivoted LU of the same operator instead.
   ThermalModel3D m(make_2layer_system(), ThermalModelParams{});
   const std::size_t bw = m.grid().cols() * m.layer_count();
   BandedLuMatrix a(m.node_count(), bw, bw);
@@ -469,6 +468,28 @@ TEST(FluidReadbacks, OnDemandMarchMatchesEagerMarch) {
 // ConfigError (nothing wrong with the inputs) or LogicError (nothing wrong
 // with the code). ---------------------------------------------------------
 
+TEST(ThermalModelFailures, GridPastTheFactorCapIsRejected) {
+  // The paper's 100 µm grid (100 x 115 cells) on 4 layers needs a 339 MB
+  // band: n = 46,000 nodes, 2b + 1 = 921.  It fits; a 200 x 500 grid on 2
+  // layers (3.2 GB) and a row count that overflows the band's size in
+  // 64-bit arithmetic do not, and are rejected before any allocation of
+  // the grid's size.
+  EXPECT_GE(kMaxFactorBytes, std::size_t{46000} * 921 * sizeof(double));
+  ThermalModelParams p;
+  p.grid_rows = 100;
+  p.grid_cols = 115;
+  EXPECT_NO_THROW(ThermalModel3D(make_niagara_stack(2, CoolingType::kLiquid), p));
+  p.grid_rows = 200;
+  p.grid_cols = 500;
+  EXPECT_THROW(ThermalModel3D(make_2layer_system(), p), ConfigError);
+  p.grid_rows = std::size_t{1} << 40;
+  p.grid_cols = 26;
+  EXPECT_THROW(ThermalModel3D(make_2layer_system(), p), ConfigError);
+  p.grid_rows = 23;
+  p.grid_cols = std::size_t{1} << 62;
+  EXPECT_THROW(ThermalModel3D(make_2layer_system(CoolingType::kAir), p), ConfigError);
+}
+
 TEST(ThermalModelFailures, NonFinitePowerThrowsSolverError) {
   ThermalModel3D m(make_2layer_system(), fast_params());
   const Floorplan& fp = m.stack().layer(0).floorplan;
@@ -490,17 +511,13 @@ TEST(ThermalModelFailures, NonFiniteFieldThrowsAtEveryPosition) {
   struct Path {
     const char* name;
     CoolingType cooling;
-    SolverBackend backend;
   };
   const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
                                std::numeric_limits<double>::infinity(),
                                -std::numeric_limits<double>::infinity()};
-  for (const Path& path : {Path{"direct liquid", CoolingType::kLiquid, SolverBackend::kDirect},
-                           Path{"direct air", CoolingType::kAir, SolverBackend::kDirect},
-                           Path{"pcg liquid", CoolingType::kLiquid, SolverBackend::kPcg}}) {
-    ThermalModelParams p = fast_params();
-    p.solver_backend = path.backend;
-    ThermalModel3D m(make_2layer_system(path.cooling), p);
+  for (const Path& path :
+       {Path{"liquid", CoolingType::kLiquid}, Path{"air", CoolingType::kAir}}) {
+    ThermalModel3D m(make_2layer_system(path.cooling), fast_params());
     if (path.cooling == CoolingType::kLiquid) m.set_cavity_flow(setting_flow(2));
     set_core_power(m, 2.0);
     m.initialize(45.0);
@@ -525,55 +542,6 @@ TEST(ThermalModelFailures, NonFiniteFieldThrowsAtEveryPosition) {
       }
     }
   }
-}
-
-TEST(ThermalModelFailures, PcgIterationCapThrowsSolverErrorWithDiagnostics) {
-  ThermalModelParams p = fast_params();
-  p.solver_backend = SolverBackend::kPcg;
-  p.pcg.max_iterations = 1;  // no chance against a cold transient step
-  ThermalModel3D m(make_2layer_system(), p);
-  m.set_cavity_flow(setting_flow(2));
-  set_core_power(m, 2.0);
-  try {
-    m.step(0.1);
-    FAIL() << "expected SolverError";
-  } catch (const SolverError& e) {
-    EXPECT_EQ(e.backend(), "pcg");
-    EXPECT_EQ(e.iterations(), 1u);
-    EXPECT_GT(e.residual(), 0.0);
-    EXPECT_NE(std::string(e.what()).find("backend=pcg"), std::string::npos);
-  }
-}
-
-TEST(ThermalModelFailures, SteadyStallThrowsSolverErrorWithDiagnostics) {
-  ThermalModelParams p = fast_params();
-  // A liquid steady state on the PCG backend is one BiCGSTAB solve at
-  // 1/dt = 0; a cap it cannot meet must surface, not return the iterate.
-  p.solver_backend = SolverBackend::kPcg;
-  p.pcg.max_iterations = 1;
-  ThermalModel3D m(make_2layer_system(), p);
-  m.set_cavity_flow(setting_flow(2));
-  set_core_power(m, 2.0);
-  try {
-    m.solve_steady_state();
-    FAIL() << "expected SolverError";
-  } catch (const SolverError& e) {
-    EXPECT_EQ(e.backend(), "pcg");
-    EXPECT_EQ(e.iterations(), 1u);
-    EXPECT_GT(e.residual(), 0.0);  // the relative residual at the cap
-  }
-}
-
-TEST(ThermalModelFailures, InjectedPcgFaultSurfacesAsSolverError) {
-  ThermalModelParams p = fast_params();
-  p.solver_backend = SolverBackend::kPcg;
-  ThermalModel3D m(make_2layer_system(), p);
-  m.set_cavity_flow(setting_flow(2));
-  set_core_power(m, 2.0);
-  m.step(0.1);  // sanity: healthy solves succeed before the fault arms
-
-  fault_injection::ScopedFaults faults("pcg.solve");
-  EXPECT_THROW(m.step(0.1), SolverError);
 }
 
 }  // namespace

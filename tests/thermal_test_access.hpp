@@ -1,16 +1,20 @@
 // thermal_test_access.hpp — white-box access to ThermalModel3D for tests and
 // benchmarks: the fluid-eliminated operator and the LU slot, which are
 // private to the model, the reference assembly the direct-write one must
-// reproduce bit for bit, and the silicon-only solve the eliminated step is
-// a fixed point of.
+// reproduce bit for bit, the eliminated step rebuilt from it for a dense
+// oracle, and the silicon-only solve the eliminated step is a fixed point
+// of.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/linalg.hpp"
 #include "common/madd.hpp"
 #include "obs/metrics.hpp"
+#include "reference_dense_lu.hpp"
 #include "thermal/model3d.hpp"
 
 namespace liquid3d {
@@ -113,39 +117,70 @@ struct ThermalModel3DTestAccess {
       }
     }
   }
+  /// The fluid-eliminated operator C inv_dt + G_elim at the model's current
+  /// flow vector, from the reference assembly, as a dense matrix; each
+  /// node's coefficient on the inlet temperature goes to `inlet_coef`.
+  static Matrix reference_eliminated_dense(const ThermalModel3D& m, double inv_dt,
+                                           std::vector<double>& inlet_coef) {
+    const std::size_t n = m.node_count_;
+    const std::size_t bw = m.grid_.cols() * m.layer_count_;
+    BandedLuMatrix band(n, bw, bw);
+    reference_build_eliminated_system(m, inv_dt, band, inlet_coef);
+    Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i >= bw ? i - bw : 0; j <= std::min(n - 1, i + bw); ++j) {
+        a(i, j) = band.at(i, j);
+      }
+    }
+    return a;
+  }
+  /// The eliminated step's right-hand side from the field `t_prev`:
+  /// C inv_dt t_prev + P + inlet_coef T_in.
+  static std::vector<double> eliminated_rhs(const ThermalModel3D& m, double inv_dt,
+                                            const std::vector<double>& t_prev,
+                                            const std::vector<double>& inlet_coef) {
+    std::vector<double> rhs(m.node_count_);
+    for (std::size_t i = 0; i < m.node_count_; ++i) {
+      rhs[i] = m.capacitance_[i] * inv_dt * t_prev[i] + m.cell_power_[i] +
+               inlet_coef[i] * m.inlet_temperature_;
+    }
+    return rhs;
+  }
+  /// Mean outlet temperature [°C] of `cavity`'s coolant over the silicon
+  /// field `temps`, at the model's flow and inlet temperature.
+  static double outlet_over(const ThermalModel3D& m, std::size_t cavity,
+                            const std::vector<double>& temps) {
+    std::vector<double> fluid(m.cell_count_);
+    return m.march_fluid(cavity, temps.data(), m.inlet_temperature_, fluid.data())
+        .outlet;
+  }
   /// One silicon solve against a given coolant field — the body of the
-  /// silicon<->fluid fixed point the PCG backend once iterated:
-  /// (C inv_dt + G + D) T = C inv_dt t_prev + P + g_face T_fluid, by PcgSolver to a
-  /// 1e-14 relative residual from t_prev.  The fluid-eliminated step is a
-  /// fixed point of it.
+  /// silicon<->fluid fixed point the model once iterated:
+  /// (C inv_dt + G + D) T = C inv_dt t_prev + P + g_face T_fluid, solved
+  /// densely by reference::DenseLu.  The fluid-eliminated step is a fixed
+  /// point of it.
   static std::vector<double> silicon_solve_against_fluid(
       const ThermalModel3D& m, double inv_dt, const std::vector<double>& t_prev,
       const std::vector<std::vector<double>>& fluid) {
-    SparseMatrix a(m.node_count_);
+    Matrix a(m.node_count_, m.node_count_);
     std::vector<double> rhs(m.node_count_);
     for (std::size_t i = 0; i < m.node_count_; ++i) {
-      a.add_diagonal(i, m.capacitance_[i] * inv_dt + m.ext_diag_[i]);
+      a(i, i) += m.capacitance_[i] * inv_dt + m.ext_diag_[i];
       rhs[i] = m.capacitance_[i] * inv_dt * t_prev[i] + m.cell_power_[i];
     }
     for (const ThermalModel3D::Coupling& c : m.couplings_) {
-      a.add_coupling(c.a, c.b, c.g);
+      a(c.a, c.a) += c.g;
+      a(c.b, c.b) += c.g;
+      a(c.a, c.b) -= c.g;
+      a(c.b, c.a) -= c.g;
     }
-    a.finalize();
     for (std::size_t k = 0; k < fluid.size(); ++k) {
       for (std::size_t cell = 0; cell < m.cell_count_; ++cell) {
         if (k >= 1) rhs[m.node(k - 1, cell)] += m.g_fluid_dn_ * fluid[k][cell];
         if (k < m.layer_count_) rhs[m.node(k, cell)] += m.g_fluid_up_ * fluid[k][cell];
       }
     }
-    PcgParams tight;
-    tight.tolerance = 1e-14;
-    tight.max_iterations = 5000;
-    PcgSolver solver(std::move(a), tight);
-    std::vector<double> t = t_prev;
-    if (!solver.solve(rhs.data(), t.data()).converged) {
-      throw SolverError("oracle silicon solve did not converge");
-    }
-    return t;
+    return reference::DenseLu(std::move(a)).solve(rhs);
   }
   /// Per-node heat capacity [J/K]: the C of C/dt + G.
   static const std::vector<double>& capacitance(const ThermalModel3D& m) {
