@@ -5,6 +5,10 @@
 //                                  on the 2-layer Niagara liquid stack
 //   BM_ServeSteadyQueryConcurrent  the same query from 4 threads against
 //                                  one shared service
+//   BM_ServeFullSteadyQuery        force_full steady queries cycling over
+//                                  five flow keys of the 2-layer stack (three
+//                                  pump settings, two valve vectors), each
+//                                  solved through its pooled model's factor
 //   BM_ServeBatchedWhatIf          16 concurrent what-if queries answered
 //                                  through queue batching + lockstep
 //   BM_ServeSerialWhatIf           the same 16 cells run one by one through
@@ -94,6 +98,34 @@ void BM_ServeSteadyQueryConcurrent(benchmark::State& state) {
 BENCHMARK(BM_ServeSteadyQueryConcurrent)
     ->Threads(4)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_ServeFullSteadyQuery(benchmark::State& state) {
+  static ThermalService service;
+  std::vector<SteadyQuery> keys(5, niagara_steady_query());
+  keys[1].pump_setting = 2;
+  keys[2].pump_setting = 1;
+  keys[3].valve_openings = {1.0, 0.6, 0.8};
+  keys[4].valve_openings = {0.5, 1.0, 0.7};
+  for (SteadyQuery& q : keys) {
+    q.force_full = true;
+    (void)service.steady(q);  // model build and factorization outside timing
+  }
+
+  std::vector<double> lat_us;
+  lat_us.reserve(1 << 14);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const SteadyAnswer answer = service.steady(keys[i++ % keys.size()]);
+    benchmark::DoNotOptimize(answer.t_max_c);
+    lat_us.push_back(answer.elapsed_us);
+  }
+  std::sort(lat_us.begin(), lat_us.end());
+  if (!lat_us.empty()) {
+    state.counters["p50_us"] = lat_us[lat_us.size() / 2];
+    state.counters["p99_us"] = lat_us[(lat_us.size() * 99) / 100];
+  }
+}
+BENCHMARK(BM_ServeFullSteadyQuery)->Unit(benchmark::kMicrosecond);
 
 constexpr std::size_t kWhatIfFleet = 16;
 

@@ -8,7 +8,11 @@ and the `//` comments of every source file under src/, and reports:
     `tests/`) that no tracked file or directory ends with;
   * a `Type::member` whose type or member never appears as an identifier
     in src/, tests/ or tools/;
-  * a `snake_case(` call whose name never appears there.
+  * a `snake_case(` call whose name never appears there;
+  * a bare `snake_case` name with an underscore (a function, field,
+    metric or target) that never appears as an identifier in that code,
+    nor in bench/, e2e_bench/, scripts/, .github/, CMakeLists.txt or
+    BENCHMARK.json (where the metric and target names live).
 
 e2e_bench/README.md is left out: it belongs to the benchmark, which
 changes only together with the benchmark.
@@ -23,9 +27,15 @@ PATH_RE = re.compile(
     r"^(?:[\w.-]+/)+(?:[\w.-]+\.(?:hpp|cpp|h|md|py|sh|json|yml|txt|stack|env|csv))?$")
 MEMBER_RE = re.compile(r"\b([A-Z]\w*)::(~?[A-Za-z_]\w*)")
 CALL_RE = re.compile(r"(?<![\w.:>])([a-z_][a-z0-9_]*)\(")
+BARE_RE = re.compile(r"^[a-z][a-z0-9]*(?:_[a-z0-9]+)+$")
 SPAN_RE = re.compile(r"`([^`\n]+)`")
 IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 SOURCE_SUFFIXES = {".hpp", ".cpp", ".h"}
+# Files outside src/tests/tools whose identifiers a bare name may resolve
+# against: benchmark and build code, scripts and CI.
+NAME_TREES = ("bench", "e2e_bench", "scripts", ".github")
+NAME_FILES = ("CMakeLists.txt", "BENCHMARK.json")
+NAME_SUFFIXES = SOURCE_SUFFIXES | {".py", ".sh", ".yml", ".json", ".txt"}
 
 
 def tracked_paths(root):
@@ -57,13 +67,28 @@ def identifiers(root):
     return idents
 
 
+def names(root, idents):
+    """`idents` plus every identifier token in the benchmark, build, script
+    and CI files."""
+    found = set(idents)
+    files = [root / name for name in NAME_FILES]
+    for top in NAME_TREES:
+        files.extend(p for p in (root / top).rglob("*") if p.suffix in NAME_SUFFIXES)
+    for p in files:
+        if p.is_file():
+            found.update(IDENT_RE.findall(p.read_text(errors="replace")))
+    return found
+
+
 def path_resolves(span, paths):
     return any(p == span or p.endswith("/" + span) for p in paths)
 
 
-def check_span(span, paths, idents):
+def check_span(span, paths, idents, known_names):
     """Misses in one backticked span, as messages."""
     misses = []
+    if BARE_RE.match(span) and span not in known_names:
+        misses.append(f"name `{span}` is not in the code")
     if PATH_RE.match(span) and not path_resolves(span, paths):
         misses.append(f"path `{span}` does not exist")
     for type_name, member in MEMBER_RE.findall(span):
@@ -97,12 +122,13 @@ def main(argv):
                         pathlib.Path(__file__).resolve().parent.parent)
     paths = tracked_paths(root)
     idents = identifiers(root)
+    known_names = names(root, idents)
     failures = 0
     for label, text in sources(root):
         for number, line in enumerate(text.splitlines(), 1):
             where = label if ":" in label else f"{label}:{number}"
             for span in SPAN_RE.findall(line):
-                for miss in check_span(span.strip(), paths, idents):
+                for miss in check_span(span.strip(), paths, idents, known_names):
                     print(f"{where}: {miss}")
                     failures += 1
     if failures:

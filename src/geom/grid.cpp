@@ -38,6 +38,7 @@ BlockCellMap::BlockCellMap(const Grid& grid, const Floorplan& fp)
     const auto row_hi = static_cast<std::size_t>(std::clamp(
         br.top() / grid.cell_height(), 0.0, static_cast<double>(grid.rows() - 1)));
 
+    block_cells_[b].reserve((row_hi - row_lo + 1) * (col_hi - col_lo + 1));
     for (std::size_t r = row_lo; r <= row_hi; ++r) {
       for (std::size_t c = col_lo; c <= col_hi; ++c) {
         const std::size_t cell = grid.index(r, c);

@@ -75,22 +75,21 @@ std::string system_identity(const StackSpec& spec, const SimulationConfig& cfg) 
   return key;
 }
 
-/// Pool identity: the system plus the boundary references the full model
-/// bakes into its parameters.
-std::string model_key(const std::string& identity, const ThermalModelParams& t) {
-  std::string key = identity;
-  append_bits(key, t.inlet_temperature);
-  append_bits(key, t.ambient_temperature);
-  return key;
-}
-
 /// ROM identity: the system plus the per-cavity flow vector the operator is
 /// exported under.  The references stay out — the reduced model answers
 /// any inlet/ambient exactly (the steady map is affine in the reference).
-std::string rom_key(const std::string& identity,
-                    const std::vector<VolumetricFlow>& flows) {
-  std::string key = identity;
-  for (VolumetricFlow f : flows) append_bits(key, f.m3_per_s());
+std::string rom_key(std::string identity, const std::vector<VolumetricFlow>& flows) {
+  for (VolumetricFlow f : flows) append_bits(identity, f.m3_per_s());
+  return identity;
+}
+
+/// Pool identity: the ROM identity plus the boundary references the full
+/// model bakes into its parameters.  One entry holds one flow vector, so
+/// its LU slot stays fitted across revisits of that flow.
+std::string model_key(const std::string& rom, const ThermalModelParams& t) {
+  std::string key = rom;
+  append_bits(key, t.inlet_temperature);
+  append_bits(key, t.ambient_temperature);
   return key;
 }
 
@@ -185,11 +184,12 @@ ThermalService::ThermalService(ServeParams params)
 ThermalService::~ThermalService() { queue_.stop(); }
 
 /// A steady query resolved once: its spec, flows and reference, and the
-/// system identity both caches key on.
+/// (system, flow) identity both caches key on.
 struct ThermalService::ResolvedQuery {
   StackSpec spec;
   std::vector<VolumetricFlow> flows;
-  std::string identity;
+  /// The ROM key, and the stem of the pool key.
+  std::string flow_identity;
   /// The config's thermal parameters with the query's reference applied.
   ThermalModelParams thermal;
   double t_ref = 0.0;
@@ -197,7 +197,7 @@ struct ThermalService::ResolvedQuery {
   explicit ResolvedQuery(const SteadyQuery& q)
       : spec(resolved_stack_spec(q.config)),
         flows(resolve_flows(q.config, q, spec)),
-        identity(system_identity(spec, q.config)),
+        flow_identity(rom_key(system_identity(spec, q.config), flows)),
         thermal(q.config.thermal) {
     double& reference = spec.cooling == CoolingType::kAir
                             ? thermal.ambient_temperature
@@ -217,16 +217,22 @@ std::shared_ptr<ThermalService::ModelEntry> ThermalService::model_for(
 
 std::shared_ptr<const ReducedSteadyModel> ThermalService::rom_for(
     const SteadyQuery& query, const ResolvedQuery& resolved) {
-  return roms_.get(rom_key(resolved.identity, resolved.flows), [&] {
+  return roms_.get(resolved.flow_identity, [&] {
+    // Built through the pooled entry of the ROM's own flow, so a fallback at
+    // that flow constructs no model.  The entry keeps its model but not the
+    // LU band the snapshot solves factored: the ROM answers without it, and
+    // a band per ROM key would grow a warm ROM service by ~1 MB per 2-layer
+    // flow.  A fallback refactorizes once, then keeps the band.
     const ThermalModelParams& thermal = query.config.thermal;
     const std::shared_ptr<ModelEntry> entry = model_for(
-        model_key(resolved.identity, thermal), resolved.spec, thermal);
+        model_key(resolved.flow_identity, thermal), resolved.spec, thermal);
     std::shared_ptr<const ReducedSteadyModel> rom;
     {
       std::lock_guard<std::mutex> entry_lock(entry->mu);
       if (!resolved.flows.empty()) entry->model.set_cavity_flow(resolved.flows);
       rom = std::make_shared<const ReducedSteadyModel>(
           ReducedSteadyModel::build(entry->model, params_.rom));
+      (void)entry->model.release_factor_storage();
     }
     rom_builds_.add();
     return rom;
@@ -237,8 +243,10 @@ SteadyAnswer ThermalService::full_steady(const SteadyQuery& query,
                                          const ResolvedQuery& resolved) {
   // The full model bakes the boundary reference into its parameters, so a
   // reference override is a distinct pool entry (the ROM does not care).
+  // The entry's flow is the query's, so on a warm entry set_cavity_flow is
+  // a no-op and the solve reuses the factor.
   const std::shared_ptr<ModelEntry> entry = model_for(
-      model_key(resolved.identity, resolved.thermal), resolved.spec, resolved.thermal);
+      model_key(resolved.flow_identity, resolved.thermal), resolved.spec, resolved.thermal);
   SteadyAnswer answer;
   std::lock_guard<std::mutex> lock(entry->mu);
   ThermalModel3D& model = entry->model;
@@ -306,8 +314,7 @@ void ThermalService::warm(const SteadyQuery& query) {
 
 ThermalService::SteadyKeys ThermalService::steady_keys(const SteadyQuery& query) {
   const ResolvedQuery resolved(query);
-  return {model_key(resolved.identity, resolved.thermal),
-          rom_key(resolved.identity, resolved.flows)};
+  return {model_key(resolved.flow_identity, resolved.thermal), resolved.flow_identity};
 }
 
 SimulationConfig ThermalService::session_config(const WhatIfQuery& query) {

@@ -5,8 +5,9 @@
 // and operators.  The win over spawning a SimulationSession per question is
 // warm state shared across queries:
 //
-//   * a pool of constructed thermal models per system topology (model
-//     construction + characterization dominate one-shot latency);
+//   * a pool of constructed thermal models per (system, flow vector); one
+//     that answered a full query keeps its fitted LU factor, so a warm full
+//     steady query is one right-hand side and one triangular solve;
 //   * the process-wide CharacterizationCache (see
 //     sim/characterization_cache.hpp) feeding every session it spawns;
 //   * a cache of reduced-order steady models (serve/rom.hpp) keyed on
@@ -46,8 +47,10 @@ namespace liquid3d {
 
 struct ServeParams {
   RomParams rom;
-  /// Warm full-fidelity thermal models kept per system key (LRU).
-  std::size_t model_pool_capacity = 4;
+  /// Warm full-fidelity thermal models kept per (system, flow, references)
+  /// key (LRU).  One that answered a full query holds its LU band: ~1 MB
+  /// at the default 2-layer grid, 339 MB at the 4-layer 100 um grid.
+  std::size_t model_pool_capacity = 8;
   /// Reduced models kept per (system, flow) key (LRU).
   std::size_t rom_cache_capacity = 8;
   QueryQueue::Params queue;
@@ -88,11 +91,12 @@ class ThermalService {
   /// scenario or benchmark names.
   [[nodiscard]] static SimulationConfig session_config(const WhatIfQuery& query);
 
-  /// The pooled-model and ROM cache keys a steady query resolves to: raw
-  /// bits of the resolved stack spec, delivery mode and every thermal
-  /// parameter (the backend as resolved), plus the boundary references
-  /// (model) or the per-cavity flow vector (ROM).  Exposed so tests can
-  /// check identity coverage.
+  /// The pooled-model and ROM cache keys a steady query resolves to.  The
+  /// ROM key is the raw bits of the resolved stack spec, delivery mode and
+  /// every thermal parameter but the references, plus the per-cavity flow
+  /// vector.  The model key is the ROM key plus the two boundary references,
+  /// so a flow setting moves both and a reference override only the model
+  /// key.  Exposed so tests can check identity coverage.
   struct SteadyKeys {
     std::string model;
     std::string rom;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -23,17 +22,22 @@ double channel_coverage(const CavitySpec& cavity, double die_height) {
                            die_height);
 }
 
-// FNV-1a over 64-bit words; the topology fingerprint hashes the exact bit
-// patterns of every quantity the assembly reads, so equal fingerprints
-// imply bit-identical system matrices.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+// The topology fingerprint hashes the exact bit patterns of every quantity
+// the assembly reads, so equal fingerprints imply bit-identical system
+// matrices.  MurmurHash3-style, a 64-bit word at a time: each word is
+// scrambled on its own (multiply, rotate, multiply — off the dependency
+// chain, so consecutive words overlap), then folded into h by a rotate and
+// a multiply-add.  Every step is a bijection, so two word sequences that
+// differ in one word always hash apart.  The fingerprint is compared only
+// in-process, never stored.
+constexpr std::uint64_t kMixSeed = 0xcbf29ce484222325ULL;
 
-void fnv_mix(std::uint64_t& h, std::uint64_t word) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (word >> shift) & 0xffULL;
-    h *= kFnvPrime;
-  }
+void hash_mix(std::uint64_t& h, std::uint64_t word) {
+  word *= 0x87c37b91114253d5ULL;
+  word = std::rotl(word, 31);
+  word *= 0x4cf5ad432745937fULL;
+  h ^= word;
+  h = std::rotl(h, 27) * 5 + 0x52dce729;
 }
 
 /// Throws exactly when some entry is NaN or ±inf (all exponent bits set);
@@ -61,11 +65,8 @@ obs::Counter& borrowed_factors() {
   return c;
 }
 
-void fnv_mix(std::uint64_t& h, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnv_mix(h, bits);
+void hash_mix(std::uint64_t& h, double v) {
+  hash_mix(h, std::bit_cast<std::uint64_t>(v));
 }
 
 /// Throws ConfigError when the LU band of a rows x cols grid on `layers`
@@ -126,7 +127,12 @@ ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
 void ThermalModel3D::build_topology() {
   capacitance_.assign(node_count_, 0.0);
   ext_diag_.assign(node_count_, 0.0);
+  // Lateral couplings per layer, plus one per cell between adjacent layers.
+  const std::size_t rows = grid_.rows();
+  const std::size_t cols = grid_.cols();
   couplings_.clear();
+  couplings_.reserve(layer_count_ * (rows * (cols - 1) + (rows - 1) * cols) +
+                     (layer_count_ - 1) * cell_count_);
 
   const double a_cell = grid_.cell_area();
   const double k_si = params_.silicon_conductivity;
@@ -280,29 +286,27 @@ void ThermalModel3D::build_topology() {
 
   // Fingerprint everything the assembly consumes (plus the shape and the
   // fluid/package coupling constants, which enter the RHS).
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kMixSeed;
   // The canonical geometry fingerprint guards against distinct stacks whose
   // discretized networks happen to coincide at this grid resolution.
-  fnv_mix(h, stack_fingerprint(stack_));
-  fnv_mix(h, static_cast<std::uint64_t>(layer_count_));
-  fnv_mix(h, static_cast<std::uint64_t>(grid_.rows()));
-  fnv_mix(h, static_cast<std::uint64_t>(grid_.cols()));
-  fnv_mix(h, static_cast<std::uint64_t>(liquid ? 1 : 0));
-  for (double c : capacitance_) fnv_mix(h, c);
-  for (double g : ext_diag_) fnv_mix(h, g);
-  for (const Coupling& c : couplings_) {
-    fnv_mix(h, static_cast<std::uint64_t>(c.a));
-    fnv_mix(h, static_cast<std::uint64_t>(c.b));
-    fnv_mix(h, c.g);
-  }
-  fnv_mix(h, g_fluid_dn_);
-  fnv_mix(h, g_fluid_up_);
-  fnv_mix(h, g_package_);
+  hash_mix(h, stack_fingerprint(stack_));
+  hash_mix(h, static_cast<std::uint64_t>(layer_count_));
+  hash_mix(h, static_cast<std::uint64_t>(grid_.rows()));
+  hash_mix(h, static_cast<std::uint64_t>(grid_.cols()));
+  hash_mix(h, static_cast<std::uint64_t>(liquid ? 1 : 0));
+  for (double c : capacitance_) hash_mix(h, c);
+  for (double g : ext_diag_) hash_mix(h, g);
+  // The coupling endpoints are a function of the shape mixed above (the
+  // loops that emit them read nothing else), so only the conductances enter.
+  for (const Coupling& c : couplings_) hash_mix(h, c.g);
+  hash_mix(h, g_fluid_dn_);
+  hash_mix(h, g_fluid_up_);
+  hash_mix(h, g_package_);
   // The fluid elimination also reads the coolant's capacity rate and the
   // flow directions: equal fingerprints and equal flow vectors then give
   // bit-identical eliminated operators.
-  fnv_mix(h, params_.coolant.volumetric_heat_capacity());
-  fnv_mix(h, static_cast<std::uint64_t>(params_.alternate_flow_direction));
+  hash_mix(h, params_.coolant.volumetric_heat_capacity());
+  hash_mix(h, static_cast<std::uint64_t>(params_.alternate_flow_direction));
   topo_fingerprint_ = h;
 }
 

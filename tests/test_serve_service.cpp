@@ -2,11 +2,15 @@
 // Contracts under test: asynchronous what-if/replay answers are bit-identical
 // to solo SimulationSession runs of the same cell, concurrent same-topology
 // queries share lockstep batches, malformed queries fail fast through the
-// future, and the session's service-facing const accessors report what a
-// server needs without touching internals.
+// future, a revisited steady flow solves through its pooled factor with the
+// answer of a fresh model, and the session's service-facing const accessors
+// report what a server needs without touching internals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <future>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -15,6 +19,10 @@
 
 #include "common/error.hpp"
 #include "common/identity_key.hpp"
+#include "coolant/flow.hpp"
+#include "coolant/microchannel.hpp"
+#include "coolant/pump.hpp"
+#include "coolant/valve_network.hpp"
 #include "geom/stack_spec.hpp"
 #include "obs/metrics.hpp"
 #include "serve/net/envelope.hpp"
@@ -22,6 +30,7 @@
 #include "serve/service.hpp"
 #include "sim/characterization_cache.hpp"
 #include "sim/session.hpp"
+#include "thermal_test_access.hpp"
 
 namespace liquid3d {
 namespace {
@@ -354,11 +363,15 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
   EXPECT_EQ(ThermalService::steady_keys(var).model, keys.model);
   EXPECT_EQ(ThermalService::steady_keys(var).rom, keys.rom);
 
-  // The flow setting shapes the ROM, not the pooled model.
+  // The flow shapes both: a pooled model holds one flow vector's factor.
   SteadyQuery lower = base;
   lower.pump_setting = 1;
-  EXPECT_EQ(ThermalService::steady_keys(lower).model, keys.model);
+  EXPECT_NE(ThermalService::steady_keys(lower).model, keys.model);
   EXPECT_NE(ThermalService::steady_keys(lower).rom, keys.rom);
+  SteadyQuery valves = base;
+  valves.valve_openings = {1.0, 0.6, 0.8};
+  EXPECT_NE(ThermalService::steady_keys(valves).model, keys.model);
+  EXPECT_NE(ThermalService::steady_keys(valves).rom, keys.rom);
 
   // A Niagara preset and its equal explicit spec are one system.
   SteadyQuery by_pairs;
@@ -370,6 +383,109 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
             ThermalService::steady_keys(by_spec).model);
   EXPECT_EQ(ThermalService::steady_keys(by_pairs).rom,
             ThermalService::steady_keys(by_spec).rom);
+}
+
+/// The answer a freshly built model gives at `flows`, shaped like the
+/// service's: T_max and per-layer maxima over the silicon field.
+SteadyAnswer fresh_full_answer(const SimulationConfig& cfg,
+                               const std::vector<VolumetricFlow>& flows,
+                               double core_watts) {
+  ThermalModel3D model(make_simulation_stack(cfg), cfg.thermal);
+  model.set_cavity_flow(flows);
+  const Stack3D& stack = model.stack();
+  for (std::size_t l = 0; l < stack.layer_count(); ++l) {
+    const Floorplan& fp = stack.layer(l).floorplan;
+    std::vector<double> w(fp.block_count(), 0.0);
+    for (std::size_t b = 0; b < fp.block_count(); ++b) {
+      if (fp.block(b).type == BlockType::kCore) w[b] = core_watts;
+    }
+    model.set_block_power(l, w);
+  }
+  model.solve_steady_state();
+  SteadyAnswer answer;
+  answer.t_max_c = model.max_temperature();
+  const std::size_t layers = stack.layer_count();
+  answer.layer_max_c.assign(layers, -1e300);
+  const std::span<const double> temps = model.temperatures();
+  for (std::size_t i = 0; i < temps.size(); ++i) {
+    answer.layer_max_c[i % layers] = std::max(answer.layer_max_c[i % layers], temps[i]);
+  }
+  return answer;
+}
+
+TEST(ServeService, RevisitedFlowSolvesThroughItsPooledFactor) {
+  const obs::ScopedEnabled obs_on(true);
+  // Room for the three warm flows and the ROM's: a fallback that built a
+  // model of its own would evict one.
+  ServeParams params;
+  params.model_pool_capacity = 4;
+  ThermalService service(params);
+  SteadyQuery base;
+  base.config.cooling = CoolingMode::kLiquidMax;
+  base.config.thermal.grid_rows = 8;
+  base.config.thermal.grid_cols = 9;
+  base.force_full = true;
+
+  // Two pump settings and one valve vector, with the flows an independent
+  // resolution gives them.
+  const SimulationConfig& cfg = base.config;
+  const StackSpec spec = niagara_stack_spec(1, CoolingType::kLiquid);
+  const std::size_t cavities = spec.layers.size() + 1;
+  const FlowDelivery delivery(
+      PumpModel::laing_ddc(), cfg.delivery_mode,
+      MicrochannelModel(spec.cavities.front(), cfg.thermal.coolant,
+                        cfg.thermal.channel_params),
+      spec.die_width, cavities);
+  const std::size_t top = delivery.setting_count() - 1;
+  std::vector<SteadyQuery> keys(3, base);
+  std::vector<std::vector<VolumetricFlow>> flows(3);
+  flows[0].assign(cavities, delivery.per_cavity(top));
+  keys[1].pump_setting = 1;
+  flows[1].assign(cavities, delivery.per_cavity(1));
+  keys[2].valve_openings = {1.0, 0.6, 0.8};
+  flows[2] = ValveNetwork(delivery).flows(top, keys[2].valve_openings);
+  for (const SteadyQuery& q : keys) (void)service.steady(q);
+
+  // Revisits, alternating among the warm keys, factorize nothing.
+  std::vector<SteadyAnswer> answers;
+  const std::uint64_t warm = factorization_count();
+  for (std::size_t i = 0; i < 9; ++i) {
+    SteadyQuery q = keys[i % 3];
+    q.core_watts = 1.0 + 0.25 * static_cast<double>(i);
+    answers.push_back(service.steady(q));
+  }
+  EXPECT_EQ(factorization_count(), warm);
+  EXPECT_EQ(service.stats().model_evictions, 0u);
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    SCOPED_TRACE(i);
+    const SteadyAnswer fresh =
+        fresh_full_answer(cfg, flows[i % 3], 1.0 + 0.25 * static_cast<double>(i));
+    EXPECT_FALSE(answers[i].used_rom);
+    EXPECT_EQ(answers[i].t_max_c, fresh.t_max_c);
+    EXPECT_EQ(answers[i].layer_max_c, fresh.layer_max_c);
+  }
+
+  // A ROM's build leaves its flow's model pooled without its band: the
+  // first fallback at that flow factorizes once, later ones not at all.
+  SteadyQuery rom_query = base;
+  rom_query.force_full = false;
+  rom_query.pump_setting = 2;
+  rom_query.max_error_c = 1e-12;
+  service.warm(rom_query);
+  const SteadyAnswer fresh = fresh_full_answer(
+      cfg, std::vector<VolumetricFlow>(cavities, delivery.per_cavity(2)),
+      rom_query.core_watts);
+  const std::uint64_t fallbacks = service.stats().rom_fallbacks;
+  for (const std::uint64_t factorized : {1u, 0u}) {
+    const std::uint64_t before = factorization_count();
+    const SteadyAnswer fallback = service.steady(rom_query);
+    EXPECT_EQ(factorization_count() - before, factorized);
+    EXPECT_FALSE(fallback.used_rom);
+    EXPECT_EQ(fallback.t_max_c, fresh.t_max_c);
+    EXPECT_EQ(fallback.layer_max_c, fresh.layer_max_c);
+  }
+  EXPECT_EQ(service.stats().rom_fallbacks, fallbacks + 2);
+  EXPECT_EQ(service.stats().model_evictions, 0u);
 }
 
 // -- Session const-inspection surface (service-facing accessors) --------------

@@ -13,6 +13,7 @@
 #include "coolant/flow.hpp"
 #include "geom/sites.hpp"
 #include "geom/stack.hpp"
+#include "geom/stack_spec.hpp"
 #include "thermal/model3d.hpp"
 #include "thermal_test_access.hpp"
 
@@ -222,6 +223,36 @@ TEST(ThermalModel, LiquidBeatsAirAtSamePower) {
   air.solve_steady_state();
 
   EXPECT_LT(liquid.max_temperature(), air.max_temperature());
+}
+
+TEST(ThermalModel, TopologyFingerprintTracksEveryAssemblyInput) {
+  // Equal fingerprints promise bit-identical operators (factor sharing and
+  // batch grouping rest on it), so equal inputs must agree and each input
+  // the assembly reads must move the fingerprint.
+  const auto fingerprint = [](const StackSpec& spec, const ThermalModelParams& p) {
+    return ThermalModel3D(make_stack(spec), p).topology_fingerprint();
+  };
+  const StackSpec spec = niagara_stack_spec(1, CoolingType::kLiquid);
+  const std::uint64_t base = fingerprint(spec, fast_params());
+  EXPECT_EQ(fingerprint(niagara_stack_spec(1, CoolingType::kLiquid), fast_params()), base);
+
+  ThermalModelParams cols = fast_params();
+  cols.grid_cols += 1;
+  EXPECT_NE(fingerprint(spec, cols), base) << "grid_cols";
+  StackSpec thicker = spec;
+  thicker.layers[1].die_thickness *= 1.01;
+  EXPECT_NE(fingerprint(thicker, fast_params()), base) << "die_thickness";
+  StackSpec tsvs = spec;
+  tsvs.tsvs.count += 1;
+  EXPECT_NE(fingerprint(tsvs, fast_params()), base) << "tsvs.count";
+  ThermalModelParams coolant = fast_params();
+  coolant.coolant.heat_capacity *= 1.01;
+  EXPECT_NE(fingerprint(spec, coolant), base) << "coolant.heat_capacity";
+  ThermalModelParams direction = fast_params();
+  direction.alternate_flow_direction = !direction.alternate_flow_direction;
+  EXPECT_NE(fingerprint(spec, direction), base) << "alternate_flow_direction";
+  EXPECT_NE(fingerprint(niagara_stack_spec(1, CoolingType::kAir), fast_params()), base)
+      << "air";
 }
 
 class GridRefinementSweep
