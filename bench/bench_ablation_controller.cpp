@@ -9,16 +9,8 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "sim/simulator.hpp"
-
-namespace {
-
-liquid3d::SimulationResult run_cell(liquid3d::SimulationConfig cfg) {
-  liquid3d::Simulator sim(std::move(cfg));
-  return sim.run();
-}
-
-}  // namespace
+#include "sim/characterization_cache.hpp"
+#include "sim/session.hpp"
 
 int main() {
   using namespace liquid3d;
@@ -29,8 +21,8 @@ int main() {
   base.benchmark = *find_benchmark("Web-med");
   base.duration = SimTime::from_s(40);
   base.seed = 17;
-  base.flow_lut = Simulator::build_flow_lut(base);
-  base.talb_weights = Simulator::build_talb_weights(base);
+  base.flow_lut = CharacterizationCache::global().flow_lut(base);
+  base.talb_weights = CharacterizationCache::global().talb_weights(base);
 
   std::cout << "== Ablation 1: proactive vs reactive flow control ==\n";
   {
@@ -39,7 +31,7 @@ int main() {
     for (bool reactive : {false, true}) {
       SimulationConfig cfg = base;
       cfg.manager.reactive = reactive;
-      const SimulationResult r = run_cell(cfg);
+      const SimulationResult r = SimulationSession(cfg).run();
       t.add_row({reactive ? "reactive (measurement)" : "proactive (ARMA forecast)",
                  TablePrinter::num(r.above_target_percent, 2),
                  TablePrinter::num(r.hotspot_max_sample, 2),
@@ -61,7 +53,7 @@ int main() {
     for (double h : {0.0, 1.0, 2.0, 4.0}) {
       SimulationConfig cfg = base;
       cfg.manager.controller.hysteresis = h;
-      const SimulationResult r = run_cell(cfg);
+      const SimulationResult r = SimulationSession(cfg).run();
       t.add_row({TablePrinter::num(h, 1), TablePrinter::num(r.above_target_percent, 2),
                  TablePrinter::num(r.pump_energy_j, 1),
                  std::to_string(r.pump_transitions)});
@@ -81,7 +73,7 @@ int main() {
         cfg.talb_weights = std::make_shared<const TalbWeightTable>(
             TalbWeightTable::uniform(8));
       }
-      const SimulationResult r = run_cell(cfg);
+      const SimulationResult r = SimulationSession(cfg).run();
       t.add_row({uniform ? "uniform (= LB)" : "characterized (TALB)",
                  TablePrinter::num(r.spatial_gradient_percent, 2),
                  TablePrinter::num(r.avg_tmax, 2),

@@ -13,14 +13,11 @@ int main() {
   ExperimentSuite suite(sc);
 
   // Fig. 8's policy subset.
-  const std::vector<PolicyConfig> policies = {
-      {Policy::kLoadBalancing, CoolingMode::kAir},
-      {Policy::kReactiveMigration, CoolingMode::kAir},
-      {Policy::kTalb, CoolingMode::kAir},
-      {Policy::kLoadBalancing, CoolingMode::kLiquidMax},
-      {Policy::kTalb, CoolingMode::kLiquidVar},
-  };
-  const std::vector<PolicySummary> results = suite.run(policies, table2_benchmarks());
+  std::vector<ScenarioSpec> scenarios;
+  for (const char* name : {"lb-air", "mig-air", "talb-air", "lb-max", "talb-var"}) {
+    scenarios.push_back(ScenarioRegistry::global().at(name));
+  }
+  const std::vector<PolicySummary> results = suite.run(scenarios, table2_benchmarks());
   const PolicySummary& baseline = find_baseline(results);
   const double e0 = baseline.total_chip_energy();
   const double thr0 = baseline.total_throughput();

@@ -167,12 +167,8 @@ double whatif_burst(ThermalService& service) {
 double serial_pass() {
   double tmax = 0.0;
   for (std::uint64_t seed = 1; seed <= kWhatIfFleet; ++seed) {
-    SimulationSession session(
-        ThermalService::session_config(bench_whatif(seed)));
-    session.init();
-    while (session.step()) {
-    }
-    tmax += session.result().avg_tmax;
+    const SimulationConfig cfg = ThermalService::session_config(bench_whatif(seed));
+    tmax += SimulationSession(cfg).run().avg_tmax;
   }
   return tmax;
 }

@@ -29,9 +29,8 @@ int main(int argc, char** argv) {
 
   TablePrinter t({"policy", "avg Tmax [C]", "peak [C]", ">85C [%]", "grad>15C [%]",
                   "chip E [J]", "pump E [J]", "thr [thr/s]"});
-  for (const PolicyConfig& pc : paper_policy_grid()) {
-    Simulator sim(suite.make_config(pc, *bench));
-    const SimulationResult r = sim.run();
+  for (const PolicySummary& s : suite.run(paper_scenario_grid(), {*bench})) {
+    const SimulationResult& r = s.per_workload.front();
     t.add_row({r.label, TablePrinter::num(r.avg_tmax, 1),
                TablePrinter::num(r.hotspot_max_sample, 1),
                TablePrinter::num(r.hotspot_percent, 2),

@@ -15,7 +15,7 @@
 #include <cstring>
 
 #include "geom/stack_spec.hpp"
-#include "sim/simulator.hpp"
+#include "sim/session.hpp"
 #include "workload/benchmarks.hpp"
 
 int main(int argc, char** argv) {
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  Simulator sim(cfg);
+  SimulationSession sim(cfg);
 
   std::printf("system: %s | policy: %s | workload: %s\n",
               sim.stack().name().c_str(),

@@ -5,9 +5,9 @@
 //   balancing via the thermal weight table).
 //
 // This class owns the forecasting pipeline, the LUT controller, and the
-// pump actuator; the Simulator calls update() once per sampling interval
-// with the measured maximum temperature and reads back the thermal weights
-// to hand to the TALB scheduler.  When a ValveNetwork is attached, update()
+// pump actuator; a SimulationSession calls update() once per sampling
+// interval with the measured maximum temperature and reads back the thermal
+// weights to hand to the TALB scheduler.  When a ValveNetwork is attached, update()
 // additionally turns per-cavity temperature observations into valve-opening
 // commands (CavityFlowController), steering the shared pump's flow toward
 // the hottest cavity at conserved total delivered flow.

@@ -165,10 +165,8 @@ void QueryQueue::run_solo(SessionJob& job) {
     if (job.trace_period_s > 0.0) {
       attach_trace(session, job.trace_period_s, trace);
     }
-    session.init();
-    while (session.step()) {
-    }
-    job.promise.set_value(SessionOutcome{session.result(), std::move(trace)});
+    SimulationResult result = session.run();
+    job.promise.set_value(SessionOutcome{std::move(result), std::move(trace)});
   } catch (...) {
     job.promise.set_exception(std::current_exception());
   }

@@ -19,19 +19,18 @@
 // again.
 //
 // run() takes the slices one after another on the calling thread (the
-// serve queue's batches and the sweep worker's chunks), and run(storage)
-// also hands its last slice's LU storage to the caller's next batch, as
-// the serve queue's workers keep theirs; run_sliced() takes
-// a list of cell configurations and runs its slices on a thread pool,
-// building each slice's sessions on the worker that runs it (the
-// ExperimentSuite grid).
+// serve queue's batches), and run(storage) also hands its last slice's LU
+// storage to the caller's next batch, as the serve queue's workers keep
+// theirs; run_sliced() takes a list of cell configurations and runs its
+// slices on a thread pool, building each slice's sessions on the worker
+// that runs it (the ExperimentSuite grid and the sweep worker's chunks).
 //
 // Scheduling, power, control and metrics stay entirely per-session — only
 // the factor and the sweep through it are shared — and a shared factor is
 // bit-identical to the one each cell would have built, while each
 // right-hand side of a sweep is solved bit for bit as alone, so a
-// BatchRunner's results are BIT-IDENTICAL to serial Simulator::run() calls
-// (locked in by tests/test_session_batch.cpp).
+// BatchRunner's results are BIT-IDENTICAL to serial SimulationSession::run()
+// calls (locked in by tests/test_session_batch.cpp).
 #pragma once
 
 #include <memory>

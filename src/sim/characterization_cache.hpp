@@ -3,10 +3,9 @@
 // steady-state map behind the variable-flow controller) and the TALB thermal
 // weight table.
 //
-// Before this cache existed the same plumbing lived twice: static
-// `Simulator::build_flow_lut` / `build_talb_weights` helpers (rebuilt per
-// caller) and lazily-built members inside ExperimentSuite (shared only
-// within one suite).  Both now funnel here.  Artifacts are keyed on the
+// Sessions fetch from CharacterizationCache::global() when their config
+// carries no artifacts; an ExperimentSuite keeps its own cache shared by
+// every cell of its grid.  Artifacts are keyed on the
 // system parameters that determine them — stack geometry, delivery mode,
 // thermal and power model parameters, the LUT target temperature, and the
 // characterization worker count (worker count perturbs warm-start

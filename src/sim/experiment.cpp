@@ -9,27 +9,7 @@
 
 namespace liquid3d {
 
-std::vector<PolicyConfig> paper_policy_grid() {
-  return {
-      {Policy::kLoadBalancing, CoolingMode::kAir},
-      {Policy::kReactiveMigration, CoolingMode::kAir},
-      {Policy::kTalb, CoolingMode::kAir},
-      {Policy::kLoadBalancing, CoolingMode::kLiquidMax},
-      {Policy::kReactiveMigration, CoolingMode::kLiquidMax},
-      {Policy::kTalb, CoolingMode::kLiquidMax},
-      {Policy::kTalb, CoolingMode::kLiquidVar},
-  };
-}
-
 namespace {
-
-ScenarioSpec scenario_of(PolicyConfig pc) {
-  ScenarioSpec s;
-  s.name = std::string(policy_name(pc.policy)) + "-" + cooling_name(pc.cooling);
-  s.policy = pc.policy;
-  s.cooling = pc.cooling;
-  return s;
-}
 
 double mean_over(const std::vector<SimulationResult>& rs,
                  double (SimulationResult::*field)) {
@@ -99,11 +79,6 @@ SimulationConfig ExperimentSuite::make_config(const ScenarioSpec& scenario,
   return cfg;
 }
 
-SimulationConfig ExperimentSuite::make_config(PolicyConfig policy,
-                                              const BenchmarkSpec& workload) {
-  return make_config(scenario_of(policy), workload);
-}
-
 std::vector<SimulationResult> ExperimentSuite::run_cells(
     const std::vector<SimulationConfig>& cells) {
   ThreadPool pool(cfg_.worker_threads == 0 ? ThreadPool::default_concurrency()
@@ -141,15 +116,6 @@ std::vector<PolicySummary> ExperimentSuite::run(
     summaries.push_back(std::move(summary));
   }
   return summaries;
-}
-
-std::vector<PolicySummary> ExperimentSuite::run(
-    const std::vector<PolicyConfig>& policies,
-    const std::vector<BenchmarkSpec>& workloads) {
-  std::vector<ScenarioSpec> scenarios;
-  scenarios.reserve(policies.size());
-  for (const PolicyConfig& pc : policies) scenarios.push_back(scenario_of(pc));
-  return run(scenarios, workloads);
 }
 
 FlowComparisonResult ExperimentSuite::run_flow_comparison(

@@ -7,9 +7,8 @@
 // per-scenario aggregates (mean and max over workloads) plus the LB-on-air
 // energy normalization the paper's plots use.
 //
-// Cells are expressed as ScenarioSpec values (sim/scenario.hpp); the legacy
-// PolicyConfig pair survives as a convenience adapter.  The cells run as
-// BatchRunner slices on a thread pool (BatchRunner::run_sliced): each
+// Cells are expressed as ScenarioSpec values (sim/scenario.hpp).  The cells
+// run as BatchRunner slices on a thread pool (BatchRunner::run_sliced): each
 // worker co-advances a few consecutive cells — one scenario over
 // neighbouring workloads — in lockstep, so cells at an equal operator
 // share a factor and a triangular sweep.  Results are bit-identical to a
@@ -22,26 +21,17 @@
 
 #include "sim/characterization_cache.hpp"
 #include "sim/scenario.hpp"
-#include "sim/simulator.hpp"
+#include "sim/session.hpp"
 
 namespace liquid3d {
 
-/// One policy/cooling configuration in the evaluation (legacy cell id).
-struct PolicyConfig {
-  Policy policy;
-  CoolingMode cooling;
-};
-
-/// The seven bars of Figs. 6-7, in plot order.
-[[nodiscard]] std::vector<PolicyConfig> paper_policy_grid();
-
-/// The sweep worker's execution paths (sweep/worker.hpp).  ExperimentSuite
-/// ignores SuiteConfig::execution and runs every grid as described above;
-/// that field stays only because the end-to-end benchmark (e2e_bench) sets
-/// it, and goes with the next change to that benchmark.
+/// Read by nothing: ExperimentSuite and the sweep worker run every grid as
+/// described above.  The enum and SuiteConfig::execution stay only because
+/// the end-to-end benchmark (e2e_bench) sets them, and go with the next
+/// change to that benchmark.
 enum class SuiteExecution {
-  kThreadPool,  ///< one session per worker thread
-  kBatched,     ///< lockstep BatchRunner
+  kThreadPool,
+  kBatched,
 };
 
 struct SuiteConfig {
@@ -53,7 +43,7 @@ struct SuiteConfig {
   /// concurrency).  Every cell is an independent session (own thermal
   /// model, own RNG stream), so results are bit-identical to a serial run.
   std::size_t worker_threads = 0;
-  /// Ignored by ExperimentSuite (see SuiteExecution).
+  /// Read by nothing (see SuiteExecution).
   SuiteExecution execution = SuiteExecution::kThreadPool;
   /// Base template applied to every run (thermal/power/etc. parameters).
   SimulationConfig base{};
@@ -95,10 +85,6 @@ class ExperimentSuite {
   [[nodiscard]] std::vector<PolicySummary> run(
       const std::vector<ScenarioSpec>& scenarios,
       const std::vector<BenchmarkSpec>& workloads);
-  /// Legacy adapter: policy/cooling pairs become unnamed scenarios.
-  [[nodiscard]] std::vector<PolicySummary> run(
-      const std::vector<PolicyConfig>& policies,
-      const std::vector<BenchmarkSpec>& workloads);
 
   [[nodiscard]] std::vector<PolicySummary> run_paper_grid() {
     return run(paper_scenario_grid(), table2_benchmarks());
@@ -108,8 +94,6 @@ class ExperimentSuite {
   /// config, with a deterministic per-cell seed (cell_seed) and the shared
   /// characterization artifacts attached.
   [[nodiscard]] SimulationConfig make_config(const ScenarioSpec& scenario,
-                                             const BenchmarkSpec& workload);
-  [[nodiscard]] SimulationConfig make_config(PolicyConfig policy,
                                              const BenchmarkSpec& workload);
 
   /// Run one skewed workload twice — uniform delivery vs. valve-network

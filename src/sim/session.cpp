@@ -372,6 +372,13 @@ bool SimulationSession::step() {
   return true;
 }
 
+SimulationResult SimulationSession::run() {
+  init();
+  while (step()) {
+  }
+  return result();
+}
+
 SimulationResult SimulationSession::result() const {
   LIQUID3D_REQUIRE(initialized_, "result() requires an initialized session");
   // Elapsed time in the exact millisecond domain, so a completed session

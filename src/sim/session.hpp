@@ -3,8 +3,8 @@
 //
 // One SimulationSession runs one (system, cooling, policy, workload) cell of
 // the Sec. V evaluation grid, sampled every 100 ms and initialized from the
-// steady state — but unlike the legacy monolithic `Simulator::run()`, the
-// loop is externalized:
+// steady state.  run() takes a cell to completion; callers that look
+// between ticks drive the loop themselves:
 //
 //   SimulationSession s(cfg);
 //   s.init();                       // steady-state warm start, reset metrics
@@ -15,8 +15,7 @@
 // field, power, manager decisions, queues), and each tick decomposes further
 // into begin_tick() / <thermal substeps> / finish_tick() so a BatchRunner
 // can co-advance many sessions through one shared factorization
-// (sim/batch_runner.hpp).  `Simulator` (sim/simulator.hpp) survives as a
-// thin compatibility loop over this class.
+// (sim/batch_runner.hpp).
 #pragma once
 
 #include <cstdint>
@@ -158,9 +157,12 @@ class SimulationSession {
   /// Steady-state warm start ("all simulations are initialized with steady
   /// state temperature values", Sec. V) and reset of every aggregate.  Must
   /// be called before step(); calling it again restarts the aggregation
-  /// (workload generator and scheduler state persist, as they did across
-  /// legacy `Simulator::run()` calls).
+  /// (workload generator and scheduler state persist across restarts).
   void init();
+
+  /// init(), step() until the configured duration is simulated, and the
+  /// final result().
+  SimulationResult run();
 
   /// Advance one sampling interval.  Returns false (and does nothing) once
   /// the configured duration has been simulated.

@@ -12,7 +12,6 @@
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "sim/batch_runner.hpp"
-#include "sim/simulator.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace liquid3d {
@@ -106,8 +105,7 @@ SimulationResult run_cell_attempt(ExperimentSuite& suite, const SweepCell& cell,
   if (fault_injection::should_fail("worker.cell", cell.index)) {
     throw SolverError("injected worker.cell fault");
   }
-  Simulator sim(suite.make_config(cell.scenario, workload));
-  return sim.run();
+  return SimulationSession(suite.make_config(cell.scenario, workload)).run();
 }
 
 /// Drive one quarantined cell up the ladder.  Returns with slot.ok set on
@@ -174,6 +172,8 @@ SweepWorkerStats run_sweep_shard(const SweepCellFile& shard,
       obs::Registry::global().histogram("liquid3d_sweep_chunk_seconds");
   MetricsHeartbeat heartbeat(journal_path, stats);
   std::size_t chunk_index = 0;
+  ThreadPool pool(options.worker_threads == 0 ? ThreadPool::default_concurrency()
+                                              : options.worker_threads);
 
   for (std::size_t begin = 0; begin < pending.size();
        begin += options.batch_limit) {
@@ -221,63 +221,39 @@ SweepWorkerStats run_sweep_shard(const SweepCellFile& shard,
       }
     }
 
-    // Phase 2: run the buildable cells of the chunk.  When quarantine
-    // already swallowed every cell (small chunks, aggressive faults) there
-    // is nothing to run — BatchRunner rejects an empty session list.
-    if (configs.empty()) {
-      // fall through to the retry ladder
-    } else if (options.execution == SuiteExecution::kBatched) {
-      // A SolverError inside a lockstep batch aborts the whole group with
-      // no per-cell attribution, so on failure (or an injected
-      // worker.chunk fault) the chunk falls back to solo re-runs — which
-      // are bit-identical to the batch by the locked batch==solo contract,
-      // so surviving cells' bytes cannot change.
-      bool batch_ok = false;
-      if (!fault_injection::should_fail("worker.chunk")) {
-        try {
-          BatchRunner batch;
-          for (SimulationConfig& cfg : configs) batch.add(std::move(cfg));
-          std::vector<SimulationResult> results = batch.run();
-          for (std::size_t c = 0; c < results.size(); ++c) {
-            slots[config_slot[c]].result = std::move(results[c]);
-            slots[config_slot[c]].ok = true;
-          }
-          batch_ok = true;
-        } catch (const SolverError&) {
-          // fall through to the solo re-run below
+    // Phase 2: run the buildable cells of the chunk as lockstep slices on
+    // the pool.  When quarantine already swallowed every cell (small
+    // chunks, aggressive faults) there is nothing to run.  A SolverError
+    // inside a slice aborts it with no per-cell attribution, so on failure
+    // (or an injected worker.chunk fault) the chunk falls back to solo
+    // re-runs — which are bit-identical to the slices by the locked
+    // batch==solo contract, so surviving cells' bytes cannot change.
+    bool sliced_ok = configs.empty();
+    if (!sliced_ok && !fault_injection::should_fail("worker.chunk")) {
+      try {
+        std::vector<SimulationResult> results =
+            BatchRunner::run_sliced(configs, pool);
+        for (std::size_t c = 0; c < results.size(); ++c) {
+          slots[config_slot[c]].result = std::move(results[c]);
+          slots[config_slot[c]].ok = true;
         }
+        sliced_ok = true;
+      } catch (const SolverError&) {
+        // fall through to the solo re-run below
       }
-      if (!batch_ok) {
-        for (const std::size_t i : config_slot) {
-          CellSlot& slot = slots[i];
-          ++slot.attempts;  // this solo run is the cell's as-configured rung
-          try {
-            slot.result = run_cell_attempt(suite, *slot.cell, slot.workload);
-            slot.ok = true;
-          } catch (const SolverError& e) {
-            slot.quarantined = true;
-            slot.error = e.what();
-          }
-        }
-      }
-    } else {
-      ThreadPool pool(options.worker_threads == 0
-                          ? ThreadPool::default_concurrency()
-                          : options.worker_threads);
-      pool.parallel_for(0, configs.size(), [&](std::size_t c) {
-        CellSlot& slot = slots[config_slot[c]];
+    }
+    if (!sliced_ok) {
+      for (const std::size_t i : config_slot) {
+        CellSlot& slot = slots[i];
+        ++slot.attempts;  // this solo run is the cell's as-configured rung
         try {
-          Simulator sim(configs[c]);
-          slot.result = sim.run();
+          slot.result = run_cell_attempt(suite, *slot.cell, slot.workload);
           slot.ok = true;
         } catch (const SolverError& e) {
-          // Per-cell containment; non-solver exceptions propagate through
-          // the pool's first-exception rethrow.
           slot.quarantined = true;
           slot.error = e.what();
-          slot.attempts = 1;  // this pool run was the as-configured rung
         }
-      });
+      }
     }
 
     // Phase 3: retry ladder for everything quarantined above, serial

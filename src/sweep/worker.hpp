@@ -4,15 +4,10 @@
 // The worker reconstructs the shard's ExperimentSuite from the shard file's
 // suite metadata (so make_config — characterization artifacts, cell seeds,
 // scenario binding — is bit-for-bit the single-process path), skips cells
-// already present in the journal, and runs the rest in chunks:
-//
-//   * kBatched (default): each chunk goes through a BatchRunner, so
-//     compatible cells within the chunk share thermal factorizations in
-//     lockstep, per shard;
-//   * kThreadPool: one session per worker thread, for wide shards of
-//     incompatible cells.
-//
-// Both are bit-identical to serial runs.  After a chunk completes, each
+// already present in the journal, and runs the rest in chunks.  Each chunk
+// goes through BatchRunner::run_sliced on the shard's `worker_threads`
+// pool, so compatible cells within a slice share thermal factorizations in
+// lockstep, bit-identically to serial runs.  After a chunk completes, each
 // cell's result is appended to the journal (fsync per cell), so the
 // checkpoint granularity is `batch_limit` cells: a SIGKILL costs at most
 // one chunk of recomputation and never corrupts the journal.
@@ -20,7 +15,7 @@
 // Failure containment: a SolverError anywhere in a cell's solve is a
 // per-cell outcome, never a shard-killing exception.  The failing cell is
 // evicted from its lockstep group (siblings keep their shared
-// factorization semantics — on a batched SolverError the chunk re-runs
+// factorization semantics — on a SolverError in any slice the chunk re-runs
 // solo, which is bit-identical by the locked batch==solo contract) and
 // retried solo, as configured, up to `max_cell_attempts` attempts in all
 // (a fault that clears — an injected one, a lost resource — passes on a
@@ -39,7 +34,6 @@
 namespace liquid3d {
 
 struct SweepWorkerOptions {
-  SuiteExecution execution = SuiteExecution::kBatched;
   /// Cells per lockstep chunk (checkpoint granularity).  1 = journal after
   /// every single cell; larger values trade resume granularity for more
   /// factorization sharing.
@@ -48,9 +42,9 @@ struct SweepWorkerOptions {
   /// partially complete).  Drives deterministic kill/resume tests and the
   /// CI smoke job; production workers leave it unlimited.
   std::size_t max_new_cells = static_cast<std::size_t>(-1);
-  /// Worker threads for the kThreadPool execution (0 = hardware
-  /// concurrency).
-  std::size_t worker_threads = 0;
+  /// Threads the chunks' lockstep slices run on, one pool per shard (0 =
+  /// hardware concurrency).
+  std::size_t worker_threads = 1;
   /// Solve attempts per cell before it is journaled as FAILED.
   std::size_t max_cell_attempts = 3;
 };

@@ -8,15 +8,18 @@ namespace liquid3d {
 namespace {
 
 TEST(Experiment, PaperPolicyGridMatchesFig6Order) {
-  const std::vector<PolicyConfig> grid = paper_policy_grid();
+  const std::vector<ScenarioSpec> grid = paper_scenario_grid();
   ASSERT_EQ(grid.size(), 7u);
-  EXPECT_EQ(policy_label(grid[0].policy, grid[0].cooling), "LB (Air)");
-  EXPECT_EQ(policy_label(grid[1].policy, grid[1].cooling), "Mig (Air)");
-  EXPECT_EQ(policy_label(grid[2].policy, grid[2].cooling), "TALB (Air)");
-  EXPECT_EQ(policy_label(grid[3].policy, grid[3].cooling), "LB (Max)");
-  EXPECT_EQ(policy_label(grid[4].policy, grid[4].cooling), "Mig (Max)");
-  EXPECT_EQ(policy_label(grid[5].policy, grid[5].cooling), "TALB (Max)");
-  EXPECT_EQ(policy_label(grid[6].policy, grid[6].cooling), "TALB (Var)");
+  const char* labels[] = {"LB (Air)", "Mig (Air)", "TALB (Air)", "LB (Max)",
+                          "Mig (Max)", "TALB (Max)", "TALB (Var)"};
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(grid[i].display_label(), labels[i]);
+  }
+}
+
+/// A paper-grid cell by name ("lb-air", "talb-var", ...).
+const ScenarioSpec& cell(const char* name) {
+  return ScenarioRegistry::global().at(name);
 }
 
 SuiteConfig tiny_suite() {
@@ -29,13 +32,10 @@ SuiteConfig tiny_suite() {
 
 TEST(Experiment, SuiteRunsAndAggregates) {
   ExperimentSuite suite(tiny_suite());
-  const std::vector<PolicyConfig> policies = {
-      {Policy::kLoadBalancing, CoolingMode::kAir},
-      {Policy::kTalb, CoolingMode::kLiquidVar},
-  };
+  const std::vector<ScenarioSpec> scenarios = {cell("lb-air"), cell("talb-var")};
   const std::vector<BenchmarkSpec> workloads = {*find_benchmark("gzip"),
                                                 *find_benchmark("Web-med")};
-  const auto results = suite.run(policies, workloads);
+  const auto results = suite.run(scenarios, workloads);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].label, "LB (Air)");
   EXPECT_EQ(results[1].label, "TALB (Var)");
@@ -49,10 +49,8 @@ TEST(Experiment, SuiteRunsAndAggregates) {
 TEST(Experiment, CharacterizationsAreSharedAcrossCells) {
   ExperimentSuite suite(tiny_suite());
   const BenchmarkSpec wl = *find_benchmark("gzip");
-  const SimulationConfig a =
-      suite.make_config({Policy::kTalb, CoolingMode::kLiquidVar}, wl);
-  const SimulationConfig b =
-      suite.make_config({Policy::kTalb, CoolingMode::kLiquidMax}, wl);
+  const SimulationConfig a = suite.make_config(cell("talb-var"), wl);
+  const SimulationConfig b = suite.make_config(cell("talb-max"), wl);
   EXPECT_EQ(a.flow_lut.get(), b.flow_lut.get());  // same shared object
   EXPECT_NE(a.flow_lut, nullptr);
   EXPECT_EQ(a.talb_weights.get(), b.talb_weights.get());
@@ -60,10 +58,8 @@ TEST(Experiment, CharacterizationsAreSharedAcrossCells) {
 
 TEST(Experiment, SeedVariesPerWorkload) {
   ExperimentSuite suite(tiny_suite());
-  const SimulationConfig a = suite.make_config(
-      {Policy::kLoadBalancing, CoolingMode::kAir}, *find_benchmark("gzip"));
-  const SimulationConfig b = suite.make_config(
-      {Policy::kLoadBalancing, CoolingMode::kAir}, *find_benchmark("Web-med"));
+  const SimulationConfig a = suite.make_config(cell("lb-air"), *find_benchmark("gzip"));
+  const SimulationConfig b = suite.make_config(cell("lb-air"), *find_benchmark("Web-med"));
   EXPECT_NE(a.seed, b.seed);
 }
 
@@ -72,10 +68,8 @@ TEST(Experiment, SeedVariesPerPolicyCell) {
   // RNG stream; the cell_seed mix separates every (policy, cooling) cell.
   ExperimentSuite suite(tiny_suite());
   const BenchmarkSpec wl = *find_benchmark("gzip");
-  const SimulationConfig lb =
-      suite.make_config({Policy::kLoadBalancing, CoolingMode::kAir}, wl);
-  const SimulationConfig mig =
-      suite.make_config({Policy::kReactiveMigration, CoolingMode::kAir}, wl);
+  const SimulationConfig lb = suite.make_config(cell("lb-air"), wl);
+  const SimulationConfig mig = suite.make_config(cell("mig-air"), wl);
   EXPECT_NE(lb.seed, mig.seed);
 }
 
@@ -99,11 +93,8 @@ TEST(Experiment, CellResultsInvariantUnderGridReordering) {
   sc.base.thermal.grid_rows = 8;
   sc.base.thermal.grid_cols = 9;
 
-  const std::vector<PolicyConfig> order_a = {
-      {Policy::kLoadBalancing, CoolingMode::kAir},
-      {Policy::kReactiveMigration, CoolingMode::kAir},
-  };
-  const std::vector<PolicyConfig> order_b = {order_a[1], order_a[0]};
+  const std::vector<ScenarioSpec> order_a = {cell("lb-air"), cell("mig-air")};
+  const std::vector<ScenarioSpec> order_b = {order_a[1], order_a[0]};
   const std::vector<BenchmarkSpec> wl_a = {*find_benchmark("gzip"),
                                            *find_benchmark("Web-med")};
   const std::vector<BenchmarkSpec> wl_b = {wl_a[1], wl_a[0]};
@@ -131,21 +122,19 @@ TEST(Experiment, SuiteMatchesSoloSessions) {
   SuiteConfig sc = tiny_suite();
   sc.duration = SimTime::from_s(3);
   sc.worker_threads = 2;
-  const std::vector<PolicyConfig> policies = {
-      {Policy::kLoadBalancing, CoolingMode::kLiquidMax},
-      {Policy::kLoadBalancing, CoolingMode::kAir},
-  };
+  const std::vector<ScenarioSpec> scenarios = {cell("lb-max"), cell("lb-air")};
   const std::vector<BenchmarkSpec> workloads = {*find_benchmark("gzip"),
                                                 *find_benchmark("Web-med")};
 
   ExperimentSuite suite(sc);
-  const auto results = suite.run(policies, workloads);
-  ASSERT_EQ(results.size(), policies.size());
+  const auto results = suite.run(scenarios, workloads);
+  ASSERT_EQ(results.size(), scenarios.size());
   for (std::size_t p = 0; p < results.size(); ++p) {
     for (std::size_t w = 0; w < workloads.size(); ++w) {
       SCOPED_TRACE(results[p].label);
-      expect_same_result(results[p].per_workload[w],
-                         Simulator(suite.make_config(policies[p], workloads[w])).run());
+      expect_same_result(
+          results[p].per_workload[w],
+          SimulationSession(suite.make_config(scenarios[p], workloads[w])).run());
     }
   }
 }

@@ -187,34 +187,40 @@ TEST_F(FaultToleranceTest, EscalationLadderRecoversTransientFaults) {
 }
 
 TEST_F(FaultToleranceTest, ChunkFaultFallsBackToBitIdenticalSoloRuns) {
-  // worker.chunk aborts the lockstep batch; the solo fallback must
-  // reproduce every cell byte-for-byte (the batch==solo contract).
+  // worker.chunk aborts the chunk's lockstep slices; the solo fallback must
+  // reproduce every cell byte-for-byte (the batch==solo contract), on one
+  // slice thread and on two.
   const SweepGridSpec grid = tiny_grid();
-  const std::string journal = temp_path("chunk_fault.csv");
-  std::remove(journal.c_str());
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    const std::string journal = temp_path("chunk_fault.csv");
+    std::remove(journal.c_str());
 
-  fault_injection::arm("worker.chunk");
-  const SweepWorkerStats stats = run_sweep_shard(full_shard(grid), journal);
-  fault_injection::disarm_all();
+    SweepWorkerOptions options;
+    options.worker_threads = threads;
+    fault_injection::arm("worker.chunk");
+    const SweepWorkerStats stats =
+        run_sweep_shard(full_shard(grid), journal, options);
+    fault_injection::disarm_all();
 
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.failed, 0u);
-  const std::vector<PolicySummary> merged =
-      merge_sweep_entries(full_shard(grid), SweepJournal::load(journal));
-  expect_survivors_identical(grid, merged, {});
-  std::remove(journal.c_str());
+    EXPECT_EQ(stats.completed, 4u);
+    EXPECT_EQ(stats.failed, 0u);
+    const std::vector<PolicySummary> merged =
+        merge_sweep_entries(full_shard(grid), SweepJournal::load(journal));
+    expect_survivors_identical(grid, merged, {});
+    std::remove(journal.c_str());
+  }
 }
 
 TEST_F(FaultToleranceTest, ThreadPoolExecutionContainsFailuresToo) {
-  // Same containment contract under kThreadPool: the failing cell is
-  // quarantined from inside the pool lambda, the pool itself survives to
-  // run the rest, and the journal stays loadable.
+  // Same containment contract with the slices on a four-thread pool: the
+  // failing cell is quarantined before its chunk's slices run, the pool
+  // runs the rest, and the journal stays loadable.
   const SweepGridSpec grid = tiny_grid();
   const std::string journal = temp_path("quarantine_pool.csv");
   std::remove(journal.c_str());
 
   SweepWorkerOptions options;
-  options.execution = SuiteExecution::kThreadPool;
   options.worker_threads = 4;
 
   fault_injection::arm("worker.cell:key=0");

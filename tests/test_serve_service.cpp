@@ -71,21 +71,13 @@ void expect_bit_identical(const SimulationResult& a, const SimulationResult& b) 
   EXPECT_EQ(a.avg_pump_setting, b.avg_pump_setting);
 }
 
-SimulationResult run_solo(const SimulationConfig& cfg) {
-  SimulationSession session(cfg);
-  session.init();
-  while (session.step()) {
-  }
-  return session.result();
-}
-
 TEST(ServeService, WhatIfBitIdenticalToSoloSession) {
   ThermalService service;
   const WhatIfQuery q = small_whatif(11);
   const SessionOutcome outcome = service.what_if(q).get();
   EXPECT_TRUE(outcome.trace.empty());
   expect_bit_identical(outcome.result,
-                       run_solo(ThermalService::session_config(q)));
+                       SimulationSession(ThermalService::session_config(q)).run());
 }
 
 TEST(ServeService, ConcurrentWhatIfsShareLockstepBatches) {
@@ -112,7 +104,7 @@ TEST(ServeService, ConcurrentWhatIfsShareLockstepBatches) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     expect_bit_identical(
         outcomes[seed - 1].result,
-        run_solo(ThermalService::session_config(small_whatif(seed))));
+        SimulationSession(ThermalService::session_config(small_whatif(seed))).run());
   }
 }
 
@@ -156,7 +148,7 @@ TEST(ServeService, ReplayAppliesPhasesAndTraces) {
 
   SimulationConfig cfg = ThermalService::session_config(q.base);
   cfg.phases = q.phases;
-  expect_bit_identical(outcome.result, run_solo(cfg));
+  expect_bit_identical(outcome.result, SimulationSession(cfg).run());
 }
 
 TEST(ServeService, UnknownNamesFailFastThroughFuture) {

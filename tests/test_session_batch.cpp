@@ -5,7 +5,7 @@
 // groups factorizing once per dt between them, liquid models borrowing a
 // groupmate's LU slot at an equal flow vector, models at one key solving
 // in one multi-right-hand-side sweep, slices on a thread pool) is
-// bit-identical to serial Simulator::run() calls.
+// bit-identical to serial SimulationSession::run() calls.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/experiment.hpp"
-#include "sim/simulator.hpp"
 #include "thermal/model3d.hpp"
 #include "thermal_test_access.hpp"
 
@@ -154,7 +153,7 @@ void expect_bit_identical(const SimulationResult& a, const SimulationResult& b) 
 }
 
 TEST(SimulationSession, HandSteppedLoopMatchesSimulatorRun) {
-  const SimulationResult via_run = Simulator(session_config(3, "Web-med")).run();
+  const SimulationResult via_run = SimulationSession(session_config(3, "Web-med")).run();
 
   SimulationSession s(session_config(3, "Web-med"));
   EXPECT_FALSE(s.initialized());
@@ -202,17 +201,11 @@ TEST(SimulationSession, MidRunResultIsPartialAggregate) {
 
 TEST(SimulationSession, ReinitReportsOnlyTheCurrentRun) {
   SimulationSession s(session_config(6, "Web-med"));
-  s.init();
-  while (s.step()) {
-  }
-  const SimulationResult first = s.result();
+  const SimulationResult first = s.run();
   // Restart: aggregates reset, cumulative counters re-baselined — the
   // second result must cover only the second run (not report doubled
   // throughput/migration counts from the object's lifetime).
-  s.init();
-  while (s.step()) {
-  }
-  const SimulationResult second = s.result();
+  const SimulationResult second = s.run();
   EXPECT_DOUBLE_EQ(second.elapsed_s, first.elapsed_s);
   EXPECT_GT(second.throughput_per_s, 0.0);
   EXPECT_LT(second.throughput_per_s, 1.5 * first.throughput_per_s);
@@ -229,7 +222,7 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
   BatchRunner batch;
   for (std::size_t i = 0; i < 8; ++i) {
     SimulationConfig cfg = session_config(100 + i, workloads[i]);
-    serial.push_back(Simulator(cfg).run());
+    serial.push_back(SimulationSession(cfg).run());
     batch.add(cfg);
   }
   obs::Counter& borrowed =
@@ -253,7 +246,7 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
   BatchRunner air_batch;
   for (std::size_t i = 0; i < 3; ++i) {
     SimulationConfig cfg = session_config(200 + i, workloads[i], CoolingMode::kAir);
-    air_serial.push_back(Simulator(cfg).run());
+    air_serial.push_back(SimulationSession(cfg).run());
     air_batch.add(cfg);
   }
   const obs::ScopedEnabled obs_on(true);
@@ -289,10 +282,7 @@ TEST(BatchRunner, AirPackageMatchesSerial) {
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE(workloads[i]);
     SimulationSession& s = *serial[i];
-    s.init();
-    while (s.step()) {
-    }
-    expect_bit_identical(results[i], s.result());
+    expect_bit_identical(results[i], s.run());
     batch.session(i).thermal().save_state(batched_state);
     s.thermal().save_state(serial_state);
     EXPECT_EQ(batched_state.spreader_temp, serial_state.spreader_temp);
@@ -310,8 +300,8 @@ TEST(BatchRunner, MixedDurationsDropFinishedSessionsFromLockstep) {
   batch.add(short_cfg);
   batch.add(long_cfg);
 
-  const SimulationResult short_serial = Simulator(short_cfg).run();
-  const SimulationResult long_serial = Simulator(long_cfg).run();
+  const SimulationResult short_serial = SimulationSession(short_cfg).run();
+  const SimulationResult long_serial = SimulationSession(long_cfg).run();
   const auto results = batch.run();
   ASSERT_EQ(results.size(), 2u);
   expect_bit_identical(results[0], short_serial);
@@ -342,7 +332,7 @@ TEST(BatchRunner, PooledSlicesMatchSerial) {
   ASSERT_EQ(pooled.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     SCOPED_TRACE(pooled[i].label + " / " + pooled[i].benchmark);
-    expect_bit_identical(pooled[i], Simulator(cells[i]).run());
+    expect_bit_identical(pooled[i], SimulationSession(cells[i]).run());
   }
   // The TALB (Var) cells are the last three: their pump moved during the
   // run, and not in step across cells.

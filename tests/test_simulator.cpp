@@ -1,10 +1,12 @@
-// Full-system integration (sim/simulator.hpp).  These are the slowest tests
-// in the suite; they use short runs and a coarse thermal grid.
+// Full-system integration: SimulationSession::run() over whole cells.  These
+// are the slowest tests in the suite; they use short runs and a coarse
+// thermal grid.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "sim/simulator.hpp"
+#include "sim/characterization_cache.hpp"
+#include "sim/session.hpp"
 
 namespace liquid3d {
 namespace {
@@ -21,12 +23,12 @@ SimulationConfig fast_config(const char* workload = "Web-med") {
 
 /// Characterizations shared across all tests in this TU (expensive).
 std::shared_ptr<const FlowLut> shared_lut() {
-  static std::shared_ptr<const FlowLut> lut = Simulator::build_flow_lut(fast_config());
+  static std::shared_ptr<const FlowLut> lut = CharacterizationCache::global().flow_lut(fast_config());
   return lut;
 }
 std::shared_ptr<const TalbWeightTable> shared_weights() {
   static std::shared_ptr<const TalbWeightTable> w =
-      Simulator::build_talb_weights(fast_config());
+      CharacterizationCache::global().talb_weights(fast_config());
   return w;
 }
 
@@ -41,7 +43,7 @@ SimulationConfig liquid_config(CoolingMode mode, Policy policy,
 }
 
 TEST(Simulator, VariableFlowHoldsTemperatureNearTarget) {
-  Simulator sim(liquid_config(CoolingMode::kLiquidVar, Policy::kTalb));
+  SimulationSession sim(liquid_config(CoolingMode::kLiquidVar, Policy::kTalb));
   const SimulationResult r = sim.run();
   // The controller's job: essentially no time above the hot-spot threshold
   // and bounded excursions above the 80 C target.
@@ -51,8 +53,8 @@ TEST(Simulator, VariableFlowHoldsTemperatureNearTarget) {
 }
 
 TEST(Simulator, VariableFlowSavesPumpEnergyVsMax) {
-  Simulator max_sim(liquid_config(CoolingMode::kLiquidMax, Policy::kTalb));
-  Simulator var_sim(liquid_config(CoolingMode::kLiquidVar, Policy::kTalb));
+  SimulationSession max_sim(liquid_config(CoolingMode::kLiquidMax, Policy::kTalb));
+  SimulationSession var_sim(liquid_config(CoolingMode::kLiquidVar, Policy::kTalb));
   const SimulationResult r_max = max_sim.run();
   const SimulationResult r_var = var_sim.run();
   EXPECT_LT(r_var.pump_energy_j, r_max.pump_energy_j);
@@ -66,20 +68,19 @@ TEST(Simulator, AirRunsHotterThanLiquid) {
   SimulationConfig air = fast_config();
   air.cooling = CoolingMode::kAir;
   air.policy = Policy::kLoadBalancing;
-  Simulator air_sim(air);
-  Simulator liq_sim(liquid_config(CoolingMode::kLiquidMax, Policy::kLoadBalancing));
+  SimulationSession air_sim(air);
+  SimulationSession liq_sim(
+      liquid_config(CoolingMode::kLiquidMax, Policy::kLoadBalancing));
   const SimulationResult r_air = air_sim.run();
   const SimulationResult r_liq = liq_sim.run();
   EXPECT_GT(r_air.avg_tmax, r_liq.avg_tmax + 5.0);
 }
 
 TEST(Simulator, DeterministicGivenSeed) {
-  const SimulationResult a = Simulator(liquid_config(CoolingMode::kLiquidVar,
-                                                     Policy::kTalb))
-                                 .run();
-  const SimulationResult b = Simulator(liquid_config(CoolingMode::kLiquidVar,
-                                                     Policy::kTalb))
-                                 .run();
+  const SimulationResult a =
+      SimulationSession(liquid_config(CoolingMode::kLiquidVar, Policy::kTalb)).run();
+  const SimulationResult b =
+      SimulationSession(liquid_config(CoolingMode::kLiquidVar, Policy::kTalb)).run();
   EXPECT_DOUBLE_EQ(a.avg_tmax, b.avg_tmax);
   EXPECT_DOUBLE_EQ(a.chip_energy_j, b.chip_energy_j);
   EXPECT_DOUBLE_EQ(a.pump_energy_j, b.pump_energy_j);
@@ -89,7 +90,7 @@ TEST(Simulator, DeterministicGivenSeed) {
 
 TEST(Simulator, EnergyAccountingIsConsistent) {
   const SimulationResult r =
-      Simulator(liquid_config(CoolingMode::kLiquidVar, Policy::kTalb)).run();
+      SimulationSession(liquid_config(CoolingMode::kLiquidVar, Policy::kTalb)).run();
   EXPECT_NEAR(r.total_energy_j, r.chip_energy_j + r.pump_energy_j, 1e-6);
   EXPECT_GT(r.chip_energy_j, 0.0);
   EXPECT_GT(r.pump_energy_j, 0.0);
@@ -101,7 +102,7 @@ TEST(Simulator, UtilizationTracksTableII) {
   // variance in the mean; 60 s gives ~8 independent modulation periods.
   SimulationConfig cfg = liquid_config(CoolingMode::kLiquidMax, Policy::kTalb);
   cfg.duration = SimTime::from_s(60);
-  const SimulationResult r = Simulator(cfg).run();
+  const SimulationResult r = SimulationSession(cfg).run();
   EXPECT_NEAR(r.avg_utilization, cfg.benchmark.avg_utilization, 0.15);
 }
 
@@ -110,13 +111,14 @@ TEST(Simulator, MigrationPolicyCountsMigrations) {
   SimulationConfig cfg = fast_config("Web-high");
   cfg.cooling = CoolingMode::kAir;
   cfg.policy = Policy::kReactiveMigration;
-  const SimulationResult r = Simulator(cfg).run();
+  const SimulationResult r = SimulationSession(cfg).run();
   EXPECT_GT(r.migrations, 0u);
   EXPECT_EQ(r.label, "Mig (Air)");
 }
 
 TEST(Simulator, MaxFlowNeverMigratesNorTransitions) {
-  Simulator sim(liquid_config(CoolingMode::kLiquidMax, Policy::kLoadBalancing));
+  SimulationSession sim(
+      liquid_config(CoolingMode::kLiquidMax, Policy::kLoadBalancing));
   const SimulationResult r = sim.run();
   EXPECT_EQ(r.migrations, 0u);
   EXPECT_EQ(r.pump_transitions, 0u);
@@ -126,7 +128,7 @@ TEST(Simulator, MaxFlowNeverMigratesNorTransitions) {
 TEST(Simulator, TraceCallbackSeesEverySample) {
   SimulationConfig cfg = liquid_config(CoolingMode::kLiquidVar, Policy::kTalb);
   cfg.duration = SimTime::from_s(5);
-  Simulator sim(cfg);
+  SimulationSession sim(cfg);
   std::size_t samples = 0;
   double last_t = 0.0;
   sim.set_trace_callback([&](const SampleTrace& t) {
@@ -159,8 +161,8 @@ TEST(Simulator, FourLayerSystemRuns) {
   cfg.thermal.grid_cols = 9;
   // Provide a trivial LUT-free path: LiquidMax still builds a LUT via the
   // manager; supply a shared one from a matching 4-layer config.
-  cfg.flow_lut = Simulator::build_flow_lut(cfg);
-  Simulator sim(cfg);
+  cfg.flow_lut = CharacterizationCache::global().flow_lut(cfg);
+  SimulationSession sim(cfg);
   const SimulationResult r = sim.run();
   EXPECT_GT(r.avg_tmax, 45.0);
   EXPECT_EQ(sim.core_count(), 16u);

@@ -505,13 +505,16 @@ TEST_F(SweepEndToEnd, SingleCellGridAndEmptyShardsWork) {
   cleanup(journals);
 }
 
-TEST_F(SweepEndToEnd, ThreadPoolExecutionMatchesBatched) {
-  const SweepGridSpec grid = tiny_grid();
+TEST_F(SweepEndToEnd, TwoWorkerThreadsMatchOne) {
+  // A shard's slices run on its worker_threads pool; with a third workload
+  // the six-cell chunk (default batch_limit 8) is two slices, which two
+  // threads take at once.  Both must journal the bytes one thread does.
+  SweepGridSpec grid = tiny_grid();
+  grid.workloads.push_back("Database");
   SweepWorkerOptions pooled;
-  pooled.execution = SuiteExecution::kThreadPool;
   pooled.worker_threads = 2;
-  const std::vector<std::string> a = run_sharded(grid, 2, pooled, "pool");
-  const std::vector<std::string> b = run_sharded(grid, 2, {}, "batch");
+  const std::vector<std::string> a = run_sharded(grid, 1, pooled, "two");
+  const std::vector<std::string> b = run_sharded(grid, 1, {}, "one");
   auto load_all = [](const std::vector<std::string>& paths) {
     std::vector<JournalEntry> entries;
     for (const std::string& p : paths) {

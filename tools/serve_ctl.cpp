@@ -487,12 +487,10 @@ int cmd_burst(int argc, char** argv) {
     std::size_t checked = 0;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       if (!lanes[i].outcome) continue;
-      SimulationSession solo(ThermalService::session_config(queries[i]));
-      solo.init();
-      while (solo.step()) {
-      }
+      const SimulationResult solo =
+          SimulationSession(ThermalService::session_config(queries[i])).run();
       ++checked;
-      if (!results_equal(lanes[i].outcome->result, solo.result())) {
+      if (!results_equal(lanes[i].outcome->result, solo)) {
         std::fprintf(stderr, "VERIFY MISMATCH: what-if %zu (seed %llu)\n", i,
                      static_cast<unsigned long long>(queries[i].seed));
         ++failures;
