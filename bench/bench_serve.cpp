@@ -186,7 +186,6 @@ void BM_ServeBatchedWhatIf(benchmark::State& state) {
   warm_characterization();
   ServeParams params;
   params.queue.max_batch = kWhatIfFleet;
-  params.queue.batch_window_ms = 20.0;
   ThermalService service(params);
   benchmark::DoNotOptimize(whatif_burst(service));
   double elapsed_s = 0.0;

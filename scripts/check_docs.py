@@ -6,8 +6,11 @@ and the `//` comments of every source file under src/, and reports:
 
   * a repo path (`src/sweep/plan.hpp`, `solver/banded_lu.hpp`,
     `tests/`) that no tracked file or directory ends with;
-  * a `Type::member` whose type or member never appears as an identifier
-    in src/, tests/ or tools/;
+  * a `Type::member` whose type no file in src/, tests/ or tools/
+    declares, or whose member never appears as an identifier in the
+    type's own files: those that declare it, and their same-stem
+    siblings (model3d.hpp's model3d.cpp) — so a member deleted from its
+    type is caught even when another type or a test keeps the name;
   * a `snake_case(` call whose name never appears there;
   * a bare `snake_case` name with an underscore (a function, field,
     metric or target) that never appears as an identifier in that code,
@@ -30,6 +33,11 @@ CALL_RE = re.compile(r"(?<![\w.:>])([a-z_][a-z0-9_]*)\(")
 BARE_RE = re.compile(r"^[a-z][a-z0-9]*(?:_[a-z0-9]+)+$")
 SPAN_RE = re.compile(r"`([^`\n]+)`")
 IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
+# A type's declaration (not a forward declaration or a friend): its class,
+# struct, union or enum head, or a `using Type =` alias.
+DECL_RE = re.compile(
+    r"\b(?:class|struct|union|enum(?:\s+class|\s+struct)?)\s+([A-Z]\w*)\b(?!\s*;)"
+    r"|\busing\s+([A-Z]\w*)\s*=")
 SOURCE_SUFFIXES = {".hpp", ".cpp", ".h"}
 # Files outside src/tests/tools whose identifiers a bare name may resolve
 # against: benchmark and build code, scripts and CI.
@@ -57,14 +65,34 @@ def tracked_paths(root):
     return paths
 
 
-def identifiers(root):
+def code_files(root):
+    """Every source file under src/, tests/ and tools/, with its text."""
+    for top in ("src", "tests", "tools"):
+        for p in sorted((root / top).rglob("*")):
+            if p.is_file() and p.suffix in SOURCE_SUFFIXES:
+                yield p, p.read_text(errors="replace")
+
+
+def identifiers(files):
     """Every identifier token in the code the docs may name."""
     idents = set()
-    for top in ("src", "tests", "tools"):
-        for p in (root / top).rglob("*"):
-            if p.is_file() and p.suffix in SOURCE_SUFFIXES:
-                idents.update(IDENT_RE.findall(p.read_text(errors="replace")))
+    for _, text in files:
+        idents.update(IDENT_RE.findall(text))
     return idents
+
+
+def type_members(files):
+    """{type name: identifiers of the type's own files}: the files that
+    declare it and their same-stem siblings."""
+    stem_idents = {}
+    declared_in = {}
+    for p, text in files:
+        key = p.with_suffix("")
+        stem_idents.setdefault(key, set()).update(IDENT_RE.findall(text))
+        for match in DECL_RE.finditer(text):
+            declared_in.setdefault(match.group(1) or match.group(2), set()).add(key)
+    return {name: set().union(*(stem_idents[k] for k in keys))
+            for name, keys in declared_in.items()}
 
 
 def names(root, idents):
@@ -84,7 +112,7 @@ def path_resolves(span, paths):
     return any(p == span or p.endswith("/" + span) for p in paths)
 
 
-def check_span(span, paths, idents, known_names):
+def check_span(span, paths, idents, members, known_names):
     """Misses in one backticked span, as messages."""
     misses = []
     if BARE_RE.match(span) and span not in known_names:
@@ -92,9 +120,11 @@ def check_span(span, paths, idents, known_names):
     if PATH_RE.match(span) and not path_resolves(span, paths):
         misses.append(f"path `{span}` does not exist")
     for type_name, member in MEMBER_RE.findall(span):
-        for name in (type_name, member.lstrip("~")):
-            if name not in idents:
-                misses.append(f"`{type_name}::{member}`: `{name}` is not in the code")
+        if type_name not in members:
+            misses.append(f"`{type_name}::{member}`: no code declares `{type_name}`")
+        elif member.lstrip("~") not in members[type_name]:
+            misses.append(f"`{type_name}::{member}`: `{member}` is not in "
+                          f"`{type_name}`'s files")
     for name in CALL_RE.findall(span):
         if name not in idents:
             misses.append(f"`{name}(` is not in the code")
@@ -121,14 +151,17 @@ def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else
                         pathlib.Path(__file__).resolve().parent.parent)
     paths = tracked_paths(root)
-    idents = identifiers(root)
+    files = list(code_files(root))
+    idents = identifiers(files)
+    members = type_members(files)
     known_names = names(root, idents)
     failures = 0
     for label, text in sources(root):
         for number, line in enumerate(text.splitlines(), 1):
             where = label if ":" in label else f"{label}:{number}"
             for span in SPAN_RE.findall(line):
-                for miss in check_span(span.strip(), paths, idents, known_names):
+                for miss in check_span(span.strip(), paths, idents, members,
+                                       known_names):
                     print(f"{where}: {miss}")
                     failures += 1
     if failures:

@@ -1,7 +1,6 @@
 #include "serve/queue.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -73,37 +72,18 @@ void QueryQueue::stop() {
 }
 
 void QueryQueue::worker_loop() {
-  using Clock = std::chrono::steady_clock;
-  // Kept across batches: a paced what-if, mostly a batch of one, solves in
-  // the band its predecessor left instead of allocating and faulting in
-  // its own.
-  BatchRunner::FactorStorage storage;
+  // Kept across batches: a paced what-if, mostly a batch of one, solves
+  // through the steady and substep factors its predecessor of the same
+  // cooling built.  Keeping all four slots' factors (both coolings) held
+  // two more bands and raised whatif-queue peak RSS by 2 MB for no gain in
+  // its median latency (docs/performance.md).
+  FactorCache factors(BatchRunner::kSliceSessions, 2);
   for (;;) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-    if (pending_.empty()) {
-      if (stopping_) return;  // stop() drains before exiting
-      continue;
-    }
+    if (pending_.empty()) return;  // stopping; stop() drains before exiting
 
     const std::uint64_t key = pending_.front().group_key;
-    const auto count_key = [this, key] {
-      return static_cast<std::size_t>(
-          std::count_if(pending_.begin(), pending_.end(),
-                        [key](const SessionJob& j) { return j.group_key == key; }));
-    };
-    if (params_.batch_window_ms > 0.0) {
-      // Hold the head open briefly: same-topology arrivals join this batch
-      // and share one lockstep run instead of paying N factorizations.
-      const auto deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 params_.batch_window_ms));
-      while (!stopping_ && count_key() < params_.max_batch) {
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-      }
-    }
-
     std::vector<SessionJob> batch;
     batch.reserve(std::min(params_.max_batch, pending_.size()));
     for (auto it = pending_.begin();
@@ -123,7 +103,7 @@ void QueryQueue::worker_loop() {
     batches_.add();
     batched_sessions_.add(batch.size());
     max_batch_seen_.observe(batch.size());
-    run_batch(batch, storage);
+    run_batch(batch, factors);
 
     lock.lock();
     --active_;
@@ -131,19 +111,19 @@ void QueryQueue::worker_loop() {
   }
 }
 
-void QueryQueue::run_batch(std::vector<SessionJob>& jobs,
-                           BatchRunner::FactorStorage& storage) {
+void QueryQueue::run_batch(std::vector<SessionJob>& jobs, FactorCache& factors) {
   std::vector<std::vector<SampleTrace>> traces(jobs.size());
   try {
     BatchRunner runner;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      auto session = std::make_unique<SimulationSession>(jobs[i].cfg);
+      BatchRunner::OnBuild on_build;
       if (jobs[i].trace_period_s > 0.0) {
-        attach_trace(*session, jobs[i].trace_period_s, traces[i]);
+        on_build = [period = jobs[i].trace_period_s, &out = traces[i]](
+                       SimulationSession& session) { attach_trace(session, period, out); };
       }
-      runner.add(std::move(session));
+      runner.add(jobs[i].cfg, std::move(on_build));
     }
-    std::vector<SimulationResult> results = runner.run(storage);
+    std::vector<SimulationResult> results = runner.run(factors);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       jobs[i].promise.set_value(
           SessionOutcome{std::move(results[i]), std::move(traces[i])});

@@ -1,13 +1,16 @@
 // queue.hpp — the asynchronous session-query queue behind ThermalService.
 //
 // Full-fidelity queries (what-if, replay) are submitted as SessionJobs and
-// answered through futures.  A worker drains the queue in arrival order,
-// but before running it holds the head job open for a short batch window so
-// queries against the same topology can pile up and go through one
-// BatchRunner lockstep run — the shared-factorization path that gives the
-// batched-throughput win.  Grouping is by a caller-supplied key
-// (ThermalService keys on the stack/grid topology, mirroring what
-// BatchRunner's own compatibility grouping checks).
+// answered through futures.  A worker drains the queue in arrival order: as
+// soon as it is free it takes the head job and every pending job with the
+// head's group key, up to max_batch, and runs them as one BatchRunner
+// lockstep run — the shared-factorization path that gives the
+// batched-throughput win.  A lone job starts at once; jobs that arrive
+// while a batch runs wait for the next, so a burst still batches.
+// Grouping is by a caller-supplied key (ThermalService keys on the
+// stack/grid topology, mirroring what BatchRunner's own compatibility
+// grouping checks).  Each worker keeps one FactorCache across its batches,
+// so a session solves through the factors its predecessors built.
 //
 // BatchRunner results are bit-identical to serial runs (a locked contract
 // covered by its tests), so batched answers need no accuracy caveat.  If a
@@ -42,8 +45,6 @@ struct SessionJob {
 
 struct QueueParams {
   std::size_t workers = 1;
-  /// How long the head job waits for same-key arrivals [ms].
-  double batch_window_ms = 2.0;
   std::size_t max_batch = 16;
 };
 
@@ -82,9 +83,9 @@ class QueryQueue {
 
  private:
   void worker_loop();
-  /// Runs `jobs` through one BatchRunner whose models adopt the worker's
-  /// LU bands from `storage` and leave theirs there for its next batch.
-  void run_batch(std::vector<SessionJob>& jobs, BatchRunner::FactorStorage& storage);
+  /// Runs `jobs` through one BatchRunner that builds each slice's sessions
+  /// when the slice starts and solves through the worker's `factors`.
+  void run_batch(std::vector<SessionJob>& jobs, FactorCache& factors);
   static void run_solo(SessionJob& job);
 
   Params params_;

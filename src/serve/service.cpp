@@ -75,22 +75,21 @@ std::string system_identity(const StackSpec& spec, const SimulationConfig& cfg) 
   return key;
 }
 
-/// ROM identity: the system plus the per-cavity flow vector the operator is
-/// exported under.  The references stay out — the reduced model answers
-/// any inlet/ambient exactly (the steady map is affine in the reference).
-std::string rom_key(std::string identity, const std::vector<VolumetricFlow>& flows) {
+/// ROM and pool identity: the system plus the per-cavity flow vector the
+/// operator is exported under.  The references stay out — the reduced model
+/// answers any inlet/ambient exactly (the steady map is affine in the
+/// reference), and the full model takes them per query (set_references).
+std::string steady_identity(std::string identity, const std::vector<VolumetricFlow>& flows) {
   for (VolumetricFlow f : flows) append_bits(identity, f.m3_per_s());
   return identity;
 }
 
-/// Pool identity: the ROM identity plus the boundary references the full
-/// model bakes into its parameters.  One entry holds one flow vector, so
-/// its LU slot stays fitted across revisits of that flow.
-std::string model_key(const std::string& rom, const ThermalModelParams& t) {
-  std::string key = rom;
-  append_bits(key, t.inlet_temperature);
-  append_bits(key, t.ambient_temperature);
-  return key;
+/// Point a pooled model at a query's boundary references.  Neither enters
+/// the model's factor, so its LU slot stays fitted, and the answer is the
+/// one a model built at these references gives.
+void set_references(ThermalModel3D& model, const ThermalModelParams& t) {
+  model.set_inlet_temperature(t.inlet_temperature);
+  model.set_ambient_temperature(t.ambient_temperature);
 }
 
 /// Expand a query's power specification to full [layer][block] shape.
@@ -188,7 +187,7 @@ ThermalService::~ThermalService() { queue_.stop(); }
 struct ThermalService::ResolvedQuery {
   StackSpec spec;
   std::vector<VolumetricFlow> flows;
-  /// The ROM key, and the stem of the pool key.
+  /// The ROM and pool key.
   std::string flow_identity;
   /// The config's thermal parameters with the query's reference applied.
   ThermalModelParams thermal;
@@ -197,7 +196,7 @@ struct ThermalService::ResolvedQuery {
   explicit ResolvedQuery(const SteadyQuery& q)
       : spec(resolved_stack_spec(q.config)),
         flows(resolve_flows(q.config, q, spec)),
-        flow_identity(rom_key(system_identity(spec, q.config), flows)),
+        flow_identity(steady_identity(system_identity(spec, q.config), flows)),
         thermal(q.config.thermal) {
     double& reference = spec.cooling == CoolingType::kAir
                             ? thermal.ambient_temperature
@@ -208,10 +207,9 @@ struct ThermalService::ResolvedQuery {
 };
 
 std::shared_ptr<ThermalService::ModelEntry> ThermalService::model_for(
-    const std::string& key, const StackSpec& spec,
-    const ThermalModelParams& thermal) {
-  return models_.get(key, [&] {
-    return std::make_shared<ModelEntry>(make_stack(spec), thermal);
+    const ResolvedQuery& resolved) {
+  return models_.get(resolved.flow_identity, [&] {
+    return std::make_shared<ModelEntry>(make_stack(resolved.spec), resolved.thermal);
   });
 }
 
@@ -219,20 +217,22 @@ std::shared_ptr<const ReducedSteadyModel> ThermalService::rom_for(
     const SteadyQuery& query, const ResolvedQuery& resolved) {
   return roms_.get(resolved.flow_identity, [&] {
     // Built through the pooled entry of the ROM's own flow, so a fallback at
-    // that flow constructs no model.  The entry keeps its model but not the
-    // LU band the snapshot solves factored: the ROM answers without it, and
-    // a band per ROM key would grow a warm ROM service by ~1 MB per 2-layer
-    // flow.  A fallback refactorizes once, then keeps the band.
-    const ThermalModelParams& thermal = query.config.thermal;
-    const std::shared_ptr<ModelEntry> entry = model_for(
-        model_key(resolved.flow_identity, thermal), resolved.spec, thermal);
+    // that flow constructs no model, and at the config's own references
+    // (the reference override is applied at evaluation).  The entry keeps
+    // its model but not the LU band the snapshot solves factored: the ROM
+    // answers without it, and a band per ROM key would grow a warm ROM
+    // service by ~1 MB per 2-layer flow.  A fallback refactorizes once, then
+    // keeps the band.
+    const std::shared_ptr<ModelEntry> entry = model_for(resolved);
     std::shared_ptr<const ReducedSteadyModel> rom;
     {
       std::lock_guard<std::mutex> entry_lock(entry->mu);
-      if (!resolved.flows.empty()) entry->model.set_cavity_flow(resolved.flows);
+      ThermalModel3D& model = entry->model;
+      if (!resolved.flows.empty()) model.set_cavity_flow(resolved.flows);
+      set_references(model, query.config.thermal);
       rom = std::make_shared<const ReducedSteadyModel>(
-          ReducedSteadyModel::build(entry->model, params_.rom));
-      (void)entry->model.release_factor_storage();
+          ReducedSteadyModel::build(model, params_.rom));
+      model.free_factor();
     }
     rom_builds_.add();
     return rom;
@@ -241,16 +241,14 @@ std::shared_ptr<const ReducedSteadyModel> ThermalService::rom_for(
 
 SteadyAnswer ThermalService::full_steady(const SteadyQuery& query,
                                          const ResolvedQuery& resolved) {
-  // The full model bakes the boundary reference into its parameters, so a
-  // reference override is a distinct pool entry (the ROM does not care).
   // The entry's flow is the query's, so on a warm entry set_cavity_flow is
-  // a no-op and the solve reuses the factor.
-  const std::shared_ptr<ModelEntry> entry = model_for(
-      model_key(resolved.flow_identity, resolved.thermal), resolved.spec, resolved.thermal);
+  // a no-op and the solve reuses the factor, whatever the references.
+  const std::shared_ptr<ModelEntry> entry = model_for(resolved);
   SteadyAnswer answer;
   std::lock_guard<std::mutex> lock(entry->mu);
   ThermalModel3D& model = entry->model;
   if (!resolved.flows.empty()) model.set_cavity_flow(resolved.flows);
+  set_references(model, resolved.thermal);
   const std::vector<std::vector<double>> watts =
       resolve_watts(query, block_layout(model.stack()));
   for (std::size_t l = 0; l < watts.size(); ++l) {
@@ -312,9 +310,8 @@ void ThermalService::warm(const SteadyQuery& query) {
   (void)rom_for(query, ResolvedQuery(query));
 }
 
-ThermalService::SteadyKeys ThermalService::steady_keys(const SteadyQuery& query) {
-  const ResolvedQuery resolved(query);
-  return {model_key(resolved.flow_identity, resolved.thermal), resolved.flow_identity};
+std::string ThermalService::steady_key(const SteadyQuery& query) {
+  return ResolvedQuery(query).flow_identity;
 }
 
 SimulationConfig ThermalService::session_config(const WhatIfQuery& query) {

@@ -25,7 +25,7 @@
 // SharedCache each (common/shared_cache.hpp): one lock, builds outside it,
 // bounded LRU over settled entries, and an evicted ROM simply rebuilds on
 // the next miss.  Both are keyed by one raw-bits identity built once per
-// query (steady_keys) from the ThermalModelParams field table, so a warm
+// query (steady_key) from the ThermalModelParams field table, so a warm
 // ROM answer is one lock and one map find and never builds a stack.
 #pragma once
 
@@ -47,9 +47,10 @@ namespace liquid3d {
 
 struct ServeParams {
   RomParams rom;
-  /// Warm full-fidelity thermal models kept per (system, flow, references)
-  /// key (LRU).  One that answered a full query holds its LU band: ~1 MB
-  /// at the default 2-layer grid, 339 MB at the 4-layer 100 um grid.
+  /// Warm full-fidelity thermal models kept per (system, flow) key (LRU);
+  /// each query sets its boundary references on the model.  One that
+  /// answered a full query holds its LU band: ~1 MB at the default 2-layer
+  /// grid, 339 MB at the 4-layer 100 um grid.
   std::size_t model_pool_capacity = 8;
   /// Reduced models kept per (system, flow) key (LRU).
   std::size_t rom_cache_capacity = 8;
@@ -91,17 +92,13 @@ class ThermalService {
   /// scenario or benchmark names.
   [[nodiscard]] static SimulationConfig session_config(const WhatIfQuery& query);
 
-  /// The pooled-model and ROM cache keys a steady query resolves to.  The
-  /// ROM key is the raw bits of the resolved stack spec, delivery mode and
-  /// every thermal parameter but the references, plus the per-cavity flow
-  /// vector.  The model key is the ROM key plus the two boundary references,
-  /// so a flow setting moves both and a reference override only the model
-  /// key.  Exposed so tests can check identity coverage.
-  struct SteadyKeys {
-    std::string model;
-    std::string rom;
-  };
-  [[nodiscard]] static SteadyKeys steady_keys(const SteadyQuery& query);
+  /// The key a steady query's pooled model and ROM are cached under: the
+  /// raw bits of the resolved stack spec, delivery mode and every thermal
+  /// parameter but the two boundary references, plus the per-cavity flow
+  /// vector.  The references enter neither the ROM nor the model's factor,
+  /// so a reference override moves no key.  Exposed so tests can check
+  /// identity coverage.
+  [[nodiscard]] static std::string steady_key(const SteadyQuery& query);
 
   /// Batch-grouping key: stacks/grids that can share a lockstep group map to
   /// equal keys (conservative mirror of BatchRunner's compatibility check).
@@ -118,9 +115,7 @@ class ThermalService {
 
   struct ResolvedQuery;
 
-  [[nodiscard]] std::shared_ptr<ModelEntry> model_for(
-      const std::string& key, const StackSpec& spec,
-      const ThermalModelParams& thermal);
+  [[nodiscard]] std::shared_ptr<ModelEntry> model_for(const ResolvedQuery& resolved);
   [[nodiscard]] std::shared_ptr<const ReducedSteadyModel> rom_for(
       const SteadyQuery& query, const ResolvedQuery& resolved);
   [[nodiscard]] SteadyAnswer full_steady(const SteadyQuery& query,
@@ -144,7 +139,7 @@ class ThermalService {
   obs::Counter model_evictions_;
   obs::Counter session_queries_;
 
-  /// Keyed by model_key / rom_key; LRU-bounded by the ServeParams
+  /// Both keyed by steady_key; LRU-bounded by the ServeParams
   /// capacities, counting evictions into the counters above.
   SharedCache<ModelEntry> models_;
   SharedCache<const ReducedSteadyModel> roms_;

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -26,10 +28,11 @@ GroupKey group_key(const SimulationSession& s) {
           s.config().sampling_interval.as_ms(), s.substep_count()};
 }
 
-/// Run one lockstep group to completion.  Sessions may have different
-/// durations: finished members drop out of the lockstep set and the rest
-/// keep sharing a (smaller) one.
-void run_group(const std::vector<SimulationSession*>& members) {
+/// Run one lockstep group to completion, each substep one round of
+/// `cache`'s lookups.  Sessions may have different durations: finished
+/// members drop out of the lockstep set and the rest keep sharing a
+/// (smaller) one.
+void run_group(const std::vector<SimulationSession*>& members, FactorCache& cache) {
   static obs::Histogram& step_h =
       obs::Registry::global().histogram("liquid3d_batch_step_seconds");
   std::vector<SimulationSession*> active;
@@ -48,6 +51,7 @@ void run_group(const std::vector<SimulationSession*>& members) {
     const std::size_t substeps = active.front()->substep_count();
     for (std::size_t sub = 0; sub < substeps; ++sub) {
       obs::ScopedTimer t(step_h);
+      cache.begin_round();
       ThermalModel3D::step_lockstep(models, sub_dt);
     }
     for (SimulationSession* s : active) s->finish_tick();
@@ -56,23 +60,18 @@ void run_group(const std::vector<SimulationSession*>& members) {
 
 }  // namespace
 
-std::size_t BatchRunner::add(SimulationConfig cfg) {
-  return add(std::make_unique<SimulationSession>(std::move(cfg)));
-}
-
-std::size_t BatchRunner::add(std::unique_ptr<SimulationSession> session) {
-  LIQUID3D_REQUIRE(session != nullptr, "cannot add a null session");
-  sessions_.push_back(std::move(session));
-  return sessions_.size() - 1;
+std::size_t BatchRunner::add(SimulationConfig cfg, OnBuild on_build) {
+  cells_.push_back({std::move(cfg), std::move(on_build)});
+  return cells_.size() - 1;
 }
 
 std::vector<SimulationResult> BatchRunner::run() {
-  FactorStorage storage;
-  return run(storage);
+  FactorCache cache(kSliceSessions, 1);
+  return run(cache);
 }
 
-std::vector<SimulationResult> BatchRunner::run(FactorStorage& storage) {
-  LIQUID3D_REQUIRE(!sessions_.empty(), "batch runner has no sessions");
+std::vector<SimulationResult> BatchRunner::run(FactorCache& cache) {
+  LIQUID3D_REQUIRE(!cells_.empty(), "batch runner has no sessions");
 
   // Batch observability: how often lockstep grouping fires and how wide
   // the groups are is the whole economics of the shared-factor path (out
@@ -82,50 +81,26 @@ std::vector<SimulationResult> BatchRunner::run(FactorStorage& storage) {
   static obs::Histogram& group_size_h =
       obs::Registry::global().histogram("liquid3d_batch_group_sessions");
 
+  std::vector<SimulationResult> results;
+  results.reserve(cells_.size());
   std::set<GroupKey> keys;
-  for (std::size_t begin = 0; begin < sessions_.size(); begin += kSliceSessions) {
-    const std::span<const std::unique_ptr<SimulationSession>> slice(
-        sessions_.data() + begin,
-        std::min(kSliceSessions, sessions_.size() - begin));
+  for (std::size_t begin = 0; begin < cells_.size(); begin += kSliceSessions) {
+    const std::size_t end = std::min(cells_.size(), begin + kSliceSessions);
+    std::vector<std::unique_ptr<SimulationSession>> slice;
+    slice.reserve(end - begin);
     std::map<GroupKey, std::vector<SimulationSession*>> groups;
-    for (const auto& s : slice) {
+    for (std::size_t i = begin; i < end; ++i) {
+      auto& s = slice.emplace_back(std::make_unique<SimulationSession>(cells_[i].cfg));
+      if (cells_[i].on_build) cells_[i].on_build(*s);
+      s->thermal().use_factor_cache(&cache);
       groups[group_key(*s)].push_back(s.get());
       keys.insert(group_key(*s));
     }
 
-    // Link each group's models so that a model whose LU slot does not fit
-    // solves through a groupmate's slot that does instead of refactorizing
-    // its own — from the warm start on, where every session of a group
-    // starts at the same key.  The links live only for this slice.
-    std::vector<std::vector<ThermalModel3D*>> peers;
-    peers.reserve(groups.size());
-    for (const auto& [key, members] : groups) {
-      std::vector<ThermalModel3D*>& group = peers.emplace_back();
-      for (SimulationSession* s : members) group.push_back(&s->thermal());
-    }
-    struct Unlink {
-      std::vector<std::vector<ThermalModel3D*>>& peers;
-      ~Unlink() {
-        for (const auto& group : peers) {
-          for (ThermalModel3D* m : group) m->share_factors_with({});
-        }
-      }
-    } unlink{peers};
-    for (const auto& group : peers) {
-      for (ThermalModel3D* m : group) m->share_factors_with(group);
-    }
-
-    // The slice's models take the LU storage earlier slices left behind;
-    // what none of them can use is freed.
-    for (const auto& s : slice) {
-      if (storage.empty()) break;
-      s->thermal().adopt_factor_storage(storage.back());
-      if (!storage.back()) storage.pop_back();
-    }
-    storage.clear();
-
     // The warm start is a per-session steady solve, identical to the
-    // serial path.
+    // serial path; sessions of a group start at one key, so the first
+    // factorizes it and the rest find it in the cache.
+    cache.begin_round();
     for (const auto& s : slice) s->init();
 
     groups_c.add(groups.size());
@@ -134,19 +109,10 @@ std::vector<SimulationResult> BatchRunner::run(FactorStorage& storage) {
         group_size_h.record_always(static_cast<double>(members.size()));
       }
     }
-    for (const auto& [key, members] : groups) run_group(members);
-
-    for (const auto& s : slice) {
-      if (auto lu = s->thermal().release_factor_storage()) {
-        storage.push_back(std::move(lu));
-      }
-    }
+    for (const auto& [key, members] : groups) run_group(members, cache);
+    for (const auto& s : slice) results.push_back(s->result());
   }
   group_count_ = keys.size();
-
-  std::vector<SimulationResult> results;
-  results.reserve(sessions_.size());
-  for (const auto& s : sessions_) results.push_back(s->result());
   return results;
 }
 
@@ -156,17 +122,20 @@ std::vector<SimulationResult> BatchRunner::run_sliced(
   const std::size_t slices = (cells.size() + kSliceSessions - 1) / kSliceSessions;
   std::atomic<std::size_t> next{0};
   // One task per worker, each pulling slices until none is left, so each
-  // worker's LU storage carries over from one of its slices to the next
-  // and is freed when the run ends.
+  // worker's factors carry over from one of its slices to the next and are
+  // freed when the run ends.  The cache keeps one factor between rounds:
+  // keeping four held four bands per worker where private slots had held
+  // two, and raised the paper grid's peak RSS by a quarter
+  // (docs/performance.md).
   const std::size_t workers = std::min(pool.thread_count(), slices);
   pool.parallel_for(0, workers, [&](std::size_t) {
-    FactorStorage storage;
+    FactorCache cache(kSliceSessions, 1);
     for (std::size_t slice = next++; slice < slices; slice = next++) {
       const std::size_t begin = slice * kSliceSessions;
       const std::size_t end = std::min(cells.size(), begin + kSliceSessions);
       BatchRunner runner;
       for (std::size_t i = begin; i < end; ++i) runner.add(cells[i]);
-      std::vector<SimulationResult> slice_results = runner.run(storage);
+      std::vector<SimulationResult> slice_results = runner.run(cache);
       std::move(slice_results.begin(), slice_results.end(),
                 results.begin() + static_cast<std::ptrdiff_t>(begin));
     }

@@ -57,14 +57,6 @@ constexpr const char* kNonFiniteRhs =
 constexpr const char* kNonFiniteSolution =
     "linear solve produced non-finite temperatures";
 
-/// Solves through a factor the solving model did not build: a linked
-/// peer's slot, or a lockstep groupmate's.
-obs::Counter& borrowed_factors() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
-  return c;
-}
-
 void hash_mix(std::uint64_t& h, double v) {
   hash_mix(h, std::bit_cast<std::uint64_t>(v));
 }
@@ -357,6 +349,10 @@ void ThermalModel3D::set_inlet_temperature(double celsius) {
   inlet_temperature_ = celsius;
 }
 
+void ThermalModel3D::set_ambient_temperature(double celsius) {
+  params_.ambient_temperature = celsius;
+}
+
 void ThermalModel3D::initialize(double temperature_c) {
   std::fill(temps_.begin(), temps_.end(), temperature_c);
   for (auto& cavity : fluid_temp_) {
@@ -486,37 +482,26 @@ double ThermalModel3D::max_change() const {
   return change;
 }
 
-bool ThermalModel3D::slot_fits(const LuSlot& slot, double inv_dt) const {
-  // A factorization that threw leaves the matrix unfactorized, so a stale
-  // key never outlives the factor it named.
-  return slot.lu && slot.lu->factorized() && slot.inv_dt == inv_dt &&
-         slot.flows == cavity_flows_;
-}
-
-void ThermalModel3D::share_factors_with(std::span<ThermalModel3D* const> peers) {
-  for (const ThermalModel3D* peer : peers) {
-    LIQUID3D_REQUIRE(peer->topology_fingerprint() == topo_fingerprint_,
-                     "factor-sharing peers must have equal topology "
-                     "fingerprints");
-  }
-  factor_peers_ = peers;
-}
-
-const ThermalModel3D::LuSlot& ThermalModel3D::lu_slot(double inv_dt) {
-  LuSlot& slot = lu_slot_;
-  if (slot_fits(slot, inv_dt)) return slot;
-  for (const ThermalModel3D* peer : factor_peers_) {
-    if (slot_fits(peer->lu_slot_, inv_dt)) {
-      borrowed_factors().add();
-      return peer->lu_slot_;
+const LuSlot& ThermalModel3D::lu_slot(double inv_dt) {
+  LuSlot* target = &lu_slot_;
+  if (factor_cache_ != nullptr) {
+    if (LuSlot* hit = factor_cache_->find(topo_fingerprint_, inv_dt, cavity_flows_)) {
+      return *hit;
     }
+    target = &factor_cache_->evict();
+  } else if (lu_slot_.holds(topo_fingerprint_, inv_dt, cavity_flows_)) {
+    return lu_slot_;
   }
+  LuSlot& slot = *target;
   static obs::Histogram& assemble_h =
       obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
   static obs::Histogram& factorize_h =
       obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
   const std::size_t bw = grid_.cols() * layer_count_;
-  if (!slot.lu) slot.lu = std::make_unique<BandedLuMatrix>(node_count_, bw, bw);
+  // A cache slot may hold another grid's band.
+  if (!slot.lu || slot.lu->size() != node_count_ || slot.lu->lower_bandwidth() != bw) {
+    slot.lu = std::make_unique<BandedLuMatrix>(node_count_, bw, bw);
+  }
   {
     obs::ScopedTimer t(assemble_h);
     if (stack_.has_cavities()) {
@@ -534,6 +519,7 @@ const ThermalModel3D::LuSlot& ThermalModel3D::lu_slot(double inv_dt) {
     obs::ScopedTimer t(factorize_h);
     slot.lu->factorize();
   }
+  slot.fingerprint = topo_fingerprint_;
   slot.inv_dt = inv_dt;
   slot.flows = cavity_flows_;
   return slot;
@@ -579,13 +565,12 @@ void ThermalModel3D::step_lockstep(std::span<ThermalModel3D* const> models,
 
 void ThermalModel3D::step_group(double dt_s) {
   // Equal keys give bit-identical factors (the topology fingerprint
-  // contract), so the group solves through one: the lead's own, a linked
-  // peer's, or the lead's refactorized.  Everything else — right-hand
+  // contract), so the group solves through the lead's: its own slot's or
+  // its lent cache's.  Everything else — right-hand
   // side, solution and checks — stays per model, exactly as in advance().
   const double inv_dt = 1.0 / dt_s;
   const std::size_t k = lockstep_group_.size();
   const LuSlot& slot = lu_slot(inv_dt);
-  borrowed_factors().add(k - 1);
   lockstep_rhs_.resize(k * node_count_);
   for (std::size_t v = 0; v < k; ++v) {
     ThermalModel3D& m = *lockstep_group_[v];
@@ -600,26 +585,6 @@ void ThermalModel3D::step_group(double dt_s) {
     m.finish_direct_solve();
     if (!stack_.has_cavities()) m.update_package_transient(dt_s);
   }
-}
-
-std::unique_ptr<BandedLuMatrix> ThermalModel3D::release_factor_storage() {
-  return std::move(lu_slot_.lu);
-}
-
-void ThermalModel3D::adopt_factor_storage(std::unique_ptr<BandedLuMatrix>& storage) {
-  const std::size_t bw = grid_.cols() * layer_count_;
-  if (lu_slot_.lu || !storage ||
-      storage->size() != node_count_ ||
-      storage->lower_bandwidth() != bw || storage->upper_bandwidth() != bw) {
-    return;
-  }
-  lu_slot_.lu = std::move(storage);
-  static obs::Counter& adopted =
-      obs::Registry::global().counter("liquid3d_solver_adopted_bands_total");
-  adopted.add();
-  // A factor of another model is no factor of this one: a NaN 1/dt fits no
-  // key, so the first solve reassembles the band.
-  lu_slot_.inv_dt = std::numeric_limits<double>::quiet_NaN();
 }
 
 void ThermalModel3D::update_package_transient(double dt_s) {

@@ -37,11 +37,13 @@
 // 1/dt = 0 (an air stack first sets its spreader and sink in closed form,
 // since all the power crosses the package in series).
 //
-// Every solve goes through banded LU from one slot per model, refactorized
-// in place when its key — 1/dt and, for liquid stacks, the flow vector —
-// changes, unless a linked peer's slot already holds that key
-// (share_factors_with); step_lockstep solves models that hold one key
-// through one factor in one multi-right-hand-side sweep.  The band costs
+// Every solve goes through a banded-LU factor keyed by the topology
+// fingerprint, 1/dt and, for liquid stacks, the flow vector: from the
+// model's own slot, refactorized in place when its key changes, or, when a
+// FactorCache is lent (use_factor_cache), from the cache's slot of that key,
+// refactorizing into a slot the cache picks on a miss;
+// step_lockstep solves models that hold one key through one factor in one
+// multi-right-hand-side sweep.  The band costs
 // n (2b + 1) doubles for n nodes and half-bandwidth b = cols x layers, so
 // construction rejects a grid whose band would pass kMaxFactorBytes.
 #pragma once
@@ -50,7 +52,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -60,6 +61,7 @@
 #include "coolant/properties.hpp"
 #include "geom/grid.hpp"
 #include "geom/stack.hpp"
+#include "thermal/factor_cache.hpp"
 #include "thermal/solver/banded_lu.hpp"
 #include "thermal/steady_operator.hpp"
 
@@ -206,6 +208,9 @@ class ThermalModel3D {
 
   /// Override the coolant inlet temperature [°C].
   void set_inlet_temperature(double celsius);
+  /// Override the ambient temperature [°C] an air stack's heat sink rejects
+  /// to.  Like the inlet temperature, it enters no factor.
+  void set_ambient_temperature(double celsius);
 
   // -- Simulation -------------------------------------------------------------
   /// Reset every node (and the package/fluid) to the given temperature [°C].
@@ -218,8 +223,8 @@ class ThermalModel3D {
   /// solves shared: models whose LU key agrees — equal topology
   /// fingerprints and equal flow vectors, at the one 1/dt — solve through
   /// one factor in one multi-right-hand-side sweep.  A model whose key no
-  /// other holds takes step().  Links set by share_factors_with still apply
-  /// to the factor a group solves through.  BatchRunner's substep loop.
+  /// other holds takes step().  A group's factor comes from its lead's
+  /// lent FactorCache, if any.  BatchRunner's substep loop.
   static void step_lockstep(std::span<ThermalModel3D* const> models, double dt_s);
 
   /// Solve for the steady state under the current power and flow: the
@@ -274,30 +279,25 @@ class ThermalModel3D {
   /// configured one); sizes must match.
   void restore_state(const ThermalState& state);
 
-  /// When this model's LU slot does not fit its key (dt,
-  /// and the flow vector of a liquid stack), solve through the slot of a
-  /// peer that already fits instead of refactorizing.  Peers must share
-  /// this model's topology fingerprint, so a borrowed factor is
-  /// bit-identical to the one the model would have built, and must outlive
-  /// the link; an empty span unlinks.  BatchRunner links the sessions of
-  /// each lockstep group.
-  void share_factors_with(std::span<ThermalModel3D* const> peers);
-
-  /// Move this model's LU band out (null if it has none),
-  /// so a model built after this one is gone can reuse the allocation.
-  [[nodiscard]] std::unique_ptr<BandedLuMatrix> release_factor_storage();
-  /// Take `storage` as this model's LU band, if the model has none yet and
-  /// the shape fits (otherwise `storage` is left as it was).  The slot's
-  /// key is invalidated, so no factor of the band's former owner can be
-  /// mistaken for one of this model's.
-  void adopt_factor_storage(std::unique_ptr<BandedLuMatrix>& storage);
+  /// Solve through `cache`'s factors instead of the model's own slot
+  /// (null: back to the own slot).  The cache's key carries the topology
+  /// fingerprint, so a factor another model built is used only when it is
+  /// bit-identical to the one this model would build.  The cache must
+  /// outlive the loan; a slot it returns is read only until that solve
+  /// ends.  The serve queue and BatchRunner lend each worker's cache to
+  /// the sessions it runs.
+  void use_factor_cache(FactorCache* cache) { factor_cache_ = cache; }
+  /// Free the model's own LU band; its next solve there refactorizes.  The
+  /// service drops the band a ROM build factored, as the ROM answers
+  /// without it.
+  void free_factor() { lu_slot_.lu.reset(); }
 
   /// Hash of the conduction topology (capacitances, couplings, external
   /// conductances, grid shape, coolant capacity and flow directions).  Two
   /// models with equal fingerprints assemble bit-identical system matrices
   /// for any dt — and, for liquid stacks, for any equal flow vector — so
-  /// one factorization can serve both: the compatibility check behind
-  /// share_factors_with and BatchRunner's lockstep groups.
+  /// one factorization can serve both: part of a FactorCache key, and
+  /// BatchRunner's lockstep grouping.
   [[nodiscard]] std::uint64_t topology_fingerprint() const {
     return topo_fingerprint_;
   }
@@ -318,19 +318,6 @@ class ThermalModel3D {
     std::size_t b;
     double g;
   };
-  /// A factorized direct operator: the fluid-eliminated C inv_dt +
-  /// G_elim(flows) plus each node's coefficient on the inlet temperature
-  /// for liquid stacks, the conduction operator C inv_dt + G for air
-  /// stacks.  Its key is (inv_dt, flows) — flows is empty for air — and is
-  /// valid while lu is factorized.
-  struct LuSlot {
-    std::unique_ptr<BandedLuMatrix> lu;
-    std::vector<double> inlet_coef;  ///< liquid only
-    std::vector<double> scratch;     ///< build_eliminated_system's tables
-    double inv_dt = 0.0;
-    std::vector<VolumetricFlow> flows;
-  };
-
   [[nodiscard]] std::size_t node(std::size_t layer, std::size_t cell) const {
     return cell * layer_count_ + layer;
   }
@@ -347,13 +334,12 @@ class ThermalModel3D {
   void build_eliminated_system(double inv_dt, BandedLuMatrix& m,
                                std::vector<double>& inlet_coef,
                                std::vector<double>& scratch) const;
-  /// Whether `slot` holds the factor for (inv_dt, this model's current flow
-  /// vector).  The key is exact: every bit of 1/dt and of each cavity's
-  /// flow enters the operator's coefficients.
-  [[nodiscard]] bool slot_fits(const LuSlot& slot, double inv_dt) const;
-  /// A slot that fits (inv_dt, current flow vector): the model's own, else
-  /// a linked peer's, else the own slot reassembled and refactorized in
-  /// place.
+  /// A slot that holds the factor of (inv_dt, current flow vector): with a
+  /// lent cache, the cache's slot of that key or the slot it gives up,
+  /// refactorized; otherwise the model's own slot, refactorized in place
+  /// when its key changed.  The C inv_dt + G (air) or fluid-eliminated
+  /// (liquid) operator, and for liquid stacks each node's coefficient on
+  /// the inlet temperature.
   const LuSlot& lu_slot(double inv_dt);
   /// A step in three parts.  First the right-hand side for the slot's
   /// operator into out[0, node_count()), checked finite: C inv_dt
@@ -430,10 +416,10 @@ class ThermalModel3D {
   double inlet_temperature_;
   std::vector<VolumetricFlow> cavity_flows_;  ///< [cavity]
 
-  // The model's one LU slot, rebuilt in place on any change of its key,
-  // and the models whose slots it may borrow (share_factors_with).
+  // The model's own LU slot, rebuilt in place on any change of its key and
+  // unused while a FactorCache is lent.
   LuSlot lu_slot_;
-  std::span<ThermalModel3D* const> factor_peers_;
+  FactorCache* factor_cache_ = nullptr;
 
   // Persistent scratch — the hot loop (`step`/`advance`) and the per-sample
   // readbacks must not touch the heap after warm-up.

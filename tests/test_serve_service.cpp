@@ -1,17 +1,21 @@
 // ThermalService (serve/service.hpp) and its query queue (serve/queue.hpp).
 // Contracts under test: asynchronous what-if/replay answers are bit-identical
-// to solo SimulationSession runs of the same cell, concurrent same-topology
-// queries share lockstep batches, malformed queries fail fast through the
-// future, a revisited steady flow solves through its pooled factor with the
-// answer of a fresh model, and the session's service-facing const accessors
+// to solo SimulationSession runs of the same cell, same-topology queries
+// that pile up behind a running batch share the next one, a queue worker's
+// later batches solve through the factors its earlier ones built, malformed
+// queries fail fast through the future, a revisited steady flow solves
+// through its pooled factor with the answer of a fresh model — at any
+// boundary reference — and the session's service-facing const accessors
 // report what a server needs without touching internals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <span>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -81,54 +85,61 @@ TEST(ServeService, WhatIfBitIdenticalToSoloSession) {
 }
 
 TEST(ServeService, ConcurrentWhatIfsShareLockstepBatches) {
+  // A free worker starts a job at once.  Once it has taken the first (a
+  // long session), the four submitted while it runs wait for it and then
+  // go together as the next batch.
   ServeParams params;
   params.queue.max_batch = 8;
-  params.queue.batch_window_ms = 50.0;  // generous: all submits join one batch
   ThermalService service(params);
 
+  std::vector<WhatIfQuery> queries;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) queries.push_back(small_whatif(seed));
+  queries[0].duration_s = 300.0;
   std::vector<std::future<SessionOutcome>> futures;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    futures.push_back(service.what_if(small_whatif(seed)));
+  futures.push_back(service.what_if(queries[0]));
+  while (service.stats().batches == 0) std::this_thread::yield();
+  for (std::size_t i = 1; i < queries.size(); ++i) {
+    futures.push_back(service.what_if(queries[i]));
   }
+  EXPECT_EQ(futures[0].wait_for(std::chrono::seconds(0)), std::future_status::timeout);
   std::vector<SessionOutcome> outcomes;
   for (auto& f : futures) outcomes.push_back(f.get());
 
   const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.session_queries, 4u);
-  EXPECT_EQ(stats.batched_sessions, 4u);
-  EXPECT_LT(stats.batches, 4u);   // same topology => grouped, not serial
-  EXPECT_GE(stats.max_batch, 2u);
+  EXPECT_EQ(stats.session_queries, 5u);
+  EXPECT_EQ(stats.batched_sessions, 5u);
+  EXPECT_EQ(stats.batches, 2u);   // same topology => grouped, not serial
+  EXPECT_EQ(stats.max_batch, 4u);
   EXPECT_EQ(stats.solo_fallbacks, 0u);
 
   // Batched answers are the solo answers, bitwise.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    expect_bit_identical(
-        outcomes[seed - 1].result,
-        SimulationSession(ThermalService::session_config(small_whatif(seed))).run());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_bit_identical(outcomes[i].result,
+                         SimulationSession(ThermalService::session_config(queries[i])).run());
   }
 }
 
-TEST(ServeQueue, SequentialBatchesReuseTheWorkersBand) {
-  // Two one-session batches, one after the other, through one queue worker:
-  // the second batch's model adopts the LU band the first left instead of
-  // allocating its own, and answers exactly as a fresh queue does.
-  const obs::Counter& adopted =
-      obs::Registry::global().counter("liquid3d_solver_adopted_bands_total");
+TEST(ServeQueue, SequentialBatchesReuseTheWorkersFactors) {
+  // One-session batches, one after another, through one queue worker: a
+  // repeat of the first job finds every factor it needs in the worker's
+  // cache, and answers exactly as a fresh queue does.
+  const obs::ScopedEnabled obs_on(true);
   const auto submit = [](QueryQueue& queue, std::uint64_t seed) {
     SessionJob job;
     job.cfg = ThermalService::session_config(small_whatif(seed));
     return queue.submit(std::move(job));
   };
   QueryQueue queue;
-  const std::uint64_t before = adopted.value();
+  const std::uint64_t before = factorization_count();
   (void)submit(queue, 1).get();
-  EXPECT_EQ(adopted.value() - before, 0u);  // nothing to adopt yet
-  const SessionOutcome second = submit(queue, 2).get();
-  EXPECT_EQ(adopted.value() - before, 1u);
+  EXPECT_GT(factorization_count(), before);  // a cold cache
+  const std::uint64_t warm = factorization_count();
+  const SessionOutcome repeat = submit(queue, 1).get();
+  EXPECT_EQ(factorization_count() - warm, 0u);
   EXPECT_EQ(queue.batches(), 2u);
 
   QueryQueue fresh;
-  expect_bit_identical(second.result, submit(fresh, 2).get().result);
+  expect_bit_identical(repeat.result, submit(fresh, 1).get().result);
 }
 
 TEST(ServeService, ReplayAppliesPhasesAndTraces) {
@@ -230,23 +241,20 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
   SteadyQuery base;
   base.config.cooling = CoolingMode::kLiquidMax;
   base.config.stack = inline_spec();
-  const ThermalService::SteadyKeys keys = ThermalService::steady_keys(base);
-  EXPECT_EQ(ThermalService::steady_keys(base).model, keys.model);
-  EXPECT_EQ(ThermalService::steady_keys(base).rom, keys.rom);
+  const std::string key = ThermalService::steady_key(base);
+  EXPECT_EQ(ThermalService::steady_key(base), key);
   const std::string lut = CharacterizationCache::flow_lut_key(base.config);
   const std::string talb = CharacterizationCache::talb_key(base.config);
 
-  // Every ThermalModelParams field moves every key, except that the two
-  // boundary references shape the full model and not the ROM, and crosses
-  // the wire bit for bit.
+  // Every ThermalModelParams field moves every key, except the two boundary
+  // references, which enter neither the ROM nor the pooled model's factor
+  // (each query sets them), and crosses the wire bit for bit.
   std::size_t thermal_fields = 0;
   for (SteadyQuery q = base;; q = base, ++thermal_fields) {
     const std::string name = perturb_field(q.config.thermal, thermal_fields);
     if (name.empty()) break;
     SCOPED_TRACE(name);
-    const ThermalService::SteadyKeys k = ThermalService::steady_keys(q);
-    EXPECT_NE(k.model, keys.model);
-    EXPECT_EQ(k.rom == keys.rom,
+    EXPECT_EQ(ThermalService::steady_key(q) == key,
               name == "inlet_temperature" || name == "ambient_temperature");
     EXPECT_NE(CharacterizationCache::flow_lut_key(q.config), lut);
     EXPECT_NE(CharacterizationCache::talb_key(q.config), talb);
@@ -272,9 +280,7 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
   const auto both_change = [&](const char* field, Perturb perturb) {
     SteadyQuery q = base;
     perturb(q);
-    const ThermalService::SteadyKeys k = ThermalService::steady_keys(q);
-    EXPECT_NE(k.model, keys.model) << field;
-    EXPECT_NE(k.rom, keys.rom) << field;
+    EXPECT_NE(ThermalService::steady_key(q), key) << field;
   };
   // Every StackSpec field.
   both_change("name", [](SteadyQuery& q) { q.config.stack->name += "-b"; });
@@ -339,31 +345,24 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
   SteadyQuery swapped = preset;
   std::swap(swapped.config.stack->layers[0].floorplan,
             swapped.config.stack->layers[1].floorplan);
-  EXPECT_NE(ThermalService::steady_keys(swapped).model,
-            ThermalService::steady_keys(preset).model);
-  EXPECT_NE(ThermalService::steady_keys(swapped).rom,
-            ThermalService::steady_keys(preset).rom);
+  EXPECT_NE(ThermalService::steady_key(swapped), ThermalService::steady_key(preset));
 
-  // A reference override shapes the full model, not the ROM.
+  // A reference override moves no key.
   SteadyQuery reference = base;
   reference.reference_c = 30.0;
-  EXPECT_NE(ThermalService::steady_keys(reference).model, keys.model);
-  EXPECT_EQ(ThermalService::steady_keys(reference).rom, keys.rom);
+  EXPECT_EQ(ThermalService::steady_key(reference), key);
   // Both liquid modes build the same steady model.
   SteadyQuery var = base;
   var.config.cooling = CoolingMode::kLiquidVar;
-  EXPECT_EQ(ThermalService::steady_keys(var).model, keys.model);
-  EXPECT_EQ(ThermalService::steady_keys(var).rom, keys.rom);
+  EXPECT_EQ(ThermalService::steady_key(var), key);
 
-  // The flow shapes both: a pooled model holds one flow vector's factor.
+  // The flow moves it: a pooled model holds one flow vector's factor.
   SteadyQuery lower = base;
   lower.pump_setting = 1;
-  EXPECT_NE(ThermalService::steady_keys(lower).model, keys.model);
-  EXPECT_NE(ThermalService::steady_keys(lower).rom, keys.rom);
+  EXPECT_NE(ThermalService::steady_key(lower), key);
   SteadyQuery valves = base;
   valves.valve_openings = {1.0, 0.6, 0.8};
-  EXPECT_NE(ThermalService::steady_keys(valves).model, keys.model);
-  EXPECT_NE(ThermalService::steady_keys(valves).rom, keys.rom);
+  EXPECT_NE(ThermalService::steady_key(valves), key);
 
   // A Niagara preset and its equal explicit spec are one system.
   SteadyQuery by_pairs;
@@ -371,10 +370,7 @@ TEST(ServeService, SteadyKeysCoverEveryIdentityField) {
   by_pairs.config.layer_pairs = 2;
   SteadyQuery by_spec = by_pairs;
   by_spec.config.stack = niagara_stack_spec(2, CoolingType::kLiquid);
-  EXPECT_EQ(ThermalService::steady_keys(by_pairs).model,
-            ThermalService::steady_keys(by_spec).model);
-  EXPECT_EQ(ThermalService::steady_keys(by_pairs).rom,
-            ThermalService::steady_keys(by_spec).rom);
+  EXPECT_EQ(ThermalService::steady_key(by_pairs), ThermalService::steady_key(by_spec));
 }
 
 /// The answer a freshly built model gives at `flows`, shaped like the
@@ -383,7 +379,7 @@ SteadyAnswer fresh_full_answer(const SimulationConfig& cfg,
                                const std::vector<VolumetricFlow>& flows,
                                double core_watts) {
   ThermalModel3D model(make_simulation_stack(cfg), cfg.thermal);
-  model.set_cavity_flow(flows);
+  if (!flows.empty()) model.set_cavity_flow(flows);
   const Stack3D& stack = model.stack();
   for (std::size_t l = 0; l < stack.layer_count(); ++l) {
     const Floorplan& fp = stack.layer(l).floorplan;
@@ -478,6 +474,50 @@ TEST(ServeService, RevisitedFlowSolvesThroughItsPooledFactor) {
   }
   EXPECT_EQ(service.stats().rom_fallbacks, fallbacks + 2);
   EXPECT_EQ(service.stats().model_evictions, 0u);
+}
+
+TEST(ServeService, ReferenceOverrideReusesThePooledFactor) {
+  // A warm pooled model answers a query at another boundary reference —
+  // the inlet of a liquid stack, the ambient of an air one — through the
+  // factor it holds, with the answer of a model built at that reference.
+  const obs::ScopedEnabled obs_on(true);
+  for (const CoolingMode cooling : {CoolingMode::kLiquidMax, CoolingMode::kAir}) {
+    const bool liquid = cooling != CoolingMode::kAir;
+    SCOPED_TRACE(liquid ? "liquid" : "air");
+    ThermalService service;
+    SteadyQuery q;
+    q.config.cooling = cooling;
+    q.config.thermal.grid_rows = 8;
+    q.config.thermal.grid_cols = 9;
+    q.force_full = true;
+    q.core_watts = 2.0;
+    (void)service.steady(q);
+    std::vector<VolumetricFlow> flows;
+    if (liquid) {
+      const StackSpec spec = niagara_stack_spec(1, CoolingType::kLiquid);
+      const FlowDelivery delivery(
+          PumpModel::laing_ddc(), q.config.delivery_mode,
+          MicrochannelModel(spec.cavities.front(), q.config.thermal.coolant,
+                            q.config.thermal.channel_params),
+          spec.die_width, spec.layers.size() + 1);
+      flows.assign(spec.layers.size() + 1,
+                   delivery.per_cavity(delivery.setting_count() - 1));
+    }
+    for (const double reference : {30.0, 52.5, 45.0}) {
+      SCOPED_TRACE(reference);
+      q.reference_c = reference;
+      const std::uint64_t before = factorization_count();
+      const SteadyAnswer answer = service.steady(q);
+      EXPECT_EQ(factorization_count() - before, 0u);
+      SimulationConfig at_reference = q.config;
+      (liquid ? at_reference.thermal.inlet_temperature
+              : at_reference.thermal.ambient_temperature) = reference;
+      const SteadyAnswer fresh = fresh_full_answer(at_reference, flows, q.core_watts);
+      EXPECT_EQ(answer.t_max_c, fresh.t_max_c);
+      EXPECT_EQ(answer.layer_max_c, fresh.layer_max_c);
+    }
+    EXPECT_EQ(service.stats().model_evictions, 0u);
+  }
 }
 
 // -- Session const-inspection surface (service-facing accessors) --------------

@@ -1,14 +1,15 @@
 // Steppable session + batch runner (sim/session.hpp, sim/batch_runner.hpp)
-// and the factor sharing between linked models it relies on
-// (ThermalModel3D::share_factors_with).  The core guarantee under test:
-// batching never changes results — a BatchRunner of many sessions (air
-// groups factorizing once per dt between them, liquid models borrowing a
-// groupmate's LU slot at an equal flow vector, models at one key solving
-// in one multi-right-hand-side sweep, slices on a thread pool) is
-// bit-identical to serial SimulationSession::run() calls.
+// and the factor cache its models share (thermal/factor_cache.hpp).  The
+// core guarantee under test: batching never changes results — a
+// BatchRunner of many sessions (air groups factorizing once per dt between
+// them, liquid models finding a factor another built at an equal flow
+// vector, models at one key solving in one multi-right-hand-side sweep,
+// slices on a thread pool, a cache kept across runs) is bit-identical to
+// serial SimulationSession::run() calls.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -16,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/experiment.hpp"
+#include "sim/scenario.hpp"
 #include "thermal/model3d.hpp"
 #include "thermal_test_access.hpp"
 
@@ -47,16 +49,19 @@ std::unique_ptr<ThermalModel3D> make_loaded_model(double core_watts,
   return m;
 }
 
+obs::Counter& cache_hits() {
+  return obs::Registry::global().counter("liquid3d_solver_factor_cache_hits_total");
+}
+
 TEST(FactorSharing, LockstepIsBitIdenticalToSerialSteps) {
-  // Eight linked models with different power maps, per cooling type, each
-  // stepping itself in lockstep.  Liquid models differ in flow too, so each
-  // factorizes its own slot; the air group factorizes once and the other
-  // seven borrow that slot.  Every answer equals an unlinked serial run.
+  // Eight models with different power maps, per cooling type, lent one
+  // eight-slot cache and each stepping itself in lockstep.  Liquid models
+  // differ in flow too, so each factorizes its own key; the air models
+  // share one key, which the first factorizes and the other seven find.
+  // Every answer equals a serial run on the model's own slot.
   constexpr std::size_t kModels = 8;
   constexpr std::uint64_t kTicks = 25;
   const obs::ScopedEnabled obs_on(true);
-  obs::Counter& borrowed =
-      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
   for (const CoolingType cooling : {CoolingType::kLiquid, CoolingType::kAir}) {
     const bool liquid = cooling == CoolingType::kLiquid;
     SCOPED_TRACE(liquid ? "liquid" : "air");
@@ -70,16 +75,17 @@ TEST(FactorSharing, LockstepIsBitIdenticalToSerialSteps) {
       serial.push_back(make_loaded_model(watts, flow, cooling));
       ptrs.push_back(batched.back().get());
     }
-    for (ThermalModel3D* m : ptrs) m->share_factors_with(ptrs);
+    FactorCache cache(kModels, kModels);
+    for (ThermalModel3D* m : ptrs) m->use_factor_cache(&cache);
 
     const std::uint64_t factorizations = factorization_count();
-    const std::uint64_t borrowed_before = borrowed.value();
+    const std::uint64_t hits = cache_hits().value();
     for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
       for (ThermalModel3D* m : ptrs) m->step(0.05);
     }
-    EXPECT_EQ(factorization_count() - factorizations, liquid ? kModels : 1u);
-    EXPECT_EQ(borrowed.value() - borrowed_before,
-              liquid ? 0u : kTicks * (kModels - 1));
+    const std::uint64_t keys = liquid ? kModels : 1u;
+    EXPECT_EQ(factorization_count() - factorizations, keys);
+    EXPECT_EQ(cache_hits().value() - hits, kTicks * kModels - keys);
     for (auto& m : serial) {
       for (std::uint64_t tick = 0; tick < kTicks; ++tick) m->step(0.05);
     }
@@ -103,12 +109,34 @@ TEST(FactorSharing, LockstepIsBitIdenticalToSerialSteps) {
 }
 
 TEST(FactorSharing, RejectsMismatchedTopologies) {
-  auto liquid = make_loaded_model(2.0, 20.0, CoolingType::kLiquid);
-  auto air = make_loaded_model(2.0, 0.0, CoolingType::kAir);
-  EXPECT_NE(liquid->topology_fingerprint(), air->topology_fingerprint());
-  std::vector<ThermalModel3D*> mixed = {liquid.get(), air.get()};
-  EXPECT_THROW(air->share_factors_with(mixed), ConfigError);
-  EXPECT_THROW(liquid->share_factors_with(mixed), ConfigError);
+  // Two air models whose silicon differs hold one cache key but for the
+  // fingerprint (1/dt, no flows, one band shape): neither finds the
+  // other's factor, and each steps exactly as alone.
+  const obs::ScopedEnabled obs_on(true);
+  ThermalModelParams soft = small_params();
+  soft.silicon_conductivity *= 0.5;
+  ThermalModel3D a(make_niagara_stack(1, CoolingType::kAir), small_params());
+  ThermalModel3D b(make_niagara_stack(1, CoolingType::kAir), soft);
+  ThermalModel3D b_alone(make_niagara_stack(1, CoolingType::kAir), soft);
+  EXPECT_NE(a.topology_fingerprint(), b.topology_fingerprint());
+  FactorCache cache(2, 2);
+  a.use_factor_cache(&cache);
+  b.use_factor_cache(&cache);
+  const std::vector<double> watts(a.stack().layer(0).floorplan.block_count(), 2.0);
+  for (ThermalModel3D* m : {&a, &b, &b_alone}) {
+    m->set_block_power(0, watts);
+    m->initialize(45.0);
+  }
+  const std::uint64_t factorizations = factorization_count();
+  const std::uint64_t hits = cache_hits().value();
+  a.step(0.05);
+  b.step(0.05);
+  b_alone.step(0.05);
+  EXPECT_EQ(factorization_count() - factorizations, 3u);
+  EXPECT_EQ(cache_hits().value() - hits, 0u);
+  for (std::size_t c = 0; c < b.grid().cell_count(); ++c) {
+    ASSERT_EQ(b.cell_temperature(0, c), b_alone.cell_temperature(0, c));
+  }
 }
 
 // -- Session / batch-runner parity -------------------------------------------
@@ -225,22 +253,20 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
     serial.push_back(SimulationSession(cfg).run());
     batch.add(cfg);
   }
-  obs::Counter& borrowed =
-      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
-  const std::uint64_t borrowed_before = borrowed.value();
+  const std::uint64_t hits = cache_hits().value();
   const std::vector<SimulationResult> batched = batch.run();
   ASSERT_EQ(batched.size(), 8u);
   EXPECT_EQ(batch.group_count(), 1u);  // one lockstep group
-  // Liquid sessions at an equal flow vector solve through one factor: the
-  // lead's own slot or a groupmate's.
-  EXPECT_GT(borrowed.value(), borrowed_before);
+  // Liquid sessions at an equal flow vector solve through one factor,
+  // found in the run's cache.
+  EXPECT_GT(cache_hits().value(), hits);
   for (std::size_t i = 0; i < 8; ++i) {
     SCOPED_TRACE(workloads[i]);
     expect_bit_identical(batched[i], serial[i]);
   }
 
-  // An air group's operator depends on dt alone: its groupmates share the
-  // lead's LU slot, so the group factorizes once per dt — the steady warm
+  // An air group's operator depends on dt alone: its groupmates find the
+  // lead's factor, so the group factorizes once per dt — the steady warm
   // start's 1/dt = 0 and the transient substep — not once per cell.
   std::vector<SimulationResult> air_serial;
   BatchRunner air_batch;
@@ -251,12 +277,12 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
   }
   const obs::ScopedEnabled obs_on(true);
   const std::uint64_t air_factorizations = factorization_count();
-  const std::uint64_t air_borrowed = borrowed.value();
+  const std::uint64_t air_hits = cache_hits().value();
   const std::vector<SimulationResult> air_batched = air_batch.run();
   ASSERT_EQ(air_batched.size(), 3u);
   EXPECT_EQ(air_batch.group_count(), 1u);
   EXPECT_EQ(factorization_count() - air_factorizations, 2u);
-  EXPECT_GT(borrowed.value(), air_borrowed);
+  EXPECT_GT(cache_hits().value(), air_hits);
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE(workloads[i]);
     expect_bit_identical(air_batched[i], air_serial[i]);
@@ -265,25 +291,30 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
 
 TEST(BatchRunner, AirPackageMatchesSerial) {
   // The package state (spreader and sink, updated explicitly after each
-  // step) of every batched air session equals its serial twin's.
+  // step) of every batched air session equals its serial twin's.  A
+  // batched session lives only as long as its slice, so a trace callback
+  // snapshots its state after every sample; the last snapshot is the end.
   BatchRunner batch;
   std::vector<std::unique_ptr<SimulationSession>> serial;
   const char* workloads[] = {"gzip", "Web-high", "MPlayer"};
+  std::vector<ThermalState> batched_states(3);
   for (std::size_t i = 0; i < 3; ++i) {
     const SimulationConfig cfg =
         session_config(300 + i, workloads[i], CoolingMode::kAir);
-    batch.add(cfg);
+    batch.add(cfg, [&out = batched_states[i]](SimulationSession& s) {
+      s.set_trace_callback(
+          [&s, &out](const SampleTrace&) { s.thermal().save_state(out); });
+    });
     serial.push_back(std::make_unique<SimulationSession>(cfg));
   }
   const auto results = batch.run();
   ASSERT_EQ(results.size(), 3u);
-  ThermalState batched_state;
   ThermalState serial_state;
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE(workloads[i]);
     SimulationSession& s = *serial[i];
     expect_bit_identical(results[i], s.run());
-    batch.session(i).thermal().save_state(batched_state);
+    const ThermalState& batched_state = batched_states[i];
     s.thermal().save_state(serial_state);
     EXPECT_EQ(batched_state.spreader_temp, serial_state.spreader_temp);
     EXPECT_EQ(batched_state.sink_temp, serial_state.sink_temp);
@@ -356,6 +387,10 @@ TEST(BatchRunner, SliceAtOneKeyFactorizesOncePerKey) {
   for (std::size_t i = 0; i < BatchRunner::kSliceSessions; ++i) {
     batch.add(session_config(400 + i, workloads[i]));
   }
+  // Sessions are built when their slice starts and fetch their
+  // characterization then; warm it first, so only the slice's own
+  // factorizations count.
+  (void)SimulationSession(session_config(400, workloads[0]));
   const std::uint64_t factorizations = factorization_count();
   const std::uint64_t sweeps = rhs_per_solve.count();
   const double columns = rhs_per_solve.sum();
@@ -381,6 +416,131 @@ TEST(BatchRunner, IncompatibleTopologiesFormSeparateGroups) {
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(batch.group_count(), 3u);
   for (const SimulationResult& r : results) EXPECT_GT(r.avg_tmax, 40.0);
+}
+
+// -- Factor cache ------------------------------------------------------------
+
+/// Cells of distinct keys: a liquid Max cell at the top flow, TALB (Var)
+/// cells whose pump moves (ten simulated seconds), one steering a valve
+/// network, and two air cells whose silicon differs — one band shape, no
+/// flows, so only the fingerprint tells their keys apart.
+std::vector<SimulationConfig> cache_cells() {
+  std::vector<SimulationConfig> cells;
+  const auto add = [&cells](const char* workload, std::uint64_t seed,
+                            CoolingMode cooling, Policy policy) -> SimulationConfig& {
+    SimulationConfig& cfg = cells.emplace_back(session_config(seed, workload, cooling));
+    cfg.policy = policy;
+    return cfg;
+  };
+  add("Web-med", 500, CoolingMode::kLiquidMax, Policy::kLoadBalancing);
+  add("Web&DB", 501, CoolingMode::kLiquidVar, Policy::kTalb).duration = SimTime::from_s(10);
+  ScenarioSpec valved;
+  valved.name = "talb-var-valved";
+  valved.policy = Policy::kTalb;
+  valved.cooling = CoolingMode::kLiquidVar;
+  valved.valve_network = true;
+  SimulationConfig& steered =
+      add("Database", 502, CoolingMode::kLiquidVar, Policy::kTalb);
+  apply_scenario(valved, steered);
+  steered.duration = SimTime::from_s(10);
+  add("gzip", 503, CoolingMode::kAir, Policy::kLoadBalancing);
+  add("gzip", 504, CoolingMode::kAir, Policy::kLoadBalancing)
+      .thermal.silicon_conductivity *= 0.5;
+  return cells;
+}
+
+TEST(FactorCache, SessionsMatchSoloRunsAtEveryCapacity) {
+  // Sessions one after another through one cache, twice over, at one slot
+  // and at four: more keys than slots, so every capacity evicts, and every
+  // session answers exactly as a solo run on its model's own slot.
+  const obs::ScopedEnabled obs_on(true);
+  const std::vector<SimulationConfig> cells = cache_cells();
+  std::vector<SimulationResult> solo;
+  for (const SimulationConfig& cfg : cells) solo.push_back(SimulationSession(cfg).run());
+  EXPECT_GT(solo[1].pump_transitions + solo[2].pump_transitions, 0u);  // TALB (Var)
+
+  for (const std::size_t capacity : {1u, 4u}) {
+    SCOPED_TRACE(capacity);
+    FactorCache cache(capacity, capacity);
+    const std::uint64_t hits = cache_hits().value();
+    for (std::size_t pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        SCOPED_TRACE(i);
+        SimulationSession session(cells[i]);
+        session.thermal().use_factor_cache(&cache);
+        expect_bit_identical(session.run(), solo[i]);
+      }
+    }
+    EXPECT_GT(cache_hits().value(), hits);
+  }
+}
+
+TEST(FactorCache, NeverHitsAcrossFingerprints) {
+  // Two air cells that differ only in their silicon, and two liquid cells
+  // that differ only in their flow routing, each pair at one flow and one
+  // dt: the second of a pair finds none of the first's factors, while a
+  // repeat of the first, its two keys still cached, factorizes nothing.
+  const obs::ScopedEnabled obs_on(true);
+  SimulationConfig air = session_config(600, "gzip", CoolingMode::kAir);
+  SimulationConfig soft_air = air;
+  soft_air.thermal.silicon_conductivity *= 0.5;
+  SimulationConfig liquid = session_config(601, "gzip");
+  SimulationConfig counterflow = liquid;
+  counterflow.thermal.alternate_flow_direction = true;
+  for (const auto& [first, second] : {std::pair{air, soft_air}, std::pair{liquid, counterflow}}) {
+    SCOPED_TRACE(first.cooling == CoolingMode::kAir ? "air" : "liquid");
+    const SimulationResult second_solo = SimulationSession(second).run();
+    const auto factorizations_of = [](const SimulationConfig& cfg, FactorCache& cache) {
+      SimulationSession session(cfg);
+      session.thermal().use_factor_cache(&cache);
+      const std::uint64_t before = factorization_count();
+      const SimulationResult r = session.run();
+      return std::pair{factorization_count() - before, r};
+    };
+    FactorCache cache(BatchRunner::kSliceSessions, BatchRunner::kSliceSessions);
+    EXPECT_EQ(factorizations_of(first, cache).first, 2u);  // steady + substep
+    const auto [second_count, second_result] = factorizations_of(second, cache);
+    EXPECT_EQ(second_count, 2u);
+    expect_bit_identical(second_result, second_solo);
+    EXPECT_EQ(factorizations_of(first, cache).first, 0u);
+  }
+}
+
+TEST(FactorCache, KeptCountBoundsIdleFactors) {
+  // An air model alternates its steady (1/dt = 0) and substep keys, one
+  // round each.  A cache that keeps two factors holds both; one that keeps
+  // one reuses the idle band, refactorizing at every switch.  Keys a round
+  // is using are never given up for another of the same round: four
+  // models at four flows in one round fit four slots whatever the kept
+  // count, and the next round finds all four.
+  const obs::ScopedEnabled obs_on(true);
+  for (const std::size_t kept : {1u, 2u}) {
+    SCOPED_TRACE(kept);
+    auto air = make_loaded_model(2.0, 0.0, CoolingType::kAir);
+    FactorCache cache(4, kept);
+    air->use_factor_cache(&cache);
+    const std::uint64_t before = factorization_count();
+    for (int i = 0; i < 3; ++i) {
+      cache.begin_round();
+      air->solve_steady_state();
+      cache.begin_round();
+      air->step(0.05);
+    }
+    EXPECT_EQ(factorization_count() - before, kept == 1 ? 6u : 2u);
+  }
+  FactorCache cache(4, 1);
+  std::vector<std::unique_ptr<ThermalModel3D>> models;
+  for (std::size_t i = 0; i < 4; ++i) {
+    models.push_back(make_loaded_model(2.0, 10.0 + 5.0 * static_cast<double>(i),
+                                       CoolingType::kLiquid));
+    models.back()->use_factor_cache(&cache);
+  }
+  const std::uint64_t before = factorization_count();
+  for (int round = 0; round < 3; ++round) {
+    cache.begin_round();
+    for (auto& m : models) m->step(0.05);
+  }
+  EXPECT_EQ(factorization_count() - before, 4u);
 }
 
 }  // namespace

@@ -866,37 +866,37 @@ TEST(FactorizationCache, AirModelReusesItsLuSlotPerDt) {
   EXPECT_EQ(ThermalModel3DTestAccess::lu_slot(model), slot);
 }
 
-TEST(FactorizationCache, LinkedPeersBorrowAnEqualFlowFactor) {
-  // share_factors_with: a model whose own slot does not fit borrows a
-  // peer's slot at the same (dt, flow vector) instead of refactorizing,
-  // and answers exactly as it would alone.
+TEST(FactorizationCache, LentCacheServesAnEqualFlowFactor) {
+  // Models lent one FactorCache solve through a factor another built at
+  // the same (fingerprint, dt, flow vector) instead of refactorizing, and
+  // answer exactly as alone; a model whose topology differs finds none.
   const obs::ScopedEnabled obs_on(true);
   ThermalModelParams p;
   p.grid_rows = 6;
   p.grid_cols = 7;
-  const auto make = [&p] {
-    ThermalModel3D m(make_niagara_stack(1, CoolingType::kLiquid), p);
+  const auto make = [](const ThermalModelParams& params) {
+    ThermalModel3D m(make_niagara_stack(1, CoolingType::kLiquid), params);
     m.set_cavity_flow(VolumetricFlow::from_ml_per_min(20.0));
     m.initialize(45.0);
     return m;
   };
-  ThermalModel3D solo = make();  // b's unlinked twin
-  ThermalModel3D a = make();
-  ThermalModel3D b = make();
-  ThermalModel3D* const peers[] = {&a, &b};
-  a.share_factors_with(peers);
-  b.share_factors_with(peers);
-  obs::Counter& borrowed =
-      obs::Registry::global().counter("liquid3d_solver_borrowed_factors_total");
+  ThermalModel3D solo = make(p);  // b's twin on its own slot
+  ThermalModel3D a = make(p);
+  ThermalModel3D b = make(p);
+  FactorCache cache(2, 2);
+  a.use_factor_cache(&cache);
+  b.use_factor_cache(&cache);
+  obs::Counter& hits =
+      obs::Registry::global().counter("liquid3d_solver_factor_cache_hits_total");
   const std::uint64_t base = factorization_count();
-  const std::uint64_t borrowed_base = borrowed.value();
+  const std::uint64_t hits_base = hits.value();
   for (ThermalModel3D* m : {&solo, &a, &b}) m->step(0.05);
   EXPECT_EQ(factorization_count() - base, 2u);  // solo's and a's
-  EXPECT_EQ(borrowed.value() - borrowed_base, 1u);
+  EXPECT_EQ(hits.value() - hits_base, 1u);
   EXPECT_EQ(ThermalModel3DTestAccess::lu_slot(b), nullptr);
 
-  // Diverging flows: b refactorizes its own slot; back at a's flow it
-  // borrows again.
+  // Diverging flows: b factorizes into the cache's free slot; back at a's
+  // flow it finds a's factor again.
   for (ThermalModel3D* m : {&solo, &b}) {
     m->set_cavity_flow(VolumetricFlow::from_ml_per_min(30.0));
     m->step(0.05);
@@ -906,8 +906,8 @@ TEST(FactorizationCache, LinkedPeersBorrowAnEqualFlowFactor) {
     m->set_cavity_flow(VolumetricFlow::from_ml_per_min(20.0));
   }
   for (ThermalModel3D* m : {&solo, &a, &b}) m->step(0.05);
-  EXPECT_EQ(factorization_count() - base, 5u);  // solo's; b borrows a's
-  EXPECT_EQ(borrowed.value() - borrowed_base, 2u);
+  EXPECT_EQ(factorization_count() - base, 5u);  // solo's; a and b hit
+  EXPECT_EQ(hits.value() - hits_base, 3u);
   for (std::size_t l = 0; l < solo.layer_count(); ++l) {
     for (std::size_t c = 0; c < solo.grid().cell_count(); ++c) {
       EXPECT_EQ(b.cell_temperature(l, c), solo.cell_temperature(l, c));
@@ -915,9 +915,11 @@ TEST(FactorizationCache, LinkedPeersBorrowAnEqualFlowFactor) {
   }
   ThermalModelParams other = p;
   other.alternate_flow_direction = true;
-  ThermalModel3D mismatched(make_niagara_stack(1, CoolingType::kLiquid), other);
-  ThermalModel3D* const mixed[] = {&a, &mismatched};
-  EXPECT_THROW(a.share_factors_with(mixed), ConfigError);
+  ThermalModel3D mismatched = make(other);
+  mismatched.use_factor_cache(&cache);
+  mismatched.step(0.05);
+  EXPECT_EQ(factorization_count() - base, 6u);
+  EXPECT_EQ(hits.value() - hits_base, 3u);
 }
 
 // -- Warm-started characterization -------------------------------------------

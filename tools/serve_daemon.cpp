@@ -2,7 +2,7 @@
 //
 //   serve_daemon --listen HOST:PORT|unix:PATH
 //                [--workers N] [--max-inflight N]
-//                [--queue-workers N] [--batch-window-ms X] [--max-batch N]
+//                [--queue-workers N] [--max-batch N]
 //                [--model-pool N] [--rom-cache N]
 //
 // Listens on the endpoint (port 0 = ephemeral), prints the bound endpoint
@@ -41,8 +41,7 @@ void on_signal(int) {
 int usage() {
   std::cerr << "usage: serve_daemon --listen HOST:PORT|unix:PATH\n"
             << "         [--workers N] [--max-inflight N] [--queue-workers N]\n"
-            << "         [--batch-window-ms X] [--max-batch N]\n"
-            << "         [--model-pool N] [--rom-cache N]\n";
+            << "         [--max-batch N] [--model-pool N] [--rom-cache N]\n";
   return 2;
 }
 
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
   flags.number("--workers", &server_params.workers);
   flags.number("--max-inflight", &server_params.max_inflight);
   flags.number("--queue-workers", &serve_params.queue.workers);
-  flags.number("--batch-window-ms", &serve_params.queue.batch_window_ms);
   flags.number("--max-batch", &serve_params.queue.max_batch);
   flags.number("--model-pool", &serve_params.model_pool_capacity);
   flags.number("--rom-cache", &serve_params.rom_cache_capacity);
