@@ -281,8 +281,8 @@ BENCHMARK(BM_SteadyStatePerCavity)->Args({23, 26, 0})->Args({23, 26, 1});
 
 // Full flow-LUT characterization (the acceptance workload: 25 utilization
 // points x all pump settings) in the production configuration: the direct
-// steady solve inside its leakage loop, warm-started, sampled over the
-// thread pool.  The first argument is always 1, so the row names stay
+// steady solve inside its leakage loop, each point continuing from the
+// previous one's field, sampled over the thread pool.  The first argument is always 1, so the row names stay
 // those of the recorded baseline; the second is the thread count.
 void characterization_pass(std::size_t threads, std::size_t points) {
   const Stack3D stack = make_2layer_system();
@@ -300,7 +300,7 @@ void BM_FlowLutCharacterization(benchmark::State& state) {
   for (auto _ : state) {
     characterization_pass(threads, 25);
   }
-  state.SetLabel("solver engine: direct steady + warm start + pool");
+  state.SetLabel("solver engine: direct steady + leakage loop + pool");
 }
 BENCHMARK(BM_FlowLutCharacterization)
     ->Args({1, 1})

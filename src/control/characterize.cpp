@@ -1,8 +1,6 @@
 #include "control/characterize.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -76,109 +74,45 @@ void CharacterizationHarness::apply_uniform_power(double utilization) {
   }
 }
 
-double CharacterizationHarness::solve_with_leakage_fixed_point(double utilization) {
-  // The leakage term depends on temperature, which depends on power:
-  // solve_steady_state re-applies the power assignment before every solve
-  // and stops once the field moves less than 0.05 K.  A genuinely diverging
-  // iterate is physical thermal runaway and is reported as the (large) last
-  // value, which the LUT correctly treats as "needs more flow".  The loop
-  // aborts on runaway (>400 C), but never before the first solve: the
-  // warm-start seed may legitimately be a hot state that this operating
-  // point cools down from.
-  std::size_t steps = 0;
-  model_.solve_steady_state([&]() {
+void CharacterizationHarness::reset() {
+  model_.initialize(model_.params().ambient_temperature);
+}
+
+double CharacterizationHarness::solve_with_leakage(double utilization) {
+  // A diverging leakage loop is physical thermal runaway: it aborts above
+  // 400 C and reports that (large) iterate, which the LUT correctly treats
+  // as "needs more flow".  The reset keeps the runaway field from seeding
+  // the next operating point.
+  constexpr double kRunawayC = 400.0;
+  status_ = model_.solve_steady_state([&]() {
     apply_uniform_power(utilization);
-    return steps++ == 0 || model_.max_temperature() <= 400.0;
+    return model_.max_temperature() <= kRunawayC;
   });
-  return model_.max_temperature();
-}
-
-namespace {
-/// Distance between operating points: utilization spans [0,1]; the flow
-/// coordinate is scaled so the full pump range weighs about as much as the
-/// full utilization range.
-double operating_point_distance(double u_a, double f_a, double u_b, double f_b) {
-  constexpr double kFlowScale = 50.0;  // ml/min — typical per-cavity range
-  return std::abs(u_a - u_b) + std::abs(f_a - f_b) / kFlowScale;
-}
-}  // namespace
-
-void CharacterizationHarness::seed_from_nearest(double utilization,
-                                                double flow_ml_per_min) {
-  const WarmPoint* best = nullptr;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (const WarmPoint& p : warm_points_) {
-    const double d = operating_point_distance(utilization, flow_ml_per_min,
-                                              p.utilization, p.flow_ml_per_min);
-    if (d < best_dist) {
-      best_dist = d;
-      best = &p;
-    }
-  }
-  if (best != nullptr) model_.restore_state(best->state);
-}
-
-void CharacterizationHarness::remember_point(double utilization,
-                                             double flow_ml_per_min) {
-  constexpr std::size_t kMaxPoints = 48;
-  // Replace the closest existing point when full (or when re-solving the
-  // same operating point) so the cache tracks the sweep frontier.
-  WarmPoint* victim = nullptr;
-  double victim_dist = std::numeric_limits<double>::infinity();
-  for (WarmPoint& p : warm_points_) {
-    const double d = operating_point_distance(utilization, flow_ml_per_min,
-                                              p.utilization, p.flow_ml_per_min);
-    if (d < victim_dist) {
-      victim_dist = d;
-      victim = &p;
-    }
-  }
-  if (warm_points_.size() < kMaxPoints && victim_dist > 1e-9) {
-    warm_points_.emplace_back();
-    victim = &warm_points_.back();
-  }
-  LIQUID3D_ASSERT(victim != nullptr, "warm point bookkeeping failed");
-  victim->utilization = utilization;
-  victim->flow_ml_per_min = flow_ml_per_min;
-  model_.save_state(victim->state);
-}
-
-double CharacterizationHarness::solve_at_operating_point(double utilization,
-                                                         double flow_ml_per_min) {
-  if (warm_start_) seed_from_nearest(utilization, flow_ml_per_min);
-  const double tmax = solve_with_leakage_fixed_point(utilization);
-  // Never cache a runaway state: seeding a neighbouring (convergent) point
-  // from a >400 C iterate would poison its solve.
-  if (warm_start_ && tmax <= 400.0) remember_point(utilization, flow_ml_per_min);
+  const double tmax = model_.max_temperature();
+  if (tmax > kRunawayC) reset();
   return tmax;
 }
 
 double CharacterizationHarness::steady_tmax(double utilization, std::size_t setting) {
-  double flow_key = 0.0;
   if (delivery_) {
-    const VolumetricFlow flow = delivery_->per_cavity(setting);
-    model_.set_cavity_flow(flow);
-    flow_key = flow.ml_per_min();
+    model_.set_cavity_flow(delivery_->per_cavity(setting));
   } else {
     LIQUID3D_REQUIRE(setting == 0, "air stacks have a single (no-pump) setting");
   }
-  return solve_at_operating_point(utilization, flow_key);
+  return solve_with_leakage(utilization);
 }
 
 double CharacterizationHarness::steady_tmax_at_flow(double utilization,
                                                     VolumetricFlow per_cavity) {
   model_.set_cavity_flow(per_cavity);
-  return solve_at_operating_point(utilization, per_cavity.ml_per_min());
+  return solve_with_leakage(utilization);
 }
 
 double CharacterizationHarness::steady_tmax_at_flows(
     double utilization, const std::vector<VolumetricFlow>& flows) {
   LIQUID3D_REQUIRE(!flows.empty(), "flow vector must not be empty");
   model_.set_cavity_flow(flows);
-  double mean = 0.0;
-  for (const VolumetricFlow& f : flows) mean += f.ml_per_min();
-  mean /= static_cast<double>(flows.size());
-  return solve_at_operating_point(utilization, mean);
+  return solve_with_leakage(utilization);
 }
 
 std::vector<double> CharacterizationHarness::steady_core_temps(double utilization,
@@ -230,12 +164,13 @@ std::vector<std::vector<double>> sample_tmax_grid(const HarnessFactory& make_har
   if (threads == 0) threads = ThreadPool::default_concurrency();
   const std::size_t workers = std::min(threads, setting_count);
 
-  // Worker h owns one harness and sweeps settings h, h+W, h+2W, ...; within
-  // a worker the sweep is setting-major with ascending utilization, so each
-  // solve warm-starts from a neighbouring operating point.
+  // Worker h owns one harness and sweeps settings h, h+W, h+2W, ...; each
+  // row starts from the ambient field and ascends in utilization, so each
+  // solve continues from its neighbour's answer.
   auto sweep = [&](std::size_t h) {
     const std::unique_ptr<CharacterizationHarness> harness = make_harness();
     for (std::size_t s = h; s < setting_count; s += workers) {
+      harness->reset();
       for (std::size_t i = 0; i < utilization_points; ++i) {
         grid[s][i] = harness->steady_tmax(us[i], s);
       }
@@ -282,13 +217,14 @@ CavitySkewGrid sample_cavity_skew_grid(const HarnessFactory& make_harness,
   if (threads == 0) threads = ThreadPool::default_concurrency();
   const std::size_t workers = std::min(threads, cavities);
 
-  // Worker h sweeps cavities h, h+W, ...; within a cavity the openings are
-  // swept ascending so each solve warm-starts near the previous one, ending
-  // at the fully-open (uniform) point shared by every cavity row.
+  // Worker h sweeps cavities h, h+W, ...; each cavity row starts from the
+  // ambient field and sweeps its openings ascending, ending at the
+  // fully-open (uniform) point shared by every cavity row.
   auto sweep = [&](std::size_t h) {
     const std::unique_ptr<CharacterizationHarness> harness = make_harness();
     std::vector<double> openings(cavities, 1.0);
     for (std::size_t k = h; k < cavities; k += workers) {
+      harness->reset();
       for (std::size_t i = 0; i < opening_points; ++i) {
         openings[k] = grid.openings[i];
         grid.tmax[k][i] = harness->steady_tmax_at_flows(

@@ -9,12 +9,14 @@
 //     balanced temperature").
 // This harness computes steady states of a ThermalModel3D under uniform
 // per-core utilization — the balanced-load operating point TALB itself
-// drives the system toward — including the leakage-temperature fixed point.
-// Steady solves here are *warm-started*: every converged operating point is
-// snapshotted, and a new solve seeds the model from the nearest previously
-// converged (utilization, flow) point.  Characterization sweeps are monotone
-// in both coordinates, so the leakage loop starts close to its answer; the
-// grid itself is sampled in parallel (one harness per worker) by `characterize_flow_lut`.
+// drives the system toward — including the leakage-temperature fixed point,
+// which ThermalModel3D::solve_steady_state's leakage loop solves to within
+// kLeakageToleranceK.  Each solve continues from the model's current field
+// (the previous operating point's answer), so neighbouring points converge
+// in a few iterations; a solve that runs away resets the field to ambient.
+// The grid is sampled in parallel (one harness per worker) by
+// `sample_tmax_grid`, each row from the ambient field, so a grid does not
+// depend on the worker count.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +56,7 @@ class CharacterizationHarness {
   [[nodiscard]] double steady_tmax_at_flow(double utilization, VolumetricFlow per_cavity);
 
   /// Steady maximum temperature at an explicit per-cavity flow *vector*
-  /// (valve-network operating points).  Warm-start proximity uses the mean
-  /// flow, which tracks the total the pump delivers.
+  /// (valve-network operating points).
   [[nodiscard]] double steady_tmax_at_flows(double utilization,
                                             const std::vector<VolumetricFlow>& flows);
 
@@ -79,33 +80,22 @@ class CharacterizationHarness {
   /// model temperatures).
   void apply_uniform_power(double utilization);
 
-  /// Warm-starting from previously converged operating points is on by
-  /// default; disable to force every solve to continue from whatever state
-  /// the model happens to be in (the seed behaviour).
-  void set_warm_start(bool enabled) { warm_start_ = enabled; }
-  [[nodiscard]] bool warm_start() const { return warm_start_; }
-  /// Number of converged operating points currently cached.
-  [[nodiscard]] std::size_t warm_point_count() const { return warm_points_.size(); }
+  /// Reset the model to the ambient field a fresh harness starts from.
+  void reset();
+
+  /// How the last steady solve's leakage loop ended.
+  [[nodiscard]] const LeakageStatus& leakage_status() const { return status_; }
 
  private:
-  struct WarmPoint {
-    double utilization;
-    double flow_ml_per_min;  ///< 0 for air stacks
-    ThermalState state;
-  };
-
-  [[nodiscard]] double solve_with_leakage_fixed_point(double utilization);
-  [[nodiscard]] double solve_at_operating_point(double utilization,
-                                                double flow_ml_per_min);
-  void seed_from_nearest(double utilization, double flow_ml_per_min);
-  void remember_point(double utilization, double flow_ml_per_min);
+  /// The steady T_max at the model's current flow, from its current field;
+  /// a solve that runs away (above 400 °C) aborts and resets the field.
+  [[nodiscard]] double solve_with_leakage(double utilization);
 
   ThermalModel3D model_;
   PowerModel power_;
   std::optional<FlowDelivery> delivery_;
   std::vector<BlockSite> cores_;
-  bool warm_start_ = true;
-  std::vector<WarmPoint> warm_points_;
+  LeakageStatus status_;
 };
 
 /// Factory producing an independent harness per worker thread (each worker
@@ -114,8 +104,9 @@ using HarnessFactory = std::function<std::unique_ptr<CharacterizationHarness>()>
 
 /// Sample the steady T_max(u, s) characterization grid.  Whole setting rows
 /// are distributed over `threads` workers (0 = hardware concurrency); each
-/// worker sweeps its rows utilization-ascending so warm starts stay within
-/// a few degrees of the seed state.  Returns grid[setting][u_index].
+/// row starts from the ambient field and sweeps utilization ascending, so
+/// the grid is bit-identical at every worker count.  Returns
+/// grid[setting][u_index].
 [[nodiscard]] std::vector<std::vector<double>> sample_tmax_grid(
     const HarnessFactory& make_harness, std::size_t setting_count,
     std::size_t utilization_points, std::size_t threads = 0);
@@ -131,7 +122,8 @@ using HarnessFactory = std::function<std::unique_ptr<CharacterizationHarness>()>
 /// open (flows renormalized by the valve network, so the total delivered
 /// flow is the setting's).  Result: grid[cavity][opening_index], openings
 /// ascending from `min_opening` to 1.  Cavity rows are fanned out over the
-/// ThreadPool (one harness per worker), mirroring sample_tmax_grid.
+/// ThreadPool (one harness per worker, each row from the ambient field),
+/// mirroring sample_tmax_grid.
 struct CavitySkewGrid {
   std::vector<double> openings;            ///< sampled opening values
   std::vector<std::vector<double>> tmax;   ///< [cavity][opening_index]

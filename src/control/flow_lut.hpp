@@ -42,7 +42,7 @@ class FlowLut {
   /// temperature under uniform utilization u at setting s (see
   /// CharacterizationHarness).  `utilization_points` controls the sweep
   /// resolution.  Samples serially; `characterize_flow_lut` (characterize.hpp)
-  /// is the parallel warm-started driver.
+  /// is the parallel driver.
   [[nodiscard]] static FlowLut characterize(
       const std::function<double(double, std::size_t)>& tmax, std::size_t setting_count,
       double target_temperature, std::size_t utilization_points = 41);

@@ -42,7 +42,7 @@ std::shared_ptr<const FlowLut> build_flow_lut(const SimulationConfig& cfg) {
   };
   return std::make_shared<const FlowLut>(
       characterize_flow_lut(factory, cfg.metrics.target_c - cfg.manager.lut_margin_c,
-                            25, cfg.characterization_threads));
+                            25));
 }
 
 std::shared_ptr<const TalbWeightTable> build_talb_weights(
@@ -84,7 +84,6 @@ std::shared_ptr<const TalbWeightTable> build_talb_weights(
 std::string CharacterizationCache::flow_lut_key(const SimulationConfig& cfg) {
   std::string key = system_key("lut:", cfg, /*liquid=*/true);
   append_bits(key, cfg.metrics.target_c - cfg.manager.lut_margin_c);
-  append_bits(key, cfg.characterization_threads);
   return key;
 }
 

@@ -7,11 +7,10 @@
 // carries no artifacts; an ExperimentSuite keeps its own cache shared by
 // every cell of its grid.  Artifacts are keyed on the
 // system parameters that determine them — stack geometry, delivery mode,
-// thermal and power model parameters, the LUT target temperature, and the
-// characterization worker count (worker count perturbs warm-start
-// trajectories at the millikelvin level, so it is part of the identity) —
+// thermal and power model parameters and the LUT target temperature —
 // never on the policy, workload, seed, or duration of the run that happens
-// to trigger the build.
+// to trigger the build, nor on the characterization worker count (a grid
+// is bit-identical at every count).
 //
 // Concurrency: each table is a SharedCache (common/shared_cache.hpp) —
 // one lock, builds outside it.  A characterization build is many steady

@@ -208,15 +208,15 @@ double SimulationSession::apply_flow_decision() {
 void SimulationSession::warm_start() {
   // Initialize from the steady state of the benchmark's average load
   // ("all simulations are initialized with steady state temperature
-  // values", Sec. V).
+  // values", Sec. V): the leakage loop from the ambient field.
   const double u = cfg_.benchmark.avg_utilization;
   std::vector<double> busy(cores_.size(), u);
   thermal_.initialize(cfg_.thermal.ambient_temperature);
   if (delivery_) apply_flow_decision();  // valves start uniform
-  for (int i = 0; i < 3; ++i) {
-    apply_power(busy, cfg_.benchmark);  // leakage fixed point
-    thermal_.solve_steady_state();
-  }
+  thermal_.solve_steady_state([&] {
+    apply_power(busy, cfg_.benchmark);
+    return true;
+  });
 }
 
 void SimulationSession::init() {

@@ -71,13 +71,6 @@ struct SimulationConfig {
   /// Thermal solver sub-steps per sampling interval.
   std::size_t thermal_substeps = 2;
   std::uint64_t seed = 1;
-  /// Worker threads for flow-LUT characterization.  The default is a fixed
-  /// count (not hardware concurrency): warm-start trajectories depend on
-  /// which worker sweeps which setting rows, so sampled temperatures vary
-  /// at the millikelvin level with the worker count — a fixed default keeps
-  /// the LUT machine-independent.  0 = hardware concurrency (accepting that
-  /// variance).
-  std::size_t characterization_threads = 4;
 
   /// Thermal model knobs: grid, materials, boundary temperatures.
   ThermalModelParams thermal{};

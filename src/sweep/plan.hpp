@@ -14,8 +14,9 @@
 //   SweepCell      — one cell with its canonical grid position (the merge
 //                    key; the seed does NOT depend on it);
 //   plan_sweep     — expand the grid and partition the cells into K shards,
-//                    round-robin or cost-weighted (LPT over the PR 4 solver
-//                    cost model: per-cell grid size, stack depth, backend);
+//                    round-robin or cost-weighted (LPT over a per-cell
+//                    cost model: banded-LU flops and the fluid march per
+//                    substep, times the substep count);
 //   write/read     — shard files: '#'-prefixed suite metadata, then one
 //                    RFC-4180 CSV row per cell (scenario columns + workload).
 //

@@ -697,7 +697,7 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
   }
 }
 
-void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
+LeakageStatus ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
   const bool liquid = stack_.has_cavities();
   // Zero flow in any cavity of a liquid stack has no bounded steady state
   // (every heat path ends in the coolant); fail fast instead of iterating
@@ -709,15 +709,22 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
   }
   // The steady state is the implicit step at 1/dt = 0.  For a fixed power
   // map that is one solve; the loop only iterates the temperature-dependent
-  // power (leakage) supplied through pre_step.  Near runaway the leakage
-  // loop gain approaches 1 and convergence stalls — like the seed's outer
-  // fixed point (80 iterations, 0.05 K) we return the last iterate rather
-  // than failing: callers treat a hot non-converged point as "needs more
-  // flow".
-  constexpr std::size_t kMaxPowerIterations = 80;
-  constexpr double kPowerTolerance = 0.05;  // K, the seed's leakage criterion
-  for (std::size_t iter = 0; iter < kMaxPowerIterations; ++iter) {
-    if (pre_step && !pre_step()) return;
+  // power (leakage) supplied through pre_step.  Each iterate reuses the
+  // factor and changes only the right-hand side.  Near runaway the loop gain
+  // approaches 1 and the bound stalls, so the cap ends the loop; the caller
+  // reads the status.
+  static obs::Histogram& iterations_h =
+      obs::Registry::global().histogram("liquid3d_thermal_leakage_iterations");
+  static obs::Counter& unconverged_c =
+      obs::Registry::global().counter("liquid3d_thermal_leakage_unconverged_total");
+  constexpr std::size_t kMaxLeakageIterations = 80;
+  LeakageStatus status{LeakageEnd::kCapped, 0};
+  double prev_change = 0.0;
+  while (status.iterations < kMaxLeakageIterations) {
+    if (pre_step && !pre_step()) {
+      status.end = LeakageEnd::kAborted;
+      break;
+    }
     if (!liquid) {
       // An air stack's only external coupling is the package on its top
       // layer, so at steady state all the power crosses the spreader and
@@ -728,8 +735,23 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
       spreader_temp_ = sink_temp_ + p_total * params_.spreader_to_sink_resistance;
     }
     advance(0.0);
-    if (!pre_step || max_change() < kPowerTolerance) return;
+    ++status.iterations;
+    if (!pre_step) return {LeakageEnd::kConverged, 1};
+    // The leakage map contracts by rho per iterate, so the iterates still to
+    // come move the field by at most change * rho / (1 - rho) in all.
+    const double change = max_change();
+    const double rho = change / prev_change;
+    if (change == 0.0 ||
+        (status.iterations >= 2 && rho < 1.0 &&
+         change * rho / (1.0 - rho) < kLeakageToleranceK)) {
+      status.end = LeakageEnd::kConverged;
+      break;
+    }
+    prev_change = change;
   }
+  iterations_h.record(static_cast<double>(status.iterations));
+  if (status.end != LeakageEnd::kConverged) unconverged_c.add();
+  return status;
 }
 
 double ThermalModel3D::cell_temperature(std::size_t layer, std::size_t cell) const {
@@ -804,23 +826,6 @@ void ThermalModel3D::save_state(ThermalState& out) const {
   out.cavity_outlet.assign(cavity_outlet_.begin(), cavity_outlet_.end());
   out.spreader_temp = spreader_temp_;
   out.sink_temp = sink_temp_;
-}
-
-void ThermalModel3D::restore_state(const ThermalState& state) {
-  LIQUID3D_REQUIRE(state.temps.size() == temps_.size() &&
-                       state.fluid_temp.size() == fluid_temp_.size(),
-                   "state shape does not match this model");
-  temps_.assign(state.temps.begin(), state.temps.end());
-  for (std::size_t k = 0; k < fluid_temp_.size(); ++k) {
-    LIQUID3D_REQUIRE(state.fluid_temp[k].size() == fluid_temp_[k].size(),
-                     "fluid state shape does not match this model");
-    fluid_temp_[k].assign(state.fluid_temp[k].begin(), state.fluid_temp[k].end());
-  }
-  cavity_absorbed_.assign(state.cavity_absorbed.begin(), state.cavity_absorbed.end());
-  cavity_outlet_.assign(state.cavity_outlet.begin(), state.cavity_outlet.end());
-  fluid_stale_ = false;
-  spreader_temp_ = state.spreader_temp;
-  sink_temp_ = state.sink_temp;
 }
 
 }  // namespace liquid3d

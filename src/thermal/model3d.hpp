@@ -68,9 +68,8 @@
 namespace liquid3d {
 
 /// Complete dynamic state of a ThermalModel3D — everything `step` and
-/// `solve_steady_state` evolve.  Snapshot/restore lets characterization
-/// warm-start a steady solve's leakage loop from a previously converged
-/// nearby operating point.
+/// `solve_steady_state` evolve — as `save_state` copies it out, for
+/// comparing two models bit for bit.
 struct ThermalState {
   std::vector<double> temps;                   ///< silicon nodes [°C]
   std::vector<std::vector<double>> fluid_temp; ///< [cavity][cell]
@@ -165,6 +164,21 @@ constexpr void visit_fields(Params& t, F&& f) {
 static_assert(sizeof(void*) != 8 || sizeof(ThermalModelParams) == 176,
               "ThermalModelParams changed: update visit_fields and this size");
 
+/// Bound [K] on the distance to the leakage fixed point at which
+/// solve_steady_state's leakage loop stops (see there).
+inline constexpr double kLeakageToleranceK = 1e-3;
+
+/// How solve_steady_state's leakage loop ended.
+enum class LeakageEnd {
+  kConverged,  ///< the error bound fell below kLeakageToleranceK
+  kCapped,     ///< the iteration cap came first
+  kAborted,    ///< pre_step returned false (e.g. on thermal runaway)
+};
+struct LeakageStatus {
+  LeakageEnd end = LeakageEnd::kConverged;
+  std::size_t iterations = 0;  ///< steady solves the loop ran
+};
+
 /// Largest LU band a model may allocate [bytes]: n (2b + 1) doubles for
 /// n = rows x cols x layers nodes and half-bandwidth b = cols x layers.
 /// The paper's 100 µm grid (100 x 115 cells) needs 85 MB on 2 layers and
@@ -228,13 +242,16 @@ class ThermalModel3D {
   static void step_lockstep(std::span<ThermalModel3D* const> models, double dt_s);
 
   /// Solve for the steady state under the current power and flow: the
-  /// implicit step at 1/dt = 0, on every stack.  `pre_step`,
-  /// when given, runs before every leakage iteration — the hook
-  /// characterization uses to fold the temperature-dependent leakage power
-  /// into the solve, iterating until the field moves less than 0.05 K.
-  /// Returning false aborts the iteration (e.g. on detected thermal
-  /// runaway).
-  void solve_steady_state(const std::function<bool()>& pre_step = {});
+  /// implicit step at 1/dt = 0, on every stack.  Without `pre_step` that
+  /// is one solve.  With it, the solve is the leakage loop: `pre_step`
+  /// re-applies the temperature-dependent power before every solve, and the
+  /// loop continues from the model's current field until the a-posteriori
+  /// bound Δk·ρ/(1−ρ) on the distance to the fixed point, with Δk the
+  /// largest node change of solve k and ρ = Δk/Δk−1, falls below
+  /// kLeakageToleranceK, or 80 solves pass.  `pre_step` returning false
+  /// aborts the loop (e.g. on detected thermal runaway).  Either way the
+  /// model holds the last iterate.
+  LeakageStatus solve_steady_state(const std::function<bool()>& pre_step = {});
 
   // -- Readback ---------------------------------------------------------------
   [[nodiscard]] double cell_temperature(std::size_t layer, std::size_t cell) const;
@@ -272,12 +289,8 @@ class ThermalModel3D {
   /// Total power currently injected [W].
   [[nodiscard]] double total_power() const;
 
-  // -- State snapshot (warm starts) -------------------------------------------
   /// Copy the full dynamic state into `out` (reuses its storage).
   void save_state(ThermalState& out) const;
-  /// Restore a state previously captured from this model (or an identically
-  /// configured one); sizes must match.
-  void restore_state(const ThermalState& state);
 
   /// Solve through `cache`'s factors instead of the model's own slot
   /// (null: back to the own slot).  The cache's key carries the topology
@@ -380,7 +393,7 @@ class ThermalModel3D {
   /// Run the march a liquid solve left pending, if any: the coolant
   /// readbacks depend only on temps_, the inlet temperature and the flows,
   /// so a pending march is settled before any of them changes (initialize
-  /// and restore_state overwrite the coolant and drop it).
+  /// overwrites the coolant and drops it).
   void settle_fluid() const;
   void update_package_transient(double dt_s);
 

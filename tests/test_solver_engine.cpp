@@ -4,8 +4,8 @@
 // direct-write eliminated assembly against their unblocked references (bit
 // for bit), multi-right-hand-side solves against single ones (bit for
 // bit), the fluid-eliminated step against a dense partially pivoted LU,
-// the models' LU slots, warm-started characterization equivalence, and the
-// no-allocation guarantee of the transient hot loop.
+// the models' LU slots, and the no-allocation guarantee of the transient
+// hot loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include "common/error.hpp"
 #include "common/linalg.hpp"
 #include "common/rng.hpp"
-#include "control/characterize.hpp"
 #include "coolant/flow.hpp"
 #include "coolant/microchannel.hpp"
 #include "coolant/pump.hpp"
@@ -920,59 +919,6 @@ TEST(FactorizationCache, LentCacheServesAnEqualFlowFactor) {
   mismatched.step(0.05);
   EXPECT_EQ(factorization_count() - base, 6u);
   EXPECT_EQ(hits.value() - hits_base, 3u);
-}
-
-// -- Warm-started characterization -------------------------------------------
-
-TEST(WarmStart, MatchesColdStartSteadyState) {
-  ThermalModelParams p;
-  p.grid_rows = 8;
-  p.grid_cols = 9;
-  CharacterizationHarness warm(make_2layer_system(), p, PowerModelParams{},
-                               PumpModel::laing_ddc(),
-                               FlowDeliveryMode::kPressureLimited);
-  // Visit several operating points first so the warm path genuinely seeds
-  // from a cached neighbour rather than from the virgin state.
-  (void)warm.steady_tmax(0.2, 1);
-  (void)warm.steady_tmax(0.8, 3);
-  (void)warm.steady_tmax(0.4, 2);
-  EXPECT_GE(warm.warm_point_count(), 3u);
-  const double t_warm = warm.steady_tmax(0.6, 2);
-
-  CharacterizationHarness cold(make_2layer_system(), p, PowerModelParams{},
-                               PumpModel::laing_ddc(),
-                               FlowDeliveryMode::kPressureLimited);
-  cold.set_warm_start(false);
-  const double t_cold = cold.steady_tmax(0.6, 2);
-
-  // Same steady state regardless of the seed trajectory: the fixed point is
-  // unique, warm-starting only changes how fast we reach it.
-  EXPECT_NEAR(t_warm, t_cold, 0.2);
-  EXPECT_EQ(cold.warm_point_count(), 0u);
-}
-
-TEST(WarmStart, StateRoundTripRestoresTemperatures) {
-  ThermalModelParams p;
-  p.grid_rows = 6;
-  p.grid_cols = 7;
-  ThermalModel3D model(make_niagara_stack(1, CoolingType::kLiquid), p);
-  model.set_cavity_flow(VolumetricFlow::from_ml_per_min(15.0));
-  model.initialize(45.0);
-  const Floorplan& fp = model.stack().layer(0).floorplan;
-  std::vector<double> watts(fp.block_count(), 0.0);
-  for (std::size_t b = 0; b < fp.block_count(); ++b) {
-    if (fp.block(b).type == BlockType::kCore) watts[b] = 2.5;
-  }
-  model.set_block_power(0, watts);
-  for (int i = 0; i < 20; ++i) model.step(0.1);
-
-  ThermalState snap;
-  model.save_state(snap);
-  const double tmax_before = model.max_temperature();
-  for (int i = 0; i < 20; ++i) model.step(0.1);
-  EXPECT_NE(model.max_temperature(), tmax_before);
-  model.restore_state(snap);
-  EXPECT_DOUBLE_EQ(model.max_temperature(), tmax_before);
 }
 
 // -- No-allocation hot loop --------------------------------------------------

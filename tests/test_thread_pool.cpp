@@ -1,6 +1,6 @@
 // ThreadPool (common/thread_pool.hpp): result delivery, exception
 // propagation, parallel_for coverage, and the parallel characterization
-// sampler producing the same grid as a serial sweep.
+// samplers producing the same grid as a serial sweep, bit for bit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,9 @@
 
 #include "common/thread_pool.hpp"
 #include "control/characterize.hpp"
+#include "coolant/microchannel.hpp"
 #include "coolant/pump.hpp"
+#include "coolant/valve_network.hpp"
 #include "geom/stack.hpp"
 
 namespace liquid3d {
@@ -100,23 +102,40 @@ TEST(ParallelCharacterization, GridMatchesSerialSweep) {
 
   const std::size_t settings = factory()->setting_count();
   constexpr std::size_t kPoints = 5;
-  const auto parallel = sample_tmax_grid(factory, settings, kPoints, 3);
   const auto serial = sample_tmax_grid(factory, settings, kPoints, 1);
-
-  ASSERT_EQ(parallel.size(), settings);
-  for (std::size_t s = 0; s < settings; ++s) {
-    ASSERT_EQ(parallel[s].size(), kPoints);
-    for (std::size_t i = 0; i < kPoints; ++i) {
-      // Warm-start trajectories differ between schedules, but the steady
-      // fixed point is unique — grids must agree to solver tolerance.
-      EXPECT_NEAR(parallel[s][i], serial[s][i], 0.2)
-          << "setting " << s << " point " << i;
-    }
+  ASSERT_EQ(serial.size(), settings);
+  for (const auto& row : serial) ASSERT_EQ(row.size(), kPoints);
+  // Every setting row starts from the ambient field, so which worker sweeps
+  // it cannot change a bit.
+  for (const std::size_t threads : {2u, 3u, 5u}) {
+    EXPECT_EQ(sample_tmax_grid(factory, settings, kPoints, threads), serial)
+        << threads << " threads";
   }
 
   // And the LUT built from those samples must be internally consistent.
   const FlowLut lut = characterize_flow_lut(factory, 80.0, kPoints, 2);
   EXPECT_EQ(lut.setting_count(), settings);
+}
+
+TEST(ParallelCharacterization, CavitySkewGridMatchesSerialSweep) {
+  ThermalModelParams p;
+  p.grid_rows = 6;
+  p.grid_cols = 7;
+  const Stack3D stack = make_2layer_system();
+  auto factory = [&]() {
+    return std::make_unique<CharacterizationHarness>(
+        stack, p, PowerModelParams{}, PumpModel::laing_ddc(),
+        FlowDeliveryMode::kPressureLimited);
+  };
+  const MicrochannelModel channels(stack.cavity(), p.coolant, p.channel_params);
+  const ValveNetwork net(
+      FlowDelivery(PumpModel::laing_ddc(), FlowDeliveryMode::kPressureLimited,
+                   channels, stack.width(), stack.cavity_count()),
+      ValveNetworkParams{});
+  const CavitySkewGrid serial = sample_cavity_skew_grid(factory, net, 2, 0.6, 3, 1);
+  const CavitySkewGrid parallel = sample_cavity_skew_grid(factory, net, 2, 0.6, 3, 2);
+  EXPECT_EQ(parallel.openings, serial.openings);
+  EXPECT_EQ(parallel.tmax, serial.tmax);
 }
 
 }  // namespace

@@ -186,6 +186,10 @@ struct ThermalModel3DTestAccess {
   static const std::vector<double>& capacitance(const ThermalModel3D& m) {
     return m.capacitance_;
   }
+  /// Overwrite one node of the silicon field (e.g. to poison it).
+  static void set_node_temperature(ThermalModel3D& m, std::size_t node, double v) {
+    m.temps_.at(node) = v;
+  }
   /// The model's own LU slot: nullptr until its first factorization.
   static const BandedLuMatrix* lu_slot(const ThermalModel3D& m) {
     return m.lu_slot_.lu.get();
